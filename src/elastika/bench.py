@@ -9,7 +9,6 @@ latency, and the analytic power figures.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -188,13 +187,11 @@ def run_cell(spec: BenchmarkSpec, policy: str, mode: str, clock: int,
 
 
 def sweep(spec: BenchmarkSpec, delays: DelayTable | None = None,
-          params: PowerParams | None = None,
-          jobs: int | None = None) -> list[SweepRow]:
-    """All cells of one benchmark, in parallel, joined in a fixed row order.
+          params: PowerParams | None = None) -> list[SweepRow]:
+    """All cells of one benchmark, one after another, in row order.
 
-    Rows come back sorted by (mode, clock, policy) regardless of which
-    worker finished first; the first failing cell (in that same order)
-    aborts the sweep.
+    Rows come sorted by (mode, clock, policy); the first failing cell in
+    that order aborts the sweep.
     """
     cells = []
     for mode in spec.modes:
@@ -207,21 +204,8 @@ def sweep(spec: BenchmarkSpec, delays: DelayTable | None = None,
         policy, mode, clock = cell
         return (mode, clock, _POLICY_ORDER.get(policy, 99))
 
-    results: dict[tuple, SweepRow] = {}
-    failures: dict[tuple, Exception] = {}
-    workers = jobs if jobs else min(8, len(cells)) or 1
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(run_cell, spec, p, m, c, delays, params):
-                   (p, m, c) for p, m, c in cells}
-        for fut in concurrent.futures.as_completed(futures):
-            cell = futures[fut]
-            try:
-                results[cell] = fut.result()
-            except Exception as exc:  # surfaced in deterministic order below
-                failures[cell] = exc
-    if failures:
-        raise failures[min(failures, key=key)]
-    return [results[cell] for cell in sorted(cells, key=key)]
+    return [run_cell(spec, p, m, c, delays, params)
+            for p, m, c in sorted(cells, key=key)]
 
 
 def format_table(rows: list[SweepRow]) -> str:

@@ -25,8 +25,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import depgraph as dg
-from .ir import (IrError, Kind, Network, find_back_edges, flow_successors,
-                 loop_carry_links, splice_buffer)
+from .ir import (IrError, Kind, Link, Network, endpoints, find_back_edges,
+                 flow_successors, loop_carry_links, splice_buffer_in_place)
 
 
 class UnresolvedSite(IrError):
@@ -61,8 +61,14 @@ def policy_loop(net: Network, mode: str = "async") -> BufferPlan:
     def note(lid: str, why: str) -> None:
         planned.setdefault(lid, []).append(why)
 
+    # Links touching each component, in link id order.
+    touching: dict[str, list[Link]] = {}
+    for ln in sorted(net.links.values(), key=lambda l: l.id):
+        for cid in {ep[0] for ep in (ln.src, ln.dst) if ep is not None}:
+            touching.setdefault(cid, []).append(ln)
+
     def around(head_id: str, why: str) -> None:
-        for ln in sorted(net.links.values(), key=lambda l: l.id):
+        for ln in touching.get(head_id, ()):
             if ln.dst is not None and ln.dst[0] == head_id:
                 note(ln.id, f"into {head_id}: {why}")
             if ln.src is not None and ln.src[0] == head_id:
@@ -104,6 +110,7 @@ def pac_mark(net: Network, graph: dg.DependencyGraph
     def note(lid: str, why: str) -> None:
         marks.setdefault(lid, []).append(why)
 
+    ends = endpoints(net)
     chan_by_name: dict[str, dg.Channel] = {}
     for ch in dg.channels(net):
         chan_by_name.setdefault(ch.name, ch)
@@ -118,11 +125,11 @@ def pac_mark(net: Network, graph: dg.DependencyGraph
                 site = int(rnode.rsplit("/rd", 1)[1])
             except (IndexError, ValueError):
                 raise UnresolvedSite(f"{e}: malformed read site {rnode}")
-            rsites = dg.variable_read_sites(net, vid)
+            rsites = dg.variable_read_sites(net, vid, ends)
             if site >= len(rsites):
                 raise UnresolvedSite(f"{e}: read site {site} out of range")
             note(rsites[site][1], f"{e.kind} {vid} after rd{site}")
-            wd = net.link_out_of(vid, 0)
+            wd = ends.out_of.get((vid, 0))
             if wd is None:
                 raise UnresolvedSite(f"{e}: variable {vid} has no write done")
             note(wd.id, f"{e.kind} {vid} after write done")
@@ -131,7 +138,7 @@ def pac_mark(net: Network, graph: dg.DependencyGraph
             if ch is None:
                 raise UnresolvedSite(f"{e}: no channel {e.subject}")
             if ch.consumer_comp is not None:
-                after = net.link_out_of(ch.consumer_comp, 0)
+                after = ends.out_of.get((ch.consumer_comp, 0))
                 if after is not None:
                     note(after.id, f"PAC {ch.name} after consumer")
             if ch.producer_comp is not None:
@@ -139,17 +146,17 @@ def pac_mark(net: Network, graph: dg.DependencyGraph
                 if comp.kind is Kind.FORK:
                     note(ch.link, f"PAC {ch.name} channel link")
                 elif comp.kind is Kind.OPERATOR:
-                    out = net.link_out_of(comp.id, 0)
+                    out = ends.out_of.get((comp.id, 0))
                     if out is None:
                         raise UnresolvedSite(f"{e}: producer has no output")
                     note(out.id, f"PAC {ch.name} after producer")
                 elif comp.kind is Kind.VARIABLE:
-                    out = net.link_out_of(comp.id, 0)
+                    out = ends.out_of.get((comp.id, 0))
                     if out is None:
                         raise UnresolvedSite(f"{e}: producer has no write done")
                     note(out.id, f"PAC {ch.name} after producer")
                 else:
-                    act = net.link_into(comp.id, 0)
+                    act = ends.into.get((comp.id, 0))
                     if act is not None:
                         note(act.id, f"PAC {ch.name} producer activation")
     return set(marks), marks
@@ -161,6 +168,7 @@ def pac_mark(net: Network, graph: dg.DependencyGraph
 def pac_retime(net: Network, marks: set[str], mode: str = "async",
                provenance: dict = None) -> BufferPlan:
     provenance = provenance or {}
+    ends = endpoints(net)
     planned: dict[str, list[str]] = {}
 
     def note(lid: str, why: str) -> None:
@@ -175,7 +183,7 @@ def pac_retime(net: Network, marks: set[str], mode: str = "async",
         if ln.dst is not None:
             comp = net.components[ln.dst[0]]
             if comp.kind is Kind.JOIN:
-                out = net.link_out_of(comp.id, 0)
+                out = ends.out_of.get((comp.id, 0))
                 if out is not None:
                     target = out.id
                     why = f"retimed past {comp.id} ({why})"
@@ -184,8 +192,8 @@ def pac_retime(net: Network, marks: set[str], mode: str = "async",
     for cid in sorted(net.components):
         if net.components[cid].kind is not Kind.INITIAL:
             continue
-        before = net.link_into(cid, 0)
-        after = net.link_out_of(cid, 0)
+        before = ends.into.get((cid, 0))
+        after = ends.out_of.get((cid, 0))
         if before is not None:
             note(before.id, f"before initial {cid}")
         if after is not None:
@@ -198,10 +206,14 @@ def pac_retime(net: Network, marks: set[str], mode: str = "async",
 
 
 def apply(net: Network, plan: BufferPlan, capacity: int = 1) -> Network:
-    """Splice a buffer into every planned link; returns the buffered net."""
-    out = net
+    """Splice a buffer into every planned link; returns the buffered net.
+
+    ``net`` is copied once and the copy spliced in place, so the cost is
+    linear in the net size rather than in buffers times size.
+    """
+    out = net.copy()
     for lid in plan.links:
-        out = splice_buffer(out, lid, capacity=capacity)
+        splice_buffer_in_place(out, lid, capacity=capacity)
     return out
 
 
@@ -300,6 +312,7 @@ def _sync_balance(net: Network, planned: dict[str, list[str]]) -> None:
     counts match (or it runs out of unplanned links).
     """
     removed = set(find_back_edges(net))
+    ends = endpoints(net)
     succ = flow_successors(net)
     fwd = {lid: [n for n in nxts if n not in removed]
            for lid, nxts in succ.items() if lid not in removed}
@@ -319,11 +332,24 @@ def _sync_balance(net: Network, planned: dict[str, list[str]]) -> None:
                     frontier.append(n)
         return seen
 
+    # A Fork's forward reach is the same for every Steer; found on first use.
+    reach_by_fork: dict[str, set[str]] = {}
+
+    def reach_of_fork(fid: str) -> set[str]:
+        if fid not in reach_by_fork:
+            outs = []
+            for i in range(len(net.components[fid].output_widths())):
+                ln = ends.out_of.get((fid, i))
+                if ln is not None:
+                    outs.append(ln.id)
+            reach_by_fork[fid] = reach(outs, fwd)
+        return reach_by_fork[fid]
+
     for cid in sorted(net.components):
         comp = net.components[cid]
         if comp.kind is not Kind.STEER:
             continue
-        in_ln = net.link_into(cid, 0)
+        in_ln = ends.into.get((cid, 0))
         if in_ln is None or in_ln.src is None:
             continue
         join_id = in_ln.src[0]
@@ -336,7 +362,7 @@ def _sync_balance(net: Network, planned: dict[str, list[str]]) -> None:
         offset = 0
         complete = True
         for pi, w in enumerate(join.input_widths()):
-            ln = net.link_into(join_id, pi)
+            ln = ends.into.get((join_id, pi))
             if ln is None:
                 complete = False
                 break
@@ -347,15 +373,9 @@ def _sync_balance(net: Network, planned: dict[str, list[str]]) -> None:
             continue
         best: tuple[int, str, set[str]] | None = None
         for fid in sorted(net.components):
-            f = net.components[fid]
-            if f.kind is not Kind.FORK:
+            if net.components[fid].kind is not Kind.FORK:
                 continue
-            outs = []
-            for i in range(len(f.output_widths())):
-                ln = net.link_out_of(fid, i)
-                if ln is not None:
-                    outs.append(ln.id)
-            rs = reach(outs, fwd)
+            rs = reach_of_fork(fid)
             if all(c in rs for c in ctrl) and all(d in rs for d in data):
                 if best is None or len(rs) < best[0]:
                     best = (len(rs), fid, rs)

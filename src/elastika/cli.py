@@ -11,9 +11,9 @@ input (source, netlist, config, stimulus); 3 simulated deadlock.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import asdict
 
 from . import bench, depgraph, netlist
 from .buffering import apply as apply_plan
@@ -195,7 +195,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         cost = power(net, params)
         obj["power"] = {"dynamic": cost.dynamic_power,
                         "leakage": cost.leakage_power,
-                        "params": asdict(params)}
+                        "params": dataclasses.asdict(params)}
     if "throughput" in sections:
         try:
             rate = analytic_throughput(net, delays, mode=args.mode,
@@ -226,21 +226,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             spec = bench.benchmark(name)
         except KeyError as exc:
             return _fail(str(exc))
-        if args.policies:
-            spec = bench.BenchmarkSpec(
-                name=spec.name, source=spec.source, datasets=spec.datasets,
-                reference=spec.reference, policies=tuple(args.policies),
-                modes=tuple(args.modes) if args.modes else spec.modes,
-                clocks=tuple(args.clocks) if args.clocks else spec.clocks)
-        elif args.modes or args.clocks:
-            spec = bench.BenchmarkSpec(
-                name=spec.name, source=spec.source, datasets=spec.datasets,
-                reference=spec.reference, policies=spec.policies,
-                modes=tuple(args.modes) if args.modes else spec.modes,
-                clocks=tuple(args.clocks) if args.clocks else spec.clocks)
+        spec = dataclasses.replace(
+            spec,
+            policies=tuple(args.policies) if args.policies else spec.policies,
+            modes=tuple(args.modes) if args.modes else spec.modes,
+            clocks=tuple(args.clocks) if args.clocks else spec.clocks)
         try:
-            rows = bench.sweep(spec, delays=delays, params=params,
-                               jobs=args.jobs)
+            rows = bench.sweep(spec, delays=delays, params=params)
         except bench.EquivalenceError as exc:
             return _fail(str(exc), EXIT_EQUIVALENCE)
         table = bench.format_table(rows)
@@ -333,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="clock periods in ps for sync cells")
     p.add_argument("--config", metavar="FILE",
                    help="config file with power.* and delay.* entries")
-    p.add_argument("--jobs", type=int, help="worker threads (default auto)")
     p.add_argument("-o", "--output", help="table file (default stdout)")
     p.set_defaults(func=cmd_sweep)
     return top

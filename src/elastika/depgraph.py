@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .ir import (Kind, Network, flow_successors, loop_carry_links,
-                 reachable_links)
+from .ir import (Endpoints, Kind, Network, endpoints, flow_successors,
+                 loop_carry_links, reachable_links)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class Channel:
     consumer_comp: Optional[str]
 
 
-def _write_funnel(net: Network, comp_id: str
+def _write_funnel(net: Network, comp_id: str, ends: Endpoints
                   ) -> Optional[list[tuple[str, str, str]]]:
     """(entry, tag entry, done) link triples when the Variable's write port
     is fed through a multi-site funnel, else None.
@@ -69,8 +69,9 @@ def _write_funnel(net: Network, comp_id: str
     second Merge, and a Steer on the joined pair with one done per site.
     Recognition is by shape, not by component naming.
     """
-    wg = net.link_into(comp_id, 0)
-    wd = net.link_out_of(comp_id, 0)
+    into, out_of = ends
+    wg = into.get((comp_id, 0))
+    wd = out_of.get((comp_id, 0))
     if wg is None or wd is None or wg.src is None or wd.dst is None:
         return None
     m = net.components[wg.src[0]]
@@ -78,8 +79,8 @@ def _write_funnel(net: Network, comp_id: str
     if not (m.kind is Kind.MERGE and j.kind is Kind.JOIN
             and wd.dst[1] == 0 and len(j.input_widths()) == 2):
         return None
-    jout = net.link_out_of(j.id, 0)
-    tagin = net.link_into(j.id, 1)
+    jout = out_of.get((j.id, 0))
+    tagin = into.get((j.id, 1))
     if jout is None or jout.dst is None or tagin is None or tagin.src is None:
         return None
     s = net.components[jout.dst[0]]
@@ -90,39 +91,46 @@ def _write_funnel(net: Network, comp_id: str
         return None
     sites = []
     for i in range(m.params["inputs"]):
-        entry = net.link_into(m.id, i)
-        tag = net.link_into(t.id, i)
-        done = net.link_out_of(s.id, i)
+        entry = into.get((m.id, i))
+        tag = into.get((t.id, i))
+        done = out_of.get((s.id, i))
         if entry is None or tag is None or done is None:
             return None
         sites.append((entry.id, tag.id, done.id))
     return sites
 
 
-def variable_write_sites(net: Network, comp_id: str) -> list[tuple[str, str]]:
+def variable_write_sites(net: Network, comp_id: str,
+                         ends: Optional[Endpoints] = None
+                         ) -> list[tuple[str, str]]:
     """(entry link, done link) per write site of a Variable, in site order.
 
     A variable with one write site is driven directly; several sites are
     funnelled through a Merge, with completion routed back per site by a
-    tag/Join/Steer loop on the write-done.
+    tag/Join/Steer loop on the write-done.  Callers looking up many sites
+    pass ``ends = endpoints(net)`` built once.
     """
-    funnel = _write_funnel(net, comp_id)
+    ends = ends if ends is not None else endpoints(net)
+    funnel = _write_funnel(net, comp_id, ends)
     if funnel is not None:
         return [(entry, done) for entry, _, done in funnel]
-    wg = net.link_into(comp_id, 0)
-    wd = net.link_out_of(comp_id, 0)
+    wg = ends.into.get((comp_id, 0))
+    wd = ends.out_of.get((comp_id, 0))
     if wg is None or wd is None:
         return []
     return [(wg.id, wd.id)]
 
 
-def variable_read_sites(net: Network, comp_id: str) -> list[tuple[str, str]]:
+def variable_read_sites(net: Network, comp_id: str,
+                        ends: Optional[Endpoints] = None
+                        ) -> list[tuple[str, str]]:
     """(go link, data link) per read site of a Variable, in site order."""
+    ends = ends if ends is not None else endpoints(net)
     comp = net.components[comp_id]
     sites = []
     for i in range(comp.params["reads"]):
-        go = net.link_into(comp_id, 1 + i)
-        data = net.link_out_of(comp_id, 1 + i)
+        go = ends.into.get((comp_id, 1 + i))
+        data = ends.out_of.get((comp_id, 1 + i))
         if go is None or data is None:
             return []
         sites.append((go.id, data.id))
@@ -132,6 +140,7 @@ def variable_read_sites(net: Network, comp_id: str) -> list[tuple[str, str]]:
 def channels(net: Network) -> list[Channel]:
     """All channels of the net: external port links first (by port name),
     then internal send links (by channel name, then producing component)."""
+    out_of = endpoints(net).out_of
     out: list[Channel] = []
     for name in sorted(net.ports):
         port = net.ports[name]
@@ -148,7 +157,7 @@ def channels(net: Network) -> list[Channel]:
     for cid in sorted(net.components):
         comp = net.components[cid]
         if comp.kind is Kind.FORK and "channel" in comp.params:
-            data = net.link_out_of(cid, 0)
+            data = out_of.get((cid, 0))
             if data is None or data.dst is None:
                 continue
             internal.append(Channel(comp.params["channel"], data.id,
@@ -157,7 +166,8 @@ def channels(net: Network) -> list[Channel]:
     return out + internal
 
 
-def _same_pass_successors(net: Network) -> dict[str, list[str]]:
+def _same_pass_successors(net: Network, ends: Endpoints
+                          ) -> dict[str, list[str]]:
     """Flow successors restricted to one traversal of each loop body.
 
     Loop-carry links are dropped, and every multi-site write funnel is made
@@ -170,7 +180,7 @@ def _same_pass_successors(net: Network) -> dict[str, list[str]]:
     for vid in sorted(net.components):
         if net.components[vid].kind is not Kind.VARIABLE:
             continue
-        funnel = _write_funnel(net, vid)
+        funnel = _write_funnel(net, vid, ends)
         if funnel is not None:
             for entry, tag, done in funnel:
                 succ[entry] = [done]
@@ -180,22 +190,16 @@ def _same_pass_successors(net: Network) -> dict[str, list[str]]:
 
 def extract_variable_constraints(net: Network) -> list[DepEdge]:
     edges: list[DepEdge] = []
-    succ = _same_pass_successors(net)
+    ends = endpoints(net)
+    succ = _same_pass_successors(net, ends)
     for vid in sorted(net.components):
         comp = net.components[vid]
         if comp.kind is not Kind.VARIABLE:
             continue
-        wsites = variable_write_sites(net, vid)
-        rsites = variable_read_sites(net, vid)
+        wsites = variable_write_sites(net, vid, ends)
+        rsites = variable_read_sites(net, vid, ends)
         for r, (_, rdata) in enumerate(rsites):
-            reach: set[str] = set()
-            frontier = [rdata]
-            while frontier:
-                lid = frontier.pop()
-                for nxt in succ.get(lid, ()):
-                    if nxt not in reach:
-                        reach.add(nxt)
-                        frontier.append(nxt)
+            reach = reachable_links(succ, rdata)
             for w, (entry, _) in enumerate(wsites):
                 if entry in reach:
                     edges.append(DepEdge("WAR", vid, f"{vid}/rd{r}",
@@ -209,9 +213,10 @@ def extract_variable_constraints(net: Network) -> list[DepEdge]:
 
 def extract_pac_constraints(net: Network) -> list[DepEdge]:
     edges: list[DepEdge] = []
+    succ = flow_successors(net)
     for ch in channels(net):
         edges.append(DepEdge("PAC", ch.name, ch.producer, ch.consumer))
-        if ch.link in reachable_links(net, ch.link):
+        if ch.link in reachable_links(succ, ch.link):
             edges.append(DepEdge("PAC", ch.name, ch.consumer, ch.producer,
                                  tag="backward"))
     return edges

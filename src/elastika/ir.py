@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class Kind(str, Enum):
@@ -136,7 +136,16 @@ class Network:
     ports: dict[str, Port] = field(default_factory=dict)
 
     def copy(self) -> "Network":
-        return copy.deepcopy(self)
+        """Structural copy: fresh Component, Link and Port objects, with
+        params deep-copied; endpoint tuples are immutable and shared."""
+        return Network(
+            self.name,
+            {cid: Component(c.id, c.kind, copy.deepcopy(c.params))
+             for cid, c in self.components.items()},
+            {lid: Link(ln.id, ln.width, ln.src, ln.dst)
+             for lid, ln in self.links.items()},
+            {name: Port(p.name, p.dir, p.width, p.link)
+             for name, p in self.ports.items()})
 
     def buffer_count(self) -> int:
         return sum(1 for c in self.components.values() if c.kind is Kind.BUFFER)
@@ -152,6 +161,31 @@ class Network:
             if ln.src == (comp_id, port):
                 return ln
         return None
+
+
+class Endpoints(NamedTuple):
+    """Links by the component port they attach to: ``into[(cid, port)]`` is
+    the link feeding that input, ``out_of[(cid, port)]`` the link leaving
+    that output."""
+    into: dict[tuple[str, int], Link]
+    out_of: dict[tuple[str, int], Link]
+
+
+def endpoints(net: Network) -> Endpoints:
+    """Index every link by its endpoints in one pass over the links.
+
+    Agrees with ``Network.link_into``/``link_out_of``, first link in table
+    order on a doubly bound port included.  The index is a snapshot: build
+    a new one after the net is mutated.
+    """
+    into: dict[tuple[str, int], Link] = {}
+    out_of: dict[tuple[str, int], Link] = {}
+    for ln in net.links.values():
+        if ln.dst is not None:
+            into.setdefault(ln.dst, ln)
+        if ln.src is not None:
+            out_of.setdefault(ln.src, ln)
+    return Endpoints(into, out_of)
 
 
 @dataclass(frozen=True)
@@ -291,34 +325,40 @@ def validate(net: Network) -> list[Diagnostic]:
 
 
 def splice_buffer(net: Network, link_id: str, capacity: int = 1) -> Network:
-    """Return a new network with a Buffer spliced into ``link_id``.
+    """Return a new network with a Buffer spliced into ``link_id``; ``net``
+    itself is left untouched.  See ``splice_buffer_in_place``."""
+    out = net.copy()
+    splice_buffer_in_place(out, link_id, capacity)
+    return out
+
+
+def splice_buffer_in_place(net: Network, link_id: str, capacity: int = 1) -> None:
+    """Splice a Buffer into ``link_id`` of ``net`` itself.
 
     The upstream half keeps the link id; the downstream half gets
     ``<id>.post``.  Splicing a link that already touches a Buffer raises
     DoubleBuffer, which also catches a second splice on the same original
-    link position.
+    link position.  Every check runs before the net is changed.
     """
-    if link_id not in net.links:
+    ln = net.links.get(link_id)
+    if ln is None:
         raise UnknownLink(link_id)
-    out = net.copy()
-    ln = out.links[link_id]
     for ep in (ln.src, ln.dst):
-        if ep is not None and out.components[ep[0]].kind is Kind.BUFFER:
+        if ep is not None and net.components[ep[0]].kind is Kind.BUFFER:
             raise DoubleBuffer(f"link {link_id} already adjacent to buffer {ep[0]}")
     buf_id = f"buf.{link_id}"
     post_id = f"{link_id}.post"
-    if buf_id in out.components or post_id in out.links:
+    if buf_id in net.components or post_id in net.links:
         raise DoubleBuffer(f"link {link_id} was already spliced")
-    out.components[buf_id] = Component(
+    net.components[buf_id] = Component(
         buf_id, Kind.BUFFER, {"width": ln.width, "capacity": capacity})
     post = Link(post_id, ln.width, src=(buf_id, 0), dst=ln.dst)
     ln.dst = (buf_id, 0)
-    out.links[post_id] = post
+    net.links[post_id] = post
     # Keep an output port pointing at the tail half of its link.
-    for port in out.ports.values():
+    for port in net.ports.values():
         if port.link == link_id and port.dir == "out":
             port.link = post_id
-    return out
 
 
 def find_back_edges(net: Network) -> list[str]:
@@ -330,17 +370,13 @@ def find_back_edges(net: Network) -> list[str]:
     that close into an on-stack component; every directed cycle of the
     component graph contains at least one returned link.
     """
-    outgoing: dict[str, list[tuple[str, str]]] = {cid: [] for cid in net.components}
+    # (output port, link id, target) per component, in port then id order.
+    outgoing: dict[str, list[tuple[int, str, str]]] = {cid: [] for cid in net.components}
     for ln in net.links.values():
         if ln.src is not None and ln.dst is not None:
-            outgoing[ln.src[0]].append((ln.id, ln.dst[0]))
-    for cid in outgoing:
-        comp = net.components[cid]
-        order = {}
-        for ln in net.links.values():
-            if ln.src is not None and ln.src[0] == cid:
-                order[ln.id] = ln.src[1]
-        outgoing[cid].sort(key=lambda item: (order[item[0]], item[0]))
+            outgoing[ln.src[0]].append((ln.src[1], ln.id, ln.dst[0]))
+    for edges in outgoing.values():
+        edges.sort()
 
     roots: list[str] = []
     seen_root = set()
@@ -373,7 +409,7 @@ def find_back_edges(net: Network) -> list[str]:
             cid, idx = stack[-1]
             if idx < len(outgoing[cid]):
                 stack[-1] = (cid, idx + 1)
-                lid, target = outgoing[cid][idx]
+                _, lid, target = outgoing[cid][idx]
                 if color[target] == GREY:
                     back.append(lid)
                 elif color[target] == WHITE:
@@ -398,6 +434,7 @@ def loop_carry_links(net: Network) -> set[str]:
     the input link on that port (a compiled while loop marks its body-done
     feedback this way).  Every other link belongs to a single pass.
     """
+    into = endpoints(net).into
     out: set[str] = set()
     for cid, comp in net.components.items():
         port = None
@@ -407,7 +444,7 @@ def loop_carry_links(net: Network) -> set[str]:
             port = int(comp.params["loop"])
         if port is None:
             continue
-        ln = net.link_into(cid, port)
+        ln = into.get((cid, port))
         if ln is not None:
             out.add(ln.id)
     return out
@@ -415,20 +452,22 @@ def loop_carry_links(net: Network) -> set[str]:
 
 def flow_successors(net: Network) -> dict[str, list[str]]:
     """Map each link id to the link ids a token can continue onto."""
-    by_in: dict[tuple[str, int], str] = {}
-    by_out: dict[tuple[str, int], str] = {}
-    for ln in net.links.values():
-        if ln.dst is not None:
-            by_in[ln.dst] = ln.id
-        if ln.src is not None:
-            by_out[ln.src] = ln.id
+    return _successors(net, through_buffers=True)
+
+
+def _successors(net: Network, through_buffers: bool) -> dict[str, list[str]]:
+    """Link id -> sorted ids of the links each component's internal edges
+    relay it onto; Buffers relay only when ``through_buffers``."""
+    ends = endpoints(net)
     succ: dict[str, list[str]] = {lid: [] for lid in net.links}
     for cid, comp in net.components.items():
+        if not through_buffers and comp.kind is Kind.BUFFER:
+            continue
         for i, o in comp.internal_edges():
-            a = by_in.get((cid, i))
-            b = by_out.get((cid, o))
+            a = ends.into.get((cid, i))
+            b = ends.out_of.get((cid, o))
             if a is not None and b is not None:
-                succ[a].append(b)
+                succ[a.id].append(b.id)
     for lid in succ:
         succ[lid].sort()
     return succ
@@ -463,16 +502,16 @@ def token_cycle_free(net: Network, removed: Iterable[str] = ()) -> bool:
     return done == len(indeg)
 
 
-def reachable_links(net: Network, start: str, removed: Iterable[str] = ()) -> set[str]:
-    """Links reachable from ``start`` in the flow graph, skipping ``removed``."""
-    removed = set(removed)
-    succ = flow_successors(net)
+def reachable_links(succ: dict[str, list[str]], start: str) -> set[str]:
+    """Links reachable from ``start`` in a successor map such as
+    ``flow_successors(net)``; ``start`` itself only when a cycle returns to it.
+    """
     seen: set[str] = set()
     frontier = [start]
     while frontier:
         lid = frontier.pop()
         for nxt in succ.get(lid, ()):
-            if nxt not in removed and nxt not in seen:
+            if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
@@ -482,25 +521,7 @@ def combinational_successors(net: Network) -> dict[str, list[str]]:
     """Flow graph for same-cycle signal propagation: Buffers break paths and
     a Variable's stored value breaks write->read, but write-go to write-done
     and read-go to read-done ripple through, as does Initial in wire mode."""
-    by_in: dict[tuple[str, int], str] = {}
-    by_out: dict[tuple[str, int], str] = {}
-    for ln in net.links.values():
-        if ln.dst is not None:
-            by_in[ln.dst] = ln.id
-        if ln.src is not None:
-            by_out[ln.src] = ln.id
-    succ: dict[str, list[str]] = {lid: [] for lid in net.links}
-    for cid, comp in net.components.items():
-        if comp.kind is Kind.BUFFER:
-            continue
-        for i, o in comp.internal_edges():
-            a = by_in.get((cid, i))
-            b = by_out.get((cid, o))
-            if a is not None and b is not None:
-                succ[a].append(b)
-    for lid in succ:
-        succ[lid].sort()
-    return succ
+    return _successors(net, through_buffers=False)
 
 
 def combinational_cycle(net: Network) -> Optional[list[str]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .ir import Kind, LOGIC_KINDS, Network, flow_successors
+from .ir import Kind, LOGIC_KINDS, Network, endpoints, flow_successors
 from .sim.config import DelayTable
 from .sim.report import SimReport
 
@@ -153,11 +153,12 @@ def power(net: Network, params: PowerParams,
 
 def initial_marking(net: Network) -> dict[str, int]:
     """One resting token on the output link of every Initial component."""
+    out_of = endpoints(net).out_of
     marking: dict[str, int] = {}
     for cid in sorted(net.components):
         if net.components[cid].kind is not Kind.INITIAL:
             continue
-        ln = net.link_out_of(cid, 0)
+        ln = out_of.get((cid, 0))
         if ln is not None:
             marking[ln.id] = marking.get(ln.id, 0) + 1
     return marking

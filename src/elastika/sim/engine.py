@@ -516,12 +516,7 @@ class Simulation:
             else:
                 report.completion = "stimulus-exhausted"
 
-        primary = None
-        best = -1
-        for name in sorted(self.results):
-            if len(self.results[name]) > best:
-                best = len(self.results[name])
-                primary = name
+        primary = report.primary_port()
         if primary is not None and self.results[primary]:
             times = [t for _, t in self.results[primary]]
             report.elapsed = times[-1]

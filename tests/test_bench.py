@@ -76,7 +76,7 @@ def test_sweep_order_and_determinism():
         ("simple", "async", 0), ("loop", "async", 0), ("pac", "async", 0),
         ("simple", "sync", 2000), ("loop", "sync", 2000),
         ("pac", "sync", 2000)]
-    again = sweep(spec, jobs=2)
+    again = sweep(spec)
     assert format_table(rows) == format_table(again)
 
 
@@ -86,8 +86,7 @@ def test_sweep_surfaces_first_failing_cell():
         reference=lambda stim: {"g": [1 for _ in stim["a"]]})
     with pytest.raises(EquivalenceError) as err:
         sweep(broken)
-    # Deterministically the first cell in row order, however the pool
-    # schedules the workers.
+    # Deterministically the first cell in row order.
     assert err.value.cell[:4] == ("elgcd", "simple", "async", 0)
 
 

@@ -1,15 +1,19 @@
 """Buffer insertion policies: plan shapes, orderings, liveness, splicing."""
 from __future__ import annotations
 
+import functools
+
 import networkx as nx
 import pytest
 
 from elastika import depgraph as dg
+from elastika import netlist
 from elastika.bench import benchmark
 from elastika.buffering import (BufferPlan, apply, pac_mark, pac_retime,
                                 policy_loop, policy_pac, policy_simple)
-from elastika.ir import (DoubleBuffer, Kind, find_back_edges, flow_successors,
-                         loop_carry_links, token_cycle_free, validate)
+from elastika.ir import (DoubleBuffer, Kind, Network, find_back_edges,
+                         flow_successors, loop_carry_links, splice_buffer,
+                         token_cycle_free, validate)
 
 BENCHES = ["elgcd", "poly", "smul"]
 MODES = ["async", "sync"]
@@ -180,6 +184,33 @@ def test_apply_splices_exactly_the_plan(bench, policy, request):
         buf = buffered.components[f"buf.{lid}"]
         assert buf.kind is Kind.BUFFER
         assert buf.params["capacity"] == 1
+
+
+@pytest.mark.parametrize("bench", BENCHES)
+@pytest.mark.parametrize("mode", MODES)
+def test_apply_matches_folded_splice(bench, mode, request):
+    net = net_for(request, bench)
+    before = netlist.dumps(net)
+    for policy in (policy_simple, policy_loop, policy_pac):
+        plan = policy(net, mode)
+        folded = functools.reduce(splice_buffer, plan.links, net)
+        assert netlist.dumps(apply(net, plan)) == netlist.dumps(folded)
+        assert netlist.dumps(net) == before, "apply must not touch its input"
+
+
+def test_apply_copies_the_net_once(elgcd_net, monkeypatch):
+    copies = []
+    original = Network.copy
+
+    def counting_copy(self):
+        copies.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Network, "copy", counting_copy)
+    plan = policy_simple(elgcd_net)
+    buffered = apply(elgcd_net, plan)
+    assert len(copies) == 1
+    assert buffered.buffer_count() == len(plan) > 1
 
 
 def test_apply_capacity_parameter(elgcd_net):

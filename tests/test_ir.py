@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import build_ring, digraph_to_net
+from elastika import netlist
+from elastika.buffering import apply, policy_pac, policy_simple
 from elastika.ir import (Component, DoubleBuffer, Kind, Link, Network, Port,
                          UnknownLink, combinational_cycle,
-                         combinational_successors, find_back_edges,
+                         combinational_successors, endpoints, find_back_edges,
                          flow_successors, loop_carry_links, splice_buffer,
-                         token_cycle_free, validate)
+                         splice_buffer_in_place, token_cycle_free, validate)
 
 
 def small_graphs():
@@ -161,6 +163,19 @@ def test_splice_rejects_same_position_twice():
         splice_buffer(out, "lm")
 
 
+def test_splice_in_place_checks_before_changing_the_net():
+    net = build_ring()
+    before = netlist.dumps(net)
+    for lid, error in (("nope", UnknownLink), ("ls", DoubleBuffer),
+                       ("lb", DoubleBuffer)):
+        with pytest.raises(error):
+            splice_buffer_in_place(net, lid)
+        assert netlist.dumps(net) == before
+    splice_buffer_in_place(net, "lout", capacity=3)
+    assert netlist.dumps(net) == netlist.dumps(
+        splice_buffer(build_ring(), "lout", capacity=3))
+
+
 # ---------------------------------------------------------------------------
 # Back-edge detection
 
@@ -283,6 +298,32 @@ def test_network_copy_is_deep():
     dup = net.copy()
     dup.components["b"].params["capacity"] = 9
     assert net.components["b"].params["capacity"] == 2
+
+
+@pytest.mark.parametrize("bench", ["elgcd", "poly", "smul"])
+def test_network_copy_is_structural(bench, request):
+    net = request.getfixturevalue(f"{bench}_net")
+    dup = net.copy()
+    assert netlist.dumps(dup) == netlist.dumps(net)
+    for table in ("components", "links", "ports"):
+        mine = {id(obj) for obj in getattr(net, table).values()}
+        assert not mine & {id(obj) for obj in getattr(dup, table).values()}
+    shared = {id(c.params) for c in net.components.values()}
+    assert not shared & {id(c.params) for c in dup.components.values()}
+
+
+@pytest.mark.parametrize("bench", ["elgcd", "poly", "smul"])
+def test_endpoints_agree_with_linear_scan(bench, request):
+    compiled = request.getfixturevalue(f"{bench}_net")
+    for net in (compiled, apply(compiled, policy_pac(compiled, "sync")),
+                apply(compiled, policy_simple(compiled))):
+        ends = endpoints(net)
+        for cid, comp in net.components.items():
+            for port in range(len(comp.input_widths()) + 1):
+                assert ends.into.get((cid, port)) is net.link_into(cid, port)
+            for port in range(len(comp.output_widths()) + 1):
+                assert ends.out_of.get((cid, port)) is net.link_out_of(cid,
+                                                                       port)
 
 
 def test_link_lookups():
