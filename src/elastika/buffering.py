@@ -25,8 +25,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import depgraph as dg
-from .ir import (IrError, Kind, Link, Network, endpoints, find_back_edges,
-                 flow_successors, loop_carry_links, splice_buffer_in_place)
+from .ir import (IrError, Kind, Link, Network, back_edges, endpoints,
+                 find_back_edges, flow_successors, loop_carry_links,
+                 reachable_links, splice_buffer_in_place)
 
 
 class UnresolvedSite(IrError):
@@ -241,32 +242,14 @@ def _complete(net: Network, planned: dict[str, list[str]]) -> None:
 
 
 def _unplanned_cycle_edge(succ: dict[str, list[str]],
-                          planned: dict[str, list[str]]) -> str:
+                          planned: dict[str, list[str]]) -> str | None:
     """One link that closes a cycle consisting purely of unplanned links,
     found by deterministic DFS; None when the unplanned subgraph is acyclic."""
-    nodes = [lid for lid in sorted(succ) if lid not in planned]
-    live = set(nodes)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {lid: WHITE for lid in nodes}
-    for root in nodes:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, 0)]
-        color[root] = GREY
-        while stack:
-            lid, idx = stack[-1]
-            nxts = [n for n in succ[lid] if n in live]
-            if idx < len(nxts):
-                stack[-1] = (lid, idx + 1)
-                nxt = nxts[idx]
-                if color[nxt] == GREY:
-                    return lid
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, 0))
-            else:
-                color[lid] = BLACK
-                stack.pop()
+    unplanned = [lid for lid in sorted(succ) if lid not in planned]
+    for path, _, _ in back_edges(
+            unplanned,
+            lambda lid: [(n, n) for n in succ[lid] if n not in planned]):
+        return path[-1]
     return None
 
 
@@ -322,15 +305,7 @@ def _sync_balance(net: Network, planned: dict[str, list[str]]) -> None:
             back[n].append(lid)
 
     def reach(starts: list[str], adj: dict[str, list[str]]) -> set[str]:
-        seen = set(s for s in starts if s in adj)
-        frontier = list(seen)
-        while frontier:
-            cur = frontier.pop()
-            for n in adj.get(cur, ()):
-                if n not in seen:
-                    seen.add(n)
-                    frontier.append(n)
-        return seen
+        return {s for s in starts if s in adj} | reachable_links(adj, starts)
 
     # A Fork's forward reach is the same for every Steer; found on first use.
     reach_by_fork: dict[str, set[str]] = {}

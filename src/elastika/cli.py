@@ -6,7 +6,8 @@ simulation, evaluate the cost models, or sweep every policy/mode cell of
 a shipped benchmark and print the comparison table.
 
 Exit codes: 0 success; 1 failed equivalence in a sweep; 2 malformed
-input (source, netlist, config, stimulus); 3 simulated deadlock.
+input (source, netlist, config, stimulus) or a throughput bound refused
+for too many cycles; 3 simulated deadlock.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from .frontend import FrontendError, LowerError
 from .frontend import compile as compile_module
 from .frontend import parse as parse_source
 from .ir import Network, validate
-from .metrics import (PowerParams, TooManyCycles, analytic_throughput, area,
-                      power, power_from_config)
+from .metrics import (TooManyCycles, analytic_throughput, area, power,
+                      power_from_config)
 from .sim import (CombinationalCycle, ConfigError, SimConfig, occupancy_csv,
                   parse_stimulus, read_config, run, to_json)
 from .sim.config import delays_from_config
@@ -33,13 +34,12 @@ EXIT_BAD_INPUT = 2
 EXIT_DEADLOCK = 3
 
 _EPILOG = """\
-environment:
-  ELASTIKA_SEED   reserved for future stochastic features; currently ignored.
-
 exit codes:
   0  success
   1  a sweep cell's outputs disagreed with the software reference
-  2  malformed input: source, netlist, config, or stimulus
+  2  malformed input: source, netlist, config, or stimulus; or report
+     refused the throughput bound of a net with more than 10,000
+     directed cycles
   3  the simulated net deadlocked
 """
 
@@ -176,11 +176,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             return _fail(f"bad --freq-sweep: {exc}")
         lines = ["frequency,dynamic,leakage"]
         for freq in freqs:
-            swept = PowerParams(activity=params.activity, frequency=freq,
-                                capacitance=params.capacitance,
-                                supply=params.supply,
-                                leak_per_area=params.leak_per_area)
-            cost = power(net, swept)
+            cost = power(net, dataclasses.replace(params, frequency=freq))
             lines.append(f"{freq:.6g},{cost.dynamic_power:.6g},"
                          f"{cost.leakage_power:.6g}")
         _write("\n".join(lines) + "\n", args.output)

@@ -199,7 +199,7 @@ def extract_variable_constraints(net: Network) -> list[DepEdge]:
         wsites = variable_write_sites(net, vid, ends)
         rsites = variable_read_sites(net, vid, ends)
         for r, (_, rdata) in enumerate(rsites):
-            reach = reachable_links(succ, rdata)
+            reach = reachable_links(succ, [rdata])
             for w, (entry, _) in enumerate(wsites):
                 if entry in reach:
                     edges.append(DepEdge("WAR", vid, f"{vid}/rd{r}",
@@ -216,7 +216,7 @@ def extract_pac_constraints(net: Network) -> list[DepEdge]:
     succ = flow_successors(net)
     for ch in channels(net):
         edges.append(DepEdge("PAC", ch.name, ch.producer, ch.consumer))
-        if ch.link in reachable_links(succ, ch.link):
+        if ch.link in reachable_links(succ, [ch.link]):
             edges.append(DepEdge("PAC", ch.name, ch.consumer, ch.producer,
                                  tag="backward"))
     return edges

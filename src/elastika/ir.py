@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 
 class Kind(str, Enum):
@@ -370,55 +370,56 @@ def find_back_edges(net: Network) -> list[str]:
     that close into an on-stack component; every directed cycle of the
     component graph contains at least one returned link.
     """
-    # (output port, link id, target) per component, in port then id order.
-    outgoing: dict[str, list[tuple[int, str, str]]] = {cid: [] for cid in net.components}
-    for ln in net.links.values():
-        if ln.src is not None and ln.dst is not None:
-            outgoing[ln.src[0]].append((ln.src[1], ln.id, ln.dst[0]))
-    for edges in outgoing.values():
-        edges.sort()
-
-    roots: list[str] = []
-    seen_root = set()
+    # (link id, target) per component, in port then link id order.
+    outgoing: dict[str, list[tuple[str, str]]] = {cid: [] for cid in net.components}
+    inner = [ln for ln in net.links.values()
+             if ln.src is not None and ln.dst is not None]
+    for ln in sorted(inner, key=lambda ln: (ln.src[1], ln.id)):
+        outgoing[ln.src[0]].append((ln.id, ln.dst[0]))
     port_fed = set()
-    for name in sorted(net.ports):
-        port = net.ports[name]
-        if port.dir == "in":
-            ln = net.links[port.link]
-            if ln.dst is not None:
-                port_fed.add(ln.dst[0])
-    for group in (
-        sorted(port_fed),
-        sorted(c.id for c in net.components.values() if c.kind is Kind.INITIAL),
-        sorted(net.components),
-    ):
-        for cid in group:
-            if cid not in seen_root:
-                seen_root.add(cid)
-                roots.append(cid)
+    for port in net.ports.values():
+        if port.dir == "in" and net.links[port.link].dst is not None:
+            port_fed.add(net.links[port.link].dst[0])
+    initials = [c.id for c in net.components.values() if c.kind is Kind.INITIAL]
+    roots = sorted(port_fed) + sorted(initials) + sorted(net.components)
+    return [lid for _, lid, _ in back_edges(roots, outgoing.__getitem__)]
 
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {cid: WHITE for cid in net.components}
-    back: list[str] = []
+
+def back_edges(roots: Iterable, children: Callable[[object], Iterable[tuple]]
+               ) -> Iterator[tuple[list, object, object]]:
+    """Iterative white/grey/black depth-first search.
+
+    Visits ``roots`` in order, skipping any already reached, and each
+    node's ``children(node)``, a sequence of ``(edge, target)`` pairs, in
+    order; ``children`` is called once per node, when the search first
+    reaches it.  Yields ``(path, edge, target)`` for every edge that
+    closes into a node on the current search path, in discovery order.
+    ``path`` runs from the root to the node the edge leaves; it is the
+    live search stack, so copy it before resuming the generator if it
+    must be kept.  Every directed cycle reachable from ``roots`` contains
+    at least one yielded edge (Tarjan 1972).
+    """
+    GREY, BLACK = 1, 2
+    color: dict = {}
     for root in roots:
-        if color[root] != WHITE:
+        if root in color:
             continue
-        stack: list[tuple[str, int]] = [(root, 0)]
         color[root] = GREY
+        path = [root]
+        stack = [iter(children(root))]
         while stack:
-            cid, idx = stack[-1]
-            if idx < len(outgoing[cid]):
-                stack[-1] = (cid, idx + 1)
-                _, lid, target = outgoing[cid][idx]
-                if color[target] == GREY:
-                    back.append(lid)
-                elif color[target] == WHITE:
+            for edge, target in stack[-1]:
+                state = color.get(target)
+                if state == GREY:
+                    yield path, edge, target
+                elif state is None:
                     color[target] = GREY
-                    stack.append((target, 0))
+                    path.append(target)
+                    stack.append(iter(children(target)))
+                    break
             else:
-                color[cid] = BLACK
+                color[path.pop()] = BLACK
                 stack.pop()
-    return back
 
 
 # ---------------------------------------------------------------------------
@@ -473,41 +474,13 @@ def _successors(net: Network, through_buffers: bool) -> dict[str, list[str]]:
     return succ
 
 
-def token_cycle_free(net: Network, removed: Iterable[str] = ()) -> bool:
-    """True when every token-flow cycle is cut by a Buffer or a ``removed`` link.
-
-    Buffers are where tokens may rest, so a cycle that passes through one is
-    live; the toposort therefore drops Buffer relays and checks the rest.
-    """
-    removed = set(removed)
-    succ = combinational_successors(net)
-    indeg = {lid: 0 for lid in succ if lid not in removed}
-    for lid, nxts in succ.items():
-        if lid in removed:
-            continue
-        for nxt in nxts:
-            if nxt not in removed:
-                indeg[nxt] += 1
-    queue = [lid for lid, d in sorted(indeg.items()) if d == 0]
-    done = 0
-    while queue:
-        lid = queue.pop()
-        done += 1
-        for nxt in succ[lid]:
-            if nxt in removed:
-                continue
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    return done == len(indeg)
-
-
-def reachable_links(succ: dict[str, list[str]], start: str) -> set[str]:
-    """Links reachable from ``start`` in a successor map such as
-    ``flow_successors(net)``; ``start`` itself only when a cycle returns to it.
+def reachable_links(succ: dict[str, list[str]], starts: Iterable[str]) -> set[str]:
+    """Links reachable in one or more steps from ``starts`` in a successor
+    map such as ``flow_successors(net)``; a start itself only when a path
+    returns to it.
     """
     seen: set[str] = set()
-    frontier = [start]
+    frontier = list(starts)
     while frontier:
         lid = frontier.pop()
         for nxt in succ.get(lid, ()):
@@ -525,36 +498,12 @@ def combinational_successors(net: Network) -> dict[str, list[str]]:
 
 
 def combinational_cycle(net: Network) -> Optional[list[str]]:
-    """Return one buffer-free combinational cycle as a link list, or None."""
+    """Return one buffer-free combinational cycle as a link list, or None.
+
+    The list starts after the link the search closed into and ends with it.
+    """
     succ = combinational_successors(net)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {lid: WHITE for lid in succ}
-    parent: dict[str, str] = {}
-    for root in sorted(succ):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = GREY
-        while stack:
-            lid, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    cycle = [nxt, lid]
-                    cur = lid
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.pop()
-                    cycle.reverse()
-                    return cycle
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    parent[nxt] = lid
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[lid] = BLACK
-                stack.pop()
+    for path, _, target in back_edges(
+            sorted(succ), lambda lid: [(nxt, nxt) for nxt in succ[lid]]):
+        return path[path.index(target) + 1:] + [target]
     return None

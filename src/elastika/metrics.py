@@ -15,7 +15,7 @@ buffer on the cycle instead of summing component delays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import networkx as nx
 
@@ -58,15 +58,10 @@ class PowerParams:
 
 def power_from_config(cfg: dict, base: PowerParams | None = None) -> PowerParams:
     """PowerParams from flat config keys (power.activity, power.supply, ...)."""
-    base = base if base is not None else PowerParams()
-    fields = ("activity", "frequency", "capacitance", "supply",
-              "leak_per_area")
-    kwargs = {name: getattr(base, name) for name in fields}
-    for name in fields:
-        key = f"power.{name}"
-        if key in cfg:
-            kwargs[name] = float(cfg[key])
-    return PowerParams(**kwargs)
+    overrides = {f.name: float(cfg[f"power.{f.name}"])
+                 for f in fields(PowerParams)
+                 if f"power.{f.name}" in cfg}
+    return replace(base or PowerParams(), **overrides)
 
 
 @dataclass(frozen=True)

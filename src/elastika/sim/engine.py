@@ -27,7 +27,8 @@ from collections import deque
 from dataclasses import replace
 from typing import Optional
 
-from ..ir import Kind, Network, combinational_cycle, combinational_successors
+from ..ir import (Kind, Network, back_edges, combinational_cycle,
+                  combinational_successors)
 from .config import SimConfig
 from .report import SimReport
 
@@ -602,30 +603,14 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
             if src is not None:
                 edge(cid, src[0])
 
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    cycle: list[str] = []
+    def waits_on(node: str) -> list[tuple[str, str]]:
+        return [(n, n) for n in sorted(edges.get(node, ()))]
 
-    def dfs(node: str, stack: list[str]) -> bool:
-        color[node] = GREY
-        stack.append(node)
-        for nxt in sorted(edges.get(node, ())):
-            state = color.get(nxt, WHITE)
-            if state == GREY:
-                idx = stack.index(nxt)
-                cycle.extend(stack[idx:] + [nxt])
-                return True
-            if state == WHITE and dfs(nxt, stack):
-                return True
-        stack.pop()
-        color[node] = BLACK
-        return False
-
-    for node in sorted(edges):
-        if color.get(node, WHITE) == WHITE and dfs(node, []):
-            break
-    if not cycle:
+    found = next(back_edges(sorted(edges), waits_on), None)
+    if found is None:
         return False, []
+    path, _, target = found
+    cycle = path[path.index(target):] + [target]
     lines = ["blocked cycle: " + " -> ".join(cycle)]
     for node in cycle[:-1]:
         if node.startswith("$"):

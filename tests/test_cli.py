@@ -228,10 +228,9 @@ def test_sweep_equivalence_failure_exit_1(tmp_path, monkeypatch, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
-def test_help_documents_exit_codes_and_env(capsys):
+def test_help_documents_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "ELASTIKA_SEED" in out
     assert "exit codes" in out

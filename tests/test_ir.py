@@ -9,10 +9,10 @@ from conftest import build_ring, digraph_to_net
 from elastika import netlist
 from elastika.buffering import apply, policy_pac, policy_simple
 from elastika.ir import (Component, DoubleBuffer, Kind, Link, Network, Port,
-                         UnknownLink, combinational_cycle,
+                         UnknownLink, back_edges, combinational_cycle,
                          combinational_successors, endpoints, find_back_edges,
                          flow_successors, loop_carry_links, splice_buffer,
-                         splice_buffer_in_place, token_cycle_free, validate)
+                         splice_buffer_in_place, validate)
 
 
 def small_graphs():
@@ -240,6 +240,66 @@ def test_back_edges_cover_arbitrary_digraphs(graph):
 
 
 # ---------------------------------------------------------------------------
+# Generic cycle search
+
+def _adjacency(edges):
+    """children() over an edge list of (edge id, source, target)."""
+    out = {}
+    for eid, src, dst in edges:
+        out.setdefault(src, []).append((eid, dst))
+    return lambda node: out.get(node, [])
+
+
+def _yields(roots, children):
+    return [(list(path), edge, target)
+            for path, edge, target in back_edges(roots, children)]
+
+
+def test_back_edges_dag_yields_nothing():
+    dag = _adjacency([("ab", "a", "b"), ("ac", "a", "c"), ("bc", "b", "c"),
+                      ("cd", "c", "d")])
+    assert _yields("abcd", dag) == []
+    assert _yields("dcba", dag) == []
+
+
+def test_back_edges_self_loop():
+    assert _yields(["a"], _adjacency([("aa", "a", "a")])) == [(["a"], "aa", "a")]
+
+
+def test_back_edges_skip_reached_roots():
+    calls = []
+    adj = _adjacency([("ab", "a", "b"), ("ba", "b", "a")])
+
+    def children(node):
+        calls.append(node)
+        return adj(node)
+
+    # b is reached from a, so the second root starts no new search and no
+    # node is expanded twice.
+    assert _yields(["a", "b"], children) == [(["a", "b"], "ba", "a")]
+    assert calls == ["a", "b"]
+
+
+def test_back_edges_discovery_order():
+    # a -> b -> c -> a and b -> b, c -> b: children in listed order.
+    edges = [("ab", "a", "b"), ("bc", "b", "c"), ("bb", "b", "b"),
+             ("ca", "c", "a"), ("cb", "c", "b")]
+    assert _yields(["a"], _adjacency(edges)) == [
+        (["a", "b", "c"], "ca", "a"),
+        (["a", "b", "c"], "cb", "b"),
+        (["a", "b"], "bb", "b"),
+    ]
+    # Starting elsewhere changes which edges close the cycles.
+    assert [e for _, e, _ in _yields(["c"], _adjacency(edges))] == ["bc", "bb"]
+
+
+def test_back_edges_deep_chain_is_iterative():
+    n = 5000
+    edges = [(i, i, i + 1) for i in range(n - 1)] + [(n - 1, n - 1, 0)]
+    assert _yields([0], _adjacency(edges)) == [(list(range(n)), n - 1, 0)]
+
+
+# ---------------------------------------------------------------------------
 # Flow-graph passes
 
 def test_flow_successors_follow_ring():
@@ -265,18 +325,6 @@ def test_loop_carry_links_cover_compiled_loops(elgcd_net):
             comp.kind is Kind.MERGE and port == int(comp.params["loop"]))
 
 
-def test_token_cycle_free_depends_on_buffer():
-    net = build_ring()
-    assert token_cycle_free(net)
-    # Replace the buffer with a transparent operator: the ring becomes a
-    # storage-free cycle.
-    net.components["b"] = Component("b", Kind.OPERATOR,
-                                    {"fn": "id", "inputs": [8], "out": 8})
-    assert not token_cycle_free(net)
-    # Cutting any ring link restores liveness of what remains.
-    assert token_cycle_free(net, removed={"lb"})
-
-
 def test_combinational_cycle_broken_by_buffer():
     net = build_ring()
     assert combinational_cycle(net) is None
@@ -287,6 +335,9 @@ def test_combinational_cycle_broken_by_buffer():
     succ = combinational_successors(net)
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         assert b in succ[a]
+    # The search starts at the smallest link id, l2, and closes back into
+    # it from lm; the cycle runs from the link after l2 round to l2.
+    assert cyc == ["lc2", "lj", "ls", "lb", "lm", "l2"]
 
 
 def test_unbuffered_compiles_have_combinational_cycles(elgcd_net):
