@@ -19,15 +19,25 @@ Determinism: simultaneous events are delivered in (time, component id,
 port, phase) order, with acknowledges first, internal firings second,
 offers last, and a global sequence number as the final tiebreak.  All
 times are integer picoseconds.
+
+Each Simulation lowers its net once into int-indexed tables.  Component
+ids and the environment keys `$in.<port>` and `$out.<port>` are numbered
+in sorted string order, so int keys tie exactly as the strings would.
+Every key owns a run of flat input slots (the standing offer's value)
+and output slots (whether an offer stands), every slot knows the key and
+port at the far end of its link, and every key has its own offer,
+acknowledge and fire handler with its parameters and delay resolved.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
+import operator
 from collections import deque
 from dataclasses import replace
-from typing import Optional
+from typing import Callable, Optional
 
-from ..ir import (Kind, Network, back_edges, combinational_cycle,
+from ..ir import (Component, Kind, Network, back_edges, combinational_cycle,
                   combinational_successors)
 from .config import SimConfig
 from .report import SimReport
@@ -35,6 +45,10 @@ from .report import SimReport
 # Phase ranks: acknowledges free capacity before internal firings commit
 # state, and offers are delivered into the freshest state.
 _ACK, _FIRE, _OFFER = 0, 1, 2
+
+# Far-end key of an output slot with no link (firing it offers nothing);
+# -1 is a link with no consumer, where the offer stands forever.
+_NO_LINK = -2
 
 
 class SimError(Exception):
@@ -58,41 +72,67 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "and": operator.and_, "or": operator.or_, "xor": operator.xor}
+_COMPARE = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+            "gt": operator.gt, "le": operator.le, "ge": operator.ge}
+
+
+def operator_fn(fn: str, params: dict, in_widths: list[int],
+                out_width: int) -> Callable[[list[int]], int]:
+    """The word function of one operator, resolved once per component."""
+    m = _mask(out_width)
+    if fn == "const":
+        return lambda ins: params["value"] & m
+    if fn == "id":
+        return lambda ins: ins[0] & m
+    if fn == "neg":
+        return lambda ins: (-ins[0]) & m
+    if fn == "not":
+        return lambda ins: (~ins[0]) & m
+    if fn in _BINARY:
+        op = _BINARY[fn]
+        return lambda ins: op(ins[0], ins[1] if len(ins) > 1 else 0) & m
+    if fn in _COMPARE:
+        cmp = _COMPARE[fn]
+        return lambda ins: 1 if cmp(ins[0], ins[1] if len(ins) > 1 else 0) else 0
+
+    if fn == "shl":
+        def shl(ins: list[int]) -> int:
+            b = ins[1] if len(ins) > 1 else 0
+            return 0 if b >= out_width else (ins[0] << b) & m
+        return shl
+    if fn == "shr":
+        def shr(ins: list[int]) -> int:
+            b = ins[1] if len(ins) > 1 else 0
+            return 0 if b >= in_widths[0] else (ins[0] >> b) & m
+        return shr
+
+    def unknown(ins: list[int]) -> int:
+        raise SimError(f"unknown operator function {fn!r}")
+    return unknown
+
+
 def eval_operator(fn: str, params: dict, ins: list[int],
                   in_widths: list[int], out_width: int) -> int:
     """Unsigned word arithmetic modulo the output width."""
-    m = _mask(out_width)
-    if fn == "const":
-        return params["value"] & m
-    if fn == "id":
-        return ins[0] & m
-    if fn == "neg":
-        return (-ins[0]) & m
-    if fn == "not":
-        return (~ins[0]) & m
-    a = ins[0]
-    b = ins[1] if len(ins) > 1 else 0
-    if fn == "add":
-        return (a + b) & m
-    if fn == "sub":
-        return (a - b) & m
-    if fn == "mul":
-        return (a * b) & m
-    if fn == "and":
-        return (a & b) & m
-    if fn == "or":
-        return (a | b) & m
-    if fn == "xor":
-        return (a ^ b) & m
-    if fn in ("eq", "ne", "lt", "gt", "le", "ge"):
-        hit = {"eq": a == b, "ne": a != b, "lt": a < b,
-               "gt": a > b, "le": a <= b, "ge": a >= b}[fn]
-        return 1 if hit else 0
-    if fn == "shl":
-        return 0 if b >= out_width else (a << b) & m
-    if fn == "shr":
-        return 0 if b >= in_widths[0] else (a >> b) & m
-    raise SimError(f"unknown operator function {fn!r}")
+    return operator_fn(fn, params, in_widths, out_width)(ins)
+
+
+def _concat(widths: list[int]) -> Callable[[list[int]], int]:
+    """A Join's output word: its inputs concatenated, low bits first."""
+    fields = []
+    shift = 0
+    for w in widths:
+        fields.append((_mask(w), shift))
+        shift += w
+
+    def concat(vals: list[int]) -> int:
+        out = 0
+        for v, (m, s) in zip(vals, fields):
+            out |= (v & m) << s
+        return out
+    return concat
 
 
 class Simulation:
@@ -104,401 +144,211 @@ class Simulation:
         self.net = net
         self.cfg = cfg
         self.heap: list[tuple] = []
-        self.seq = 0
+        self.seq = 0    # events pushed, set when the run ends
         self.now = 0
-        self.stop = False
-
-        # Standing offers as seen by the consumer: (comp key, port) -> value.
-        self.in_val: dict[tuple[str, int], int] = {}
-        self.in_time: dict[tuple[str, int], int] = {}
-        # Standing offers as seen by the producer: (comp key, port).
-        self.out_standing: set[tuple[str, int]] = set()
-
-        # Kind-specific state.
-        self.fork_wait: dict[str, set[int]] = {}
-        self.merge_queue: dict[str, list[tuple[int, int]]] = {}
-        self.merge_grant: dict[str, Optional[int]] = {}
-        self.arb_ptr: dict[str, int] = {}
-        self.var_store: dict[str, int] = {}
-        self.var_busy: dict[tuple[str, int], bool] = {}
-        self.init_seeded: dict[str, bool] = {}
-        # True while the Initial's standing offer was relayed from its
-        # input (wire mode); the seed offer consumes no input on ack.
-        self.init_relaying: dict[str, bool] = {}
-        self.buf_slots: dict[str, deque] = {}
-        self.buf_emit_at: dict[str, Optional[int]] = {}
 
         # Environment.
-        self.stim_idx: dict[str, int] = {}
         self.offer_times: dict[str, list[int]] = {}
+        self.accepted: dict[str, int] = {}    # stimulus values taken
         self.results: dict[str, list[tuple[int, int]]] = {}
-        self.tokens_in = 0
-        self.tokens_out = 0
-        self.seeded = 0
+        self.seeds: list[str] = []            # Initials that fired a seed
 
+        self.buf_slots: dict[str, deque] = {}
         self.occupancy_series: list[tuple[int, str, int]] = []
         self.occupancy_max: dict[str, int] = {}
+        self.occupancy_time: dict[str, dict[int, int]] = {}
+        self._tails: list[Callable[[int], None]] = []
+        self._lower()
 
-        # Precomputed wiring: (comp id, port) -> link for both directions,
-        # and per-link consumer/producer keys for event addressing.
-        self.into: dict[tuple[str, int], str] = {}
-        self.outof: dict[tuple[str, int], str] = {}
-        for lid, ln in net.links.items():
-            if ln.dst is not None:
-                self.into[ln.dst] = lid
-            if ln.src is not None:
-                self.outof[ln.src] = lid
-        self.link_dst: dict[str, tuple[str, int]] = {}
-        self.link_src: dict[str, tuple[str, int]] = {}
+    # -- lowering ---------------------------------------------------------
+
+    def _lower(self) -> None:
+        net = self.net
+        # Environment keys, and the environment end of each port's link.
+        env: dict[str, str] = {}
+        link_in: dict[str, tuple[str, int]] = {}
+        link_out: dict[str, tuple[str, int]] = {}
         for name in sorted(net.ports):
-            port = net.ports[name]
-            if port.dir == "in":
-                self.link_src[port.link] = (f"$in.{name}", 0)
+            if net.ports[name].dir == "in":
+                key = f"$in.{name}"
+                link_in[net.ports[name].link] = (key, 0)
             else:
-                self.link_dst[port.link] = (f"$out.{name}", 0)
-                self.results[name] = []
+                key = f"$out.{name}"
+                link_out[net.ports[name].link] = (key, 0)
+            env[key] = name
+
+        self.names = names = sorted([*net.components, *env])
+        self.ids = ids = {name: k for k, name in enumerate(names)}
+        # Per key: first slot and slot count on each side, set by _slots
+        # as each key's handlers are built.
+        self.in_base, self.n_in = [0] * len(names), [0] * len(names)
+        self.out_base, self.n_out = [0] * len(names), [0] * len(names)
+        # Input slot: the standing value (None when empty), and the
+        # producer (key, port) to acknowledge (key -1: none).
+        in_val: list[Optional[int]] = []
+        in_src: list[int] = []
+        in_src_port: list[int] = []
+        # Output slot: whether an offer stands, and the consumer (key,
+        # port) to offer to (key -1: a link with no consumer, where the
+        # offer stands forever; _NO_LINK: no link, nothing is offered).
+        out_standing: list[bool] = []
+        out_dst: list[int] = []
+        out_dst_port: list[int] = []
+        self.in_val, self.in_src = in_val, in_src
+        self.out_standing, self.out_dst = out_standing, out_dst
+
+        heap, tick = self.heap, itertools.count(1).__next__
+        self._tick = tick
+
+        def push(t: int, k: int, port: int, payload) -> None:
+            """Schedule an internal firing of key k."""
+            heapq.heappush(heap, (t, k, port, _FIRE, tick(), payload))
+
+        def offer(slot: int, value: int, t: int) -> None:
+            """The producer's output slot emits: the offer is delivered to
+            the link's consumer at t and stands until acknowledged."""
+            k = out_dst[slot]
+            if k == _NO_LINK:
+                return
+            out_standing[slot] = True
+            if k >= 0:
+                heapq.heappush(heap, (t, k, out_dst_port[slot], _OFFER,
+                                      tick(), value))
+
+        def consume(slot: int, t: int) -> None:
+            """The consumer takes the standing offer on its input slot: the
+            value leaves the link and the producer is acknowledged."""
+            in_val[slot] = None
+            k = in_src[slot]
+            if k >= 0:
+                heapq.heappush(heap, (t, k, in_src_port[slot], _ACK, tick(),
+                                      None))
+
+        self._push, self._offer, self._consume = push, offer, consume
+        self.on_offer: list = [None] * len(names)
+        self.on_ack: list = [None] * len(names)
+        self.on_fire: list = [None] * len(names)
+        for key, name in env.items():
+            k = ids[key]
+            if key.startswith("$in."):
+                self.on_ack[k] = self._stimulus(k, name)
+            else:
+                self.on_offer[k] = self._sink(k, name)
+        for cid, comp in net.components.items():
+            k = ids[cid]
+            handlers = _HANDLERS[comp.kind](self, k, comp)
+            self.on_offer[k], self.on_ack[k], self.on_fire[k] = handlers
+
+        in_src.extend([-1] * len(in_val))
+        in_src_port.extend([0] * len(in_val))
+        out_dst.extend([_NO_LINK] * len(out_standing))
+        out_dst_port.extend([0] * len(out_standing))
         for lid, ln in net.links.items():
-            if ln.dst is not None:
-                self.link_dst[lid] = ln.dst
-            if ln.src is not None:
-                self.link_src[lid] = ln.src
+            src = ln.src if ln.src is not None else link_in.get(lid)
+            dst = ln.dst if ln.dst is not None else link_out.get(lid)
+            if src is not None:
+                k, p = ids[src[0]], src[1]
+                if not 0 <= p < self.n_out[k]:
+                    raise SimError(f"link {lid} leaves {src[0]}, which has "
+                                   f"no output {p}")
+                slot = self.out_base[k] + p
+                out_dst[slot], out_dst_port[slot] = (
+                    (-1, 0) if dst is None else (ids[dst[0]], dst[1]))
+            if dst is not None:
+                k, p = ids[dst[0]], dst[1]
+                if not 0 <= p < self.n_in[k]:
+                    raise SimError(f"link {lid} enters {dst[0]}, which has "
+                                   f"no input {p}")
+                slot = self.in_base[k] + p
+                in_src[slot], in_src_port[slot] = (
+                    (-1, 0) if src is None else (ids[src[0]], src[1]))
 
-        for cid in net.components:
-            comp = net.components[cid]
-            if comp.kind is Kind.MERGE:
-                self.merge_queue[cid] = []
-                self.merge_grant[cid] = None
-            elif comp.kind is Kind.ARBITER:
-                self.merge_queue[cid] = []
-                self.merge_grant[cid] = None
-                self.arb_ptr[cid] = 0
-            elif comp.kind is Kind.VARIABLE:
-                self.var_store[cid] = comp.params.get("init", 0)
-            elif comp.kind is Kind.INITIAL:
-                self.init_seeded[cid] = False
-                self.init_relaying[cid] = False
-            elif comp.kind is Kind.BUFFER:
-                self.buf_slots[cid] = deque()
-                self.buf_emit_at[cid] = None
-                self.occupancy_max[cid] = 0
+    def _slots(self, k: int, n_in: int, n_out: int) -> tuple[int, int]:
+        """Give key k its input and output slots, all empty; returns the
+        first of each.  They are wired once every key has its slots."""
+        ib, ob = len(self.in_val), len(self.out_standing)
+        self.in_base[k], self.n_in[k] = ib, n_in
+        self.out_base[k], self.n_out[k] = ob, n_out
+        self.in_val.extend([None] * n_in)
+        self.out_standing.extend([False] * n_out)
+        return ib, ob
 
-    # -- scheduling -------------------------------------------------------
+    def _stimulus(self, k: int, name: str):
+        _, slot = self._slots(k, 0, 1)
+        values = self.cfg.stimulus.get(name, [])
+        times = self.offer_times[name] = []
+        accepted = self.accepted
+        accepted[name] = 0
+        offer = self._offer
 
-    def _push(self, t: int, key: str, port: int, phase: int, payload) -> None:
-        self.seq += 1
-        heapq.heappush(self.heap, (t, key, port, phase, self.seq, payload))
+        def on_ack(port: int, t: int) -> None:
+            accepted[name] += 1
+            if accepted[name] < len(values):
+                times.append(t)
+                offer(slot, values[accepted[name]], t)
+        return on_ack
 
-    def _offer(self, lid: str, value: int, t: int) -> None:
-        """Producer emits: the offer is delivered to the link's consumer at
-        t and stands until acknowledged."""
-        src = self.link_src.get(lid)
-        if src is not None:
-            self.out_standing.add(src)
-        dst = self.link_dst.get(lid)
-        if dst is None:
-            return
-        self._push(t, dst[0], dst[1], _OFFER, (lid, value))
+    def _sink(self, k: int, name: str):
+        slot, _ = self._slots(k, 1, 0)
+        got = self.results[name] = []
+        cap = self.cfg.max_results
+        in_val, consume = self.in_val, self._consume
 
-    def _consume(self, key: str, port: int, t: int) -> None:
-        """Consumer takes the standing offer on its input: the value leaves
-        the link and the producer is acknowledged at the same instant."""
-        self.in_val.pop((key, port), None)
-        self.in_time.pop((key, port), None)
-        lid = self.into.get((key, port))
-        if lid is None and key.startswith("$out."):
-            lid = self.net.ports[key[5:]].link
-        if lid is None:
-            return
-        src = self.link_src.get(lid)
-        if src is None:
-            return
-        self._push(t, src[0], src[1], _ACK, lid)
+        def on_offer(port: int, t: int) -> bool:
+            """Record the result; True once the port reached the cap."""
+            got.append((in_val[slot], t))
+            consume(slot, t)
+            return len(got) >= cap
+        return on_offer
 
     # -- run loop ---------------------------------------------------------
 
     def run(self) -> SimReport:
         self._setup()
+        heap, pop = self.heap, heapq.heappop
+        in_val, out_standing = self.in_val, self.out_standing
+        in_base, out_base = self.in_base, self.out_base
+        on_offer, on_ack, on_fire = self.on_offer, self.on_ack, self.on_fire
+        max_time = self.cfg.max_time
         truncated = False
-        while self.heap:
-            if self.heap[0][0] > self.cfg.max_time:
-                truncated = True
-                break
-            t, key, port, phase, _, payload = heapq.heappop(self.heap)
+        t = self.now
+        try:
+            while heap:
+                if heap[0][0] > max_time:
+                    truncated = True
+                    break
+                t, key, port, phase, _, payload = pop(heap)
+                if phase == _OFFER:
+                    in_val[in_base[key] + port] = payload
+                    if on_offer[key](port, t):
+                        truncated = True
+                        break
+                elif phase == _ACK:
+                    out_standing[out_base[key] + port] = False
+                    on_ack[key](port, t)
+                else:
+                    on_fire[key](port, payload, t)
+        finally:
             self.now = t
-            if phase == _OFFER:
-                lid, value = payload
-                self.in_val[(key, port)] = value
-                self.in_time[(key, port)] = t
-                self._on_offer(key, port, t)
-            elif phase == _ACK:
-                self.out_standing.discard((key, port))
-                self._on_ack(key, port, t)
-            else:
-                self._on_fire(key, port, payload, t)
-            if self.stop:
-                truncated = True
-                break
+            self.seq = self._tick() - 1
         return self._finish(truncated)
 
     def _setup(self) -> None:
-        for name in sorted(self.net.ports):
-            port = self.net.ports[name]
-            if port.dir != "in":
-                continue
-            self.stim_idx[name] = 0
-            self.offer_times[name] = []
+        for name, times in self.offer_times.items():
             values = self.cfg.stimulus.get(name, [])
             if values:
-                self.offer_times[name].append(0)
-                self._offer(port.link, values[0], 0)
-        for cid in sorted(self.init_seeded):
-            self._push(0, cid, 0, _FIRE, ("seed",))
-
-    # -- event handlers ---------------------------------------------------
-
-    def _on_offer(self, key: str, port: int, t: int) -> None:
-        if key.startswith("$out."):
-            name = key[5:]
-            value = self.in_val[(key, port)]
-            self.results[name].append((value, t))
-            self.tokens_out += 1
-            self._consume(key, port, t)
-            if len(self.results[name]) >= self.cfg.max_results:
-                self.stop = True
-            return
-        comp = self.net.components[key]
-        kind = comp.kind
-        if kind is Kind.MERGE or kind is Kind.ARBITER:
-            self.merge_queue[key].append((t, port))
-            self._merge_try(key, t)
-        elif kind is Kind.BUFFER:
-            self._buffer_take(key, t)
-        else:
-            self._try_fire(key, t)
-
-    def _on_ack(self, key: str, port: int, t: int) -> None:
-        if key.startswith("$in."):
-            name = key[4:]
-            self.tokens_in += 1
-            self.stim_idx[name] += 1
-            values = self.cfg.stimulus.get(name, [])
-            if self.stim_idx[name] < len(values):
-                self.offer_times[name].append(t)
-                self._offer(self.net.ports[name].link,
-                            values[self.stim_idx[name]], t)
-            return
-        comp = self.net.components[key]
-        kind = comp.kind
-        if kind is Kind.JOIN or kind is Kind.OPERATOR:
-            for i in range(len(comp.input_widths())):
-                self._consume(key, i, t)
-            self._try_fire(key, t)
-        elif kind is Kind.FORK:
-            wait = self.fork_wait.get(key)
-            if wait is not None:
-                wait.discard(port)
-                if not wait:
-                    del self.fork_wait[key]
-                    self._consume(key, 0, t)
-                    self._try_fire(key, t)
-        elif kind is Kind.STEER:
-            self._consume(key, 0, t)
-            self._try_fire(key, t)
-        elif kind is Kind.INITIAL:
-            if self.init_relaying[key]:
-                self.init_relaying[key] = False
-                self._consume(key, 0, t)
-            self._try_fire(key, t)
-        elif kind is Kind.MERGE or kind is Kind.ARBITER:
-            p = self.merge_grant[key]
-            self.merge_grant[key] = None
-            if p is not None:
-                self._consume(key, p, t)
-                if kind is Kind.ARBITER:
-                    self.arb_ptr[key] = (p + 1) % comp.params["inputs"]
-            self._merge_try(key, t)
-        elif kind is Kind.VARIABLE:
-            self.var_busy[(key, port)] = False
-            self._consume(key, port, t)
-            self._var_try(key, port, t)
-        elif kind is Kind.BUFFER:
-            slots = self.buf_slots[key]
-            slots.popleft()
-            self._occ(key, t)
-            self._buffer_take(key, t)
-            self._buffer_emit(key, t)
-
-    def _on_fire(self, key: str, port: int, payload: tuple, t: int) -> None:
-        tag = payload[0]
-        if tag == "seed":
-            comp = self.net.components[key]
-            value = comp.params.get("value", 0) & _mask(comp.params.get("width", 0))
-            self.init_seeded[key] = True
-            self.seeded += 1
-            lid = self.outof.get((key, 0))
-            if lid is not None:
-                self._offer(lid, value, t + self.cfg.delays.initial)
-        elif tag == "commit":
-            self.var_store[key] = payload[1]
-            lid = self.outof.get((key, 0))
-            if lid is not None:
-                self._offer(lid, 0, t)
-        elif tag == "sample":
-            i = payload[1]
-            comp = self.net.components[key]
-            lid = self.outof.get((key, 1 + i))
-            if lid is not None:
-                value = self.var_store[key] & _mask(comp.params["width"])
-                self._offer(lid, value, t)
-        elif tag == "emit":
-            self.buf_emit_at[key] = None
-            slots = self.buf_slots[key]
-            if slots and (key, 0) not in self.out_standing:
-                lid = self.outof.get((key, 0))
-                if lid is not None:
-                    self._offer(lid, slots[0][0], t)
-        else:
-            raise SimError(f"unknown internal event {tag!r}")
-
-    # -- per-kind firing --------------------------------------------------
-
-    def _try_fire(self, key: str, t: int) -> None:
-        comp = self.net.components[key]
-        kind = comp.kind
-        d = self.cfg.delays
-        if kind is Kind.JOIN or kind is Kind.OPERATOR:
-            if (key, 0) in self.out_standing:
-                return
-            n = len(comp.input_widths())
-            vals = []
-            for i in range(n):
-                v = self.in_val.get((key, i))
-                if v is None:
-                    return
-                vals.append(v)
-            if kind is Kind.JOIN:
-                out = 0
-                shift = 0
-                for v, w in zip(vals, comp.params["inputs"]):
-                    out |= (v & _mask(w)) << shift
-                    shift += w
-                delay = d.join
-            else:
-                out = eval_operator(comp.params["fn"], comp.params, vals,
-                                    comp.params["inputs"], comp.params["out"])
-                delay = d.operator_delay(
-                    comp.params.get("delay_class", "default"))
-            lid = self.outof.get((key, 0))
-            if lid is not None:
-                self._offer(lid, out, t + delay)
-        elif kind is Kind.FORK:
-            if key in self.fork_wait:
-                return
-            v = self.in_val.get((key, 0))
-            if v is None:
-                return
-            outs = comp.params["outputs"]
-            self.fork_wait[key] = set(range(len(outs)))
-            for i, w in enumerate(outs):
-                lid = self.outof.get((key, i))
-                if lid is not None:
-                    self._offer(lid, v & _mask(w), t + d.fork)
-        elif kind is Kind.STEER:
-            v = self.in_val.get((key, 0))
-            if v is None:
-                return
-            sel_w = comp.params["select"]
-            sel = v & _mask(sel_w)
-            target = comp.params["table"].get(str(sel))
-            if target is None:
-                raise SteerMiss(f"{key}: select value {sel} has no route")
-            target = int(target)
-            if (key, target) in self.out_standing:
-                return
-            lid = self.outof.get((key, target))
-            if lid is not None:
-                self._offer(lid, v >> sel_w, t + d.steer)
-        elif kind is Kind.INITIAL:
-            if not self.init_seeded[key] or (key, 0) in self.out_standing:
-                return
-            v = self.in_val.get((key, 0))
-            if v is None:
-                return
-            lid = self.outof.get((key, 0))
-            if lid is not None:
-                self.init_relaying[key] = True
-                self._offer(lid, v, t + d.initial)
-        elif kind is Kind.VARIABLE:
-            for port in range(len(comp.input_widths())):
-                self._var_try(key, port, t)
-
-    def _var_try(self, key: str, port: int, t: int) -> None:
-        comp = self.net.components[key]
-        d = self.cfg.delays
-        if self.var_busy.get((key, port)):
-            return
-        v = self.in_val.get((key, port))
-        if v is None or (key, port) in self.out_standing:
-            return
-        self.var_busy[(key, port)] = True
-        if port == 0:
-            self._push(t + d.variable_write, key, 0, _FIRE, ("commit", v))
-        else:
-            self._push(t + d.variable_read, key, port, _FIRE,
-                       ("sample", port - 1))
-
-    def _merge_try(self, key: str, t: int) -> None:
-        comp = self.net.components[key]
-        if self.merge_grant[key] is not None or not self.merge_queue[key]:
-            return
-        if (key, 0) in self.out_standing:
-            return
-        queue = self.merge_queue[key]
-        if comp.kind is Kind.MERGE:
-            chosen = min(queue)
-        else:
-            n = comp.params["inputs"]
-            ptr = self.arb_ptr[key]
-            chosen = min(queue,
-                         key=lambda tp: ((tp[1] - ptr) % n, tp[0], tp[1]))
-        queue.remove(chosen)
-        port = chosen[1]
-        self.merge_grant[key] = port
-        delay = (self.cfg.delays.merge if comp.kind is Kind.MERGE
-                 else self.cfg.delays.arbiter)
-        lid = self.outof.get((key, 0))
-        if lid is not None:
-            self._offer(lid, self.in_val[(key, port)], t + delay)
-
-    def _buffer_take(self, key: str, t: int) -> None:
-        comp = self.net.components[key]
-        v = self.in_val.get((key, 0))
-        if v is None or len(self.buf_slots[key]) >= comp.params["capacity"]:
-            return
-        self._consume(key, 0, t)
-        self.buf_slots[key].append((v, t))
-        self._occ(key, t)
-        self._buffer_emit(key, t)
-
-    def _buffer_emit(self, key: str, t: int) -> None:
-        slots = self.buf_slots[key]
-        if (not slots or (key, 0) in self.out_standing
-                or self.buf_emit_at[key] is not None):
-            return
-        te = max(slots[0][1] + self.cfg.delays.buffer, t)
-        self.buf_emit_at[key] = te
-        self._push(te, key, 0, _FIRE, ("emit",))
-
-    def _occ(self, key: str, t: int) -> None:
-        occ = len(self.buf_slots[key])
-        self.occupancy_series.append((t, key, occ))
-        if occ > self.occupancy_max[key]:
-            self.occupancy_max[key] = occ
+                times.append(0)
+                self._offer(self.out_base[self.ids[f"$in.{name}"]],
+                            values[0], 0)
+        for cid in sorted(cid for cid, c in self.net.components.items()
+                          if c.kind is Kind.INITIAL):
+            self._push(0, self.ids[cid], 0, None)
 
     # -- wrap-up ----------------------------------------------------------
 
     def _in_flight(self) -> bool:
-        return bool(self.in_val) or any(self.buf_slots.values())
+        return (any(v is not None for v in self.in_val)
+                or any(self.buf_slots.values()))
 
     def _finish(self, truncated: bool) -> SimReport:
         report = SimReport(mode=self.cfg.mode, clock=self.cfg.clock)
@@ -540,26 +390,325 @@ class Simulation:
                 if i < len(marks):
                     report.latencies.append(out_t - marks[i])
 
-        report.tokens_in = self.tokens_in
-        report.tokens_out = self.tokens_out
-        report.seeded = self.seeded
+        report.tokens_in = sum(self.accepted.values())
+        report.tokens_out = sum(len(got) for got in self.results.values())
+        report.seeded = len(self.seeds)
         report.occupancy_series = self.occupancy_series
         report.occupancy_max = dict(self.occupancy_max)
         end = max(self.now, report.elapsed)
-        per_buf: dict[str, list[tuple[int, int]]] = {
-            b: [(0, 0)] for b in self.occupancy_max}
-        for t, b, occ in self.occupancy_series:
-            per_buf[b].append((t, occ))
-        for b, series in per_buf.items():
-            hist: dict[int, int] = {}
-            for (t0, occ), (t1, _) in zip(series, series[1:]):
-                if t1 > t0:
-                    hist[occ] = hist.get(occ, 0) + (t1 - t0)
-            last_t, last_occ = series[-1]
-            if end > last_t:
-                hist[last_occ] = hist.get(last_occ, 0) + (end - last_t)
-            report.occupancy_time[b] = hist
+        for tail in self._tails:
+            tail(end)
+        report.occupancy_time = self.occupancy_time
         return report
+
+
+# -- per-kind handlers ----------------------------------------------------
+#
+# Each builder takes the slots of one component (port counts as in
+# Component.input_widths/output_widths) and returns its (offer,
+# acknowledge, fire) handlers, closed over those slots, its parameters
+# and its resolved delay.  An offer handler runs after the value is
+# stored in its input slot, an acknowledge handler after its output slot
+# is cleared.
+
+def _combinational(sim: Simulation, k: int, n: int, delay: int,
+                   compute: Callable[[list[int]], int]):
+    """Join and Operator: fire once every input stands, hold the inputs
+    until the output is taken."""
+    ib, ob = sim._slots(k, n, 1)
+    end = ib + n
+    in_val, out_standing = sim.in_val, sim.out_standing
+    offer, consume = sim._offer, sim._consume
+
+    def try_fire(port: int, t: int) -> None:
+        if out_standing[ob]:
+            return
+        vals = in_val[ib:end]
+        if None in vals:
+            return
+        offer(ob, compute(vals), t + delay)
+
+    def on_ack(port: int, t: int) -> None:
+        for slot in range(ib, end):
+            consume(slot, t)
+        try_fire(port, t)
+    return try_fire, on_ack, None
+
+
+def _join(sim: Simulation, k: int, comp: Component):
+    widths = comp.params["inputs"]
+    return _combinational(sim, k, len(widths), sim.cfg.delays.join,
+                          _concat(widths))
+
+
+def _operator(sim: Simulation, k: int, comp: Component):
+    p = comp.params
+    delay = sim.cfg.delays.operator_delay(p.get("delay_class", "default"))
+    return _combinational(sim, k, len(p["inputs"]), delay,
+                          operator_fn(p["fn"], p, p["inputs"], p["out"]))
+
+
+def _fork(sim: Simulation, k: int, comp: Component):
+    masks = [_mask(w) for w in comp.params["outputs"]]
+    ib, ob = sim._slots(k, 1, len(masks))
+    delay = sim.cfg.delays.fork
+    in_val, offer, consume = sim.in_val, sim._offer, sim._consume
+    pending: Optional[int] = None   # outputs not yet taken
+
+    def try_fire(port: int, t: int) -> None:
+        nonlocal pending
+        if pending is not None:
+            return
+        v = in_val[ib]
+        if v is None:
+            return
+        pending = len(masks)
+        for i, m in enumerate(masks):
+            offer(ob + i, v & m, t + delay)
+
+    def on_ack(port: int, t: int) -> None:
+        nonlocal pending
+        if pending is None:
+            return
+        pending -= 1
+        if not pending:
+            pending = None
+            consume(ib, t)
+            try_fire(port, t)
+    return try_fire, on_ack, None
+
+
+def _steer(sim: Simulation, k: int, comp: Component):
+    p = comp.params
+    ib, ob = sim._slots(k, 1, p["outputs"])
+    sel_w = p["select"]
+    sel_mask = _mask(sel_w)
+    routes = {}
+    for sel, target in p["table"].items():
+        if not 0 <= int(target) < p["outputs"]:
+            raise SimError(f"{sim.names[k]}: steer table entry {sel} "
+                           f"targets missing output {target}")
+        routes[sel] = ob + int(target)
+    delay = sim.cfg.delays.steer
+    name = sim.names[k]
+    in_val, out_standing = sim.in_val, sim.out_standing
+    offer, consume = sim._offer, sim._consume
+
+    def try_fire(port: int, t: int) -> None:
+        v = in_val[ib]
+        if v is None:
+            return
+        sel = v & sel_mask
+        slot = routes.get(str(sel))
+        if slot is None:
+            raise SteerMiss(f"{name}: select value {sel} has no route")
+        if out_standing[slot]:
+            return
+        offer(slot, v >> sel_w, t + delay)
+
+    def on_ack(port: int, t: int) -> None:
+        consume(ib, t)
+        try_fire(port, t)
+    return try_fire, on_ack, None
+
+
+def _initial(sim: Simulation, k: int, comp: Component):
+    """Offers its seed once at start, then relays its input like a wire."""
+    ib, ob = sim._slots(k, 1, 1)
+    p = comp.params
+    seed = p.get("value", 0) & _mask(p.get("width", 0))
+    delay = sim.cfg.delays.initial
+    name, fired = sim.names[k], sim.seeds
+    in_val, out_standing, out_dst = sim.in_val, sim.out_standing, sim.out_dst
+    offer, consume = sim._offer, sim._consume
+    seeded = False
+    # True while the standing offer was relayed from the input; the seed
+    # offer consumes no input when it is taken.
+    relaying = False
+
+    def try_fire(port: int, t: int) -> None:
+        nonlocal relaying
+        if not seeded or out_standing[ob]:
+            return
+        v = in_val[ib]
+        if v is None or out_dst[ob] == _NO_LINK:
+            return
+        relaying = True
+        offer(ob, v, t + delay)
+
+    def on_ack(port: int, t: int) -> None:
+        nonlocal relaying
+        if relaying:
+            relaying = False
+            consume(ib, t)
+        try_fire(port, t)
+
+    def on_fire(port: int, payload, t: int) -> None:
+        nonlocal seeded
+        seeded = True
+        fired.append(name)
+        offer(ob, seed, t + delay)
+    return try_fire, on_ack, on_fire
+
+
+def _variable(sim: Simulation, k: int, comp: Component):
+    """Port 0 writes (fires a commit after the write delay, then offers
+    write-done); port 1 + i samples for read site i after the read delay."""
+    p = comp.params
+    n = 1 + p["reads"]
+    ib, ob = sim._slots(k, n, n)
+    mask = _mask(p["width"])
+    d = sim.cfg.delays
+    in_val, out_standing = sim.in_val, sim.out_standing
+    push, offer, consume = sim._push, sim._offer, sim._consume
+    store = p.get("init", 0)
+    busy = [False] * n
+
+    def attempt(q: int, t: int) -> None:
+        if busy[q]:
+            return
+        v = in_val[ib + q]
+        if v is None or out_standing[ob + q]:
+            return
+        busy[q] = True
+        if q == 0:
+            push(t + d.variable_write, k, 0, v)
+        else:
+            push(t + d.variable_read, k, q, None)
+
+    def on_offer(port: int, t: int) -> None:
+        for q in range(n):
+            attempt(q, t)
+
+    def on_ack(port: int, t: int) -> None:
+        busy[port] = False
+        consume(ib + port, t)
+        attempt(port, t)
+
+    def on_fire(port: int, payload, t: int) -> None:
+        nonlocal store
+        if port == 0:
+            store = payload
+            offer(ob, 0, t)
+        else:
+            offer(ob + port, store & mask, t)
+    return on_offer, on_ack, on_fire
+
+
+def _merge(sim: Simulation, k: int, comp: Component):
+    """Merge grants the earliest waiting input (then the lowest port);
+    Arbiter grants round-robin from the port after the last grant."""
+    n = comp.params["inputs"]
+    ib, ob = sim._slots(k, n, 1)
+    arbiter = comp.kind is Kind.ARBITER
+    delay = sim.cfg.delays.arbiter if arbiter else sim.cfg.delays.merge
+    in_val, out_standing = sim.in_val, sim.out_standing
+    offer, consume = sim._offer, sim._consume
+    queue: list[tuple[int, int]] = []   # waiting (arrival time, port)
+    grant: Optional[int] = None
+    ptr = 0
+
+    def attempt(t: int) -> None:
+        nonlocal grant
+        if grant is not None or not queue or out_standing[ob]:
+            return
+        if arbiter:
+            chosen = min(queue,
+                         key=lambda tp: ((tp[1] - ptr) % n, tp[0], tp[1]))
+        else:
+            chosen = min(queue)
+        queue.remove(chosen)
+        grant = chosen[1]
+        offer(ob, in_val[ib + grant], t + delay)
+
+    def on_offer(port: int, t: int) -> None:
+        queue.append((t, port))
+        attempt(t)
+
+    def on_ack(port: int, t: int) -> None:
+        nonlocal grant, ptr
+        q, grant = grant, None
+        if q is not None:
+            consume(ib + q, t)
+            if arbiter:
+                ptr = (q + 1) % n
+        attempt(t)
+    return on_offer, on_ack, None
+
+
+def _buffer(sim: Simulation, k: int, comp: Component):
+    """Takes while below capacity; the head token is offered one buffer
+    delay after it arrived.  Every level change is logged, and the time
+    spent at each level is added up as the run goes."""
+    ib, ob = sim._slots(k, 1, 1)
+    name = sim.names[k]
+    cap = comp.params["capacity"]
+    delay = sim.cfg.delays.buffer
+    in_val, out_standing = sim.in_val, sim.out_standing
+    push, offer, consume = sim._push, sim._offer, sim._consume
+    slots = sim.buf_slots[name] = deque()   # (value, arrival time)
+    series, peak = sim.occupancy_series, sim.occupancy_max
+    peak[name] = top = 0
+    hist = sim.occupancy_time[name] = {}
+    level = since = 0
+    scheduled = False
+
+    def occ(t: int) -> None:
+        nonlocal level, since, top
+        if t > since:
+            hist[level] = hist.get(level, 0) + (t - since)
+            since = t
+        level = len(slots)
+        series.append((t, name, level))
+        if level > top:
+            peak[name] = top = level
+
+    def tail(end: int) -> None:
+        if end > since:
+            hist[level] = hist.get(level, 0) + (end - since)
+    sim._tails.append(tail)
+
+    def emit(t: int) -> None:
+        nonlocal scheduled
+        if not slots or out_standing[ob] or scheduled:
+            return
+        scheduled = True
+        push(max(slots[0][1] + delay, t), k, 0, None)
+
+    def take(port: int, t: int) -> None:
+        v = in_val[ib]
+        if v is None or len(slots) >= cap:
+            return
+        consume(ib, t)
+        slots.append((v, t))
+        occ(t)
+        emit(t)
+
+    def on_ack(port: int, t: int) -> None:
+        slots.popleft()
+        occ(t)
+        take(0, t)
+        emit(t)
+
+    def on_fire(port: int, payload, t: int) -> None:
+        nonlocal scheduled
+        scheduled = False
+        if slots and not out_standing[ob]:
+            offer(ob, slots[0][0], t)
+    return take, on_ack, on_fire
+
+
+_HANDLERS = {
+    Kind.JOIN: _join,
+    Kind.OPERATOR: _operator,
+    Kind.FORK: _fork,
+    Kind.STEER: _steer,
+    Kind.INITIAL: _initial,
+    Kind.VARIABLE: _variable,
+    Kind.MERGE: _merge,
+    Kind.ARBITER: _merge,
+    Kind.BUFFER: _buffer,
+}
 
 
 def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
@@ -572,36 +721,31 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
     blocked chain that only ends at the exhausted environment is normal
     starvation, not deadlock.
     """
-    net = sim.net
+    net, names = sim.net, sim.names
     edges: dict[str, set[str]] = {}
 
     def edge(a: str, b: str) -> None:
         edges.setdefault(a, set()).add(b)
 
-    for (key, port) in sim.in_val:
+    for k, key in enumerate(names):
         if key.startswith("$out."):
             continue
-        lid = sim.into.get((key, port))
-        if lid is None:
-            continue
-        src = sim.link_src.get(lid)
-        if src is not None:
-            edge(src[0], key)
+        ib = sim.in_base[k]
+        for slot in range(ib, ib + sim.n_in[k]):
+            if sim.in_val[slot] is not None and sim.in_src[slot] >= 0:
+                edge(names[sim.in_src[slot]], key)
     for cid in sorted(net.components):
         comp = net.components[cid]
         if comp.kind not in (Kind.JOIN, Kind.OPERATOR):
             continue
-        n = len(comp.input_widths())
-        present = [i for i in range(n) if (cid, i) in sim.in_val]
+        k = sim.ids[cid]
+        ib, n = sim.in_base[k], sim.n_in[k]
+        present = [i for i in range(n) if sim.in_val[ib + i] is not None]
         if not present or len(present) == n:
             continue
         for i in range(n):
-            if i in present:
-                continue
-            lid = sim.into.get((cid, i))
-            src = sim.link_src.get(lid) if lid else None
-            if src is not None:
-                edge(cid, src[0])
+            if i not in present and sim.in_src[ib + i] >= 0:
+                edge(cid, names[sim.in_src[ib + i]])
 
     def waits_on(node: str) -> list[tuple[str, str]]:
         return [(n, n) for n in sorted(edges.get(node, ()))]
@@ -616,8 +760,12 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
         if node.startswith("$"):
             continue
         kind = net.components[node].kind.value
-        held = sorted(p for (k, p) in sim.in_val if k == node)
-        out = sorted(p for (k, p) in sim.out_standing if k == node)
+        k = sim.ids[node]
+        ib, ob = sim.in_base[k], sim.out_base[k]
+        held = [i - ib for i in range(ib, ib + sim.n_in[k])
+                if sim.in_val[i] is not None]
+        out = [i - ob for i in range(ob, ob + sim.n_out[k])
+               if sim.out_standing[i]]
         lines.append(f"{node} ({kind}): holding inputs {held}, "
                      f"unacknowledged outputs {out}")
     return True, lines
