@@ -6,8 +6,8 @@ simulation, evaluate the cost models, or sweep every policy/mode cell of
 a shipped benchmark and print the comparison table.
 
 Exit codes: 0 success; 1 failed equivalence in a sweep; 2 malformed
-input (source, netlist, config, stimulus) or a throughput bound refused
-for too many cycles; 3 simulated deadlock.
+input (source, netlist, config, stimulus, --freq-sweep) or a throughput
+bound refused for too many cycles; 3 simulated deadlock.
 """
 from __future__ import annotations
 
@@ -37,7 +37,8 @@ _EPILOG = """\
 exit codes:
   0  success
   1  a sweep cell's outputs disagreed with the software reference
-  2  malformed input: source, netlist, config, or stimulus; or report
+  2  malformed input: source, netlist, config, or stimulus; a
+     --freq-sweep value that is not a positive number; or report
      refused the throughput bound of a net with more than 10,000
      directed cycles
   3  the simulated net deadlocked
@@ -171,12 +172,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         sections = ["area", "power", "throughput"]
     if args.freq_sweep:
         try:
-            freqs = [float(f) for f in args.freq_sweep.split(",") if f]
+            swept = [(freq, dataclasses.replace(params, frequency=freq))
+                     for freq in (float(f) for f in
+                                  args.freq_sweep.split(",") if f)]
         except ValueError as exc:
             return _fail(f"bad --freq-sweep: {exc}")
         lines = ["frequency,dynamic,leakage"]
-        for freq in freqs:
-            cost = power(net, dataclasses.replace(params, frequency=freq))
+        for freq, at_freq in swept:
+            cost = power(net, at_freq)
             lines.append(f"{freq:.6g},{cost.dynamic_power:.6g},"
                          f"{cost.leakage_power:.6g}")
         _write("\n".join(lines) + "\n", args.output)

@@ -72,7 +72,7 @@ class CycleRate:
     tokens: int           # resting tokens on the cycle
     gamma: int            # delta units per traversal
     delta: int            # picoseconds per unit
-    links: tuple[str, ...]
+    links: tuple[str, ...]  # in flow order, from the smallest link id
 
 
 @dataclass(frozen=True)
@@ -216,6 +216,11 @@ def analytic_throughput(net: Network, delays: DelayTable,
         key = tuple(sorted(cycle))
         if (best is None or theta < best.theta
                 or (theta == best.theta and key < tuple(sorted(best.links)))):
+            # networkx yields a cycle in a rotation that follows set
+            # iteration order; starting at the smallest id keeps the
+            # bytes independent of the hash seed.
+            first = cycle.index(key[0])
             best = CycleRate(theta=theta, tokens=tokens, gamma=gamma,
-                             delta=delta, links=tuple(cycle))
+                             delta=delta,
+                             links=tuple(cycle[first:] + cycle[:first]))
     return best

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import build_ring
+import elastika
 from elastika import bench, netlist
 from elastika.cli import main
 from elastika.ir import validate
@@ -193,6 +198,15 @@ def test_report_freq_sweep_is_linear(ring_file, tmp_path):
     assert leak[0] == leak[1] == leak[2]
 
 
+@pytest.mark.parametrize("freqs", ["0,1e9", "-1"])
+def test_report_freq_sweep_rejects_nonpositive_exit_2(ring_file, freqs,
+                                                      capsys):
+    assert main(["report", str(ring_file), f"--freq-sweep={freqs}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bad --freq-sweep: frequency must be positive\n"
+
+
 def test_report_bad_config_exit_2(ring_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("power.activity = 2\n")
@@ -234,3 +248,37 @@ def test_help_documents_exit_codes(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "exit codes" in out
+
+
+# ---------------------------------------------------------------------------
+# python -m elastika
+
+def run_module(args: list[str], cwd, hashseed: str = "0"):
+    src = str(Path(elastika.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "elastika", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_module_entry_point_runs_the_cli(tmp_path, elgcd_source,
+                                         elgcd_netlist):
+    proc = run_module(["compile", str(elgcd_source)], tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout == elgcd_netlist.read_text()
+    proc = run_module(["--help"], tmp_path)
+    assert proc.returncode == 0 and "exit codes" in proc.stdout
+
+
+def test_report_bytes_do_not_depend_on_hash_seed(tmp_path, elgcd_netlist):
+    buffered = tmp_path / "elgcd.loop.json"
+    assert main(["buffer", str(elgcd_netlist), "--policy", "loop",
+                 "-o", str(buffered)]) == 0
+    outs = [run_module(["report", str(buffered)], tmp_path, seed)
+            for seed in ("1", "2")]
+    assert [p.returncode for p in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
+    cycle = json.loads(outs[0].stdout)["throughput"]["cycle"]
+    assert cycle[0] == min(cycle)
