@@ -78,7 +78,7 @@ _COMPARE = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
             "gt": operator.gt, "le": operator.le, "ge": operator.ge}
 
 
-def operator_fn(fn: str, params: dict, in_widths: list[int],
+def _operator_fn(fn: str, params: dict, in_widths: list[int],
                 out_width: int) -> Callable[[list[int]], int]:
     """The word function of one operator, resolved once per component."""
     m = _mask(out_width)
@@ -116,7 +116,7 @@ def operator_fn(fn: str, params: dict, in_widths: list[int],
 def eval_operator(fn: str, params: dict, ins: list[int],
                   in_widths: list[int], out_width: int) -> int:
     """Unsigned word arithmetic modulo the output width."""
-    return operator_fn(fn, params, in_widths, out_width)(ins)
+    return _operator_fn(fn, params, in_widths, out_width)(ins)
 
 
 def _concat(widths: list[int]) -> Callable[[list[int]], int]:
@@ -189,8 +189,7 @@ class Simulation:
         in_src: list[int] = []
         in_src_port: list[int] = []
         # Output slot: whether an offer stands, and the consumer (key,
-        # port) to offer to (key -1: a link with no consumer, where the
-        # offer stands forever; _NO_LINK: no link, nothing is offered).
+        # port) to offer to (-1 or _NO_LINK when there is none).
         out_standing: list[bool] = []
         out_dst: list[int] = []
         out_dst_port: list[int] = []
@@ -445,7 +444,7 @@ def _operator(sim: Simulation, k: int, comp: Component):
     p = comp.params
     delay = sim.cfg.delays.operator_delay(p.get("delay_class", "default"))
     return _combinational(sim, k, len(p["inputs"]), delay,
-                          operator_fn(p["fn"], p, p["inputs"], p["out"]))
+                          _operator_fn(p["fn"], p, p["inputs"], p["out"]))
 
 
 def _fork(sim: Simulation, k: int, comp: Component):
