@@ -172,13 +172,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         sections = ["area", "power", "throughput"]
     if args.freq_sweep:
         try:
-            swept = [(freq, dataclasses.replace(params, frequency=freq))
-                     for freq in (float(f) for f in
-                                  args.freq_sweep.split(",") if f)]
+            freqs = [float(f) for f in args.freq_sweep.split(",") if f]
+            swept = [dataclasses.replace(params, frequency=f) for f in freqs]
         except ValueError as exc:
             return _fail(f"bad --freq-sweep: {exc}")
         lines = ["frequency,dynamic,leakage"]
-        for freq, at_freq in swept:
+        for freq, at_freq in zip(freqs, swept):
             cost = power(net, at_freq)
             lines.append(f"{freq:.6g},{cost.dynamic_power:.6g},"
                          f"{cost.leakage_power:.6g}")

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import operator
 from collections import deque
 from dataclasses import replace
 from typing import Callable, Optional
@@ -72,51 +71,41 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-           "and": operator.and_, "or": operator.or_, "xor": operator.xor}
-_COMPARE = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
-            "gt": operator.gt, "le": operator.le, "ge": operator.ge}
-
-
-def _operator_fn(fn: str, params: dict, in_widths: list[int],
-                out_width: int) -> Callable[[list[int]], int]:
-    """The word function of one operator, resolved once per component."""
-    m = _mask(out_width)
-    if fn == "const":
-        return lambda ins: params["value"] & m
-    if fn == "id":
-        return lambda ins: ins[0] & m
-    if fn == "neg":
-        return lambda ins: (-ins[0]) & m
-    if fn == "not":
-        return lambda ins: (~ins[0]) & m
-    if fn in _BINARY:
-        op = _BINARY[fn]
-        return lambda ins: op(ins[0], ins[1] if len(ins) > 1 else 0) & m
-    if fn in _COMPARE:
-        cmp = _COMPARE[fn]
-        return lambda ins: 1 if cmp(ins[0], ins[1] if len(ins) > 1 else 0) else 0
-
-    if fn == "shl":
-        def shl(ins: list[int]) -> int:
-            b = ins[1] if len(ins) > 1 else 0
-            return 0 if b >= out_width else (ins[0] << b) & m
-        return shl
-    if fn == "shr":
-        def shr(ins: list[int]) -> int:
-            b = ins[1] if len(ins) > 1 else 0
-            return 0 if b >= in_widths[0] else (ins[0] >> b) & m
-        return shr
-
-    def unknown(ins: list[int]) -> int:
-        raise SimError(f"unknown operator function {fn!r}")
-    return unknown
-
-
 def eval_operator(fn: str, params: dict, ins: list[int],
                   in_widths: list[int], out_width: int) -> int:
     """Unsigned word arithmetic modulo the output width."""
-    return _operator_fn(fn, params, in_widths, out_width)(ins)
+    m = _mask(out_width)
+    if fn == "const":
+        return params["value"] & m
+    if fn == "id":
+        return ins[0] & m
+    if fn == "neg":
+        return (-ins[0]) & m
+    if fn == "not":
+        return (~ins[0]) & m
+    a = ins[0]
+    b = ins[1] if len(ins) > 1 else 0
+    if fn == "add":
+        return (a + b) & m
+    if fn == "sub":
+        return (a - b) & m
+    if fn == "mul":
+        return (a * b) & m
+    if fn == "and":
+        return (a & b) & m
+    if fn == "or":
+        return (a | b) & m
+    if fn == "xor":
+        return (a ^ b) & m
+    if fn in ("eq", "ne", "lt", "gt", "le", "ge"):
+        hit = {"eq": a == b, "ne": a != b, "lt": a < b,
+               "gt": a > b, "le": a <= b, "ge": a >= b}[fn]
+        return 1 if hit else 0
+    if fn == "shl":
+        return 0 if b >= out_width else (a << b) & m
+    if fn == "shr":
+        return 0 if b >= in_widths[0] else (a >> b) & m
+    raise SimError(f"unknown operator function {fn!r}")
 
 
 def _concat(widths: list[int]) -> Callable[[list[int]], int]:
@@ -443,8 +432,9 @@ def _join(sim: Simulation, k: int, comp: Component):
 def _operator(sim: Simulation, k: int, comp: Component):
     p = comp.params
     delay = sim.cfg.delays.operator_delay(p.get("delay_class", "default"))
-    return _combinational(sim, k, len(p["inputs"]), delay,
-                          _operator_fn(p["fn"], p, p["inputs"], p["out"]))
+    return _combinational(
+        sim, k, len(p["inputs"]), delay,
+        lambda vals: eval_operator(p["fn"], p, vals, p["inputs"], p["out"]))
 
 
 def _fork(sim: Simulation, k: int, comp: Component):
