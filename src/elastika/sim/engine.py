@@ -470,16 +470,16 @@ def _fork(sim: Simulation, k: int, comp: Component):
 def _steer(sim: Simulation, k: int, comp: Component):
     p = comp.params
     ib, ob = sim._slots(k, 1, p["outputs"])
+    name = sim.names[k]
     sel_w = p["select"]
     sel_mask = _mask(sel_w)
-    routes = {}
+    routes = {}   # select value as written in the table -> output slot
     for sel, target in p["table"].items():
         if not 0 <= int(target) < p["outputs"]:
-            raise SimError(f"{sim.names[k]}: steer table entry {sel} "
-                           f"targets missing output {target}")
+            raise SimError(f"{name}: steer table entry {sel} targets "
+                           f"missing output {target}")
         routes[sel] = ob + int(target)
     delay = sim.cfg.delays.steer
-    name = sim.names[k]
     in_val, out_standing = sim.in_val, sim.out_standing
     offer, consume = sim._offer, sim._consume
 

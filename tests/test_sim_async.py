@@ -115,6 +115,17 @@ def test_steer_unmapped_select_raises():
         sim(net, {"a": [(9 << 1) | 1]})
 
 
+def test_wiring_to_missing_ports_is_rejected():
+    # Nets that ir.validate rejects; the engine refuses to lay them out
+    # rather than let a stray port index reach another component's slot.
+    with pytest.raises(SimError, match="targets missing output 5"):
+        sim(steer_net({"0": 0, "1": 5}), {"a": [0]})
+    chain = id_chain()
+    chain.links["lb"] = Link("lb", 8, None, ("op", 1))
+    with pytest.raises(SimError, match="enters op, which has no input 1"):
+        sim(chain, {"a": [1]})
+
+
 def merge_net(kind):
     return mknet("m",
                  [Component("m", kind, {"width": 8, "inputs": 2})],
