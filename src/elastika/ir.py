@@ -56,47 +56,16 @@ class Component:
     # kind and params.  Port indices are positions in these lists.
 
     def input_widths(self) -> list[int]:
-        p = self.params
-        k = self.kind
-        if k is Kind.JOIN:
-            return list(p["inputs"])
-        if k is Kind.FORK:
-            return [p["input"]]
-        if k is Kind.STEER:
-            return [p["input"]]
-        if k is Kind.MERGE or k is Kind.ARBITER:
-            return [p["width"]] * p["inputs"]
-        if k is Kind.VARIABLE:
-            return [p["width"]] + [0] * p["reads"]
-        if k is Kind.OPERATOR:
-            return list(p["inputs"])
-        if k is Kind.INITIAL:
-            return [p.get("width", 0)]
-        if k is Kind.BUFFER:
-            return [p["width"]]
-        raise IrError(f"unhandled kind {k}")
+        widths = _INPUT_WIDTHS.get(self.kind)
+        if widths is None:
+            raise IrError(f"unhandled kind {self.kind}")
+        return widths(self.params)
 
     def output_widths(self) -> list[int]:
-        p = self.params
-        k = self.kind
-        if k is Kind.JOIN:
-            return [sum(p["inputs"])]
-        if k is Kind.FORK:
-            return list(p["outputs"])
-        if k is Kind.STEER:
-            w = p["input"] - p["select"]
-            return [w] * p["outputs"]
-        if k is Kind.MERGE or k is Kind.ARBITER:
-            return [p["width"]]
-        if k is Kind.VARIABLE:
-            return [0] + [p["width"]] * p["reads"]
-        if k is Kind.OPERATOR:
-            return [p["out"]]
-        if k is Kind.INITIAL:
-            return [p.get("width", 0)]
-        if k is Kind.BUFFER:
-            return [p["width"]]
-        raise IrError(f"unhandled kind {k}")
+        widths = _OUTPUT_WIDTHS.get(self.kind)
+        if widths is None:
+            raise IrError(f"unhandled kind {self.kind}")
+        return widths(self.params)
 
     def internal_edges(self) -> list[tuple[int, int]]:
         """Token-flow edges (input port index, output port index) inside the
@@ -110,6 +79,33 @@ class Component:
         n_in = len(self.input_widths())
         n_out = len(self.output_widths())
         return [(i, o) for i in range(n_in) for o in range(n_out)]
+
+
+# Port widths per kind, as functions of the component's params; dict
+# dispatch keeps the enum member lookups out of these hot calls.
+_INPUT_WIDTHS: dict[Kind, Callable[[dict], list[int]]] = {
+    Kind.JOIN: lambda p: list(p["inputs"]),
+    Kind.FORK: lambda p: [p["input"]],
+    Kind.STEER: lambda p: [p["input"]],
+    Kind.MERGE: lambda p: [p["width"]] * p["inputs"],
+    Kind.ARBITER: lambda p: [p["width"]] * p["inputs"],
+    Kind.VARIABLE: lambda p: [p["width"]] + [0] * p["reads"],
+    Kind.OPERATOR: lambda p: list(p["inputs"]),
+    Kind.INITIAL: lambda p: [p.get("width", 0)],
+    Kind.BUFFER: lambda p: [p["width"]],
+}
+
+_OUTPUT_WIDTHS: dict[Kind, Callable[[dict], list[int]]] = {
+    Kind.JOIN: lambda p: [sum(p["inputs"])],
+    Kind.FORK: lambda p: list(p["outputs"]),
+    Kind.STEER: lambda p: [p["input"] - p["select"]] * p["outputs"],
+    Kind.MERGE: lambda p: [p["width"]],
+    Kind.ARBITER: lambda p: [p["width"]],
+    Kind.VARIABLE: lambda p: [0] + [p["width"]] * p["reads"],
+    Kind.OPERATOR: lambda p: [p["out"]],
+    Kind.INITIAL: lambda p: [p.get("width", 0)],
+    Kind.BUFFER: lambda p: [p["width"]],
+}
 
 
 @dataclass
@@ -497,12 +493,16 @@ def combinational_successors(net: Network) -> dict[str, list[str]]:
     return _successors(net, through_buffers=False)
 
 
-def combinational_cycle(net: Network) -> Optional[list[str]]:
+def combinational_cycle(net: Network,
+                        succ: Optional[dict[str, list[str]]] = None
+                        ) -> Optional[list[str]]:
     """Return one buffer-free combinational cycle as a link list, or None.
 
     The list starts after the link the search closed into and ends with it.
+    ``succ`` is ``combinational_successors(net)``, built here when omitted.
     """
-    succ = combinational_successors(net)
+    if succ is None:
+        succ = combinational_successors(net)
     for path, _, target in back_edges(
             sorted(succ), lambda lid: [(nxt, nxt) for nxt in succ[lid]]):
         return path[path.index(target) + 1:] + [target]

@@ -16,8 +16,7 @@ buffer on the cycle instead of summing component delays.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-
-import networkx as nx
+from typing import Iterator
 
 from .ir import Kind, LOGIC_KINDS, Network, endpoints, flow_successors
 from .sim.config import DelayTable
@@ -183,44 +182,109 @@ def analytic_throughput(net: Network, delays: DelayTable,
         raise ValueError("clocked throughput needs a positive clock period")
     if marking is None:
         marking = initial_marking(net)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(net.links)
-    for lid, nxts in flow_successors(net).items():
-        for nxt in nxts:
-            graph.add_edge(lid, nxt)
+    # Links numbered in sorted id order; each cycle is found from its
+    # smallest index, so it already starts at its smallest link id.
+    ids = sorted(net.links)
+    index = {lid: i for i, lid in enumerate(ids)}
+    succ = flow_successors(net)
+    adj = [sorted({index[nxt] for nxt in succ[lid]}) for lid in ids]
+    tok = [marking.get(lid, 0) for lid in ids]
+    # Per-link share of a traversal: the consumer's delay (async) or one
+    # clock period per buffer (sync).  Links without successors lie on no
+    # cycle and are not charged.
+    cost = [0] * len(ids)
+    for i, lid in enumerate(ids):
+        dst = net.links[lid].dst
+        if adj[i] and dst is not None:
+            comp = net.components[dst[0]]
+            if mode == "async":
+                cost[i] = delays.component_delay(comp)
+            elif comp.kind is Kind.BUFFER:
+                cost[i] = 1
     best: CycleRate | None = None
-    seen = 0
-    for cycle in nx.simple_cycles(graph):
-        seen += 1
+    best_key: tuple[str, ...] = ()
+    for seen, (path, tokens, spent) in enumerate(
+            _circuits(adj, tok, cost), start=1):
         if seen > cycle_limit:
             raise TooManyCycles(cycle_limit)
-        tokens = sum(marking.get(lid, 0) for lid in cycle)
         if tokens == 0:
             continue
         if mode == "async":
-            gamma = 1
-            delta = 0
-            for lid in cycle:
-                dst = net.links[lid].dst
-                if dst is not None:
-                    delta += delays.component_delay(net.components[dst[0]])
+            gamma, delta = 1, spent
         else:
-            gamma = sum(1 for lid in cycle
-                        if net.links[lid].dst is not None
-                        and net.components[net.links[lid].dst[0]].kind
-                        is Kind.BUFFER)
-            delta = clock
+            gamma, delta = spent, clock
         if gamma * delta == 0:
             continue
         theta = tokens / (gamma * delta)
+        if best is not None and theta > best.theta:
+            continue
+        cycle = tuple(ids[i] for i in path)
         key = tuple(sorted(cycle))
-        if (best is None or theta < best.theta
-                or (theta == best.theta and key < tuple(sorted(best.links)))):
-            # networkx yields a cycle in a rotation that follows set
-            # iteration order; starting at the smallest id keeps the
-            # bytes independent of the hash seed.
-            first = cycle.index(key[0])
+        if best is None or theta < best.theta or key < best_key:
             best = CycleRate(theta=theta, tokens=tokens, gamma=gamma,
-                             delta=delta,
-                             links=tuple(cycle[first:] + cycle[:first]))
+                             delta=delta, links=cycle)
+            best_key = key
     return best
+
+
+def _circuits(adj: list[list[int]], tok: list[int], cost: list[int]
+              ) -> Iterator[tuple[list[int], int, int]]:
+    """Every elementary cycle of the graph with successor lists ``adj``.
+
+    Johnson's search (SIAM J. Comput. 1975): the cycles whose smallest
+    node is s, for each s in turn, each from s in edge order.  Yields
+    ``(path, tokens, cost)``: the cycle's nodes and its sums of ``tok``
+    and ``cost``, kept as running sums along the path.  ``path`` is the
+    live search stack; copy it before resuming the generator if it must
+    be kept.
+    """
+    n = len(adj)
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for v, nxts in enumerate(adj):
+        for w in nxts:
+            pred[w].append(v)
+    for s in range(n):
+        # Nodes above s that cannot reach s start blocked and stay so.
+        blocked = [True] * n
+        frontier = [s]
+        while frontier:
+            for u in pred[frontier.pop()]:
+                if u > s and blocked[u]:
+                    blocked[u] = False
+                    frontier.append(u)
+        waiting: dict[int, set[int]] = {}
+        path = [s]
+        found = [False]
+        stack = [iter(adj[s])]
+        tokens, spent = tok[s], cost[s]
+        while stack:
+            for w in stack[-1]:
+                if w == s:
+                    found[-1] = True
+                    yield path, tokens, spent
+                elif not blocked[w]:
+                    blocked[w] = True
+                    path.append(w)
+                    found.append(False)
+                    stack.append(iter(adj[w]))
+                    tokens += tok[w]
+                    spent += cost[w]
+                    break
+            else:
+                stack.pop()
+                v = path.pop()
+                tokens -= tok[v]
+                spent -= cost[v]
+                if found.pop():
+                    if found:
+                        found[-1] = True
+                    free = [v]
+                    while free:
+                        u = free.pop()
+                        if blocked[u]:
+                            blocked[u] = False
+                            free.extend(waiting.pop(u, ()))
+                else:
+                    for w in adj[v]:
+                        if w > s:
+                            waiting.setdefault(w, set()).add(v)

@@ -16,24 +16,13 @@ Stimulus files hold one channel per line: `name: v1 v2 ...`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from ..ir import Component, Kind, Network
+from ..ir import Component, IrError, Kind, Network
 
 
 class ConfigError(Exception):
     pass
-
-
-_KIND_DELAY_FIELDS = {
-    Kind.JOIN: "join",
-    Kind.FORK: "fork",
-    Kind.STEER: "steer",
-    Kind.MERGE: "merge",
-    Kind.INITIAL: "initial",
-    Kind.BUFFER: "buffer",
-    Kind.ARBITER: "arbiter",
-}
 
 
 @dataclass(frozen=True)
@@ -73,11 +62,10 @@ class DelayTable:
         """Firing delay of one component.  Variables are asymmetric; this
         returns the write delay, which is also the conservative choice for
         path analysis (reads are cheaper by default)."""
-        if comp.kind is Kind.OPERATOR:
-            return self.operator_delay(comp.params.get("delay_class", "default"))
-        if comp.kind is Kind.VARIABLE:
-            return self.variable_write
-        return getattr(self, _KIND_DELAY_FIELDS[comp.kind])
+        delay = _KIND_DELAYS.get(comp.kind)
+        if delay is None:
+            raise IrError(f"unhandled kind {comp.kind}")
+        return delay(self, comp)
 
     def zeroed(self, buffer_delay: int) -> "DelayTable":
         """The clocked view: combinational components settle within the
@@ -86,6 +74,21 @@ class DelayTable:
                           arbiter=0, buffer=buffer_delay,
                           variable_write=0, variable_read=0,
                           operator={cls: 0 for cls in self.operator})
+
+
+# Firing delay per kind, read from a DelayTable for one component.
+_KIND_DELAYS: dict[Kind, Callable[[DelayTable, Component], int]] = {
+    Kind.JOIN: lambda t, c: t.join,
+    Kind.FORK: lambda t, c: t.fork,
+    Kind.STEER: lambda t, c: t.steer,
+    Kind.MERGE: lambda t, c: t.merge,
+    Kind.INITIAL: lambda t, c: t.initial,
+    Kind.BUFFER: lambda t, c: t.buffer,
+    Kind.ARBITER: lambda t, c: t.arbiter,
+    Kind.VARIABLE: lambda t, c: t.variable_write,
+    Kind.OPERATOR: lambda t, c: t.operator_delay(
+        c.params.get("delay_class", "default")),
+}
 
 
 def _set_delay(table: DelayTable, key: str, value: int) -> DelayTable:

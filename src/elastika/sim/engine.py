@@ -760,34 +760,50 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
     return True, lines
 
 
-def critical_path(net: Network, delays) -> int:
-    """Longest combinational component-delay chain between storage points."""
-    succ = combinational_successors(net)
+def critical_path(net: Network, delays,
+                  succ: Optional[dict[str, list[str]]] = None) -> int:
+    """Longest combinational component-delay chain between storage points.
+
+    ``succ`` is ``combinational_successors(net)``, built here when omitted.
+    One post-order search from each link in sorted id order; on a cyclic
+    net an edge back into the search path adds nothing.
+    """
+    if succ is None:
+        succ = combinational_successors(net)
     memo: dict[str, int] = {}
-    on_stack: set[str] = set()
-
-    def weight(lid: str) -> int:
-        dst = net.links[lid].dst
-        if dst is None:
-            return 0
-        return delays.component_delay(net.components[dst[0]])
-
-    def longest(lid: str) -> int:
-        if lid in memo:
-            return memo[lid]
-        if lid in on_stack:
-            return 0
-        on_stack.add(lid)
-        best = 0
-        for nxt in succ.get(lid, ()):
-            cand = longest(nxt)
-            if cand > best:
-                best = cand
-        on_stack.discard(lid)
-        memo[lid] = weight(lid) + best
-        return memo[lid]
-
-    return max((longest(lid) for lid in sorted(net.links)), default=0)
+    on_path: set[str] = set()
+    for root in sorted(net.links):
+        if root in memo:
+            continue
+        on_path.add(root)
+        path = [root]
+        stack = [iter(succ.get(root, ()))]
+        best = [0]
+        while stack:
+            for nxt in stack[-1]:
+                if nxt in memo:
+                    cand = memo[nxt]
+                elif nxt in on_path:
+                    cand = 0
+                else:
+                    on_path.add(nxt)
+                    path.append(nxt)
+                    stack.append(iter(succ.get(nxt, ())))
+                    best.append(0)
+                    break
+                if cand > best[-1]:
+                    best[-1] = cand
+            else:
+                stack.pop()
+                lid = path.pop()
+                on_path.discard(lid)
+                dst = net.links[lid].dst
+                weight = (0 if dst is None else
+                          delays.component_delay(net.components[dst[0]]))
+                memo[lid] = weight + best.pop()
+                if best and memo[lid] > best[-1]:
+                    best[-1] = memo[lid]
+    return max(memo.values(), default=0)
 
 
 def run_async(net: Network, cfg: SimConfig) -> SimReport:
@@ -802,10 +818,11 @@ def run_sync(net: Network, cfg: SimConfig) -> SimReport:
     within a cycle, Buffers advance tokens one period per cycle."""
     if cfg.mode != "sync":
         raise SimError(f"run_sync needs mode sync, got {cfg.mode!r}")
-    loop = combinational_cycle(net)
+    succ = combinational_successors(net)
+    loop = combinational_cycle(net, succ)
     if loop is not None:
         raise CombinationalCycle(loop)
-    crit = critical_path(net, cfg.delays)
+    crit = critical_path(net, cfg.delays, succ)
     inner = replace(cfg, delays=cfg.delays.zeroed(buffer_delay=cfg.clock))
     report = Simulation(net, inner).run()
     report.mode = "sync"

@@ -253,14 +253,18 @@ def test_help_documents_exit_codes(capsys):
 # ---------------------------------------------------------------------------
 # python -m elastika
 
-def run_module(args: list[str], cwd, hashseed: str = "0"):
+def run_python(args: list[str], cwd, hashseed: str = "0"):
     src = str(Path(elastika.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONHASHSEED=hashseed,
                PYTHONPATH=os.pathsep.join(
                    [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-m", "elastika", *args],
+    return subprocess.run([sys.executable, *args],
                           cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=120)
+
+
+def run_module(args: list[str], cwd, hashseed: str = "0"):
+    return run_python(["-m", "elastika", *args], cwd, hashseed)
 
 
 def test_module_entry_point_runs_the_cli(tmp_path, elgcd_source,
@@ -282,3 +286,21 @@ def test_report_bytes_do_not_depend_on_hash_seed(tmp_path, elgcd_netlist):
     assert outs[0].stdout == outs[1].stdout
     cycle = json.loads(outs[0].stdout)["throughput"]["cycle"]
     assert cycle[0] == min(cycle)
+
+
+def test_report_runs_without_networkx(tmp_path, elgcd_netlist):
+    buffered = tmp_path / "elgcd.pac.json"
+    assert main(["buffer", str(elgcd_netlist), "--policy", "pac",
+                 "-o", str(buffered)]) == 0
+    args = ["report", str(buffered), "--throughput"]
+    # None in sys.modules makes every later `import networkx` fail.
+    blocked = run_python(["-c", "\n".join([
+        "import runpy, sys",
+        "sys.modules['networkx'] = None",
+        "import elastika",
+        f"sys.argv = ['elastika', *{args!r}]",
+        "runpy.run_module('elastika', run_name='__main__')"])], tmp_path)
+    unblocked = run_module(args, tmp_path)
+    assert (blocked.returncode, blocked.stderr) == (0, "")
+    assert blocked.stdout == unblocked.stdout
+    assert json.loads(blocked.stdout)["throughput"]["cycle"]

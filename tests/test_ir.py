@@ -8,10 +8,11 @@ from hypothesis import given, strategies as st
 from conftest import build_ring, digraph_to_net
 from elastika import netlist
 from elastika.buffering import apply, policy_pac, policy_simple
-from elastika.ir import (Component, DoubleBuffer, Kind, Link, Network, Port,
-                         UnknownLink, back_edges, combinational_cycle,
-                         combinational_successors, endpoints, find_back_edges,
-                         flow_successors, loop_carry_links, splice_buffer,
+from elastika.ir import (Component, DoubleBuffer, IrError, Kind, Link,
+                         Network, Port, UnknownLink, back_edges,
+                         combinational_cycle, combinational_successors,
+                         endpoints, find_back_edges, flow_successors,
+                         loop_carry_links, splice_buffer,
                          splice_buffer_in_place, validate)
 
 
@@ -39,6 +40,22 @@ def test_component_port_widths():
     v = Component("v", Kind.VARIABLE, {"width": 8, "reads": 2})
     assert v.input_widths() == [8, 0, 0]
     assert v.output_widths() == [0, 8, 8]
+
+
+def test_every_kind_has_port_widths_and_a_delay():
+    from elastika.ir import _INPUT_WIDTHS, _OUTPUT_WIDTHS
+    from elastika.sim.config import _KIND_DELAYS
+    for table in (_INPUT_WIDTHS, _OUTPUT_WIDTHS, _KIND_DELAYS):
+        assert set(table) == set(Kind)
+
+
+def test_unknown_kind_is_rejected():
+    from elastika.sim import DelayTable
+    comp = Component("x", "bogus", {})
+    for call in (comp.input_widths, comp.output_widths,
+                 lambda: DelayTable().component_delay(comp)):
+        with pytest.raises(IrError, match="unhandled kind bogus"):
+            call()
 
 
 def test_variable_relays_are_isolated():

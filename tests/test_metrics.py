@@ -3,13 +3,15 @@ from __future__ import annotations
 
 import statistics
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (build_loop_net, build_ring, loop_arrival_gaps,
-                      ring_delays)
-from elastika.bench import benchmark
+from conftest import (build_loop_net, build_ring, digraph_to_net,
+                      loop_arrival_gaps, ring_delays)
+from elastika.bench import POLICIES, benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac
+from elastika.ir import Kind, flow_successors
 from elastika.metrics import (CycleRate, PowerParams, TooManyCycles,
                               analytic_throughput, area, initial_marking,
                               power, power_from_config)
@@ -197,3 +199,164 @@ def test_compiled_gcd_bound_is_a_sound_lower_bound():
     cr = analytic_throughput(buf, SimConfig().delays)
     ratio = cr.theta / measured
     assert 0.5 <= ratio <= 1.05
+
+
+# ---------------------------------------------------------------------------
+# Throughput bound against a networkx oracle: every simple cycle of the
+# flow graph from nx.simple_cycles, each summed on its own.
+
+def oracle_throughput(net, delays, marking=None, mode="async", clock=0,
+                      cycle_limit=10_000):
+    if marking is None:
+        marking = initial_marking(net)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(net.links)
+    for lid, nxts in flow_successors(net).items():
+        for nxt in nxts:
+            graph.add_edge(lid, nxt)
+    best = None
+    seen = 0
+    for cycle in nx.simple_cycles(graph):
+        seen += 1
+        if seen > cycle_limit:
+            raise TooManyCycles(cycle_limit)
+        tokens = sum(marking.get(lid, 0) for lid in cycle)
+        if tokens == 0:
+            continue
+        if mode == "async":
+            gamma = 1
+            delta = 0
+            for lid in cycle:
+                dst = net.links[lid].dst
+                if dst is not None:
+                    delta += delays.component_delay(net.components[dst[0]])
+        else:
+            gamma = sum(1 for lid in cycle
+                        if net.links[lid].dst is not None
+                        and net.components[net.links[lid].dst[0]].kind
+                        is Kind.BUFFER)
+            delta = clock
+        if gamma * delta == 0:
+            continue
+        theta = tokens / (gamma * delta)
+        key = tuple(sorted(cycle))
+        if (best is None or theta < best.theta
+                or (theta == best.theta and key < tuple(sorted(best.links)))):
+            first = cycle.index(key[0])
+            best = CycleRate(theta=theta, tokens=tokens, gamma=gamma,
+                             delta=delta,
+                             links=tuple(cycle[first:] + cycle[:first]))
+    return best
+
+
+def bound_or_refusal(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except TooManyCycles as exc:
+        return ("refused", str(exc), exc.limit)
+
+
+def assert_matches_oracle(net, delays, **kwargs):
+    got = bound_or_refusal(analytic_throughput, net, delays, **kwargs)
+    want = bound_or_refusal(oracle_throughput, net, delays, **kwargs)
+    assert got == want
+
+
+def multi_token_marking(net):
+    """The default marking plus one or two tokens on every seventh link."""
+    marking = initial_marking(net)
+    for i, lid in enumerate(sorted(net.links)):
+        if i % 7 == 3:
+            marking[lid] = marking.get(lid, 0) + 1 + i % 2
+    return marking
+
+
+@pytest.fixture(scope="module")
+def shipped_buffered():
+    """(name, buffered net) for the 3 shipped nets x 3 policies x 2 modes."""
+    out = []
+    for name in benchmark_names():
+        net = benchmark(name).compiled()
+        for policy, plan in POLICIES.items():
+            for mode in ("async", "sync"):
+                out.append((f"{name}/{policy}/{mode}",
+                            apply(net, plan(net, mode=mode))))
+    return out
+
+
+@pytest.mark.parametrize("marked", ["default", "multi"])
+@pytest.mark.parametrize("mode", ["async", "sync"])
+def test_shipped_bounds_match_oracle(shipped_buffered, mode, marked):
+    delays = SimConfig().delays
+    for _, net in shipped_buffered:
+        marking = multi_token_marking(net) if marked == "multi" else None
+        assert_matches_oracle(net, delays, marking=marking, mode=mode,
+                              clock=2000)
+
+
+@pytest.mark.parametrize("mode", ["async", "sync"])
+def test_hand_built_bounds_match_oracle(mode):
+    ring = build_ring()
+    for marking in (None, {"lb": 1}, {"lb": 1, "l3": 2}):
+        assert_matches_oracle(ring, ring_delays(), marking=marking,
+                              mode=mode, clock=2000)
+    loop = build_loop_net(["body", "id", "flag"])
+    dl = DelayTable(operator={"default": 1000, "id": 100, "body": 4000,
+                              "flag": 100, "const": 100})
+    assert_matches_oracle(loop, dl, mode=mode, clock=1500)
+
+
+@given(net_index=st.integers(0, 17),
+       seeds=st.lists(st.tuples(st.integers(0, 10_000), st.integers(1, 3)),
+                      max_size=6),
+       delay_classes=st.dictionaries(
+           st.sampled_from(["default", "const", "id", "add", "mul"]),
+           st.integers(0, 5000)),
+       mode=st.sampled_from(["async", "sync"]))
+def test_random_markings_and_delays_match_oracle(shipped_buffered, net_index,
+                                                 seeds, delay_classes, mode):
+    _, net = shipped_buffered[net_index]
+    ids = sorted(net.links)
+    marking = {ids[k % len(ids)]: n for k, n in seeds}
+    delays = DelayTable(operator={"default": 1000, **delay_classes})
+    assert_matches_oracle(net, delays, marking=marking, mode=mode,
+                          clock=1000)
+
+
+# Every stage costs 100 ps, so equal-rate cycles are common and the
+# smallest-sorted-ids tie-break decides which cycle is reported.
+FLAT_DELAYS = DelayTable(operator={"default": 100})
+
+
+def test_tie_goes_to_the_smallest_sorted_ids_not_the_first_found():
+    # Two 400 ps cycles through e0: e0 -> l1.fork -> e2 -> e4 is found
+    # first, but e0 -> l1.fork -> e3 -> e1 has the smaller sorted ids.
+    net = digraph_to_net(4, [(0, 1), (3, 0), (1, 2), (1, 3), (2, 0)])
+    cr = analytic_throughput(net, FLAT_DELAYS, marking={"e0": 1})
+    assert cr.links == ("e0", "l1.fork", "e3", "e1")
+    assert_matches_oracle(net, FLAT_DELAYS, marking={"e0": 1})
+
+
+@given(graph=st.integers(1, 6).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    unique=True, max_size=14))),
+       seeds=st.lists(st.tuples(st.integers(0, 100), st.integers(1, 2)),
+                      min_size=1, max_size=3))
+def test_random_digraphs_match_oracle(graph, seeds):
+    net = digraph_to_net(*graph)
+    ids = sorted(net.links)
+    marking = {ids[k % len(ids)]: n for k, n in seeds}
+    assert_matches_oracle(net, FLAT_DELAYS, marking=marking)
+
+
+def test_refusal_boundary_is_the_simple_cycle_count():
+    net = benchmark("poly").compiled()
+    net = apply(net, policy_pac(net, mode="async"))
+    graph = nx.DiGraph(flow_successors(net))
+    n = sum(1 for _ in nx.simple_cycles(graph))
+    assert n > 1
+    delays = SimConfig().delays
+    assert analytic_throughput(net, delays, cycle_limit=n) is not None
+    with pytest.raises(TooManyCycles, match=f"exceeded {n - 1} cycles"):
+        analytic_throughput(net, delays, cycle_limit=n - 1)

@@ -210,6 +210,14 @@ def test_critical_path_of_ring():
     assert critical_path(build_ring(), ring_delays()) == 4500
 
 
+def test_critical_path_of_cyclic_nets(elgcd_net, poly_net, smul_net):
+    # Unbuffered compiled nets have combinational cycles; an edge back
+    # into the search path adds nothing, so the figures stay finite and
+    # depend only on the sorted-id search order.
+    assert [critical_path(net, DelayTable())
+            for net in (elgcd_net, poly_net, smul_net)] == [7000, 9700, 10400]
+
+
 # ---------------------------------------------------------------------------
 # Termination classification
 

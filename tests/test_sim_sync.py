@@ -2,11 +2,15 @@
 clock-quantised timing, and the overclocking report."""
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from conftest import (RING_LAP_PS, build_ring, ring_arrival_gaps,
                       ring_delays)
-from elastika.buffering import apply, policy_simple
+from elastika import ir
+from elastika.bench import benchmark
+from elastika.buffering import apply, policy_pac, policy_simple
 from elastika.ir import Component, Kind, Link, Network, Port
 from elastika.sim import (CombinationalCycle, SimConfig, run, run_sync)
 
@@ -108,3 +112,31 @@ def test_sync_gcd_computes_the_same_values(elgcd_net):
     # so the run ends for lack of stimulus rather than fully drained.
     assert rep.completion == "stimulus-exhausted"
     assert not rep.deadlock
+
+
+def test_run_sync_builds_the_combinational_graph_once(monkeypatch, ring_net):
+    calls = []
+    successors = ir._successors
+
+    def counted(net, through_buffers):
+        calls.append(through_buffers)
+        return successors(net, through_buffers)
+    monkeypatch.setattr(ir, "_successors", counted)
+    run_sync(ring_net, SimConfig(mode="sync", clock=2000,
+                                 delays=ring_delays(), stimulus={"go": []},
+                                 max_time=10_000))
+    assert calls == [False]
+
+
+def test_run_sync_leaves_no_cyclic_garbage():
+    spec = benchmark("elgcd")
+    net = spec.compiled()
+    net = apply(net, policy_pac(net, mode="sync"))
+    cfg = SimConfig(mode="sync", clock=2000, stimulus=spec.datasets[0])
+    gc.collect()
+    gc.disable()
+    try:
+        run_sync(net, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
