@@ -6,8 +6,9 @@ simulation, evaluate the cost models, or sweep every policy/mode cell of
 a shipped benchmark and print the comparison table.
 
 Exit codes: 0 success; 1 failed equivalence in a sweep; 2 malformed
-input (source, netlist, config, stimulus, --freq-sweep) or a throughput
-bound refused for too many cycles; 3 simulated deadlock.
+input (source, netlist, config, stimulus, --freq-sweep), a throughput
+bound refused for too many cycles, or a simulation error; 3 simulated
+deadlock.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from .frontend import parse as parse_source
 from .ir import Network, validate
 from .metrics import (TooManyCycles, analytic_throughput, area, power,
                       power_from_config)
-from .sim import (CombinationalCycle, ConfigError, SimConfig, occupancy_csv,
-                  parse_stimulus, read_config, run, to_json)
+from .sim import (CombinationalCycle, ConfigError, SimConfig, SimError,
+                  occupancy_csv, parse_stimulus, read_config, run, to_json)
 from .sim.config import delays_from_config
 
 EXIT_OK = 0
@@ -38,9 +39,11 @@ exit codes:
   0  success
   1  a sweep cell's outputs disagreed with the software reference
   2  malformed input: source, netlist, config, or stimulus; a
-     --freq-sweep value that is not a positive number; or report
+     --freq-sweep value that is not a positive number; report
      refused the throughput bound of a net with more than 10,000
-     directed cycles
+     directed cycles; or sim stopped on a simulation error (a steer
+     select value with no route, an unknown operator function, a
+     combinational cycle under clocked timing)
   3  the simulated net deadlocked
 """
 
@@ -144,10 +147,10 @@ def cmd_sim(args: argparse.Namespace) -> int:
                         stimulus=stimulus, max_time=args.horizon,
                         max_results=args.max_results)
         report = run(net, cfg)
-    except (OSError, netlist.NetlistError, ConfigError) as exc:
-        return _fail(str(exc))
     except CombinationalCycle as exc:
         return _fail(f"combinational cycle under clocked timing: {exc}")
+    except (OSError, netlist.NetlistError, ConfigError, SimError) as exc:
+        return _fail(str(exc))
     _write(to_json(report), args.output)
     if args.occupancy:
         _write(occupancy_csv(report), args.occupancy)

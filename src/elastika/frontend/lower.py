@@ -115,11 +115,8 @@ class _Lowerer:
         return self.b.net
 
     def _declare_vars(self) -> None:
-        counts_r = {v: 0 for v in self.mod.vars}
-        counts_w = {v: 0 for v in self.mod.vars}
-        _count_sites(self.mod.body, self.mod, counts_r, counts_w)
         for name, width in self.mod.vars.items():
-            n_r, n_w = counts_r[name], counts_w[name]
+            n_r, n_w = self.mod.reads[name], self.mod.writes[name]
             cid = self.b.comp(f"var.{name}", Kind.VARIABLE,
                               width=width, reads=n_r)
             info = _VarInfo(cid, width, n_r, n_w)
@@ -188,9 +185,8 @@ class _Lowerer:
             merge = self.b.comp(f"{path}.merge", Kind.MERGE, width=0, inputs=2,
                                 loop=1)
             self.b.wire(go, (merge, 0))
-            cond_val, _ = self.lower_expr(st.cond, _Src(merge, 0, 0),
-                                          f"{path}.c", extra_acts=0)
-            cond = self.to_src(cond_val)
+            cond, _ = self.lower_expr(st.cond, _Src(merge, 0, 0),
+                                      f"{path}.c", extra_acts=0)
             steer = self.b.comp(f"{path}.steer", Kind.STEER, input=1, select=1,
                                 outputs=2, table={"1": 0, "0": 1})
             self.b.wire(cond, (steer, 0))
@@ -198,9 +194,7 @@ class _Lowerer:
             self.b.wire(body_done, (merge, 1))
             return _Src(steer, 1, 0)
         if isinstance(st, S.IfStmt):
-            cond_val, _ = self.lower_expr(st.cond, go, f"{path}.c",
-                                          extra_acts=0)
-            cond = self.to_src(cond_val)
+            cond, _ = self.lower_expr(st.cond, go, f"{path}.c", extra_acts=0)
             steer = self.b.comp(f"{path}.steer", Kind.STEER, input=1, select=1,
                                 outputs=2, table={"1": 0, "0": 1})
             merge = self.b.comp(f"{path}.merge", Kind.MERGE, width=0, inputs=2)
@@ -211,8 +205,7 @@ class _Lowerer:
             self.b.wire(els_done, (merge, 1))
             return _Src(merge, 0, 0)
         if isinstance(st, S.CaseStmt):
-            sel_val, _ = self.lower_expr(st.sel, go, f"{path}.c", extra_acts=0)
-            sel = self.to_src(sel_val)
+            sel, _ = self.lower_expr(st.sel, go, f"{path}.c", extra_acts=0)
             n = len(st.arms)
             table = {str(value): i for i, (value, _) in enumerate(st.arms)}
             steer = self.b.comp(f"{path}.steer", Kind.STEER, input=sel.width,
@@ -239,8 +232,7 @@ class _Lowerer:
             self.b.feed(self._chan_ref(st.chan), (join, 1))
             return self._write_var(info, _Src(join, 0, info.width), tag_act, path)
         if isinstance(st, S.Send):
-            val, _ = self.lower_expr(st.expr, go, f"{path}.e", extra_acts=0)
-            src = self.to_src(val)
+            src, _ = self.lower_expr(st.expr, go, f"{path}.e", extra_acts=0)
             fork = self.b.comp(f"{path}.fork", Kind.FORK, input=src.width,
                                outputs=[src.width, 0], channel=st.chan)
             self.b.wire(src, (fork, 0))
@@ -293,9 +285,12 @@ class _Lowerer:
     # -- expressions ------------------------------------------------------
 
     def lower_expr(self, e: S.Expr, act: _Src, epath: str, extra_acts: int
-                   ) -> tuple[ValueRef, Optional[_Src]]:
+                   ) -> tuple[_Src, Optional[_Src]]:
         """Lower ``e`` activated by ``act``.  Returns (value, spare act) where
-        the spare is the extra activation copy the caller asked for."""
+        the spare is the extra activation copy the caller asked for.  The
+        value is always a driven source: an expression with no constant
+        and no variable read (a bare channel value) passes through a gate
+        Join on the activation."""
         needed = _act_leaves(e, self.mod)
         gated = needed == 0
         total = max(needed, 1) + extra_acts
@@ -319,10 +314,10 @@ class _Lowerer:
         val = self._lower_expr_rec(e, provider, epath, nops)
         if gated:
             gate = self.b.comp(f"{epath}.gate", Kind.JOIN,
-                               inputs=[0, _vwidth(val)])
+                               inputs=[0, val.width])
             self.b.wire(provider(), (gate, 0))
             self.b.feed(val, (gate, 1))
-            val = _Src(gate, 0, _vwidth(val))
+            val = _Src(gate, 0, val.width)
         used = counter[0] + (extra_acts if spare is not None else 0)
         if used != total:
             raise LowerError(f"activation accounting off at {epath}: "
@@ -349,7 +344,7 @@ class _Lowerer:
         if isinstance(e, S.UnOp):
             a = self._lower_expr_rec(e.a, provider, epath, nops)
             cid = self._op_id(epath, nops)
-            self.b.comp(cid, Kind.OPERATOR, fn=e.op, inputs=[_vwidth(a)],
+            self.b.comp(cid, Kind.OPERATOR, fn=e.op, inputs=[a.width],
                         out=w, delay_class=e.op)
             self.b.feed(a, (cid, 0))
             return _Src(cid, 0, w)
@@ -358,7 +353,7 @@ class _Lowerer:
             bb = self._lower_expr_rec(e.b, provider, epath, nops)
             cid = self._op_id(epath, nops)
             self.b.comp(cid, Kind.OPERATOR, fn=e.op,
-                        inputs=[_vwidth(a), _vwidth(bb)], out=w,
+                        inputs=[a.width, bb.width], out=w,
                         delay_class=e.op)
             self.b.feed(a, (cid, 0))
             self.b.feed(bb, (cid, 1))
@@ -369,17 +364,6 @@ class _Lowerer:
         cid = f"{epath}{nops[0]}"
         nops[0] += 1
         return cid
-
-    def to_src(self, val: ValueRef) -> _Src:
-        """Force a value reference into an output-port form; channel data
-        gets a unit join only when a bare link cannot be used directly."""
-        if isinstance(val, _Src):
-            return val
-        raise LowerError("bare channel value where a driven source is needed")
-
-
-def _vwidth(val: ValueRef) -> int:
-    return val.width
 
 
 def _act_leaves(e: S.Expr, mod: S.SourceModule) -> int:
@@ -394,45 +378,6 @@ def _act_leaves(e: S.Expr, mod: S.SourceModule) -> int:
     if isinstance(e, S.BinOp):
         return _act_leaves(e.a, mod) + _act_leaves(e.b, mod)
     return 0
-
-
-def _count_sites(st: S.Stmt, mod: S.SourceModule,
-                 reads: dict[str, int], writes: dict[str, int]) -> None:
-    def expr_sites(e: S.Expr) -> None:
-        if isinstance(e, S.Name) and e.ident in mod.vars:
-            reads[e.ident] += 1
-        elif isinstance(e, S.BinOp):
-            expr_sites(e.a)
-            expr_sites(e.b)
-        elif isinstance(e, S.UnOp):
-            expr_sites(e.a)
-
-    if isinstance(st, S.Assign):
-        writes[st.var] += 1
-        expr_sites(st.expr)
-    elif isinstance(st, S.Receive):
-        writes[st.var] += 1
-    elif isinstance(st, S.Send):
-        expr_sites(st.expr)
-    elif isinstance(st, S.Seq):
-        for part in st.parts:
-            _count_sites(part, mod, reads, writes)
-    elif isinstance(st, S.Par):
-        for br in st.branches:
-            _count_sites(br, mod, reads, writes)
-    elif isinstance(st, S.LoopStmt):
-        _count_sites(st.body, mod, reads, writes)
-    elif isinstance(st, S.WhileStmt):
-        expr_sites(st.cond)
-        _count_sites(st.body, mod, reads, writes)
-    elif isinstance(st, S.IfStmt):
-        expr_sites(st.cond)
-        _count_sites(st.then, mod, reads, writes)
-        _count_sites(st.els, mod, reads, writes)
-    elif isinstance(st, S.CaseStmt):
-        expr_sites(st.sel)
-        for _, arm in st.arms:
-            _count_sites(arm, mod, reads, writes)
 
 
 def compile(mod: S.SourceModule) -> Network:

@@ -229,6 +229,8 @@ class SourceModule:
     body: Stmt
     # Filled by the checker:
     widths: dict[int, int] = field(default_factory=dict)  # id(expr) -> width
+    reads: dict[str, int] = field(default_factory=dict)   # var -> read sites
+    writes: dict[str, int] = field(default_factory=dict)  # var -> write sites
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +583,8 @@ class _Checker:
             if not sites:
                 raise UndeclaredName(f"variable {name} is never read")
         self.mod.widths = self.widths
+        self.mod.reads = {v: len(s) for v, s in self.var_reads.items()}
+        self.mod.writes = {v: len(s) for v, s in self.var_writes.items()}
 
     # Effects of a statement, for the Par conflict rule.
     def check_stmt(self, st: Stmt, top: bool = False) -> tuple[set, set]:

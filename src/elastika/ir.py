@@ -23,14 +23,13 @@ class Kind(str, Enum):
     OPERATOR = "operator"
     INITIAL = "initial"
     BUFFER = "buffer"
-    ARBITER = "arbiter"
 
 
 # Components counted as combinational logic by the area model; Variable and
 # Buffer are the memory side.
 LOGIC_KINDS = (
     Kind.JOIN, Kind.FORK, Kind.STEER, Kind.MERGE,
-    Kind.OPERATOR, Kind.INITIAL, Kind.ARBITER,
+    Kind.OPERATOR, Kind.INITIAL,
 )
 
 
@@ -88,7 +87,6 @@ _INPUT_WIDTHS: dict[Kind, Callable[[dict], list[int]]] = {
     Kind.FORK: lambda p: [p["input"]],
     Kind.STEER: lambda p: [p["input"]],
     Kind.MERGE: lambda p: [p["width"]] * p["inputs"],
-    Kind.ARBITER: lambda p: [p["width"]] * p["inputs"],
     Kind.VARIABLE: lambda p: [p["width"]] + [0] * p["reads"],
     Kind.OPERATOR: lambda p: list(p["inputs"]),
     Kind.INITIAL: lambda p: [p.get("width", 0)],
@@ -100,7 +98,6 @@ _OUTPUT_WIDTHS: dict[Kind, Callable[[dict], list[int]]] = {
     Kind.FORK: lambda p: list(p["outputs"]),
     Kind.STEER: lambda p: [p["input"] - p["select"]] * p["outputs"],
     Kind.MERGE: lambda p: [p["width"]],
-    Kind.ARBITER: lambda p: [p["width"]],
     Kind.VARIABLE: lambda p: [0] + [p["width"]] * p["reads"],
     Kind.OPERATOR: lambda p: [p["out"]],
     Kind.INITIAL: lambda p: [p.get("width", 0)],
@@ -194,6 +191,45 @@ class Diagnostic:
         return f"{self.code}: {self.subject}: {self.message}"
 
 
+def _param_problems(comp: Component) -> list[tuple[str, str]]:
+    """(code, message) for each per-kind parameter problem of ``comp``.
+    Params too malformed to check raise KeyError, TypeError, ValueError or
+    AttributeError, which ``validate`` reports as one bad-params."""
+    out: list[tuple[str, str]] = []
+    ins, outs = comp.input_widths(), comp.output_widths()
+    n_in, n_out = len(ins), len(outs)
+    k, p = comp.kind, comp.params
+    if k is Kind.JOIN and n_in < 2:
+        out.append(("arity", "join needs at least 2 inputs"))
+    if k is Kind.FORK:
+        if n_out < 2:
+            out.append(("arity", "fork needs at least 2 outputs"))
+        for i, w in enumerate(p["outputs"]):
+            if w > p["input"]:
+                out.append(("width", f"fork output {i} wider than input"))
+    if k is Kind.STEER:
+        if n_out < 2:
+            out.append(("arity", "steer needs at least 2 outputs"))
+        if p["select"] < 0 or p["select"] > p["input"]:
+            out.append(("width", "steer select field outside input word"))
+        for val, target in p["table"].items():
+            if not (0 <= int(target) < n_out):
+                out.append(("bad-params", f"steer table entry {val} targets "
+                                          f"missing output {target}"))
+    if k is Kind.MERGE and n_in < 2:
+        out.append(("arity", "merge needs at least 2 inputs"))
+    if k is Kind.OPERATOR and n_in < 1:
+        out.append(("arity", "operator needs at least 1 input"))
+    if k is Kind.VARIABLE and p["reads"] < 1:
+        out.append(("arity", "variable needs at least 1 read port"))
+    if k is Kind.BUFFER and p.get("capacity", 1) < 1:
+        out.append(("bad-params", "buffer capacity must be >= 1"))
+    for w in ins + outs:
+        if w < 0:
+            out.append(("width", "negative port width"))
+    return out
+
+
 def validate(net: Network) -> list[Diagnostic]:
     """Structural checks. Returns an empty list for a well-formed network."""
     diags: list[Diagnostic] = []
@@ -207,39 +243,12 @@ def validate(net: Network) -> list[Diagnostic]:
         if cid != comp.id:
             err("id-mismatch", cid, "component table key differs from component id")
         try:
-            n_in = len(comp.input_widths())
-            n_out = len(comp.output_widths())
-        except (KeyError, TypeError) as exc:
+            problems = _param_problems(comp)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             err("bad-params", cid, f"missing or malformed params for {comp.kind.value}: {exc}")
             continue
-        k, p = comp.kind, comp.params
-        if k is Kind.JOIN and n_in < 2:
-            err("arity", cid, "join needs at least 2 inputs")
-        if k is Kind.FORK:
-            if n_out < 2:
-                err("arity", cid, "fork needs at least 2 outputs")
-            for i, w in enumerate(p["outputs"]):
-                if w > p["input"]:
-                    err("width", cid, f"fork output {i} wider than input")
-        if k is Kind.STEER:
-            if n_out < 2:
-                err("arity", cid, "steer needs at least 2 outputs")
-            if p["select"] < 0 or p["select"] > p["input"]:
-                err("width", cid, "steer select field outside input word")
-            for val, out in p["table"].items():
-                if not (0 <= int(out) < n_out):
-                    err("bad-params", cid, f"steer table entry {val} targets missing output {out}")
-        if k in (Kind.MERGE, Kind.ARBITER) and n_in < 2:
-            err("arity", cid, f"{k.value} needs at least 2 inputs")
-        if k is Kind.OPERATOR and n_in < 1:
-            err("arity", cid, "operator needs at least 1 input")
-        if k is Kind.VARIABLE and p["reads"] < 1:
-            err("arity", cid, "variable needs at least 1 read port")
-        if k is Kind.BUFFER and p.get("capacity", 1) < 1:
-            err("bad-params", cid, "buffer capacity must be >= 1")
-        for w in comp.input_widths() + comp.output_widths():
-            if w < 0:
-                err("width", cid, "negative port width")
+        for code, msg in problems:
+            err(code, cid, msg)
         comps_ok[cid] = comp
 
     # Link endpoint resolution and per-port occupancy.

@@ -84,34 +84,30 @@ class CostReport:
     throughput: CycleRate | None = None
 
 
-def _mem_units(net: Network, bit_floor: int) -> int:
+def _mem_units(net: Network) -> int:
     total = 0
     for comp in net.components.values():
         if comp.kind is Kind.VARIABLE:
-            total += max(int(comp.params["width"]), bit_floor)
+            total += int(comp.params["width"])
         elif comp.kind is Kind.BUFFER:
-            width = max(int(comp.params["width"]), bit_floor)
-            total += width * int(comp.params["capacity"])
+            total += int(comp.params["width"]) * int(comp.params["capacity"])
     return total
 
 
-def area(net: Network, bit_floor: int = 0) -> CostReport:
+def area(net: Network) -> CostReport:
     """Relative cell area: logic component count plus storage bits.
 
-    Storage is counted per held bit (width times capacity for buffers);
-    bit_floor > 0 makes even 0-width activation storage cost that many
-    bits, for exploring alternative weightings.
+    Storage is counted per held bit (width times capacity for buffers).
     """
     comp_count = sum(1 for c in net.components.values()
                      if c.kind in LOGIC_KINDS)
-    mem = _mem_units(net, bit_floor)
+    mem = _mem_units(net)
     return CostReport(comp_count=comp_count, mem_units=mem,
                       cell_area=comp_count + mem)
 
 
 def power(net: Network, params: PowerParams,
-          activity: float | SimReport | None = None,
-          bit_floor: int = 0) -> CostReport:
+          activity: float | SimReport | None = None) -> CostReport:
     """Area report extended with dynamic and leakage power.
 
     The dynamic term scales with a switching weight: the full cell area
@@ -119,22 +115,21 @@ def power(net: Network, params: PowerParams,
     report (logic plus variables at full weight, each buffer scaled by
     its mean occupancy, idle slots switching nothing).
     """
-    base = area(net, bit_floor)
+    base = area(net)
     if activity is None:
         weight: float = base.cell_area
     elif isinstance(activity, SimReport):
         weight = base.comp_count
         for comp in net.components.values():
             if comp.kind is Kind.VARIABLE:
-                weight += max(int(comp.params["width"]), bit_floor)
+                weight += int(comp.params["width"])
             elif comp.kind is Kind.BUFFER:
                 held = activity.occupancy_time.get(comp.id, {})
                 span = sum(held.values())
                 mean = (sum(level * t for level, t in held.items()) / span
                         if span else 0.0)
                 cap = int(comp.params["capacity"])
-                weight += (max(int(comp.params["width"]), bit_floor)
-                           * cap * (mean / cap))
+                weight += int(comp.params["width"]) * cap * (mean / cap)
     else:
         weight = float(activity)
     dynamic = (params.activity * params.frequency * params.capacitance

@@ -132,7 +132,6 @@ _DOT_SHAPE = {
     Kind.OPERATOR: "ellipse",
     Kind.INITIAL: "doublecircle",
     Kind.BUFFER: "box",
-    Kind.ARBITER: "hexagon",
 }
 
 

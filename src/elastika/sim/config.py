@@ -15,7 +15,7 @@ Stimulus files hold one channel per line: `name: v1 v2 ...`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional, Union
 
 from ..ir import Component, IrError, Kind, Network
@@ -38,15 +38,13 @@ class DelayTable:
     merge: int = 100
     initial: int = 100
     buffer: int = 100
-    arbiter: int = 100
     variable_write: int = 500
     variable_read: int = 100
     operator: dict = field(default_factory=lambda: {
         "default": 1000, "const": 100, "id": 100})
 
     def validate(self) -> None:
-        for name in ("join", "fork", "steer", "merge", "initial", "buffer",
-                     "arbiter", "variable_write", "variable_read"):
+        for name in _SCALAR_KEYS:
             if getattr(self, name) < 0:
                 raise ConfigError(f"delay.{name} must be >= 0")
         if "default" not in self.operator:
@@ -70,10 +68,13 @@ class DelayTable:
     def zeroed(self, buffer_delay: int) -> "DelayTable":
         """The clocked view: combinational components settle within the
         cycle (delay 0) and only Buffers advance time, by one period."""
-        return DelayTable(join=0, fork=0, steer=0, merge=0, initial=0,
-                          arbiter=0, buffer=buffer_delay,
-                          variable_write=0, variable_read=0,
+        zero = dict.fromkeys(_SCALAR_KEYS, 0)
+        return DelayTable(**dict(zero, buffer=buffer_delay),
                           operator={cls: 0 for cls in self.operator})
+
+
+# The `delay.<key>` config keys that set one DelayTable field each.
+_SCALAR_KEYS = tuple(f.name for f in fields(DelayTable) if f.name != "operator")
 
 
 # Firing delay per kind, read from a DelayTable for one component.
@@ -84,7 +85,6 @@ _KIND_DELAYS: dict[Kind, Callable[[DelayTable, Component], int]] = {
     Kind.MERGE: lambda t, c: t.merge,
     Kind.INITIAL: lambda t, c: t.initial,
     Kind.BUFFER: lambda t, c: t.buffer,
-    Kind.ARBITER: lambda t, c: t.arbiter,
     Kind.VARIABLE: lambda t, c: t.variable_write,
     Kind.OPERATOR: lambda t, c: t.operator_delay(
         c.params.get("delay_class", "default")),
@@ -99,8 +99,7 @@ def _set_delay(table: DelayTable, key: str, value: int) -> DelayTable:
     if key == "operator":
         ops = dict(table.operator, default=value)
         return replace(table, operator=ops)
-    if key in ("join", "fork", "steer", "merge", "initial", "buffer",
-               "arbiter", "variable_write", "variable_read"):
+    if key in _SCALAR_KEYS:
         return replace(table, **{key: value})
     raise ConfigError(f"unknown delay key {key!r}")
 

@@ -585,27 +585,19 @@ def _variable(sim: Simulation, k: int, comp: Component):
 
 
 def _merge(sim: Simulation, k: int, comp: Component):
-    """Merge grants the earliest waiting input (then the lowest port);
-    Arbiter grants round-robin from the port after the last grant."""
-    n = comp.params["inputs"]
-    ib, ob = sim._slots(k, n, 1)
-    arbiter = comp.kind is Kind.ARBITER
-    delay = sim.cfg.delays.arbiter if arbiter else sim.cfg.delays.merge
+    """Grants the earliest waiting input, then the lowest port."""
+    ib, ob = sim._slots(k, comp.params["inputs"], 1)
+    delay = sim.cfg.delays.merge
     in_val, out_standing = sim.in_val, sim.out_standing
     offer, consume = sim._offer, sim._consume
     queue: list[tuple[int, int]] = []   # waiting (arrival time, port)
     grant: Optional[int] = None
-    ptr = 0
 
     def attempt(t: int) -> None:
         nonlocal grant
         if grant is not None or not queue or out_standing[ob]:
             return
-        if arbiter:
-            chosen = min(queue,
-                         key=lambda tp: ((tp[1] - ptr) % n, tp[0], tp[1]))
-        else:
-            chosen = min(queue)
+        chosen = min(queue)
         queue.remove(chosen)
         grant = chosen[1]
         offer(ob, in_val[ib + grant], t + delay)
@@ -615,12 +607,10 @@ def _merge(sim: Simulation, k: int, comp: Component):
         attempt(t)
 
     def on_ack(port: int, t: int) -> None:
-        nonlocal grant, ptr
+        nonlocal grant
         q, grant = grant, None
         if q is not None:
             consume(ib + q, t)
-            if arbiter:
-                ptr = (q + 1) % n
         attempt(t)
     return on_offer, on_ack, None
 
@@ -695,7 +685,6 @@ _HANDLERS = {
     Kind.INITIAL: _initial,
     Kind.VARIABLE: _variable,
     Kind.MERGE: _merge,
-    Kind.ARBITER: _merge,
     Kind.BUFFER: _buffer,
 }
 

@@ -161,6 +161,44 @@ def test_sim_bad_stimulus_exit_2(tmp_path, elgcd_buffered):
     assert main(["sim", str(elgcd_buffered), "--stimulus", str(stim)]) == 2
 
 
+def test_sim_steer_miss_exit_2(tmp_path, capsys):
+    # A 2-bit selector reaches a case with arms for 0 and 1 only.
+    src = tmp_path / "pick.csp"
+    src.write_text("module pick(in a: 2; out z: 8) {\n"
+                   "  var s: 2;\n  var r: 8;\n  s := a ;\n"
+                   "  case s of { 0: { r := 10 } 1: { r := 20 } } ;\n"
+                   "  z ! r\n}\n")
+    net, buffered = tmp_path / "pick.json", tmp_path / "pick.pac.json"
+    assert main(["compile", str(src), "-o", str(net)]) == 0
+    assert main(["buffer", str(net), "--policy", "pac",
+                 "-o", str(buffered)]) == 0
+    stim = tmp_path / "stim.txt"
+    stim.write_text("a: 0 3\n")
+    capsys.readouterr()
+    assert main(["sim", str(buffered), "--stimulus", str(stim)]) == 2
+    assert capsys.readouterr().err == (
+        "error: m.b.1.steer: select value 3 has no route\n")
+
+
+def test_sim_unknown_operator_exit_2(tmp_path, elgcd_buffered, capsys):
+    obj = json.loads(elgcd_buffered.read_text())
+    for comp in obj["components"]:
+        if comp["kind"] == "operator" and comp["params"]["fn"] == "sub":
+            comp["params"]["fn"] = "pow"
+    elgcd_buffered.write_text(json.dumps(obj))
+    stim = write_stimulus(tmp_path)
+    assert main(["sim", str(elgcd_buffered), "--stimulus", str(stim)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown operator function 'pow'\n")
+
+
+def test_sim_rejects_arbiter_delay_key(tmp_path, elgcd_buffered, capsys):
+    cfg = tmp_path / "delays.cfg"
+    cfg.write_text("delay.arbiter = 100\n")
+    assert main(["sim", str(elgcd_buffered), "--delays", str(cfg)]) == 2
+    assert "unknown delay key 'arbiter'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -212,6 +250,56 @@ def test_report_bad_config_exit_2(ring_file, tmp_path, capsys):
     cfg.write_text("power.activity = 2\n")
     assert main(["report", str(ring_file), "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# malformed netlists: exit 2 from every command that loads one
+
+LOADING_COMMANDS = [["buffer", "--policy", "pac"], ["sim"], ["report"]]
+
+
+def _edit_first(path, kind, edit):
+    obj = json.loads(path.read_text())
+    comp = next(c for c in obj["components"] if c["kind"] == kind)
+    edit(comp)
+    path.write_text(json.dumps(obj))
+
+
+def _run_loader(command, path, capsys):
+    capsys.readouterr()
+    code = main([command[0], str(path), *command[1:]])
+    return code, capsys.readouterr().err
+
+
+PARAM_EDITS = {
+    "steer-without-table": ("steer", lambda c: c["params"].pop("table")),
+    "steer-table-list": ("steer",
+                         lambda c: c["params"].update(table=[0, 1])),
+    "steer-target-text": ("steer",
+                          lambda c: c["params"]["table"].update({"1": "x"})),
+    "buffer-capacity-text": ("buffer",
+                             lambda c: c["params"].update(capacity="a")),
+}
+
+
+@pytest.mark.parametrize("command", LOADING_COMMANDS,
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("edit", sorted(PARAM_EDITS))
+def test_malformed_params_exit_2(elgcd_buffered, edit, command, capsys):
+    _edit_first(elgcd_buffered, *PARAM_EDITS[edit])
+    code, err = _run_loader(command, elgcd_buffered, capsys)
+    assert code == 2
+    assert err.startswith("error: bad-params ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", LOADING_COMMANDS,
+                         ids=lambda c: c[0])
+def test_arbiter_kind_is_refused(elgcd_netlist, command, capsys):
+    _edit_first(elgcd_netlist, "merge", lambda c: c.update(kind="arbiter"))
+    code, err = _run_loader(command, elgcd_netlist, capsys)
+    assert code == 2
+    assert err.startswith("error: malformed netlist")
 
 
 # ---------------------------------------------------------------------------

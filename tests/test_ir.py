@@ -1,15 +1,18 @@
 """Network representation: validation, buffer splicing, graph passes."""
 from __future__ import annotations
 
+import functools
+
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import build_ring, digraph_to_net
 from elastika import netlist
+from elastika.bench import benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac, policy_simple
-from elastika.ir import (Component, DoubleBuffer, IrError, Kind, Link,
-                         Network, Port, UnknownLink, back_edges,
+from elastika.ir import (Component, Diagnostic, DoubleBuffer, IrError, Kind,
+                         Link, Network, Port, UnknownLink, back_edges,
                          combinational_cycle, combinational_successors,
                          endpoints, find_back_edges, flow_successors,
                          loop_carry_links, splice_buffer,
@@ -43,9 +46,13 @@ def test_component_port_widths():
 
 
 def test_every_kind_has_port_widths_and_a_delay():
+    # Every per-kind table, so a kind cannot be half added or half removed.
     from elastika.ir import _INPUT_WIDTHS, _OUTPUT_WIDTHS
+    from elastika.netlist import _DOT_SHAPE
     from elastika.sim.config import _KIND_DELAYS
-    for table in (_INPUT_WIDTHS, _OUTPUT_WIDTHS, _KIND_DELAYS):
+    from elastika.sim.engine import _HANDLERS
+    for table in (_INPUT_WIDTHS, _OUTPUT_WIDTHS, _KIND_DELAYS, _HANDLERS,
+                  _DOT_SHAPE):
         assert set(table) == set(Kind)
 
 
@@ -130,6 +137,43 @@ def test_validate_reports_missing_params():
     net.components["j"].params = {}
     codes = {d.code for d in validate(net)}
     assert "bad-params" in codes
+
+
+@functools.cache
+def _shipped_net(name: str, buffered: bool) -> Network:
+    """A shipped benchmark net, compiled once; the buffered form carries
+    Buffer params too.  Callers edit a copy."""
+    net = benchmark(name).compiled()
+    return apply(net, policy_simple(net)) if buffered else net
+
+
+_JUNK = st.one_of(
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 9), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 9), max_size=2))
+
+
+@given(st.data())
+def test_validate_never_raises_on_malformed_params(data):
+    # Drop one param of one component, or replace it with a string, list
+    # or dict; the edit may reach one level into a list or dict param.
+    net = _shipped_net(data.draw(st.sampled_from(benchmark_names())),
+                       data.draw(st.booleans())).copy()
+    cid = data.draw(st.sampled_from(sorted(net.components)))
+    holder = net.components[cid].params
+    key = data.draw(st.sampled_from(sorted(holder)))
+    inner = holder[key]
+    if isinstance(inner, (dict, list)) and inner and data.draw(st.booleans()):
+        holder = inner
+        key = data.draw(st.sampled_from(
+            sorted(inner) if isinstance(inner, dict) else range(len(inner))))
+    if data.draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = data.draw(_JUNK)
+    diags = validate(net)
+    assert isinstance(diags, list)
+    assert all(isinstance(d, Diagnostic) for d in diags)
 
 
 def test_diagnostic_renders_with_subject():

@@ -28,12 +28,6 @@ def test_ring_area_oracle(ring_net):
     assert (rep.comp_count, rep.mem_units, rep.cell_area) == (7, 16, 23)
 
 
-def test_bit_floor_raises_narrow_storage(ring_net):
-    rep = area(ring_net, bit_floor=32)
-    assert rep.mem_units == 64
-    assert rep.comp_count == 7
-
-
 def test_variables_count_one_capacity(elgcd_net):
     rep = area(elgcd_net)
     vars_bits = sum(int(c.params["width"])
