@@ -6,9 +6,9 @@ simulation, evaluate the cost models, or sweep every policy/mode cell of
 a shipped benchmark and print the comparison table.
 
 Exit codes: 0 success; 1 failed equivalence in a sweep; 2 malformed
-input (source, netlist, config, stimulus, --freq-sweep), a throughput
-bound refused for too many cycles, or a simulation error; 3 simulated
-deadlock.
+input (source, netlist, config, stimulus, --freq-sweep), a net that
+buffer cannot plan or splice, a throughput bound refused for too many
+cycles, or a simulation error; 3 simulated deadlock.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .buffering import apply as apply_plan
 from .frontend import FrontendError, LowerError
 from .frontend import compile as compile_module
 from .frontend import parse as parse_source
-from .ir import Network, validate
+from .ir import IrError, Network, validate
 from .metrics import (TooManyCycles, analytic_throughput, area, power,
                       power_from_config)
 from .sim import (CombinationalCycle, ConfigError, SimConfig, SimError,
@@ -38,12 +38,13 @@ _EPILOG = """\
 exit codes:
   0  success
   1  a sweep cell's outputs disagreed with the software reference
-  2  malformed input: source, netlist, config, or stimulus; a
-     --freq-sweep value that is not a positive number; report
-     refused the throughput bound of a net with more than 10,000
-     directed cycles; or sim stopped on a simulation error (a steer
-     select value with no route, an unknown operator function, a
-     combinational cycle under clocked timing)
+  2  malformed input: source, netlist, config, or stimulus; buffer
+     could not plan or splice the net (such as a net whose links
+     already hold buffers); a --freq-sweep value that is not a
+     positive number; report refused the throughput bound of a net
+     with more than 10,000 directed cycles; or sim stopped on a
+     simulation error (a steer select value with no route, an unknown
+     operator function, a combinational cycle under clocked timing)
   3  the simulated net deadlocked
 """
 
@@ -122,8 +123,11 @@ def cmd_buffer(args: argparse.Namespace) -> int:
         net = _load_net(args.netlist)
     except (OSError, netlist.NetlistError) as exc:
         return _fail(str(exc))
-    plan = bench.POLICIES[args.policy](net, mode=args.mode)
-    buffered = apply_plan(net, plan, capacity=args.capacity)
+    try:
+        plan = bench.POLICIES[args.policy](net, mode=args.mode)
+        buffered = apply_plan(net, plan, capacity=args.capacity)
+    except IrError as exc:
+        return _fail(str(exc))
     _write(netlist.dumps(buffered), args.output)
     if args.plan:
         records = [f"{lid}\t{'; '.join(plan.provenance[lid])}"

@@ -220,6 +220,16 @@ def _param_problems(comp: Component) -> list[tuple[str, str]]:
         out.append(("arity", "merge needs at least 2 inputs"))
     if k is Kind.OPERATOR and n_in < 1:
         out.append(("arity", "operator needs at least 1 input"))
+    # Optional params read by the simulator, the bound and the planners.
+    if k in (Kind.OPERATOR, Kind.INITIAL) and not isinstance(
+            p.get("value", 0), int):
+        out.append(("bad-params", f"{k.value} value must be an integer"))
+    if k is Kind.OPERATOR and not isinstance(p.get("delay_class", ""), str):
+        out.append(("bad-params", "operator delay_class must be a string"))
+    if k is Kind.MERGE and not isinstance(p.get("loop", 0), int):
+        out.append(("bad-params", "merge loop must be an input port number"))
+    if k is Kind.FORK and not isinstance(p.get("channel", ""), str):
+        out.append(("bad-params", "fork channel must be a string"))
     if k is Kind.VARIABLE and p["reads"] < 1:
         out.append(("arity", "variable needs at least 1 read port"))
     if k is Kind.BUFFER and p.get("capacity", 1) < 1:

@@ -99,8 +99,84 @@ def from_obj(obj: dict) -> Network:
     return net
 
 
+_json_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _encode(value) -> str:
+    """A string or scalar as json.dumps(..., ensure_ascii=False) writes it.
+    Plain ints, the commonest leaf, skip the encoder's per-call setup."""
+    if type(value) is int:
+        return int.__repr__(value)
+    return _json_scalar(value)
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it: non-string scalars quoted."""
+    if isinstance(key, str):
+        return _encode(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode(_encode(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _layout(value, indent: str) -> str:
+    """``value`` laid out as json.dumps(indent=2) does at depth ``indent``;
+    tuples are written as lists."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{\n" + ",\n".join(
+            f"{inner}{_key_text(k)}: {_layout(v, inner)}"
+            for k, v in value.items()) + f"\n{indent}}}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return ("[\n" + ",\n".join(inner + _layout(v, inner) for v in value)
+                + f"\n{indent}]")
+    return _encode(value)
+
+
+def _endpoint_text(ep: Optional[tuple[str, int]]) -> str:
+    if ep is None:
+        return "null"
+    return (f'{{\n        "comp": {_encode(ep[0])},\n'
+            f'        "port": {_encode(ep[1])}\n      }}')
+
+
+def _array(records: list[str]) -> str:
+    if not records:
+        return "[]"
+    return "[\n" + ",\n".join(records) + "\n  ]"
+
+
 def dumps(net: Network) -> str:
-    return json.dumps(to_obj(net), indent=2, ensure_ascii=False) + "\n"
+    """The canonical text: ``json.dumps(to_obj(net), indent=2,
+    ensure_ascii=False)`` plus a newline, written record by record from the
+    fixed schema rather than through json's pure-Python indenting encoder.
+    """
+    comps = [
+        f'    {{\n      "id": {_encode(c.id)},\n'
+        f'      "kind": {_encode(c.kind.value)},\n'
+        f'      "params": {_layout(_canon_params(c.params), "      ")}\n    }}'
+        for c in sorted(net.components.values(), key=lambda c: c.id)]
+    links = [
+        f'    {{\n      "id": {_encode(ln.id)},\n'
+        f'      "width": {_encode(ln.width)},\n'
+        f'      "from": {_endpoint_text(ln.src)},\n'
+        f'      "to": {_endpoint_text(ln.dst)}\n    }}'
+        for ln in sorted(net.links.values(), key=lambda ln: ln.id)]
+    ports = [
+        f'    {{\n      "name": {_encode(p.name)},\n'
+        f'      "dir": {_encode(p.dir)},\n'
+        f'      "width": {_encode(p.width)},\n'
+        f'      "link": {_encode(p.link)}\n    }}'
+        for p in sorted(net.ports.values(), key=lambda p: p.name)]
+    return (f'{{\n  "name": {_encode(net.name)},\n'
+            f'  "components": {_array(comps)},\n'
+            f'  "links": {_array(links)},\n'
+            f'  "ports": {_array(ports)}\n}}\n')
 
 
 def loads(text: str) -> Network:

@@ -119,6 +119,20 @@ def test_buffer_capacity_flag(tmp_path, elgcd_netlist):
     assert caps == {3}
 
 
+@pytest.mark.parametrize("policy", ["simple", "loop", "pac"])
+def test_buffer_on_a_buffered_net_exit_2(tmp_path, elgcd_buffered, policy,
+                                         capsys):
+    out = tmp_path / "twice.json"
+    capsys.readouterr()
+    assert main(["buffer", str(elgcd_buffered), "--policy", policy,
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: link ")
+    assert "already adjacent to buffer" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sim
 
@@ -279,6 +293,15 @@ PARAM_EDITS = {
                           lambda c: c["params"]["table"].update({"1": "x"})),
     "buffer-capacity-text": ("buffer",
                              lambda c: c["params"].update(capacity="a")),
+    "operator-value-text": ("operator",
+                            lambda c: c["params"].update(value="x")),
+    "initial-value-text": ("initial",
+                           lambda c: c["params"].update(value="x")),
+    "operator-delay-class-list": (
+        "operator", lambda c: c["params"].update(delay_class=[1])),
+    "merge-loop-text": ("merge", lambda c: c["params"].update(loop="x")),
+    "fork-channel-dict": ("fork",
+                          lambda c: c["params"].update(channel={"k": 1})),
 }
 
 

@@ -13,8 +13,8 @@ from elastika.bench import POLICIES, benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac
 from elastika.ir import Kind, flow_successors
 from elastika.metrics import (CycleRate, PowerParams, TooManyCycles,
-                              analytic_throughput, area, initial_marking,
-                              power, power_from_config)
+                              _contract, analytic_throughput, area,
+                              initial_marking, power, power_from_config)
 from elastika.sim import DelayTable, SimConfig, run_async
 
 
@@ -354,3 +354,67 @@ def test_refusal_boundary_is_the_simple_cycle_count():
     assert analytic_throughput(net, delays, cycle_limit=n) is not None
     with pytest.raises(TooManyCycles, match=f"exceeded {n - 1} cycles"):
         analytic_throughput(net, delays, cycle_limit=n - 1)
+
+
+# ---------------------------------------------------------------------------
+# Chains are folded before the cycle search.  Nets whose edges run through
+# long one-in/one-out chains check that the folded search keeps every
+# cycle, every sum, the tie-break and the refusal count.
+
+def test_contract_folds_chains_and_rings():
+    # 0 -> 1 -> 2 -> {3, 4}; 3 -> 0; 4 -> 0: the fold keeps 0..2 as one node
+    # (3 and 4 feed 0, which has two predecessors).  5 <-> 6 is a ring.
+    adj = [[1], [2], [3, 4], [0], [0], [6], [5]]
+    chains, folded, tok, cost = _contract(adj, [1] * 7, list(range(7)))
+    assert chains == [[0, 1, 2], [3], [4], [5, 6]]
+    assert folded == [[1, 2], [0], [0], [3]]
+    assert tok == [3, 1, 1, 2]
+    assert cost == [3, 3, 4, 11]
+
+
+def test_contract_numbers_chains_by_their_smallest_node():
+    # The chain 2 -> 0 starts at 2 but is numbered by node 0.  Node 3's
+    # successors stay in original order (1 before 2), not folded order, so
+    # the search meets the cycles in the same order as on the whole graph.
+    adj = [[3], [3], [0], [1, 2]]
+    chains, folded, _, _ = _contract(adj, [0] * 4, [0] * 4)
+    assert chains == [[2, 0], [1], [3]]
+    assert folded == [[2], [2], [1, 0]]
+
+
+def subdivided(n_nodes, edges, hops):
+    """The digraph with edge k run through hops[k] extra one-in/one-out
+    nodes."""
+    out = []
+    for (u, v), k in zip(edges, hops):
+        path = [u, *range(n_nodes, n_nodes + k), v]
+        n_nodes += k
+        out += zip(path, path[1:])
+    return n_nodes, out
+
+
+@given(graph=st.integers(1, 5).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    unique=True, max_size=10))),
+       hops=st.lists(st.integers(0, 3), min_size=10, max_size=10),
+       seeds=st.lists(st.tuples(st.integers(0, 100), st.integers(1, 2)),
+                      min_size=1, max_size=3),
+       rnd=st.randoms(use_true_random=False))
+def test_chain_heavy_digraphs_match_oracle(graph, hops, seeds, rnd):
+    n_nodes, edges = subdivided(*graph, hops)
+    # Shuffled link ids: a chain's first link is seldom its smallest.
+    rnd.shuffle(edges)
+    net = digraph_to_net(n_nodes, edges)
+    ids = sorted(net.links)
+    marking = {ids[k % len(ids)]: n for k, n in seeds}
+    cycles = sum(1 for _ in nx.simple_cycles(
+        nx.DiGraph(flow_successors(net))))
+    for limit in {cycles, max(cycles - 1, 0), 10_000}:
+        assert_matches_oracle(net, FLAT_DELAYS, marking=marking,
+                              cycle_limit=limit)
+    if cycles:
+        with pytest.raises(TooManyCycles,
+                           match=f"exceeded {cycles - 1} cycles"):
+            analytic_throughput(net, FLAT_DELAYS, marking=marking,
+                                cycle_limit=cycles - 1)

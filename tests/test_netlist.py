@@ -1,12 +1,16 @@
 """Netlist serialization: canonical JSON round-trips and DOT export."""
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import build_ring, digraph_to_net
 from elastika import netlist
-from elastika.ir import validate
+from elastika.bench import POLICIES, benchmark, benchmark_names
+from elastika.buffering import apply
+from elastika.ir import Network, validate
 from test_ir import small_graphs
 
 
@@ -122,3 +126,59 @@ def test_round_trip_arbitrary_nets(graph):
     n, edges = graph
     net = digraph_to_net(n, edges)
     assert_same_net(net, netlist.loads(netlist.dumps(net)))
+
+
+# ---------------------------------------------------------------------------
+# dumps writes the fixed schema itself; json's indenting encoder is the
+# oracle for its bytes.
+
+def oracle_dumps(net: Network) -> str:
+    return json.dumps(netlist.to_obj(net), indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_dumps_matches_json_on_shipped_nets(name):
+    net = benchmark(name).compiled()
+    assert netlist.dumps(net) == oracle_dumps(net)
+    for plan in POLICIES.values():
+        for mode in ("async", "sync"):
+            buffered = apply(net, plan(net, mode=mode))
+            assert netlist.dumps(buffered) == oracle_dumps(buffered)
+
+
+def test_dumps_matches_json_on_an_empty_net():
+    net = Network("ø")
+    assert netlist.dumps(net) == oracle_dumps(net)
+    assert '"components": [],' in netlist.dumps(net)
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text())
+# Dict keys below a tuple reach json unconverted, so they may be any JSON
+# key type; _canon_params turns every other dict's keys into strings.
+_KEYS = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+_PARAMS = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.tuples(inner, inner) | st.tuples()
+                   | st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=12)
+
+
+@given(name=st.text(),
+       params=st.lists(st.dictionaries(st.text(), _PARAMS, max_size=4),
+                       min_size=1, max_size=6))
+def test_dumps_matches_json_on_arbitrary_params(name, params):
+    net = build_ring()
+    net.name = name
+    for i, cid in enumerate(sorted(net.components)):
+        net.components[cid].params = params[i % len(params)]
+    assert netlist.dumps(net) == oracle_dumps(net)
+
+
+def test_dumps_lays_out_tuples_as_lists():
+    net = build_ring()
+    net.components["s"].params["shape"] = (8, 8)
+    text = netlist.dumps(net)
+    assert text == oracle_dumps(net)
+    assert '"shape": [\n          8,\n          8\n        ]' in text
