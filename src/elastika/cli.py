@@ -6,9 +6,10 @@ simulation, evaluate the cost models, or sweep every policy/mode cell of
 a shipped benchmark and print the comparison table.
 
 Exit codes: 0 success; 1 failed equivalence in a sweep; 2 malformed
-input (source, netlist, config, stimulus, --freq-sweep), a net that
-buffer cannot plan or splice, a throughput bound refused for too many
-cycles, or a simulation error; 3 simulated deadlock.
+input (source, netlist, config, stimulus, --freq-sweep, a sweep clock),
+a net that buffer cannot plan or splice, a throughput bound refused for
+too many cycles, a simulation error, or an output file that cannot be
+written; 3 simulated deadlock.
 """
 from __future__ import annotations
 
@@ -40,11 +41,13 @@ exit codes:
   1  a sweep cell's outputs disagreed with the software reference
   2  malformed input: source, netlist, config, or stimulus; buffer
      could not plan or splice the net (such as a net whose links
-     already hold buffers); a --freq-sweep value that is not a
-     positive number; report refused the throughput bound of a net
-     with more than 10,000 directed cycles; or sim stopped on a
-     simulation error (a steer select value with no route, an unknown
-     operator function, a combinational cycle under clocked timing)
+     already hold buffers); a --freq-sweep value or power knob that is
+     not a finite positive number; a sweep --clocks value that is not
+     positive; report refused the throughput bound of a net with more
+     than 10,000 directed cycles; sim stopped on a simulation error (a
+     steer select value with no route, an unknown operator function, a
+     combinational cycle under clocked timing); or an output file could
+     not be written
   3  the simulated net deadlocked
 """
 
@@ -54,14 +57,21 @@ def _fail(message: str, code: int = EXIT_BAD_INPUT) -> int:
     return code
 
 
+class _WriteError(Exception):
+    """An output file could not be written."""
+
+
 def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _WriteError(str(exc)) from exc
 
 
 def _load_net(path: str) -> Network:
@@ -240,6 +250,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows = bench.sweep(spec, delays=delays, params=params)
         except bench.EquivalenceError as exc:
             return _fail(str(exc), EXIT_EQUIVALENCE)
+        except ConfigError as exc:
+            return _fail(str(exc))
         table = bench.format_table(rows)
         sections.append(f"# {name}\n{table}")
     _write("\n".join(sections), args.output)
@@ -337,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _WriteError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ buffer on the cycle instead of summing component delays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
@@ -36,7 +37,7 @@ class PowerParams:
     """Knobs of the power estimators.
 
     activity is the fraction of capacitance switched per cycle and must
-    lie in [0.5, 1]; the remaining knobs are positive scale factors
+    lie in [0.5, 1]; the remaining knobs are finite positive scale factors
     (frequency in Hz, supply in volts, capacitance and leak_per_area
     relative per unit area).
     """
@@ -51,8 +52,11 @@ class PowerParams:
         if not 0.5 <= self.activity <= 1.0:
             raise ValueError(f"activity {self.activity} outside [0.5, 1]")
         for name in ("frequency", "capacitance", "supply", "leak_per_area"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
 
 def power_from_config(cfg: dict, base: PowerParams | None = None) -> PowerParams:
@@ -170,6 +174,11 @@ def analytic_throughput(net: Network, delays: DelayTable,
     (nothing circulates, so no loop limits the repeat rate).  Cycles with
     no tokens are inert and never bind; clocked cycles with no buffer are
     rejected by the clocked simulator up front and are skipped here.
+
+    Raises TooManyCycles when the net has at least one and more than
+    ``cycle_limit`` elementary cycles, token-free ones included; that
+    count is taken on the series-parallel skeleton (`_cycle_count`)
+    before any cycle is enumerated.
     """
     if mode not in ("async", "sync"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -197,12 +206,12 @@ def analytic_throughput(net: Network, delays: DelayTable,
             elif comp.kind is Kind.BUFFER:
                 cost[i] = 1
     chains, adj, tok, cost = _contract(adj, tok, cost)
+    # Refused iff the net has at least one cycle and more than the limit.
+    if _cycle_count(adj, cycle_limit) > max(cycle_limit, 0):
+        raise TooManyCycles(cycle_limit)
     best: CycleRate | None = None
     best_key: tuple[str, ...] = ()
-    for seen, (path, tokens, spent) in enumerate(
-            _circuits(adj, tok, cost), start=1):
-        if seen > cycle_limit:
-            raise TooManyCycles(cycle_limit)
+    for path, tokens, spent in _circuits(adj, tok, cost):
         if tokens == 0:
             continue
         if mode == "async":
@@ -272,6 +281,87 @@ def _contract(adj: list[list[int]], tok: list[int], cost: list[int]
             [[rank[owner[w]] for w in adj[chains[c][-1]]] for c in order],
             [sum(tok[v] for v in chains[c]) for c in order],
             [sum(cost[v] for v in chains[c]) for c in order])
+
+
+def _cycle_count(adj: list[list[int]], limit: int) -> int:
+    """The number of elementary cycles of the graph with successor lists
+    ``adj``, or some number above ``limit`` once the count passes it.
+
+    Two rules shrink the graph to its series-parallel skeleton (Valdes,
+    Tarjan & Lawler, SIAM J. Comput. 1982); each skeleton node carries
+    the number of distinct paths through the nodes it stands for:
+
+    * series: an edge x->w where x has one successor and w one
+      predecessor (w != x) folds w into x.  A cycle through either runs
+      through both, so their counts multiply.
+    * parallel: nodes with the same single predecessor and the same
+      single successor merge.  An elementary cycle runs through at most
+      one of them, so their counts add.
+
+    Each elementary cycle of the skeleton then stands for the product of
+    its nodes' counts of elementary cycles of the graph.
+    """
+    n = len(adj)
+    succ = [set(nxts) for nxts in adj]
+    pred: list[set[int]] = [set() for _ in range(n)]
+    for v, nxts in enumerate(adj):
+        for w in nxts:
+            pred[w].add(v)
+    count = [1] * n
+    alive = [True] * n
+    # A node is queued whenever its predecessor or successor set changes,
+    # and both rules are tried on it when it is popped; so neither rule
+    # applies anywhere once the queue is empty.
+    work = list(range(n))
+
+    def fold(x: int, w: int) -> None:
+        count[x] *= count[w]
+        alive[w] = False
+        succ[x] = succ[w]
+        for u in succ[w]:
+            pred[u].remove(w)
+            pred[u].add(x)
+            work.append(u)
+        work.append(x)
+
+    while work:
+        v = work.pop()
+        if not alive[v]:
+            continue
+        if len(succ[v]) == 1:
+            (w,) = succ[v]
+            if w != v and len(pred[w]) == 1:
+                fold(v, w)
+                continue
+        if len(pred[v]) != 1:
+            continue
+        (p,) = pred[v]
+        if p != v and len(succ[p]) == 1:
+            fold(p, v)
+            continue
+        if len(succ[v]) != 1:
+            continue
+        twins = [u for u in succ[p] if u != v and len(pred[u]) == 1
+                 and succ[u] == succ[v]]
+        if twins:
+            (q,) = succ[v]
+            for u in twins:
+                count[v] += count[u]
+                alive[u] = False
+                succ[p].remove(u)
+                pred[q].remove(u)
+            work += (p, q)
+    nodes = [v for v in range(n) if alive[v]]
+    rank = {v: i for i, v in enumerate(nodes)}
+    skeleton = [[rank[w] for w in succ[v]] for v in nodes]
+    counts = [count[v] for v in nodes]
+    zero = [0] * len(nodes)
+    total = 0
+    for path, _, _ in _circuits(skeleton, zero, zero):
+        total += math.prod(counts[v] for v in path)
+        if total > limit:
+            break
+    return total
 
 
 def _circuits(adj: list[list[int]], tok: list[int], cost: list[int]

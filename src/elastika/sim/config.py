@@ -192,8 +192,10 @@ class SimConfig:
             raise ConfigError(f"mode {self.mode!r} not async/sync")
         if self.mode == "sync" and self.clock <= 0:
             raise ConfigError("sync mode needs clock > 0")
-        if self.max_time <= 0 or self.max_results <= 0:
+        if self.max_time <= 0:
             raise ConfigError("horizon must be positive")
+        if self.max_results <= 0:
+            raise ConfigError("max-results must be positive")
         self.delays.validate()
         for name, values in self.stimulus.items():
             port = net.ports.get(name)

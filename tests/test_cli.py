@@ -213,6 +213,15 @@ def test_sim_rejects_arbiter_delay_key(tmp_path, elgcd_buffered, capsys):
     assert "unknown delay key 'arbiter'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--horizon", "horizon must be positive"),
+    ("--max-results", "max-results must be positive")])
+def test_sim_nonpositive_limit_names_its_flag(elgcd_buffered, flag, message,
+                                              capsys):
+    assert main(["sim", str(elgcd_buffered), flag, "0"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -264,6 +273,29 @@ def test_report_bad_config_exit_2(ring_file, tmp_path, capsys):
     cfg.write_text("power.activity = 2\n")
     assert main(["report", str(ring_file), "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e999"])
+@pytest.mark.parametrize("knob", ["frequency", "capacitance", "supply",
+                                  "leak_per_area"])
+def test_report_rejects_non_finite_power_knob(ring_file, tmp_path, knob,
+                                              value, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"power.{knob} = {value}\n")
+    assert main(["report", str(ring_file), "--power",
+                 "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {knob} must be finite\n"
+
+
+@pytest.mark.parametrize("freqs", ["nan,inf", "1e9,inf"])
+def test_report_freq_sweep_rejects_non_finite_exit_2(ring_file, freqs,
+                                                     capsys):
+    assert main(["report", str(ring_file), f"--freq-sweep={freqs}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bad --freq-sweep: frequency must be finite\n"
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +376,15 @@ def test_sweep_unknown_benchmark_exit_2(capsys):
     assert "unknown benchmark" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("clock", ["0", "-2000"])
+def test_sweep_nonpositive_clock_exit_2(tmp_path, clock, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "elgcd", "--policies", "pac", "--modes", "sync",
+                 "--clocks", clock, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sync mode needs clock > 0\n"
+    assert not out.exists()
+
+
 def test_sweep_equivalence_failure_exit_1(tmp_path, monkeypatch, capsys):
     broken = dataclasses.replace(
         bench.benchmark("elgcd"),
@@ -359,6 +400,42 @@ def test_help_documents_exit_codes(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "exit codes" in out
+
+
+# ---------------------------------------------------------------------------
+# an output file that cannot be written: exit 2 from every command
+
+UNWRITABLE = {
+    "compile": lambda f, bad: ["compile", f["source"], "-o", bad],
+    "compile --emit-dot": lambda f, bad: ["compile", f["source"],
+                                          "--emit-dot", bad],
+    "depgraph": lambda f, bad: ["depgraph", f["netlist"], "-o", bad],
+    "buffer": lambda f, bad: ["buffer", f["netlist"], "--policy", "pac",
+                              "-o", bad],
+    "buffer --plan": lambda f, bad: ["buffer", f["netlist"], "--policy",
+                                     "pac", "--plan", bad],
+    "sim": lambda f, bad: ["sim", f["buffered"], "--stimulus", f["stim"],
+                           "-o", bad],
+    "sim --occupancy": lambda f, bad: ["sim", f["buffered"], "--stimulus",
+                                       f["stim"], "--occupancy", bad],
+    "report": lambda f, bad: ["report", f["buffered"], "-o", bad],
+    "sweep": lambda f, bad: ["sweep", "elgcd", "--policies", "pac",
+                             "--modes", "async", "-o", bad],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE))
+def test_unwritable_output_exit_2(tmp_path, elgcd_source, elgcd_netlist,
+                                  elgcd_buffered, command, capsys):
+    files = {"source": str(elgcd_source), "netlist": str(elgcd_netlist),
+             "buffered": str(elgcd_buffered),
+             "stim": str(write_stimulus(tmp_path))}
+    bad = tmp_path / "absent" / "out.txt"
+    capsys.readouterr()
+    assert main(UNWRITABLE[command](files, str(bad))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from elastika.bench import POLICIES, benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac
 from elastika.ir import Kind, flow_successors
 from elastika.metrics import (CycleRate, PowerParams, TooManyCycles,
-                              _contract, analytic_throughput, area,
+                              _contract, _cycle_count, analytic_throughput,
+                              area,
                               initial_marking, power, power_from_config)
 from elastika.sim import DelayTable, SimConfig, run_async
 
@@ -55,6 +56,16 @@ def test_power_params_validation():
         PowerParams(capacitance=0)
     with pytest.raises(ValueError):
         PowerParams(leak_per_area=0)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("knob", ["frequency", "capacitance", "supply",
+                                  "leak_per_area"])
+def test_power_params_reject_non_finite(knob, value):
+    with pytest.raises(ValueError, match=f"{knob} must be finite"):
+        PowerParams(**{knob: value})
+    with pytest.raises(ValueError, match=f"{knob} must be positive"):
+        PowerParams(**{knob: -float("inf")})
 
 
 def test_dynamic_power_formula_exact(ring_net):
@@ -418,3 +429,101 @@ def test_chain_heavy_digraphs_match_oracle(graph, hops, seeds, rnd):
                            match=f"exceeded {cycles - 1} cycles"):
             analytic_throughput(net, FLAT_DELAYS, marking=marking,
                                 cycle_limit=cycles - 1)
+
+
+# ---------------------------------------------------------------------------
+# The refusal is decided by counting cycles on the series-parallel skeleton.
+
+def link_graph(net):
+    """Successor lists of the flow graph, links numbered in sorted order."""
+    ids = sorted(net.links)
+    index = {lid: i for i, lid in enumerate(ids)}
+    succ = flow_successors(net)
+    return [sorted({index[w] for w in succ[lid]}) for lid in ids]
+
+
+def folded_graph(net):
+    adj = link_graph(net)
+    return _contract(adj, [0] * len(adj), [0] * len(adj))[1]
+
+
+SERIES_PARALLEL_RINGS = {
+    # 0 -> {1, 2} -> 3 -> {4, 5, 6} -> 0: 2 * 3 cycles.
+    "diamonds": (6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6),
+                     (4, 0), (5, 0), (6, 0)]),
+    # 0 -> {1, 2} -> 3 -> 0 beside 0 -> 4 -> 0: merging 1 and 2 leaves 3
+    # one predecessor while 0 keeps two successors; 2 + 1 cycles.
+    "nested": (3, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 0), (0, 4), (4, 0)]),
+}
+
+
+@pytest.mark.parametrize("shift", range(5))
+@pytest.mark.parametrize("ring", sorted(SERIES_PARALLEL_RINGS))
+def test_cycle_count_multiplies_in_series_and_adds_in_parallel(ring, shift):
+    # Each ring's skeleton is one node with a self-loop whatever the
+    # numbering, so the count is whole after its first cycle, even past a
+    # limit of 0.
+    cycles, edges = SERIES_PARALLEL_RINGS[ring]
+    n = 1 + max(max(e) for e in edges)
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[(u + shift) % n].append((v + shift) % n)
+    assert _cycle_count(adj, 100) == cycles
+    assert _cycle_count(adj, 0) == cycles
+
+
+def test_cycle_count_of_no_cycle_and_one_self_loop():
+    assert _cycle_count([[]], 0) == 0
+    assert _cycle_count([[1], []], -5) == 0
+    assert _cycle_count([[0]], -5) == 1
+
+
+@st.composite
+def parallel_chain_graphs(draw):
+    """A small digraph with self-loops and 2-cycles, each edge repeated as
+    1-3 parallel edges and each of those run through 0-2 extra nodes, the
+    edges in shuffled order."""
+    n = draw(st.integers(1, 4))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=5))
+    edges += [(v, v) for v in draw(st.lists(node, max_size=2))]
+    edges += [(v, u) for u, v in edges[:draw(st.integers(0, 2))]]
+    repeated = [e for e in edges for _ in range(draw(st.integers(1, 3)))]
+    hops = draw(st.lists(st.integers(0, 2), min_size=len(repeated),
+                         max_size=len(repeated)))
+    n_nodes, out = subdivided(n, repeated, hops)
+    draw(st.randoms(use_true_random=False)).shuffle(out)
+    return n_nodes, out
+
+
+@given(graph=parallel_chain_graphs(),
+       seeds=st.lists(st.tuples(st.integers(0, 100), st.integers(1, 2)),
+                      min_size=1, max_size=3))
+def test_cycle_count_matches_networkx(graph, seeds):
+    net = digraph_to_net(*graph)
+    cycles = sum(1 for _ in nx.simple_cycles(
+        nx.DiGraph(flow_successors(net))))
+    assert _cycle_count(link_graph(net), cycles) == cycles
+    assert _cycle_count(folded_graph(net), cycles) == cycles
+    ids = sorted(net.links)
+    marking = {ids[k % len(ids)]: n for k, n in seeds}
+    for limit in (cycles, cycles - 1):
+        assert_matches_oracle(net, FLAT_DELAYS, marking=marking,
+                              cycle_limit=limit)
+    if cycles:
+        with pytest.raises(TooManyCycles,
+                           match=f"exceeded {cycles - 1} cycles"):
+            analytic_throughput(net, FLAT_DELAYS, marking=marking,
+                                cycle_limit=cycles - 1)
+
+
+@pytest.mark.parametrize("name, cycles",
+                         [("elgcd", 104), ("poly", 636), ("smul", 648)])
+def test_shipped_pac_nets_cycle_counts(name, cycles):
+    net = benchmark(name).compiled()
+    net = apply(net, policy_pac(net, mode="async"))
+    assert _cycle_count(folded_graph(net), 10_000) == cycles
+    delays = SimConfig().delays
+    assert analytic_throughput(net, delays, cycle_limit=cycles) is not None
+    with pytest.raises(TooManyCycles, match=f"exceeded {cycles - 1} cycles"):
+        analytic_throughput(net, delays, cycle_limit=cycles - 1)
