@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -55,7 +56,14 @@ class BenchmarkSpec:
     clocks: tuple[int, ...] = (2000,)
 
     def compiled(self) -> Network:
+        """A fresh net compiled from the source, the caller's to change."""
         return compile_module(parse(self.source.read_text()))
+
+    @cached_property
+    def _net(self) -> Network:
+        """One compiled net per spec, shared read-only by every run_cell
+        on it: the planners only read it, and apply copies it."""
+        return self.compiled()
 
 
 @dataclass(frozen=True)
@@ -151,7 +159,7 @@ def run_cell(spec: BenchmarkSpec, policy: str, mode: str, clock: int,
     """One sweep cell: plan, buffer, simulate both datasets, verify, cost."""
     delays = delays if delays is not None else DelayTable()
     params = params if params is not None else PowerParams()
-    net = spec.compiled()
+    net = spec._net
     plan = POLICIES[policy](net, mode=mode)
     buffered = apply(net, plan)
     reports: list[SimReport] = []

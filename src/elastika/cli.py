@@ -9,13 +9,16 @@ Exit codes: 0 success; 1 failed equivalence in a sweep; 2 malformed
 input (source, netlist, config, stimulus, --freq-sweep, a sweep clock),
 a net that buffer cannot plan or splice, a throughput bound refused for
 too many cycles, a simulation error, or an output file that cannot be
-written; 3 simulated deadlock.
+written; 3 simulated deadlock.  A sweep checks its benchmark names, sync
+clocks and output path before it runs the first cell.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 
 from . import bench, depgraph, netlist
@@ -72,6 +75,24 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
     except OSError as exc:
         raise _WriteError(str(exc)) from exc
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise _WriteError now if _write could not create ``path`` later.
+    Creates and truncates nothing, so a run that fails later leaves an
+    existing file as it was."""
+    if path is None or path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT if not os.path.exists(parent) else errno.ENOTDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise _WriteError(str(OSError(code, os.strerror(code), path)))
 
 
 def _load_net(path: str) -> Network:
@@ -235,7 +256,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         delays = delays_from_config(cfg)
     except (OSError, ConfigError, ValueError) as exc:
         return _fail(str(exc))
-    sections = []
+    # Every check that needs no cell runs before the first cell does.
+    specs = []
     for name in names:
         try:
             spec = bench.benchmark(name)
@@ -246,6 +268,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             policies=tuple(args.policies) if args.policies else spec.policies,
             modes=tuple(args.modes) if args.modes else spec.modes,
             clocks=tuple(args.clocks) if args.clocks else spec.clocks)
+        if "sync" in spec.modes and min(spec.clocks, default=1) <= 0:
+            return _fail("sync mode needs clock > 0")
+        specs.append(spec)
+    _check_writable(args.output)
+    sections = []
+    for name, spec in zip(names, specs):
         try:
             rows = bench.sweep(spec, delays=delays, params=params)
         except bench.EquivalenceError as exc:

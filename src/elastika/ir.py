@@ -400,7 +400,8 @@ def find_back_edges(net: Network) -> list[str]:
     return [lid for _, lid, _ in back_edges(roots, outgoing.__getitem__)]
 
 
-def back_edges(roots: Iterable, children: Callable[[object], Iterable[tuple]]
+def back_edges(roots: Iterable, children: Callable[[object], Iterable[tuple]],
+               finished: Optional[list] = None
                ) -> Iterator[tuple[list, object, object]]:
     """Iterative white/grey/black depth-first search.
 
@@ -412,7 +413,9 @@ def back_edges(roots: Iterable, children: Callable[[object], Iterable[tuple]]
     ``path`` runs from the root to the node the edge leaves; it is the
     live search stack, so copy it before resuming the generator if it
     must be kept.  Every directed cycle reachable from ``roots`` contains
-    at least one yielded edge (Tarjan 1972).
+    at least one yielded edge (Tarjan 1972).  Each node is appended to
+    ``finished``, when given, as the search leaves it: once the generator
+    is exhausted, that list is the post-order of the whole search.
     """
     GREY, BLACK = 1, 2
     color: dict = {}
@@ -433,8 +436,11 @@ def back_edges(roots: Iterable, children: Callable[[object], Iterable[tuple]]
                     stack.append(iter(children(target)))
                     break
             else:
-                color[path.pop()] = BLACK
+                node = path.pop()
+                color[node] = BLACK
                 stack.pop()
+                if finished is not None:
+                    finished.append(node)
 
 
 # ---------------------------------------------------------------------------

@@ -26,28 +26,30 @@ in sorted string order, so int keys tie exactly as the strings would.
 Every key owns a run of flat input slots (the standing offer's value)
 and output slots (whether an offer stands), every slot knows the key and
 port at the far end of its link, and every key has its own offer,
-acknowledge and fire handler with its parameters and delay resolved.
+acknowledge and fire handler with its parameters, delay and far ends
+resolved (an Operator's function too).  The handlers push their own
+heap events: taking an input pushes the producer's acknowledge, firing
+pushes the consumer's offer, with no helper call between.  The run loop
+only pops an event and calls the handler of its phase and key; one
+sentinel event past the horizon ends it.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
+import operator
+from bisect import bisect_right
 from collections import deque
 from dataclasses import replace
-from typing import Callable, Optional
+from heapq import heappop, heappush
+from typing import Callable, Iterator, Optional
 
-from ..ir import (Component, Kind, Network, back_edges, combinational_cycle,
-                  combinational_successors)
+from ..ir import Component, Kind, Network, back_edges, combinational_cycle
 from .config import SimConfig
 from .report import SimReport
 
 # Phase ranks: acknowledges free capacity before internal firings commit
 # state, and offers are delivered into the freshest state.
 _ACK, _FIRE, _OFFER = 0, 1, 2
-
-# Far-end key of an output slot with no link (firing it offers nothing);
-# -1 is a link with no consumer, where the offer stands forever.
-_NO_LINK = -2
 
 
 class SimError(Exception):
@@ -124,6 +126,51 @@ def _concat(widths: list[int]) -> Callable[[list[int]], int]:
     return concat
 
 
+# Operators of two words (a, b) that _operator_fn resolves; a comparison
+# gives 0 or 1 unmasked, like eval_operator.
+_WORD_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+             "and": operator.and_, "or": operator.or_, "xor": operator.xor}
+_COMPARE_OPS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+                "gt": operator.gt, "le": operator.le, "ge": operator.ge}
+
+
+def _operator_fn(params: dict, in_widths: list[int],
+                 out_width: int) -> Callable[[list[int]], int]:
+    """eval_operator(params["fn"], params, ins, in_widths, out_width) as a
+    function of the input words alone, resolved once per Operator.  An
+    unknown or missing ``fn`` resolves to eval_operator itself, so it
+    raises when the Operator first fires, not before."""
+    fn = params.get("fn")
+    m = _mask(out_width)
+    if fn == "const":
+        return lambda ins: params["value"] & m
+    if fn == "id":
+        return lambda ins: ins[0] & m
+    if fn == "neg":
+        return lambda ins: -ins[0] & m
+    if fn == "not":
+        return lambda ins: ~ins[0] & m
+    if not isinstance(fn, str):
+        fn = None   # unknown, and perhaps not hashable
+    if fn in _WORD_OPS:
+        op = _WORD_OPS[fn]
+        f = lambda ins: op(ins[0], ins[1]) & m   # noqa: E731
+    elif fn in _COMPARE_OPS:
+        test = _COMPARE_OPS[fn]
+        f = lambda ins: 1 if test(ins[0], ins[1]) else 0   # noqa: E731
+    elif fn == "shl":
+        f = lambda ins: (0 if ins[1] >= out_width   # noqa: E731
+                         else (ins[0] << ins[1]) & m)
+    elif fn == "shr":
+        f = lambda ins: (0 if ins[1] >= in_widths[0]   # noqa: E731
+                         else (ins[0] >> ins[1]) & m)
+    else:
+        return lambda ins: eval_operator(params["fn"], params, ins,
+                                         in_widths, out_width)
+    # A one-input Operator reads its missing second word as 0.
+    return f if len(in_widths) > 1 else (lambda ins: f([ins[0], 0]))
+
+
 class Simulation:
     """One run's mutable state.  Use run_async/run_sync; this class is
     exposed so deadlock diagnosis can be inspected on a quiesced net."""
@@ -158,164 +205,118 @@ class Simulation:
         link_in: dict[str, tuple[str, int]] = {}
         link_out: dict[str, tuple[str, int]] = {}
         for name in sorted(net.ports):
-            if net.ports[name].dir == "in":
+            port = net.ports[name]
+            if port.dir == "in":
                 key = f"$in.{name}"
-                link_in[net.ports[name].link] = (key, 0)
+                link_in[port.link] = (key, 0)
             else:
                 key = f"$out.{name}"
-                link_out[net.ports[name].link] = (key, 0)
+                link_out[port.link] = (key, 0)
             env[key] = name
 
         self.names = names = sorted([*net.components, *env])
         self.ids = ids = {name: k for k, name in enumerate(names)}
-        # Per key: first slot and slot count on each side, set by _slots
-        # as each key's handlers are built.
-        self.in_base, self.n_in = [0] * len(names), [0] * len(names)
-        self.out_base, self.n_out = [0] * len(names), [0] * len(names)
+        # Port counts per key.  Each key's slots follow those of the key
+        # before it, so in_base[k + 1] is where key k's inputs end.
+        n_in, n_out = [0] * len(names), [0] * len(names)
+        for key in env:
+            if key.startswith("$in."):
+                n_out[ids[key]] = 1
+            else:
+                n_in[ids[key]] = 1
+        builders, initials = [], []
+        for cid, comp in net.components.items():
+            k = ids[cid]
+            ports, build = _HANDLERS[comp.kind]
+            builders.append((k, comp, build))
+            n_in[k], n_out[k] = ports(comp.params)
+            if build is _initial:
+                initials.append(k)
+        self._initials = sorted(initials)
+        self.n_in, self.n_out = n_in, n_out
+        self.in_base = in_base = [0, *itertools.accumulate(n_in)]
+        self.out_base = out_base = [0, *itertools.accumulate(n_out)]
         # Input slot: the standing value (None when empty), and the
         # producer (key, port) to acknowledge (key -1: none).
-        in_val: list[Optional[int]] = []
-        in_src: list[int] = []
-        in_src_port: list[int] = []
+        self.in_val: list[Optional[int]] = [None] * in_base[-1]
+        self.in_src = in_src = [(-1, 0)] * in_base[-1]
         # Output slot: whether an offer stands, and the consumer (key,
-        # port) to offer to (-1 or _NO_LINK when there is none).
-        out_standing: list[bool] = []
-        out_dst: list[int] = []
-        out_dst_port: list[int] = []
-        self.in_val, self.in_src = in_val, in_src
-        self.out_standing, self.out_dst = out_standing, out_dst
+        # port) to offer to (key -1: none) with whether an offer from the
+        # slot stands.  Without a link, firing offers nothing; on a link
+        # with no consumer, the offer stands forever.
+        self.out_standing = out_standing = [False] * out_base[-1]
+        self.out_dst = out_dst = [(-1, 0, False)] * out_base[-1]
+        for lid, ln in net.links.items():
+            src, dst = ln.src, ln.dst
+            if src is None:
+                src = link_in.get(lid)
+            if dst is None:
+                dst = link_out.get(lid)
+            if src is not None:
+                sk, sp = ids[src[0]], src[1]
+                if not 0 <= sp < n_out[sk]:
+                    raise SimError(f"link {lid} leaves {src[0]}, which has "
+                                   f"no output {sp}")
+            if dst is not None:
+                dk, dp = ids[dst[0]], dst[1]
+                if not 0 <= dp < n_in[dk]:
+                    raise SimError(f"link {lid} enters {dst[0]}, which has "
+                                   f"no input {dp}")
+                if src is not None:
+                    in_src[in_base[dk] + dp] = (sk, sp)
+            if src is not None:
+                out_dst[out_base[sk] + sp] = (
+                    (-1, 0, True) if dst is None else (dk, dp, True))
 
         heap, tick = self.heap, itertools.count(1).__next__
         self._tick = tick
 
-        def push(t: int, k: int, port: int, payload) -> None:
-            """Schedule an internal firing of key k."""
-            heapq.heappush(heap, (t, k, port, _FIRE, tick(), payload))
-
         def offer(slot: int, value: int, t: int) -> None:
             """The producer's output slot emits: the offer is delivered to
             the link's consumer at t and stands until acknowledged."""
-            k = out_dst[slot]
-            if k == _NO_LINK:
+            k, port, stands = out_dst[slot]
+            if not stands:
                 return
             out_standing[slot] = True
             if k >= 0:
-                heapq.heappush(heap, (t, k, out_dst_port[slot], _OFFER,
-                                      tick(), value))
+                heappush(heap, (t, k, port, _OFFER, tick(), value))
 
-        def consume(slot: int, t: int) -> None:
-            """The consumer takes the standing offer on its input slot: the
-            value leaves the link and the producer is acknowledged."""
-            in_val[slot] = None
-            k = in_src[slot]
-            if k >= 0:
-                heapq.heappush(heap, (t, k, in_src_port[slot], _ACK, tick(),
-                                      None))
-
-        self._push, self._offer, self._consume = push, offer, consume
-        self.on_offer: list = [None] * len(names)
-        self.on_ack: list = [None] * len(names)
-        self.on_fire: list = [None] * len(names)
+        self._offer = offer
+        self.on_offer = on_offer = [None] * len(names)
+        self.on_ack = on_ack = [None] * len(names)
+        self.on_fire = on_fire = [None] * len(names)
         for key, name in env.items():
             k = ids[key]
             if key.startswith("$in."):
-                self.on_ack[k] = self._stimulus(k, name)
+                on_ack[k] = _stimulus(self, k, name)
             else:
-                self.on_offer[k] = self._sink(k, name)
-        for cid, comp in net.components.items():
-            k = ids[cid]
-            handlers = _HANDLERS[comp.kind](self, k, comp)
-            self.on_offer[k], self.on_ack[k], self.on_fire[k] = handlers
-
-        in_src.extend([-1] * len(in_val))
-        in_src_port.extend([0] * len(in_val))
-        out_dst.extend([_NO_LINK] * len(out_standing))
-        out_dst_port.extend([0] * len(out_standing))
-        for lid, ln in net.links.items():
-            src = ln.src if ln.src is not None else link_in.get(lid)
-            dst = ln.dst if ln.dst is not None else link_out.get(lid)
-            if src is not None:
-                k, p = ids[src[0]], src[1]
-                if not 0 <= p < self.n_out[k]:
-                    raise SimError(f"link {lid} leaves {src[0]}, which has "
-                                   f"no output {p}")
-                slot = self.out_base[k] + p
-                out_dst[slot], out_dst_port[slot] = (
-                    (-1, 0) if dst is None else (ids[dst[0]], dst[1]))
-            if dst is not None:
-                k, p = ids[dst[0]], dst[1]
-                if not 0 <= p < self.n_in[k]:
-                    raise SimError(f"link {lid} enters {dst[0]}, which has "
-                                   f"no input {p}")
-                slot = self.in_base[k] + p
-                in_src[slot], in_src_port[slot] = (
-                    (-1, 0) if src is None else (ids[src[0]], src[1]))
-
-    def _slots(self, k: int, n_in: int, n_out: int) -> tuple[int, int]:
-        """Give key k its input and output slots, all empty; returns the
-        first of each.  They are wired once every key has its slots."""
-        ib, ob = len(self.in_val), len(self.out_standing)
-        self.in_base[k], self.n_in[k] = ib, n_in
-        self.out_base[k], self.n_out[k] = ob, n_out
-        self.in_val.extend([None] * n_in)
-        self.out_standing.extend([False] * n_out)
-        return ib, ob
-
-    def _stimulus(self, k: int, name: str):
-        _, slot = self._slots(k, 0, 1)
-        values = self.cfg.stimulus.get(name, [])
-        times = self.offer_times[name] = []
-        accepted = self.accepted
-        accepted[name] = 0
-        offer = self._offer
-
-        def on_ack(port: int, t: int) -> None:
-            accepted[name] += 1
-            if accepted[name] < len(values):
-                times.append(t)
-                offer(slot, values[accepted[name]], t)
-        return on_ack
-
-    def _sink(self, k: int, name: str):
-        slot, _ = self._slots(k, 1, 0)
-        got = self.results[name] = []
-        cap = self.cfg.max_results
-        in_val, consume = self.in_val, self._consume
-
-        def on_offer(port: int, t: int) -> bool:
-            """Record the result; True once the port reached the cap."""
-            got.append((in_val[slot], t))
-            consume(slot, t)
-            return len(got) >= cap
-        return on_offer
+                on_offer[k] = _sink(self, k, name)
+        for k, comp, build in builders:
+            on_offer[k], on_ack[k], on_fire[k] = build(self, k, comp)
 
     # -- run loop ---------------------------------------------------------
 
     def run(self) -> SimReport:
         self._setup()
-        heap, pop = self.heap, heapq.heappop
-        in_val, out_standing = self.in_val, self.out_standing
-        in_base, out_base = self.in_base, self.out_base
-        on_offer, on_ack, on_fire = self.on_offer, self.on_ack, self.on_fire
+        heap, pop = self.heap, heappop
+        handlers = (self.on_ack, self.on_fire, self.on_offer)   # by phase
+        # One sentinel past the horizon sorts after every event within it
+        # and before every event beyond it, so popping it is the only
+        # horizon (and empty heap) test the loop needs.
         max_time = self.cfg.max_time
+        heappush(heap, (max_time + 1, -1, 0, _ACK, 0, None))
         truncated = False
         t = self.now
         try:
-            while heap:
-                if heap[0][0] > max_time:
+            while True:
+                te, key, port, phase, _, payload = pop(heap)
+                if key < 0:
+                    truncated = bool(heap)
+                    break
+                t = te
+                if handlers[phase][key](port, payload, t):
                     truncated = True
                     break
-                t, key, port, phase, _, payload = pop(heap)
-                if phase == _OFFER:
-                    in_val[in_base[key] + port] = payload
-                    if on_offer[key](port, t):
-                        truncated = True
-                        break
-                elif phase == _ACK:
-                    out_standing[out_base[key] + port] = False
-                    on_ack[key](port, t)
-                else:
-                    on_fire[key](port, payload, t)
         finally:
             self.now = t
             self.seq = self._tick() - 1
@@ -328,14 +329,13 @@ class Simulation:
                 times.append(0)
                 self._offer(self.out_base[self.ids[f"$in.{name}"]],
                             values[0], 0)
-        for cid in sorted(cid for cid, c in self.net.components.items()
-                          if c.kind is Kind.INITIAL):
-            self._push(0, self.ids[cid], 0, None)
+        for k in self._initials:
+            heappush(self.heap, (0, k, 0, _FIRE, self._tick(), None))
 
     # -- wrap-up ----------------------------------------------------------
 
     def _in_flight(self) -> bool:
-        return (any(v is not None for v in self.in_val)
+        return (self.in_val.count(None) < len(self.in_val)
                 or any(self.buf_slots.values()))
 
     def _finish(self, truncated: bool) -> SimReport:
@@ -392,35 +392,92 @@ class Simulation:
 
 # -- per-kind handlers ----------------------------------------------------
 #
-# Each builder takes the slots of one component (port counts as in
-# Component.input_widths/output_widths) and returns its (offer,
-# acknowledge, fire) handlers, closed over those slots, its parameters
-# and its resolved delay.  An offer handler runs after the value is
-# stored in its input slot, an acknowledge handler after its output slot
-# is cleared.
+# Each builder takes one key whose slots are already wired (port counts as
+# in Component.input_widths/output_widths) and returns its (offer,
+# acknowledge, fire) handlers, closed over its slots, the far ends of its
+# links, its parameters and its resolved delay.  Every handler is called
+# as (port, payload, t), pushes its own events and keeps its own slots:
+#
+# * an offer handler gets the offered value; it stores it in the input
+#   slot unless it takes the value at once;
+# * taking an input empties its slot and pushes the producer's
+#   acknowledge (t, key, port, _ACK, seq, None), if there is a producer;
+# * an acknowledge handler clears its output slot;
+# * emitting marks the output slot standing (not on an output with no
+#   link) and pushes (t, key, port, _OFFER, seq, value) to the consumer,
+#   if there is one.
+#
+# The run loop calls the handler of the event's phase and key, and stops
+# when an offer handler returns True.
+
+def _stimulus(sim: Simulation, k: int, name: str):
+    slot = sim.out_base[k]
+    values = sim.cfg.stimulus.get(name, [])
+    times = sim.offer_times[name] = []
+    accepted = sim.accepted
+    accepted[name] = 0
+    heap, tick, out_standing = sim.heap, sim._tick, sim.out_standing
+    dk, dp, stands = sim.out_dst[slot]
+
+    def on_ack(port: int, payload, t: int) -> None:
+        out_standing[slot] = False
+        taken = accepted[name] = accepted[name] + 1
+        if taken < len(values):
+            times.append(t)
+            out_standing[slot] = stands
+            if dk >= 0:
+                heappush(heap, (t, dk, dp, _OFFER, tick(), values[taken]))
+    return on_ack
+
+
+def _sink(sim: Simulation, k: int, name: str):
+    sk, sp = sim.in_src[sim.in_base[k]]
+    got = sim.results[name] = []
+    cap = sim.cfg.max_results
+    heap, tick = sim.heap, sim._tick
+
+    def on_offer(port: int, value: int, t: int) -> bool:
+        """Record the result; True once the port reached the cap."""
+        got.append((value, t))
+        if sk >= 0:
+            heappush(heap, (t, sk, sp, _ACK, tick(), None))
+        return len(got) >= cap
+    return on_offer
+
 
 def _combinational(sim: Simulation, k: int, n: int, delay: int,
                    compute: Callable[[list[int]], int]):
     """Join and Operator: fire once every input stands, hold the inputs
     until the output is taken."""
-    ib, ob = sim._slots(k, n, 1)
+    ib, ob = sim.in_base[k], sim.out_base[k]
     end = ib + n
+    heap, tick = sim.heap, sim._tick
     in_val, out_standing = sim.in_val, sim.out_standing
-    offer, consume = sim._offer, sim._consume
+    srcs = sim.in_src[ib:end]
+    cleared = [None] * n
+    dk, dp, stands = sim.out_dst[ob]
+    have = 0    # inputs standing; none arrives while the output stands
 
-    def try_fire(port: int, t: int) -> None:
-        if out_standing[ob]:
+    def on_offer(port: int, value: int, t: int) -> None:
+        nonlocal have
+        in_val[ib + port] = value
+        have += 1
+        if have < n:
             return
-        vals = in_val[ib:end]
-        if None in vals:
-            return
-        offer(ob, compute(vals), t + delay)
+        out = compute(in_val[ib:end])
+        out_standing[ob] = stands
+        if dk >= 0:
+            heappush(heap, (t + delay, dk, dp, _OFFER, tick(), out))
 
-    def on_ack(port: int, t: int) -> None:
-        for slot in range(ib, end):
-            consume(slot, t)
-        try_fire(port, t)
-    return try_fire, on_ack, None
+    def on_ack(port: int, payload, t: int) -> None:
+        nonlocal have
+        out_standing[ob] = False
+        have = 0
+        in_val[ib:end] = cleared
+        for sk, sp in srcs:
+            if sk >= 0:
+                heappush(heap, (t, sk, sp, _ACK, tick(), None))
+    return on_offer, on_ack, None
 
 
 def _join(sim: Simulation, k: int, comp: Component):
@@ -432,186 +489,216 @@ def _join(sim: Simulation, k: int, comp: Component):
 def _operator(sim: Simulation, k: int, comp: Component):
     p = comp.params
     delay = sim.cfg.delays.operator_delay(p.get("delay_class", "default"))
-    return _combinational(
-        sim, k, len(p["inputs"]), delay,
-        lambda vals: eval_operator(p["fn"], p, vals, p["inputs"], p["out"]))
+    return _combinational(sim, k, len(p["inputs"]), delay,
+                          _operator_fn(p, p["inputs"], p["out"]))
 
 
 def _fork(sim: Simulation, k: int, comp: Component):
     masks = [_mask(w) for w in comp.params["outputs"]]
-    ib, ob = sim._slots(k, 1, len(masks))
+    ib, ob = sim.in_base[k], sim.out_base[k]
     delay = sim.cfg.delays.fork
-    in_val, offer, consume = sim.in_val, sim._offer, sim._consume
-    pending: Optional[int] = None   # outputs not yet taken
+    heap, tick = sim.heap, sim._tick
+    in_val, out_standing = sim.in_val, sim.out_standing
+    sk, sp = sim.in_src[ib]
+    outs = list(zip(range(ob, ob + len(masks)),
+                    sim.out_dst[ob:ob + len(masks)], masks))
+    pending = 0   # outputs not yet taken
 
-    def try_fire(port: int, t: int) -> None:
+    def on_offer(port: int, value: int, t: int) -> None:
         nonlocal pending
-        if pending is not None:
-            return
-        v = in_val[ib]
-        if v is None:
-            return
-        pending = len(masks)
-        for i, m in enumerate(masks):
-            offer(ob + i, v & m, t + delay)
+        in_val[ib] = value
+        pending = len(outs)
+        t += delay
+        for slot, (dk, dp, stands), m in outs:
+            out_standing[slot] = stands
+            if dk >= 0:
+                heappush(heap, (t, dk, dp, _OFFER, tick(), value & m))
 
-    def on_ack(port: int, t: int) -> None:
+    def on_ack(port: int, payload, t: int) -> None:
         nonlocal pending
-        if pending is None:
-            return
+        out_standing[ob + port] = False
         pending -= 1
         if not pending:
-            pending = None
-            consume(ib, t)
-            try_fire(port, t)
-    return try_fire, on_ack, None
+            in_val[ib] = None
+            if sk >= 0:
+                heappush(heap, (t, sk, sp, _ACK, tick(), None))
+    return on_offer, on_ack, None
 
 
 def _steer(sim: Simulation, k: int, comp: Component):
     p = comp.params
-    ib, ob = sim._slots(k, 1, p["outputs"])
+    ib, ob = sim.in_base[k], sim.out_base[k]
     name = sim.names[k]
     sel_w = p["select"]
     sel_mask = _mask(sel_w)
-    routes = {}   # select value as written in the table -> output slot
+    routes = {}   # select value -> (output slot, consumer, stands)
     for sel, target in p["table"].items():
         if not 0 <= int(target) < p["outputs"]:
             raise SimError(f"{name}: steer table entry {sel} targets "
                            f"missing output {target}")
-        routes[sel] = ob + int(target)
+        # A select value matches the entry written as its decimal digits;
+        # no value matches any other spelling.
+        if isinstance(sel, str) and sel.isdecimal() and str(int(sel)) == sel:
+            slot = ob + int(target)
+            routes[int(sel)] = (slot, *sim.out_dst[slot])
     delay = sim.cfg.delays.steer
+    heap, tick = sim.heap, sim._tick
     in_val, out_standing = sim.in_val, sim.out_standing
-    offer, consume = sim._offer, sim._consume
+    sk, sp = sim.in_src[ib]
 
-    def try_fire(port: int, t: int) -> None:
-        v = in_val[ib]
-        if v is None:
-            return
-        sel = v & sel_mask
-        slot = routes.get(str(sel))
-        if slot is None:
+    def on_offer(port: int, value: int, t: int) -> None:
+        in_val[ib] = value
+        sel = value & sel_mask
+        route = routes.get(sel)
+        if route is None:
             raise SteerMiss(f"{name}: select value {sel} has no route")
-        if out_standing[slot]:
-            return
-        offer(slot, v >> sel_w, t + delay)
+        slot, dk, dp, stands = route
+        out_standing[slot] = stands
+        if dk >= 0:
+            heappush(heap, (t + delay, dk, dp, _OFFER, tick(),
+                            value >> sel_w))
 
-    def on_ack(port: int, t: int) -> None:
-        consume(ib, t)
-        try_fire(port, t)
-    return try_fire, on_ack, None
+    def on_ack(port: int, payload, t: int) -> None:
+        out_standing[ob + port] = False
+        in_val[ib] = None
+        if sk >= 0:
+            heappush(heap, (t, sk, sp, _ACK, tick(), None))
+    return on_offer, on_ack, None
 
 
 def _initial(sim: Simulation, k: int, comp: Component):
     """Offers its seed once at start, then relays its input like a wire."""
-    ib, ob = sim._slots(k, 1, 1)
+    ib, ob = sim.in_base[k], sim.out_base[k]
     p = comp.params
     seed = p.get("value", 0) & _mask(p.get("width", 0))
     delay = sim.cfg.delays.initial
     name, fired = sim.names[k], sim.seeds
-    in_val, out_standing, out_dst = sim.in_val, sim.out_standing, sim.out_dst
-    offer, consume = sim._offer, sim._consume
+    heap, tick, offer = sim.heap, sim._tick, sim._offer
+    in_val, out_standing = sim.in_val, sim.out_standing
+    sk, sp = sim.in_src[ib]
+    wired = sim.out_dst[ob][2]
     seeded = False
     # True while the standing offer was relayed from the input; the seed
     # offer consumes no input when it is taken.
     relaying = False
 
-    def try_fire(port: int, t: int) -> None:
+    def relay(t: int) -> None:
         nonlocal relaying
-        if not seeded or out_standing[ob]:
+        if not seeded or out_standing[ob] or not wired:
             return
         v = in_val[ib]
-        if v is None or out_dst[ob] == _NO_LINK:
+        if v is None:
             return
         relaying = True
         offer(ob, v, t + delay)
 
-    def on_ack(port: int, t: int) -> None:
+    def on_offer(port: int, value: int, t: int) -> None:
+        in_val[ib] = value
+        relay(t)
+
+    def on_ack(port: int, payload, t: int) -> None:
         nonlocal relaying
+        out_standing[ob] = False
         if relaying:
             relaying = False
-            consume(ib, t)
-        try_fire(port, t)
+            in_val[ib] = None
+            if sk >= 0:
+                heappush(heap, (t, sk, sp, _ACK, tick(), None))
+        relay(t)
 
     def on_fire(port: int, payload, t: int) -> None:
         nonlocal seeded
         seeded = True
         fired.append(name)
         offer(ob, seed, t + delay)
-    return try_fire, on_ack, on_fire
+    return on_offer, on_ack, on_fire
 
 
 def _variable(sim: Simulation, k: int, comp: Component):
     """Port 0 writes (fires a commit after the write delay, then offers
-    write-done); port 1 + i samples for read site i after the read delay."""
+    write-done); port 1 + i samples for read site i after the read delay.
+    Each port holds its input until its own output is taken, so an offer
+    never finds its port busy."""
     p = comp.params
     n = 1 + p["reads"]
-    ib, ob = sim._slots(k, n, n)
+    ib, ob = sim.in_base[k], sim.out_base[k]
     mask = _mask(p["width"])
-    d = sim.cfg.delays
+    write, read = sim.cfg.delays.variable_write, sim.cfg.delays.variable_read
+    heap, tick = sim.heap, sim._tick
     in_val, out_standing = sim.in_val, sim.out_standing
-    push, offer, consume = sim._push, sim._offer, sim._consume
+    srcs = sim.in_src[ib:ib + n]
+    dsts = sim.out_dst[ob:ob + n]
     store = p.get("init", 0)
-    busy = [False] * n
 
-    def attempt(q: int, t: int) -> None:
-        if busy[q]:
-            return
-        v = in_val[ib + q]
-        if v is None or out_standing[ob + q]:
-            return
-        busy[q] = True
-        if q == 0:
-            push(t + d.variable_write, k, 0, v)
+    def on_offer(port: int, value: int, t: int) -> None:
+        in_val[ib + port] = value
+        if port:
+            heappush(heap, (t + read, k, port, _FIRE, tick(), None))
         else:
-            push(t + d.variable_read, k, q, None)
+            heappush(heap, (t + write, k, 0, _FIRE, tick(), value))
 
-    def on_offer(port: int, t: int) -> None:
-        for q in range(n):
-            attempt(q, t)
-
-    def on_ack(port: int, t: int) -> None:
-        busy[port] = False
-        consume(ib + port, t)
-        attempt(port, t)
+    def on_ack(port: int, payload, t: int) -> None:
+        out_standing[ob + port] = False
+        in_val[ib + port] = None
+        sk, sp = srcs[port]
+        if sk >= 0:
+            heappush(heap, (t, sk, sp, _ACK, tick(), None))
 
     def on_fire(port: int, payload, t: int) -> None:
         nonlocal store
-        if port == 0:
-            store = payload
-            offer(ob, 0, t)
+        if port:
+            value = store & mask
         else:
-            offer(ob + port, store & mask, t)
+            store = payload
+            value = 0
+        dk, dp, stands = dsts[port]
+        out_standing[ob + port] = stands
+        if dk >= 0:
+            heappush(heap, (t, dk, dp, _OFFER, tick(), value))
     return on_offer, on_ack, on_fire
 
 
 def _merge(sim: Simulation, k: int, comp: Component):
     """Grants the earliest waiting input, then the lowest port."""
-    ib, ob = sim._slots(k, comp.params["inputs"], 1)
+    ib, ob = sim.in_base[k], sim.out_base[k]
     delay = sim.cfg.delays.merge
+    heap, tick = sim.heap, sim._tick
     in_val, out_standing = sim.in_val, sim.out_standing
-    offer, consume = sim._offer, sim._consume
+    srcs = sim.in_src[ib:sim.in_base[k + 1]]
+    dk, dp, stands = sim.out_dst[ob]
+    # Inputs wait only while another is granted, so an offer that finds
+    # no grant finds the queue empty and the output free.
     queue: list[tuple[int, int]] = []   # waiting (arrival time, port)
     grant: Optional[int] = None
 
-    def attempt(t: int) -> None:
+    def on_offer(port: int, value: int, t: int) -> None:
         nonlocal grant
-        if grant is not None or not queue or out_standing[ob]:
+        in_val[ib + port] = value
+        if grant is not None:
+            queue.append((t, port))
+            return
+        grant = port
+        out_standing[ob] = stands
+        if dk >= 0:
+            heappush(heap, (t + delay, dk, dp, _OFFER, tick(), value))
+
+    def on_ack(port: int, payload, t: int) -> None:
+        nonlocal grant
+        out_standing[ob] = False
+        in_val[ib + grant] = None
+        sk, sp = srcs[grant]
+        if sk >= 0:
+            heappush(heap, (t, sk, sp, _ACK, tick(), None))
+        if not queue:
+            grant = None
             return
         chosen = min(queue)
         queue.remove(chosen)
         grant = chosen[1]
-        offer(ob, in_val[ib + grant], t + delay)
-
-    def on_offer(port: int, t: int) -> None:
-        queue.append((t, port))
-        attempt(t)
-
-    def on_ack(port: int, t: int) -> None:
-        nonlocal grant
-        q, grant = grant, None
-        if q is not None:
-            consume(ib + q, t)
-        attempt(t)
+        out_standing[ob] = stands
+        if dk >= 0:
+            heappush(heap, (t + delay, dk, dp, _OFFER, tick(),
+                            in_val[ib + grant]))
     return on_offer, on_ack, None
 
 
@@ -619,73 +706,89 @@ def _buffer(sim: Simulation, k: int, comp: Component):
     """Takes while below capacity; the head token is offered one buffer
     delay after it arrived.  Every level change is logged, and the time
     spent at each level is added up as the run goes."""
-    ib, ob = sim._slots(k, 1, 1)
+    ib, ob = sim.in_base[k], sim.out_base[k]
     name = sim.names[k]
     cap = comp.params["capacity"]
     delay = sim.cfg.delays.buffer
+    heap, tick = sim.heap, sim._tick
     in_val, out_standing = sim.in_val, sim.out_standing
-    push, offer, consume = sim._push, sim._offer, sim._consume
+    sk, sp = sim.in_src[ib]
+    dk, dp, stands = sim.out_dst[ob]
     slots = sim.buf_slots[name] = deque()   # (value, arrival time)
-    series, peak = sim.occupancy_series, sim.occupancy_max
+    log, peak = sim.occupancy_series.append, sim.occupancy_max
     peak[name] = top = 0
     hist = sim.occupancy_time[name] = {}
-    level = since = 0
-    scheduled = False
-
-    def occ(t: int) -> None:
-        nonlocal level, since, top
-        if t > since:
-            hist[level] = hist.get(level, 0) + (t - since)
-            since = t
-        level = len(slots)
-        series.append((t, name, level))
-        if level > top:
-            peak[name] = top = level
+    level = since = 0   # level is len(slots)
+    # True from scheduling the head's offer until it is taken: the output
+    # is then firing or standing, and nothing else is scheduled.
+    busy = False
 
     def tail(end: int) -> None:
         if end > since:
             hist[level] = hist.get(level, 0) + (end - since)
     sim._tails.append(tail)
 
-    def emit(t: int) -> None:
-        nonlocal scheduled
-        if not slots or out_standing[ob] or scheduled:
+    def on_offer(port: int, value: int, t: int) -> None:
+        nonlocal level, since, top, busy
+        if level >= cap:
+            in_val[ib] = value   # stands until a slot frees
             return
-        scheduled = True
-        push(max(slots[0][1] + delay, t), k, 0, None)
+        if sk >= 0:
+            heappush(heap, (t, sk, sp, _ACK, tick(), None))
+        slots.append((value, t))
+        if t > since:
+            hist[level] = hist.get(level, 0) + (t - since)
+            since = t
+        level += 1
+        log((t, name, level))
+        if level > top:
+            peak[name] = top = level
+        if not busy:
+            busy = True
+            due = slots[0][1] + delay
+            heappush(heap, (due if due > t else t, k, 0, _FIRE, tick(), None))
 
-    def take(port: int, t: int) -> None:
-        v = in_val[ib]
-        if v is None or len(slots) >= cap:
-            return
-        consume(ib, t)
-        slots.append((v, t))
-        occ(t)
-        emit(t)
-
-    def on_ack(port: int, t: int) -> None:
+    def on_ack(port: int, payload, t: int) -> None:
+        nonlocal level, since, busy
+        out_standing[ob] = False
         slots.popleft()
-        occ(t)
-        take(0, t)
-        emit(t)
+        if t > since:
+            hist[level] = hist.get(level, 0) + (t - since)
+            since = t
+        level -= 1
+        log((t, name, level))
+        value = in_val[ib]
+        if value is not None:    # take the waiting offer: back to the peak
+            in_val[ib] = None
+            if sk >= 0:
+                heappush(heap, (t, sk, sp, _ACK, tick(), None))
+            slots.append((value, t))
+            level += 1
+            log((t, name, level))
+        busy = level > 0
+        if busy:
+            due = slots[0][1] + delay
+            heappush(heap, (due if due > t else t, k, 0, _FIRE, tick(), None))
 
     def on_fire(port: int, payload, t: int) -> None:
-        nonlocal scheduled
-        scheduled = False
-        if slots and not out_standing[ob]:
-            offer(ob, slots[0][0], t)
-    return take, on_ack, on_fire
+        nonlocal busy
+        busy = out_standing[ob] = stands
+        if dk >= 0:
+            heappush(heap, (t, dk, dp, _OFFER, tick(), slots[0][0]))
+    return on_offer, on_ack, on_fire
 
 
+# Per kind: the port counts of Component.input_widths/output_widths, read
+# straight from the params, and the handler builder.
 _HANDLERS = {
-    Kind.JOIN: _join,
-    Kind.OPERATOR: _operator,
-    Kind.FORK: _fork,
-    Kind.STEER: _steer,
-    Kind.INITIAL: _initial,
-    Kind.VARIABLE: _variable,
-    Kind.MERGE: _merge,
-    Kind.BUFFER: _buffer,
+    Kind.JOIN: (lambda p: (len(p["inputs"]), 1), _join),
+    Kind.OPERATOR: (lambda p: (len(p["inputs"]), 1), _operator),
+    Kind.FORK: (lambda p: (1, len(p["outputs"])), _fork),
+    Kind.STEER: (lambda p: (1, p["outputs"]), _steer),
+    Kind.INITIAL: (lambda p: (1, 1), _initial),
+    Kind.VARIABLE: (lambda p: (1 + p["reads"], 1 + p["reads"]), _variable),
+    Kind.MERGE: (lambda p: (p["inputs"], 1), _merge),
+    Kind.BUFFER: (lambda p: (1, 1), _buffer),
 }
 
 
@@ -700,30 +803,31 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
     starvation, not deadlock.
     """
     net, names = sim.net, sim.names
+    in_val, in_src, in_base = sim.in_val, sim.in_src, sim.in_base
     edges: dict[str, set[str]] = {}
 
     def edge(a: str, b: str) -> None:
         edges.setdefault(a, set()).add(b)
 
-    for k, key in enumerate(names):
-        if key.startswith("$out."):
+    # Only standing offers make edges; key k owns the slots from
+    # in_base[k] up to in_base[k + 1].
+    holders = set()
+    for slot, value in enumerate(in_val):
+        if value is None:
             continue
-        ib = sim.in_base[k]
-        for slot in range(ib, ib + sim.n_in[k]):
-            if sim.in_val[slot] is not None and sim.in_src[slot] >= 0:
-                edge(names[sim.in_src[slot]], key)
-    for cid in sorted(net.components):
-        comp = net.components[cid]
-        if comp.kind not in (Kind.JOIN, Kind.OPERATOR):
+        k = bisect_right(in_base, slot) - 1
+        holders.add(k)
+        src = in_src[slot][0]
+        if src >= 0 and not names[k].startswith("$out."):
+            edge(names[src], names[k])
+    for k in holders:
+        comp = net.components.get(names[k])
+        if comp is None or comp.kind not in (Kind.JOIN, Kind.OPERATOR):
             continue
-        k = sim.ids[cid]
-        ib, n = sim.in_base[k], sim.n_in[k]
-        present = [i for i in range(n) if sim.in_val[ib + i] is not None]
-        if not present or len(present) == n:
-            continue
-        for i in range(n):
-            if i not in present and sim.in_src[ib + i] >= 0:
-                edge(cid, names[sim.in_src[ib + i]])
+        for slot in range(in_base[k], in_base[k + 1]):
+            src = in_src[slot][0]
+            if in_val[slot] is None and src >= 0:
+                edge(names[k], names[src])
 
     def waits_on(node: str) -> list[tuple[str, str]]:
         return [(n, n) for n in sorted(edges.get(node, ()))]
@@ -749,50 +853,70 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
     return True, lines
 
 
-def critical_path(net: Network, delays,
-                  succ: Optional[dict[str, list[str]]] = None) -> int:
+def _combinational_graph(net: Network) -> tuple[list[str], list[list[int]]]:
+    """``combinational_successors(net)`` on link indices: the link ids in
+    sorted order, and per link the sorted indices of its successors.
+    Indices sort as the ids do, so searches visit links in the same order
+    on either form."""
+    lids = sorted(net.links)
+    index = {lid: i for i, lid in enumerate(lids)}
+    into: dict[tuple[str, int], int] = {}
+    out_of: dict[tuple[str, int], int] = {}
+    for lid, ln in net.links.items():
+        if ln.dst is not None:
+            into.setdefault(ln.dst, index[lid])
+        if ln.src is not None:
+            out_of.setdefault(ln.src, index[lid])
+    succ: list[list[int]] = [[] for _ in lids]
+    for cid, comp in net.components.items():
+        if comp.kind is Kind.BUFFER:
+            continue
+        for i, o in comp.internal_edges():
+            a = into.get((cid, i))
+            b = out_of.get((cid, o))
+            if a is not None and b is not None:
+                succ[a].append(b)
+    for nxt in succ:
+        nxt.sort()
+    return lids, succ
+
+
+def _search(succ: list[list[int]], order: list[int]) -> Iterator:
+    """ir.back_edges over a link-index graph from every link in index
+    order, leaving its post-order in ``order``."""
+    return back_edges(range(len(succ)), lambda i: zip(succ[i], succ[i]),
+                      order)
+
+
+def critical_path(net: Network, delays) -> int:
     """Longest combinational component-delay chain between storage points.
 
-    ``succ`` is ``combinational_successors(net)``, built here when omitted.
     One post-order search from each link in sorted id order; on a cyclic
     net an edge back into the search path adds nothing.
     """
-    if succ is None:
-        succ = combinational_successors(net)
-    memo: dict[str, int] = {}
-    on_path: set[str] = set()
-    for root in sorted(net.links):
-        if root in memo:
-            continue
-        on_path.add(root)
-        path = [root]
-        stack = [iter(succ.get(root, ()))]
-        best = [0]
-        while stack:
-            for nxt in stack[-1]:
-                if nxt in memo:
-                    cand = memo[nxt]
-                elif nxt in on_path:
-                    cand = 0
-                else:
-                    on_path.add(nxt)
-                    path.append(nxt)
-                    stack.append(iter(succ.get(nxt, ())))
-                    best.append(0)
-                    break
-                if cand > best[-1]:
-                    best[-1] = cand
-            else:
-                stack.pop()
-                lid = path.pop()
-                on_path.discard(lid)
-                dst = net.links[lid].dst
-                weight = (0 if dst is None else
-                          delays.component_delay(net.components[dst[0]]))
-                memo[lid] = weight + best.pop()
-                if best and memo[lid] > best[-1]:
-                    best[-1] = memo[lid]
-    return max(memo.values(), default=0)
+    lids, succ = _combinational_graph(net)
+    order: list[int] = []
+    for _ in _search(succ, order):
+        pass
+    return _longest_chain(net, delays, lids, succ, order)
+
+
+def _longest_chain(net: Network, delays, lids: list[str],
+                   succ: list[list[int]], order: list[int]) -> int:
+    """critical_path from the post-order of the search: a successor that
+    the search left before this link adds its chain, one it left later
+    closed a cycle back into the path and adds nothing."""
+    chain: list[Optional[int]] = [None] * len(lids)
+    for i in order:
+        best = 0
+        for j in succ[i]:
+            c = chain[j]
+            if c is not None and c > best:
+                best = c
+        dst = net.links[lids[i]].dst
+        chain[i] = best + (0 if dst is None else
+                           delays.component_delay(net.components[dst[0]]))
+    return max(chain, default=0)
 
 
 def run_async(net: Network, cfg: SimConfig) -> SimReport:
@@ -804,14 +928,17 @@ def run_async(net: Network, cfg: SimConfig) -> SimReport:
 
 def run_sync(net: Network, cfg: SimConfig) -> SimReport:
     """Clocked (forward-interlocked) run: combinational components settle
-    within a cycle, Buffers advance tokens one period per cycle."""
+    within a cycle, Buffers advance tokens one period per cycle.  One
+    search of one link-index graph serves the cycle check and the
+    critical path; the link-id search runs only to name a cycle found."""
     if cfg.mode != "sync":
         raise SimError(f"run_sync needs mode sync, got {cfg.mode!r}")
-    succ = combinational_successors(net)
-    loop = combinational_cycle(net, succ)
-    if loop is not None:
-        raise CombinationalCycle(loop)
-    crit = critical_path(net, cfg.delays, succ)
+    lids, succ = _combinational_graph(net)
+    order: list[int] = []
+    if next(_search(succ, order), None) is not None:
+        raise CombinationalCycle(combinational_cycle(net))
+    # No back edge: the search ran to its end and ``order`` is complete.
+    crit = _longest_chain(net, cfg.delays, lids, succ, order)
     inner = replace(cfg, delays=cfg.delays.zeroed(buffer_delay=cfg.clock))
     report = Simulation(net, inner).run()
     report.mode = "sync"

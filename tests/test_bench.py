@@ -101,3 +101,35 @@ def test_format_table_shape():
     assert lines[1].startswith("pac,async,0,")
     assert text.endswith("\n")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_sweep_compiles_once_and_leaves_the_shared_net_alone(name,
+                                                             monkeypatch):
+    from elastika import bench, netlist
+    spec = dataclasses.replace(benchmark(name))   # a spec with no net yet
+    compiles, runs = [], []
+    compile_module, run = bench.compile_module, bench.run
+    monkeypatch.setattr(bench, "compile_module",
+                        lambda module: compiles.append(1)
+                        or compile_module(module))
+    monkeypatch.setattr(bench, "run",
+                        lambda net, cfg: runs.append(1) or run(net, cfg))
+    shared = netlist.dumps(spec._net)
+    rows = sweep(spec)
+    assert len(compiles) == 1
+    assert len(runs) == len(rows) * len(spec.datasets)
+    assert netlist.dumps(spec._net) == shared
+    # The same table as compiling the source afresh for every cell.
+    fresh = [run_cell(dataclasses.replace(spec), r.policy, r.mode, r.clock)
+             for r in rows]
+    assert len(compiles) == 1 + len(rows)
+    assert format_table(rows) == format_table(fresh)
+
+
+def test_compiled_returns_a_fresh_net():
+    spec = benchmark("elgcd")
+    net = spec.compiled()
+    assert net is not spec.compiled() and net is not spec._net
+    net.components.clear()
+    assert spec.compiled().components and spec._net.components

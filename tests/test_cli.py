@@ -385,6 +385,65 @@ def test_sweep_nonpositive_clock_exit_2(tmp_path, clock, capsys):
     assert not out.exists()
 
 
+def no_cells(*args, **kwargs):
+    raise AssertionError("a sweep cell ran before the arguments were checked")
+
+
+@pytest.mark.parametrize("clock", ["0", "-2000"])
+@pytest.mark.parametrize("modes", [["sync"], ["async", "sync"]])
+def test_sweep_checks_clocks_before_any_cell(tmp_path, monkeypatch, capsys,
+                                             clock, modes):
+    monkeypatch.setattr(bench, "run_cell", no_cells)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "elgcd", "poly", "--modes", *modes,
+                 "--clocks", "2000", clock, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sync mode needs clock > 0\n"
+    assert not out.exists()
+
+
+def test_sweep_checks_output_before_any_cell(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "run_cell", no_cells)
+    bad = tmp_path / "absent" / "x.csv"
+    assert main(["sweep", "elgcd", "-o", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert err.count("\n") == 1
+    # A directory, or a path under a file, is no output file either.
+    for path in (tmp_path, tmp_path / "x.csv" / "y.csv"):
+        (tmp_path / "x.csv").write_text("")
+        assert main(["sweep", "elgcd", "-o", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+
+def test_sweep_unknown_second_benchmark_runs_no_cell(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "run_cell", no_cells)
+    assert main(["sweep", "elgcd", "fibonacci"]) == 2
+    assert "unknown benchmark" in capsys.readouterr().err
+
+
+def test_sweep_async_only_ignores_clocks(monkeypatch, capsys):
+    cells, run_cell = [], bench.run_cell
+    monkeypatch.setattr(bench, "run_cell", lambda spec, *a: cells.append(a)
+                        or run_cell(spec, *a))
+    assert main(["sweep", "elgcd", "--modes", "async", "--clocks", "0"]) == 0
+    assert [cell[:3] for cell in cells] == [
+        ("simple", "async", 0), ("loop", "async", 0), ("pac", "async", 0)]
+
+
+def test_sweep_failing_later_keeps_the_output_file(tmp_path, monkeypatch,
+                                                  capsys):
+    broken = dataclasses.replace(
+        bench.benchmark("elgcd"),
+        reference=lambda stim: {"g": [0 for _ in stim["a"]]})
+    monkeypatch.setattr(bench, "benchmark", lambda name: broken)
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_text("earlier table\n")
+    assert main(["sweep", "elgcd", "-o", str(kept)]) == 1
+    assert main(["sweep", "elgcd", "-o", str(absent)]) == 1
+    assert kept.read_text() == "earlier table\n"
+    assert not absent.exists()
+
+
 def test_sweep_equivalence_failure_exit_1(tmp_path, monkeypatch, capsys):
     broken = dataclasses.replace(
         bench.benchmark("elgcd"),
@@ -492,3 +551,17 @@ def test_report_runs_without_networkx(tmp_path, elgcd_netlist):
     assert (blocked.returncode, blocked.stderr) == (0, "")
     assert blocked.stdout == unblocked.stdout
     assert json.loads(blocked.stdout)["throughput"]["cycle"]
+
+
+def test_sim_unknown_operator_that_never_fires_exit_0(tmp_path, capsys):
+    from test_sim_async import two_chains
+    net = tmp_path / "two.json"
+    net.write_text(netlist.dumps(two_chains("pow")))
+    quiet, fires = tmp_path / "quiet.txt", tmp_path / "fires.txt"
+    quiet.write_text("a: 1 2\n")
+    fires.write_text("a: 1\nb: 1\n")
+    assert main(["sim", str(net), "--stimulus", str(quiet)]) == 0
+    capsys.readouterr()
+    assert main(["sim", str(net), "--stimulus", str(fires)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown operator function 'pow'\n")

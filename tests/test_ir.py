@@ -323,6 +323,24 @@ def test_back_edges_dag_yields_nothing():
     assert _yields("dcba", dag) == []
 
 
+def test_back_edges_leaves_nodes_in_post_order():
+    dag = _adjacency([("ab", "a", "b"), ("ac", "a", "c"), ("bc", "b", "c"),
+                      ("cd", "c", "d")])
+    order = []
+    assert list(back_edges("dcba", dag, order)) == []
+    assert order == ["d", "c", "b", "a"]
+    order = []
+    assert list(back_edges("abcd", dag, order)) == []
+    assert order == ["d", "c", "b", "a"]
+    # On a cycle the order still holds every node once, each after all it
+    # reaches except the path it closes into.
+    ring = _adjacency([("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a"),
+                       ("cd", "c", "d")])
+    order = []
+    assert [edge for _, edge, _ in back_edges("a", ring, order)] == ["ca"]
+    assert order == ["d", "c", "b", "a"]
+
+
 def test_back_edges_self_loop():
     assert _yields(["a"], _adjacency([("aa", "a", "a")])) == [(["a"], "aa", "a")]
 

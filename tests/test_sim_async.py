@@ -11,6 +11,7 @@ from elastika.sim import (ConfigError, DelayTable, SimConfig, SimError,
                           SteerMiss, critical_path, eval_operator,
                           format_stimulus, parse_stimulus, read_config, run,
                           run_async)
+from elastika.sim.engine import _operator_fn
 
 
 def mknet(name, comps, links, ports):
@@ -341,3 +342,60 @@ def test_eval_operator_comparisons_unsigned(width, a, b):
     b %= 1 << width
     assert eval_operator("lt", {}, [a, b], [width] * 2, 1) == int(a < b)
     assert eval_operator("ne", {}, [a, b], [width] * 2, 1) == int(a != b)
+
+
+OPERATOR_FNS = ("const", "id", "neg", "not", "add", "sub", "mul", "and",
+                "or", "xor", "eq", "ne", "lt", "gt", "le", "ge", "shl",
+                "shr")
+
+
+@given(st.sampled_from(OPERATOR_FNS),
+       st.lists(st.integers(0, 70), min_size=1, max_size=2),
+       st.integers(0, 70), st.integers(-2**80, 2**80), st.data())
+def test_operator_closures_match_eval_operator(fn, widths, out, value, data):
+    # The simulator resolves each Operator's fn once, at lowering.
+    ins = [data.draw(st.integers(0, (1 << w) - 1)) for w in widths]
+    params = {"fn": fn, "value": value}
+    assert _operator_fn(params, widths, out)(ins) == eval_operator(
+        fn, params, ins, widths, out)
+
+
+def two_chains(fn: str) -> Network:
+    """a -> id -> z beside b -> fn -> y."""
+    return mknet("two",
+                 [Component("op", Kind.OPERATOR,
+                            {"fn": "id", "inputs": [8], "out": 8}),
+                  Component("odd", Kind.OPERATOR,
+                            {"fn": fn, "inputs": [8], "out": 8})],
+                 [Link("la", 8, None, ("op", 0)),
+                  Link("lz", 8, ("op", 0), None),
+                  Link("lb", 8, None, ("odd", 0)),
+                  Link("ly", 8, ("odd", 0), None)],
+                 [Port("a", "in", 8, "la"), Port("z", "out", 8, "lz"),
+                  Port("b", "in", 8, "lb"), Port("y", "out", 8, "ly")])
+
+
+def test_unknown_operator_raises_only_when_it_fires():
+    rep = sim(two_chains("pow"), {"a": [1, 2]})
+    assert [v for v, _ in rep.results["z"]] == [1, 2]
+    assert rep.results["y"] == [] and rep.completion == "drained"
+    with pytest.raises(SimError, match="unknown operator function 'pow'"):
+        sim(two_chains("pow"), {"a": [1], "b": [3]})
+    broken = two_chains("id")
+    del broken.components["odd"].params["fn"]
+    assert [v for v, _ in sim(broken, {"a": [1]}).results["z"]] == [1]
+    with pytest.raises(KeyError):
+        sim(broken, {"b": [1]})
+
+
+def test_lowering_port_counts_match_the_port_widths(elgcd_net, poly_net,
+                                                    smul_net):
+    from elastika.buffering import apply, policy_simple
+    from elastika.sim.engine import _HANDLERS
+    kinds = set()
+    for net in (elgcd_net, poly_net, smul_net):
+        for comp in apply(net, policy_simple(net)).components.values():
+            kinds.add(comp.kind)
+            assert _HANDLERS[comp.kind][0](comp.params) == (
+                len(comp.input_widths()), len(comp.output_widths()))
+    assert kinds == set(Kind)

@@ -5,14 +5,17 @@ from __future__ import annotations
 import gc
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import (RING_LAP_PS, build_ring, ring_arrival_gaps,
-                      ring_delays)
+from conftest import (RING_LAP_PS, build_ring, digraph_to_net,
+                      ring_arrival_gaps, ring_delays)
 from elastika import ir
 from elastika.bench import benchmark
 from elastika.buffering import apply, policy_pac, policy_simple
 from elastika.ir import Component, Kind, Link, Network, Port
-from elastika.sim import (CombinationalCycle, SimConfig, run, run_sync)
+from elastika.sim import (CombinationalCycle, ConfigError, DelayTable,
+                          SimConfig, critical_path, run, run_sync)
+from elastika.sim import engine
 
 
 def mknet(name, comps, links, ports):
@@ -115,17 +118,25 @@ def test_sync_gcd_computes_the_same_values(elgcd_net):
 
 
 def test_run_sync_builds_the_combinational_graph_once(monkeypatch, ring_net):
+    # One link-index graph serves the cycle check and the critical path;
+    # the link-id successor map is built only to name a cycle.
     calls = []
     successors = ir._successors
+    graph = engine._combinational_graph
 
     def counted(net, through_buffers):
         calls.append(through_buffers)
         return successors(net, through_buffers)
+
+    def counted_graph(net):
+        calls.append("graph")
+        return graph(net)
     monkeypatch.setattr(ir, "_successors", counted)
+    monkeypatch.setattr(engine, "_combinational_graph", counted_graph)
     run_sync(ring_net, SimConfig(mode="sync", clock=2000,
                                  delays=ring_delays(), stimulus={"go": []},
                                  max_time=10_000))
-    assert calls == [False]
+    assert calls == ["graph"]
 
 
 def test_run_sync_leaves_no_cyclic_garbage():
@@ -140,3 +151,56 @@ def test_run_sync_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+STAGE_DELAYS = DelayTable(fork=30, merge=70, buffer=500,
+                          operator={"default": 1000, "id": 300})
+
+
+def dag_chain(net, succ, delays) -> int:
+    """Longest combinational chain by plain recursion; acyclic nets only."""
+    memo = {}
+
+    def longest(lid):
+        if lid not in memo:
+            dst = net.links[lid].dst
+            own = (0 if dst is None
+                   else delays.component_delay(net.components[dst[0]]))
+            memo[lid] = own + max(map(longest, succ[lid]), default=0)
+        return memo[lid]
+    return max(map(longest, net.links), default=0)
+
+
+@given(graph=st.integers(1, 6).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    unique=True, max_size=12))),
+       buffered=st.lists(st.integers(0, 60), max_size=5))
+def test_static_checks_match_the_link_id_graph(graph, buffered):
+    net = digraph_to_net(*graph)
+    ids = sorted(net.links)
+    for lid in sorted({ids[i % len(ids)] for i in buffered}):
+        ir.splice_buffer_in_place(net, lid)
+    succ = ir.combinational_successors(net)
+    loop = ir.combinational_cycle(net, succ)
+    # Clock 0 is refused only once the cycle check has passed.
+    cfg = SimConfig(mode="sync", clock=0, delays=STAGE_DELAYS)
+    if loop is not None:
+        with pytest.raises(CombinationalCycle) as err:
+            run_sync(net, cfg)
+        assert err.value.cycle == loop
+        assert str(err.value) == ("combinational cycle through links: "
+                                  + " -> ".join(loop))
+    else:
+        with pytest.raises(ConfigError):
+            run_sync(net, cfg)
+        assert critical_path(net, STAGE_DELAYS) == dag_chain(
+            net, succ, STAGE_DELAYS)
+
+
+def test_cycle_is_named_before_any_config_error(elgcd_net):
+    loop = ir.combinational_cycle(elgcd_net)
+    with pytest.raises(CombinationalCycle) as err:
+        run_sync(elgcd_net, SimConfig(mode="sync", clock=0, max_time=0,
+                                      stimulus={"nowhere": [1]}))
+    assert err.value.cycle == loop
