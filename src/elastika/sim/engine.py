@@ -134,14 +134,18 @@ _COMPARE_OPS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
                 "gt": operator.gt, "le": operator.le, "ge": operator.ge}
 
 
-def _operator_fn(params: dict, in_widths: list[int],
-                 out_width: int) -> Callable[[list[int]], int]:
-    """eval_operator(params["fn"], params, ins, in_widths, out_width) as a
-    function of the input words alone, resolved once per Operator.  An
-    unknown or missing ``fn`` resolves to eval_operator itself, so it
-    raises when the Operator first fires, not before."""
-    fn = params.get("fn")
-    m = _mask(out_width)
+def _operator_fn(params: dict, in_widths: list[int]
+                 ) -> Callable[[list[int]], int]:
+    """eval_operator(params["fn"], params, ins, in_widths, params["out"])
+    as a function of the input words alone, resolved once per Operator.
+    An unknown or missing ``fn``, or an output width that is no
+    non-negative int, resolves to eval_operator itself, so it raises when
+    the Operator first fires, not before."""
+    fn, out_width = params.get("fn"), params.get("out")
+    if not isinstance(fn, str) or not isinstance(out_width, int) \
+            or out_width < 0:
+        fn = None   # unknown, and perhaps not hashable
+    m = 0 if fn is None else _mask(out_width)
     if fn == "const":
         return lambda ins: params["value"] & m
     if fn == "id":
@@ -150,8 +154,6 @@ def _operator_fn(params: dict, in_widths: list[int],
         return lambda ins: -ins[0] & m
     if fn == "not":
         return lambda ins: ~ins[0] & m
-    if not isinstance(fn, str):
-        fn = None   # unknown, and perhaps not hashable
     if fn in _WORD_OPS:
         op = _WORD_OPS[fn]
         f = lambda ins: op(ins[0], ins[1]) & m   # noqa: E731
@@ -166,7 +168,7 @@ def _operator_fn(params: dict, in_widths: list[int],
                          else (ins[0] >> ins[1]) & m)
     else:
         return lambda ins: eval_operator(params["fn"], params, ins,
-                                         in_widths, out_width)
+                                         in_widths, params["out"])
     # A one-input Operator reads its missing second word as 0.
     return f if len(in_widths) > 1 else (lambda ins: f([ins[0], 0]))
 
@@ -490,7 +492,7 @@ def _operator(sim: Simulation, k: int, comp: Component):
     p = comp.params
     delay = sim.cfg.delays.operator_delay(p.get("delay_class", "default"))
     return _combinational(sim, k, len(p["inputs"]), delay,
-                          _operator_fn(p, p["inputs"], p["out"]))
+                          _operator_fn(p, p["inputs"]))
 
 
 def _fork(sim: Simulation, k: int, comp: Component):

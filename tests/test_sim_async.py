@@ -144,6 +144,21 @@ def test_merge_orders_by_arrival_then_port():
     assert rep.results["z"] == [(1, 100), (2, 200), (3, 300), (4, 400)]
 
 
+def test_merge_grants_earliest_arrival_then_lowest_port():
+    net = mknet("m3",
+                [Component("m", Kind.MERGE, {"width": 8, "inputs": 3})],
+                [Link("la", 8, None, ("m", 0)),
+                 Link("lb", 8, None, ("m", 1)),
+                 Link("lc", 8, None, ("m", 2)),
+                 Link("lz", 8, ("m", 0), None)],
+                [Port("a", "in", 8, "la"), Port("b", "in", 8, "lb"),
+                 Port("c", "in", 8, "lc"), Port("z", "out", 8, "lz")])
+    # a, b and c all offer at t=0 and a is granted; a's second value
+    # arrives after b and c have waited, so it goes last.
+    rep = sim(net, {"a": [1, 4], "b": [2], "c": [3]})
+    assert [v for v, _ in rep.results["z"]] == [1, 2, 3, 4]
+
+
 def var_net():
     return mknet("v",
                  [Component("v", Kind.VARIABLE, {"width": 8, "reads": 1})],
@@ -353,11 +368,29 @@ OPERATOR_FNS = ("const", "id", "neg", "not", "add", "sub", "mul", "and",
        st.lists(st.integers(0, 70), min_size=1, max_size=2),
        st.integers(0, 70), st.integers(-2**80, 2**80), st.data())
 def test_operator_closures_match_eval_operator(fn, widths, out, value, data):
-    # The simulator resolves each Operator's fn once, at lowering.
-    ins = [data.draw(st.integers(0, (1 << w) - 1)) for w in widths]
-    params = {"fn": fn, "value": value}
-    assert _operator_fn(params, widths, out)(ins) == eval_operator(
+    # The simulator resolves each Operator's fn once, at lowering.  Small
+    # words too, so that shift amounts fall on both sides of the widths.
+    ins = [data.draw(st.integers(0, min(80, (1 << w) - 1))
+                     | st.integers(0, (1 << w) - 1)) for w in widths]
+    params = {"fn": fn, "value": value, "out": out}
+    assert _operator_fn(params, widths)(ins) == eval_operator(
         fn, params, ins, widths, out)
+
+
+def test_operator_closures_match_eval_operator_on_a_grid():
+    # Every width boundary, shift amounts on both sides of each width.
+    for fn in OPERATOR_FNS:
+        for w in (1, 4, 8):
+            for out in (0, 1, 4, 8, 12):
+                params = {"fn": fn, "value": 0x1234, "out": out}
+                for widths in ([w], [w, 4]):
+                    words = (0, 1, 5, (1 << w) - 1)
+                    for a in words:
+                        for b in (0, 1, 2, 3, 4, 5, 7, 8, 9, 15):
+                            ins = [a, b][:len(widths)]
+                            assert _operator_fn(params, widths)(ins) == \
+                                eval_operator(fn, params, ins, widths, out), \
+                                (fn, widths, out, ins)
 
 
 def two_chains(fn: str) -> Network:
@@ -381,10 +414,16 @@ def test_unknown_operator_raises_only_when_it_fires():
     assert rep.results["y"] == [] and rep.completion == "drained"
     with pytest.raises(SimError, match="unknown operator function 'pow'"):
         sim(two_chains("pow"), {"a": [1], "b": [3]})
+    for param, error in (("fn", KeyError), ("out", KeyError)):
+        broken = two_chains("id")
+        del broken.components["odd"].params[param]
+        assert [v for v, _ in sim(broken, {"a": [1]}).results["z"]] == [1]
+        with pytest.raises(error):
+            sim(broken, {"b": [1]})
     broken = two_chains("id")
-    del broken.components["odd"].params["fn"]
+    broken.components["odd"].params["out"] = -1
     assert [v for v, _ in sim(broken, {"a": [1]}).results["z"]] == [1]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         sim(broken, {"b": [1]})
 
 
