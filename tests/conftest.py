@@ -13,7 +13,9 @@ Two hand-built nets anchor the timing tests:
 
 ``digraph_to_net`` turns an arbitrary small digraph into a valid network
 (merge/fork pairs per node), which gives property tests on structural
-passes real topologies without hand-wiring.
+passes real topologies without hand-wiring.  ``two_chains(fn)`` puts an
+Operator of any ``fn`` beside a plain chain, for runs that leave it
+unfired.
 """
 from __future__ import annotations
 
@@ -118,6 +120,22 @@ def loop_arrival_gaps(report) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Arbitrary digraph -> valid network
+
+def two_chains(fn: str) -> Network:
+    """a -> id operator -> z beside b -> operator ``fn`` -> y, so a run
+    can leave the second Operator unfired."""
+    comps = [Component("op", Kind.OPERATOR,
+                       {"fn": "id", "inputs": [8], "out": 8}),
+             Component("odd", Kind.OPERATOR,
+                       {"fn": fn, "inputs": [8], "out": 8})]
+    links = [Link("la", 8, None, ("op", 0)), Link("lz", 8, ("op", 0), None),
+             Link("lb", 8, None, ("odd", 0)),
+             Link("ly", 8, ("odd", 0), None)]
+    ports = [Port("a", "in", 8, "la"), Port("z", "out", 8, "lz"),
+             Port("b", "in", 8, "lb"), Port("y", "out", 8, "ly")]
+    return Network("two", {c.id: c for c in comps},
+                   {ln.id: ln for ln in links}, {p.name: p for p in ports})
+
 
 def digraph_to_net(n_nodes: int, edges: list[tuple[int, int]]) -> Network:
     """Each graph node becomes a 1-output stage (merge when its in-degree

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_ring
+from conftest import build_ring, two_chains
 import elastika
 from elastika import bench, netlist
 from elastika.cli import main
@@ -554,7 +554,6 @@ def test_report_runs_without_networkx(tmp_path, elgcd_netlist):
 
 
 def test_sim_unknown_operator_that_never_fires_exit_0(tmp_path, capsys):
-    from test_sim_async import two_chains
     net = tmp_path / "two.json"
     net.write_text(netlist.dumps(two_chains("pow")))
     quiet, fires = tmp_path / "quiet.txt", tmp_path / "fires.txt"

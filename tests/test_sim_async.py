@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import RING_LAP_PS, build_ring, ring_arrival_gaps, ring_delays
+from conftest import (RING_LAP_PS, build_ring, ring_arrival_gaps, ring_delays,
+                      two_chains)
 from elastika.ir import Component, Kind, Link, Network, Port
 from elastika.sim import (ConfigError, DelayTable, SimConfig, SimError,
                           SteerMiss, critical_path, eval_operator,
@@ -391,21 +392,6 @@ def test_operator_closures_match_eval_operator_on_a_grid():
                             assert _operator_fn(params, widths)(ins) == \
                                 eval_operator(fn, params, ins, widths, out), \
                                 (fn, widths, out, ins)
-
-
-def two_chains(fn: str) -> Network:
-    """a -> id -> z beside b -> fn -> y."""
-    return mknet("two",
-                 [Component("op", Kind.OPERATOR,
-                            {"fn": "id", "inputs": [8], "out": 8}),
-                  Component("odd", Kind.OPERATOR,
-                            {"fn": fn, "inputs": [8], "out": 8})],
-                 [Link("la", 8, None, ("op", 0)),
-                  Link("lz", 8, ("op", 0), None),
-                  Link("lb", 8, None, ("odd", 0)),
-                  Link("ly", 8, ("odd", 0), None)],
-                 [Port("a", "in", 8, "la"), Port("z", "out", 8, "lz"),
-                  Port("b", "in", 8, "lb"), Port("y", "out", 8, "ly")])
 
 
 def test_unknown_operator_raises_only_when_it_fires():
