@@ -61,8 +61,9 @@ class BenchmarkSpec:
 
     @cached_property
     def _net(self) -> Network:
-        """One compiled net per spec, shared read-only by every run_cell
-        on it: the planners only read it, and apply copies it."""
+        """One compiled net per spec instance, kept for the instance's
+        life and shared read-only by every run_cell on it: the planners
+        only read it, and apply copies it."""
         return self.compiled()
 
 

@@ -31,7 +31,7 @@ from .metrics import (TooManyCycles, analytic_throughput, area, power,
                       power_from_config)
 from .sim import (CombinationalCycle, ConfigError, SimConfig, SimError,
                   occupancy_csv, parse_stimulus, read_config, run, to_json)
-from .sim.config import delays_from_config
+from .sim.config import check_clock, delays_from_config
 
 EXIT_OK = 0
 EXIT_EQUIVALENCE = 1
@@ -268,8 +268,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             policies=tuple(args.policies) if args.policies else spec.policies,
             modes=tuple(args.modes) if args.modes else spec.modes,
             clocks=tuple(args.clocks) if args.clocks else spec.clocks)
-        if "sync" in spec.modes and min(spec.clocks, default=1) <= 0:
-            return _fail("sync mode needs clock > 0")
+        try:
+            for mode in spec.modes:
+                for clock in spec.clocks:
+                    check_clock(mode, clock)
+        except ConfigError as exc:
+            return _fail(str(exc))
         specs.append(spec)
     _check_writable(args.output)
     sections = []

@@ -172,6 +172,12 @@ def format_stimulus(stim: dict[str, list[int]]) -> str:
                    for name, vals in sorted(stim.items()))
 
 
+def check_clock(mode: str, clock: int) -> None:
+    """A clocked run needs a positive period; an unclocked one ignores it."""
+    if mode == "sync" and clock <= 0:
+        raise ConfigError("sync mode needs clock > 0")
+
+
 @dataclass
 class SimConfig:
     """One simulation run's knobs.
@@ -190,8 +196,7 @@ class SimConfig:
     def validate(self, net: Network) -> None:
         if self.mode not in ("async", "sync"):
             raise ConfigError(f"mode {self.mode!r} not async/sync")
-        if self.mode == "sync" and self.clock <= 0:
-            raise ConfigError("sync mode needs clock > 0")
+        check_clock(self.mode, self.clock)
         if self.max_time <= 0:
             raise ConfigError("horizon must be positive")
         if self.max_results <= 0:

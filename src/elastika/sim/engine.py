@@ -41,9 +41,10 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import replace
 from heapq import heappop, heappush
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
-from ..ir import Component, Kind, Network, back_edges, combinational_cycle
+from ..ir import (Component, Kind, Network, back_edges, combinational_cycle,
+                  combinational_successors)
 from .config import SimConfig
 from .report import SimReport
 
@@ -855,70 +856,39 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
     return True, lines
 
 
-def _combinational_graph(net: Network) -> tuple[list[str], list[list[int]]]:
-    """``combinational_successors(net)`` on link indices: the link ids in
-    sorted order, and per link the sorted indices of its successors.
-    Indices sort as the ids do, so searches visit links in the same order
-    on either form."""
-    lids = sorted(net.links)
-    index = {lid: i for i, lid in enumerate(lids)}
-    into: dict[tuple[str, int], int] = {}
-    out_of: dict[tuple[str, int], int] = {}
-    for lid, ln in net.links.items():
-        if ln.dst is not None:
-            into.setdefault(ln.dst, index[lid])
-        if ln.src is not None:
-            out_of.setdefault(ln.src, index[lid])
-    succ: list[list[int]] = [[] for _ in lids]
-    for cid, comp in net.components.items():
-        if comp.kind is Kind.BUFFER:
-            continue
-        for i, o in comp.internal_edges():
-            a = into.get((cid, i))
-            b = out_of.get((cid, o))
-            if a is not None and b is not None:
-                succ[a].append(b)
-    for nxt in succ:
-        nxt.sort()
-    return lids, succ
-
-
-def _search(succ: list[list[int]], order: list[int]) -> Iterator:
-    """ir.back_edges over a link-index graph from every link in index
-    order, leaving its post-order in ``order``."""
-    return back_edges(range(len(succ)), lambda i: zip(succ[i], succ[i]),
-                      order)
-
-
-def critical_path(net: Network, delays) -> int:
+def critical_path(net: Network, delays,
+                  succ: Optional[dict[str, list[str]]] = None) -> int:
     """Longest combinational component-delay chain between storage points.
 
+    ``succ`` is ``combinational_successors(net)``, built here when omitted.
     One post-order search from each link in sorted id order; on a cyclic
     net an edge back into the search path adds nothing.
     """
-    lids, succ = _combinational_graph(net)
-    order: list[int] = []
-    for _ in _search(succ, order):
+    if succ is None:
+        succ = combinational_successors(net)
+    order: list[str] = []
+    for _ in back_edges(sorted(succ), lambda lid: zip(succ[lid], succ[lid]),
+                        order):
         pass
-    return _longest_chain(net, delays, lids, succ, order)
+    return _longest_chain(net, delays, succ, order)
 
 
-def _longest_chain(net: Network, delays, lids: list[str],
-                   succ: list[list[int]], order: list[int]) -> int:
+def _longest_chain(net: Network, delays, succ: dict[str, list[str]],
+                   order: list[str]) -> int:
     """critical_path from the post-order of the search: a successor that
     the search left before this link adds its chain, one it left later
     closed a cycle back into the path and adds nothing."""
-    chain: list[Optional[int]] = [None] * len(lids)
-    for i in order:
+    chain: dict[str, int] = {}
+    for lid in order:
         best = 0
-        for j in succ[i]:
-            c = chain[j]
-            if c is not None and c > best:
+        for nxt in succ[lid]:
+            c = chain.get(nxt, 0)
+            if c > best:
                 best = c
-        dst = net.links[lids[i]].dst
-        chain[i] = best + (0 if dst is None else
-                           delays.component_delay(net.components[dst[0]]))
-    return max(chain, default=0)
+        dst = net.links[lid].dst
+        chain[lid] = best + (0 if dst is None else
+                             delays.component_delay(net.components[dst[0]]))
+    return max(chain.values(), default=0)
 
 
 def run_async(net: Network, cfg: SimConfig) -> SimReport:
@@ -931,16 +901,17 @@ def run_async(net: Network, cfg: SimConfig) -> SimReport:
 def run_sync(net: Network, cfg: SimConfig) -> SimReport:
     """Clocked (forward-interlocked) run: combinational components settle
     within a cycle, Buffers advance tokens one period per cycle.  One
-    search of one link-index graph serves the cycle check and the
-    critical path; the link-id search runs only to name a cycle found."""
+    search of ``combinational_successors`` serves the cycle check and the
+    critical path; a cycle found is named by ``combinational_cycle``."""
     if cfg.mode != "sync":
         raise SimError(f"run_sync needs mode sync, got {cfg.mode!r}")
-    lids, succ = _combinational_graph(net)
-    order: list[int] = []
-    if next(_search(succ, order), None) is not None:
-        raise CombinationalCycle(combinational_cycle(net))
+    succ = combinational_successors(net)
+    order: list[str] = []
+    if next(back_edges(sorted(succ), lambda lid: zip(succ[lid], succ[lid]),
+                       order), None) is not None:
+        raise CombinationalCycle(combinational_cycle(net, succ))
     # No back edge: the search ran to its end and ``order`` is complete.
-    crit = _longest_chain(net, cfg.delays, lids, succ, order)
+    crit = _longest_chain(net, cfg.delays, succ, order)
     inner = replace(cfg, delays=cfg.delays.zeroed(buffer_delay=cfg.clock))
     report = Simulation(net, inner).run()
     report.mode = "sync"

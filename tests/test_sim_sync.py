@@ -15,7 +15,6 @@ from elastika.buffering import apply, policy_pac, policy_simple
 from elastika.ir import Component, Kind, Link, Network, Port
 from elastika.sim import (CombinationalCycle, ConfigError, DelayTable,
                           SimConfig, critical_path, run, run_sync)
-from elastika.sim import engine
 
 
 def mknet(name, comps, links, ports):
@@ -118,25 +117,17 @@ def test_sync_gcd_computes_the_same_values(elgcd_net):
 
 
 def test_run_sync_builds_the_combinational_graph_once(monkeypatch, ring_net):
-    # One link-index graph serves the cycle check and the critical path;
-    # the link-id successor map is built only to name a cycle.
     calls = []
     successors = ir._successors
-    graph = engine._combinational_graph
 
     def counted(net, through_buffers):
         calls.append(through_buffers)
         return successors(net, through_buffers)
-
-    def counted_graph(net):
-        calls.append("graph")
-        return graph(net)
     monkeypatch.setattr(ir, "_successors", counted)
-    monkeypatch.setattr(engine, "_combinational_graph", counted_graph)
     run_sync(ring_net, SimConfig(mode="sync", clock=2000,
                                  delays=ring_delays(), stimulus={"go": []},
                                  max_time=10_000))
-    assert calls == ["graph"]
+    assert calls == [False]
 
 
 def test_run_sync_leaves_no_cyclic_garbage():
