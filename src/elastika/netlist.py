@@ -8,6 +8,7 @@ a trailing newline.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from typing import Optional
 
 from .ir import Component, Kind, Link, Network, Port
@@ -104,8 +105,12 @@ _json_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 def _encode(value) -> str:
     """A string or scalar as json.dumps(..., ensure_ascii=False) writes it.
-    Plain ints, the commonest leaf, skip the encoder's per-call setup."""
-    if type(value) is int:
+    Plain strings and ints, the common leaves, are written as json's own
+    encoder writes them, without its per-call setup."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
         return int.__repr__(value)
     return _json_scalar(value)
 
@@ -138,6 +143,34 @@ def _layout(value, indent: str) -> str:
     return _encode(value)
 
 
+def _params_text(value, indent: str) -> str:
+    """``_layout(_canon_params(value), indent)`` in one pass: dicts with
+    string keys are laid out in sorted key order, and lists item by item,
+    without building the canonical copy first.  A dict with some other key
+    (whose string forms may collide) takes the two-pass path."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        if not all(type(k) is str for k in value):
+            return _layout(_canon_params(value), indent)
+        inner = indent + "  "
+        return ("{\n" + ",\n".join(
+            f"{inner}{encode_basestring(k)}: {_params_text(value[k], inner)}"
+            for k in sorted(value)) + f"\n{indent}}}")
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return ("[\n" + ",\n".join(inner + _params_text(v, inner)
+                                   for v in value) + f"\n{indent}]")
+    return _layout(_canon_params(value), indent)
+
+
 def _endpoint_text(ep: Optional[tuple[str, int]]) -> str:
     if ep is None:
         return "null"
@@ -159,7 +192,7 @@ def dumps(net: Network) -> str:
     comps = [
         f'    {{\n      "id": {_encode(c.id)},\n'
         f'      "kind": {_encode(c.kind.value)},\n'
-        f'      "params": {_layout(_canon_params(c.params), "      ")}\n    }}'
+        f'      "params": {_params_text(c.params, "      ")}\n    }}'
         for c in sorted(net.components.values(), key=lambda c: c.id)]
     links = [
         f'    {{\n      "id": {_encode(ln.id)},\n'

@@ -16,9 +16,12 @@ wrapper also rejects buffer-free cycles and flags overclocking against
 the combinational critical path.
 
 Determinism: simultaneous events are delivered in (time, component id,
-port, phase) order, with acknowledges first, internal firings second,
-offers last, and a global sequence number as the final tiebreak.  All
-times are integer picoseconds.
+port, phase) order, with acknowledges first, internal firings second and
+offers last.  No two queued events share that key: an output slot has at
+most one offer standing and so at most one acknowledge queued, an input
+slot at most one offer queued, and a firing port at most one firing.  The
+heap's order is therefore total and does not depend on the order in
+which events were pushed.  All times are integer picoseconds.
 
 Each Simulation lowers its net once into int-indexed tables.  Component
 ids and the environment keys `$in.<port>` and `$out.<port>` are numbered
@@ -27,11 +30,15 @@ Every key owns a run of flat input slots (the standing offer's value)
 and output slots (whether an offer stands), every slot knows the key and
 port at the far end of its link, and every key has its own offer,
 acknowledge and fire handler with its parameters, delay and far ends
-resolved (an Operator's function too).  The handlers push their own
-heap events: taking an input pushes the producer's acknowledge, firing
-pushes the consumer's offer, with no helper call between.  The run loop
-only pops an event and calls the handler of its phase and key; one
-sentinel event past the horizon ends it.
+resolved (an Operator's function too).  A handler returns one of the
+events it causes (taking an input causes the producer's acknowledge,
+firing the consumer's offer) and pushes any others itself.  The run loop
+hands the returned event to ``heappushpop``, which queues it and pops the
+next event in one call (and skips the heap when it is the smallest), and
+calls the handler of that event's phase and key; one sentinel event past
+the horizon ends it.  A Buffer whose consumer's key sorts after its own
+queues the consumer's offer directly instead of an internal firing that
+would only forward it (see ``_buffer``).
 """
 from __future__ import annotations
 
@@ -40,7 +47,7 @@ import operator
 from bisect import bisect_right
 from collections import deque
 from dataclasses import replace
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import Callable, Optional
 
 from ..ir import (Component, Kind, Network, back_edges, combinational_cycle,
@@ -51,6 +58,10 @@ from .report import SimReport
 # Phase ranks: acknowledges free capacity before internal firings commit
 # state, and offers are delivered into the freshest state.
 _ACK, _FIRE, _OFFER = 0, 1, 2
+# Keys of the two events that end a run.  The sentinel sits one past the
+# horizon; a sink at its cap returns a stop event at the current time,
+# which sorts before every queued event, the sentinel included.
+_END, _STOP = -1, -2
 
 
 class SimError(Exception):
@@ -271,20 +282,6 @@ class Simulation:
                 out_dst[out_base[sk] + sp] = (
                     (-1, 0, True) if dst is None else (dk, dp, True))
 
-        heap, tick = self.heap, itertools.count(1).__next__
-        self._tick = tick
-
-        def offer(slot: int, value: int, t: int) -> None:
-            """The producer's output slot emits: the offer is delivered to
-            the link's consumer at t and stands until acknowledged."""
-            k, port, stands = out_dst[slot]
-            if not stands:
-                return
-            out_standing[slot] = True
-            if k >= 0:
-                heappush(heap, (t, k, port, _OFFER, tick(), value))
-
-        self._offer = offer
         self.on_offer = on_offer = [None] * len(names)
         self.on_ack = on_ack = [None] * len(names)
         self.on_fire = on_fire = [None] * len(names)
@@ -301,39 +298,46 @@ class Simulation:
 
     def run(self) -> SimReport:
         self._setup()
-        heap, pop = self.heap, heappop
+        heap, pop, pushpop = self.heap, heappop, heappushpop
         handlers = (self.on_ack, self.on_fire, self.on_offer)   # by phase
         # One sentinel past the horizon sorts after every event within it
         # and before every event beyond it, so popping it is the only
         # horizon (and empty heap) test the loop needs.
-        max_time = self.cfg.max_time
-        heappush(heap, (max_time + 1, -1, 0, _ACK, 0, None))
-        truncated = False
+        heappush(heap, (self.cfg.max_time + 1, _END, 0, _ACK, None))
         t = self.now
+        nxt = None   # the event the last handler returned, not yet queued
+        n = key = 0
         try:
-            while True:
-                te, key, port, phase, _, payload = pop(heap)
+            for n in itertools.count(1):   # pops, this one included
+                te, key, port, phase, payload = (
+                    pop(heap) if nxt is None else pushpop(heap, nxt))
                 if key < 0:
-                    truncated = bool(heap)
                     break
                 t = te
-                if handlers[phase][key](port, payload, t):
-                    truncated = True
-                    break
+                nxt = handlers[phase][key](port, payload, t)
         finally:
             self.now = t
-            self.seq = self._tick() - 1
-        return self._finish(truncated)
+            # Events pushed: the events popped (the current one too when a
+            # handler raised) and those still queued, less the sentinel
+            # unless it was popped.
+            self.seq = n - 1 + len(heap) - (key != _END) + (key >= 0)
+        # Events left queued, or a stop event (the sentinel is still
+        # queued then), cut the run short.
+        return self._finish(bool(heap))
 
     def _setup(self) -> None:
+        heap, out_standing = self.heap, self.out_standing
         for name, times in self.offer_times.items():
             values = self.cfg.stimulus.get(name, [])
             if values:
                 times.append(0)
-                self._offer(self.out_base[self.ids[f"$in.{name}"]],
-                            values[0], 0)
+                slot = self.out_base[self.ids[f"$in.{name}"]]
+                k, port, stands = self.out_dst[slot]
+                out_standing[slot] = stands
+                if k >= 0:
+                    heappush(heap, (0, k, port, _OFFER, values[0]))
         for k in self._initials:
-            heappush(self.heap, (0, k, 0, _FIRE, self._tick(), None))
+            heappush(heap, (0, k, 0, _FIRE, None))
 
     # -- wrap-up ----------------------------------------------------------
 
@@ -399,19 +403,22 @@ class Simulation:
 # in Component.input_widths/output_widths) and returns its (offer,
 # acknowledge, fire) handlers, closed over its slots, the far ends of its
 # links, its parameters and its resolved delay.  Every handler is called
-# as (port, payload, t), pushes its own events and keeps its own slots:
+# as (port, payload, t), keeps its own slots and returns one event it
+# causes, or None; it pushes any further events itself:
 #
 # * an offer handler gets the offered value; it stores it in the input
 #   slot unless it takes the value at once;
-# * taking an input empties its slot and pushes the producer's
-#   acknowledge (t, key, port, _ACK, seq, None), if there is a producer;
+# * taking an input empties its slot and causes the producer's
+#   acknowledge (t, key, port, _ACK, None), if there is a producer;
 # * an acknowledge handler clears its output slot;
 # * emitting marks the output slot standing (not on an output with no
-#   link) and pushes (t, key, port, _OFFER, seq, value) to the consumer,
-#   if there is one.
+#   link) and causes (t, key, port, _OFFER, value) at the consumer, if
+#   there is one.
 #
-# The run loop calls the handler of the event's phase and key, and stops
-# when an offer handler returns True.
+# A handler that causes several events returns the earliest, which is
+# most often the heap's next event, so that heappushpop hands it straight
+# back.  The run loop queues the returned event as it pops the next one,
+# and stops at a key below 0: the sentinel, or a sink's stop event.
 
 def _stimulus(sim: Simulation, k: int, name: str):
     slot = sim.out_base[k]
@@ -419,17 +426,18 @@ def _stimulus(sim: Simulation, k: int, name: str):
     times = sim.offer_times[name] = []
     accepted = sim.accepted
     accepted[name] = 0
-    heap, tick, out_standing = sim.heap, sim._tick, sim.out_standing
+    out_standing = sim.out_standing
     dk, dp, stands = sim.out_dst[slot]
 
-    def on_ack(port: int, payload, t: int) -> None:
+    def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         out_standing[slot] = False
         taken = accepted[name] = accepted[name] + 1
         if taken < len(values):
             times.append(t)
             out_standing[slot] = stands
             if dk >= 0:
-                heappush(heap, (t, dk, dp, _OFFER, tick(), values[taken]))
+                return (t, dk, dp, _OFFER, values[taken])
+        return None
     return on_ack
 
 
@@ -437,14 +445,18 @@ def _sink(sim: Simulation, k: int, name: str):
     sk, sp = sim.in_src[sim.in_base[k]]
     got = sim.results[name] = []
     cap = sim.cfg.max_results
-    heap, tick = sim.heap, sim._tick
+    heap = sim.heap
 
-    def on_offer(port: int, value: int, t: int) -> bool:
-        """Record the result; True once the port reached the cap."""
+    def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
+        """Record the result and acknowledge it; once the port reached the
+        cap, queue the acknowledge and return a stop event."""
         got.append((value, t))
-        if sk >= 0:
-            heappush(heap, (t, sk, sp, _ACK, tick(), None))
-        return len(got) >= cap
+        ack = (t, sk, sp, _ACK, None) if sk >= 0 else None
+        if len(got) < cap:
+            return ack
+        if ack is not None:
+            heappush(heap, ack)
+        return (t, _STOP, 0, _ACK, None)
     return on_offer
 
 
@@ -454,32 +466,36 @@ def _combinational(sim: Simulation, k: int, n: int, delay: int,
     until the output is taken."""
     ib, ob = sim.in_base[k], sim.out_base[k]
     end = ib + n
-    heap, tick = sim.heap, sim._tick
+    heap = sim.heap
     in_val, out_standing = sim.in_val, sim.out_standing
-    srcs = sim.in_src[ib:end]
+    # The producers to acknowledge, the smallest key first: it is returned.
+    srcs = sorted(src for src in sim.in_src[ib:end] if src[0] >= 0)
+    first = srcs[0] if srcs else None
+    rest = srcs[1:]
     cleared = [None] * n
     dk, dp, stands = sim.out_dst[ob]
     have = 0    # inputs standing; none arrives while the output stands
 
-    def on_offer(port: int, value: int, t: int) -> None:
+    def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
         nonlocal have
         in_val[ib + port] = value
         have += 1
         if have < n:
-            return
+            return None
         out = compute(in_val[ib:end])
         out_standing[ob] = stands
-        if dk >= 0:
-            heappush(heap, (t + delay, dk, dp, _OFFER, tick(), out))
+        return (t + delay, dk, dp, _OFFER, out) if dk >= 0 else None
 
-    def on_ack(port: int, payload, t: int) -> None:
+    def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal have
         out_standing[ob] = False
         have = 0
         in_val[ib:end] = cleared
-        for sk, sp in srcs:
-            if sk >= 0:
-                heappush(heap, (t, sk, sp, _ACK, tick(), None))
+        for sk, sp in rest:
+            heappush(heap, (t, sk, sp, _ACK, None))
+        if first is None:
+            return None
+        return (t, first[0], first[1], _ACK, None)
     return on_offer, on_ack, None
 
 
@@ -498,33 +514,42 @@ def _operator(sim: Simulation, k: int, comp: Component):
 
 def _fork(sim: Simulation, k: int, comp: Component):
     masks = [_mask(w) for w in comp.params["outputs"]]
+    n = len(masks)
     ib, ob = sim.in_base[k], sim.out_base[k]
     delay = sim.cfg.delays.fork
-    heap, tick = sim.heap, sim._tick
+    heap = sim.heap
     in_val, out_standing = sim.in_val, sim.out_standing
     sk, sp = sim.in_src[ib]
-    outs = list(zip(range(ob, ob + len(masks)),
-                    sim.out_dst[ob:ob + len(masks)], masks))
+    dsts = sim.out_dst[ob:ob + n]
+    standing = [stands for _, _, stands in dsts]   # each output's, once fired
+    # The consumers to offer to, the smallest key first: it is returned.
+    offers = sorted((dk, dp, m) for (dk, dp, _), m in zip(dsts, masks)
+                    if dk >= 0)
+    first = offers[0] if offers else None
+    rest = offers[1:]
     pending = 0   # outputs not yet taken
 
-    def on_offer(port: int, value: int, t: int) -> None:
+    def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
         nonlocal pending
         in_val[ib] = value
-        pending = len(outs)
+        pending = n
+        out_standing[ob:ob + n] = standing
         t += delay
-        for slot, (dk, dp, stands), m in outs:
-            out_standing[slot] = stands
-            if dk >= 0:
-                heappush(heap, (t, dk, dp, _OFFER, tick(), value & m))
+        for dk, dp, m in rest:
+            heappush(heap, (t, dk, dp, _OFFER, value & m))
+        if first is None:
+            return None
+        dk, dp, m = first
+        return (t, dk, dp, _OFFER, value & m)
 
-    def on_ack(port: int, payload, t: int) -> None:
+    def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal pending
         out_standing[ob + port] = False
         pending -= 1
-        if not pending:
-            in_val[ib] = None
-            if sk >= 0:
-                heappush(heap, (t, sk, sp, _ACK, tick(), None))
+        if pending:
+            return None
+        in_val[ib] = None
+        return (t, sk, sp, _ACK, None) if sk >= 0 else None
     return on_offer, on_ack, None
 
 
@@ -545,11 +570,10 @@ def _steer(sim: Simulation, k: int, comp: Component):
             slot = ob + int(target)
             routes[int(sel)] = (slot, *sim.out_dst[slot])
     delay = sim.cfg.delays.steer
-    heap, tick = sim.heap, sim._tick
     in_val, out_standing = sim.in_val, sim.out_standing
     sk, sp = sim.in_src[ib]
 
-    def on_offer(port: int, value: int, t: int) -> None:
+    def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
         in_val[ib] = value
         sel = value & sel_mask
         route = routes.get(sel)
@@ -558,14 +582,13 @@ def _steer(sim: Simulation, k: int, comp: Component):
         slot, dk, dp, stands = route
         out_standing[slot] = stands
         if dk >= 0:
-            heappush(heap, (t + delay, dk, dp, _OFFER, tick(),
-                            value >> sel_w))
+            return (t + delay, dk, dp, _OFFER, value >> sel_w)
+        return None
 
-    def on_ack(port: int, payload, t: int) -> None:
+    def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         out_standing[ob + port] = False
         in_val[ib] = None
-        if sk >= 0:
-            heappush(heap, (t, sk, sp, _ACK, tick(), None))
+        return (t, sk, sp, _ACK, None) if sk >= 0 else None
     return on_offer, on_ack, None
 
 
@@ -576,44 +599,44 @@ def _initial(sim: Simulation, k: int, comp: Component):
     seed = p.get("value", 0) & _mask(p.get("width", 0))
     delay = sim.cfg.delays.initial
     name, fired = sim.names[k], sim.seeds
-    heap, tick, offer = sim.heap, sim._tick, sim._offer
     in_val, out_standing = sim.in_val, sim.out_standing
     sk, sp = sim.in_src[ib]
-    wired = sim.out_dst[ob][2]
+    dk, dp, wired = sim.out_dst[ob]
     seeded = False
     # True while the standing offer was relayed from the input; the seed
     # offer consumes no input when it is taken.
     relaying = False
 
-    def relay(t: int) -> None:
+    def relay(t: int) -> Optional[tuple]:
         nonlocal relaying
         if not seeded or out_standing[ob] or not wired:
-            return
+            return None
         v = in_val[ib]
         if v is None:
-            return
-        relaying = True
-        offer(ob, v, t + delay)
+            return None
+        relaying = out_standing[ob] = True
+        return (t + delay, dk, dp, _OFFER, v) if dk >= 0 else None
 
-    def on_offer(port: int, value: int, t: int) -> None:
+    def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
         in_val[ib] = value
-        relay(t)
+        return relay(t)
 
-    def on_ack(port: int, payload, t: int) -> None:
+    def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal relaying
         out_standing[ob] = False
-        if relaying:
-            relaying = False
-            in_val[ib] = None
-            if sk >= 0:
-                heappush(heap, (t, sk, sp, _ACK, tick(), None))
-        relay(t)
+        if not relaying:
+            return relay(t)
+        # The relayed input is taken, so there is nothing left to relay.
+        relaying = False
+        in_val[ib] = None
+        return (t, sk, sp, _ACK, None) if sk >= 0 else None
 
-    def on_fire(port: int, payload, t: int) -> None:
+    def on_fire(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal seeded
         seeded = True
         fired.append(name)
-        offer(ob, seed, t + delay)
+        out_standing[ob] = wired
+        return (t + delay, dk, dp, _OFFER, seed) if dk >= 0 else None
     return on_offer, on_ack, on_fire
 
 
@@ -627,27 +650,24 @@ def _variable(sim: Simulation, k: int, comp: Component):
     ib, ob = sim.in_base[k], sim.out_base[k]
     mask = _mask(p["width"])
     write, read = sim.cfg.delays.variable_write, sim.cfg.delays.variable_read
-    heap, tick = sim.heap, sim._tick
     in_val, out_standing = sim.in_val, sim.out_standing
     srcs = sim.in_src[ib:ib + n]
     dsts = sim.out_dst[ob:ob + n]
     store = p.get("init", 0)
 
-    def on_offer(port: int, value: int, t: int) -> None:
+    def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
         in_val[ib + port] = value
         if port:
-            heappush(heap, (t + read, k, port, _FIRE, tick(), None))
-        else:
-            heappush(heap, (t + write, k, 0, _FIRE, tick(), value))
+            return (t + read, k, port, _FIRE, None)
+        return (t + write, k, 0, _FIRE, value)
 
-    def on_ack(port: int, payload, t: int) -> None:
+    def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         out_standing[ob + port] = False
         in_val[ib + port] = None
         sk, sp = srcs[port]
-        if sk >= 0:
-            heappush(heap, (t, sk, sp, _ACK, tick(), None))
+        return (t, sk, sp, _ACK, None) if sk >= 0 else None
 
-    def on_fire(port: int, payload, t: int) -> None:
+    def on_fire(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal store
         if port:
             value = store & mask
@@ -656,8 +676,7 @@ def _variable(sim: Simulation, k: int, comp: Component):
             value = 0
         dk, dp, stands = dsts[port]
         out_standing[ob + port] = stands
-        if dk >= 0:
-            heappush(heap, (t, dk, dp, _OFFER, tick(), value))
+        return (t, dk, dp, _OFFER, value) if dk >= 0 else None
     return on_offer, on_ack, on_fire
 
 
@@ -665,7 +684,7 @@ def _merge(sim: Simulation, k: int, comp: Component):
     """Grants the earliest waiting input, then the lowest port."""
     ib, ob = sim.in_base[k], sim.out_base[k]
     delay = sim.cfg.delays.merge
-    heap, tick = sim.heap, sim._tick
+    heap = sim.heap
     in_val, out_standing = sim.in_val, sim.out_standing
     srcs = sim.in_src[ib:sim.in_base[k + 1]]
     dk, dp, stands = sim.out_dst[ob]
@@ -674,49 +693,65 @@ def _merge(sim: Simulation, k: int, comp: Component):
     queue: list[tuple[int, int]] = []   # waiting (arrival time, port)
     grant: Optional[int] = None
 
-    def on_offer(port: int, value: int, t: int) -> None:
+    def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
         nonlocal grant
         in_val[ib + port] = value
         if grant is not None:
             queue.append((t, port))
-            return
+            return None
         grant = port
         out_standing[ob] = stands
-        if dk >= 0:
-            heappush(heap, (t + delay, dk, dp, _OFFER, tick(), value))
+        return (t + delay, dk, dp, _OFFER, value) if dk >= 0 else None
 
-    def on_ack(port: int, payload, t: int) -> None:
+    def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal grant
         out_standing[ob] = False
         in_val[ib + grant] = None
         sk, sp = srcs[grant]
-        if sk >= 0:
-            heappush(heap, (t, sk, sp, _ACK, tick(), None))
+        ack = (t, sk, sp, _ACK, None) if sk >= 0 else None
         if not queue:
             grant = None
-            return
+            return ack
         chosen = min(queue)
         queue.remove(chosen)
         grant = chosen[1]
         out_standing[ob] = stands
-        if dk >= 0:
-            heappush(heap, (t + delay, dk, dp, _OFFER, tick(),
-                            in_val[ib + grant]))
+        if dk < 0:
+            return ack
+        offer = (t + delay, dk, dp, _OFFER, in_val[ib + grant])
+        if ack is None:
+            return offer
+        heappush(heap, offer)
+        return ack
     return on_offer, on_ack, None
 
 
 def _buffer(sim: Simulation, k: int, comp: Component):
     """Takes while below capacity; the head token is offered one buffer
     delay after it arrived.  Every level change is logged, and the time
-    spent at each level is added up as the run goes."""
+    spent at each level is added up as the run goes.
+
+    The head's offer is due at ``due``.  When the consumer's key sorts
+    after this Buffer's (``dk > k``, so the output is linked), the offer
+    is queued at once, at ``due``, and the output marked standing then;
+    otherwise a firing (due, k, 0, _FIRE) is queued and pushes the offer
+    when it is popped, at the same time.  Folding cannot change the pop
+    order: every event that pops before the firing would is smaller than
+    the firing, and so smaller than the offer, whose key sorts after the
+    firing's at the same time; and once the firing would have popped, the
+    queue holds the same events either way.  Nothing reads this output's
+    standing flag before then but deadlock diagnosis, which runs only on
+    a quiesced net.  A Buffer draining into a `$out.*` sink, or into any
+    consumer whose key sorts first, keeps the firing."""
     ib, ob = sim.in_base[k], sim.out_base[k]
     name = sim.names[k]
     cap = comp.params["capacity"]
     delay = sim.cfg.delays.buffer
-    heap, tick = sim.heap, sim._tick
+    heap = sim.heap
     in_val, out_standing = sim.in_val, sim.out_standing
     sk, sp = sim.in_src[ib]
     dk, dp, stands = sim.out_dst[ob]
+    fold = dk > k
     slots = sim.buf_slots[name] = deque()   # (value, arrival time)
     log, peak = sim.occupancy_series.append, sim.occupancy_max
     peak[name] = top = 0
@@ -731,13 +766,11 @@ def _buffer(sim: Simulation, k: int, comp: Component):
             hist[level] = hist.get(level, 0) + (end - since)
     sim._tails.append(tail)
 
-    def on_offer(port: int, value: int, t: int) -> None:
+    def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
         nonlocal level, since, top, busy
         if level >= cap:
             in_val[ib] = value   # stands until a slot frees
-            return
-        if sk >= 0:
-            heappush(heap, (t, sk, sp, _ACK, tick(), None))
+            return None
         slots.append((value, t))
         if t > since:
             hist[level] = hist.get(level, 0) + (t - since)
@@ -746,12 +779,25 @@ def _buffer(sim: Simulation, k: int, comp: Component):
         log((t, name, level))
         if level > top:
             peak[name] = top = level
-        if not busy:
-            busy = True
-            due = slots[0][1] + delay
-            heappush(heap, (due if due > t else t, k, 0, _FIRE, tick(), None))
+        ack = (t, sk, sp, _ACK, None) if sk >= 0 else None
+        if busy:
+            return ack
+        busy = True
+        head, arrived = slots[0]
+        due = arrived + delay
+        if due < t:
+            due = t
+        if fold:
+            out_standing[ob] = True
+            nxt = (due, dk, dp, _OFFER, head)
+        else:
+            nxt = (due, k, 0, _FIRE, None)
+        if ack is None:
+            return nxt
+        heappush(heap, nxt)
+        return ack
 
-    def on_ack(port: int, payload, t: int) -> None:
+    def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal level, since, busy
         out_standing[ob] = False
         slots.popleft()
@@ -760,24 +806,36 @@ def _buffer(sim: Simulation, k: int, comp: Component):
             since = t
         level -= 1
         log((t, name, level))
+        ack = None
         value = in_val[ib]
         if value is not None:    # take the waiting offer: back to the peak
             in_val[ib] = None
             if sk >= 0:
-                heappush(heap, (t, sk, sp, _ACK, tick(), None))
+                ack = (t, sk, sp, _ACK, None)
             slots.append((value, t))
             level += 1
             log((t, name, level))
         busy = level > 0
-        if busy:
-            due = slots[0][1] + delay
-            heappush(heap, (due if due > t else t, k, 0, _FIRE, tick(), None))
+        if not busy:
+            return ack
+        head, arrived = slots[0]
+        due = arrived + delay
+        if due < t:
+            due = t
+        if fold:
+            out_standing[ob] = True
+            nxt = (due, dk, dp, _OFFER, head)
+        else:
+            nxt = (due, k, 0, _FIRE, None)
+        if ack is None:
+            return nxt
+        heappush(heap, nxt)
+        return ack
 
-    def on_fire(port: int, payload, t: int) -> None:
+    def on_fire(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal busy
         busy = out_standing[ob] = stands
-        if dk >= 0:
-            heappush(heap, (t, dk, dp, _OFFER, tick(), slots[0][0]))
+        return (t, dk, dp, _OFFER, slots[0][0]) if dk >= 0 else None
     return on_offer, on_ack, on_fire
 
 
