@@ -125,50 +125,39 @@ def _key_text(key) -> str:
                     f"not {type(key).__name__}")
 
 
-def _layout(value, indent: str) -> str:
+def _layout(value, indent: str, canon: bool = False) -> str:
     """``value`` laid out as json.dumps(indent=2) does at depth ``indent``;
-    tuples are written as lists."""
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return ("{\n" + ",\n".join(
-            f"{inner}{_key_text(k)}: {_layout(v, inner)}"
-            for k, v in value.items()) + f"\n{indent}}}")
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return ("[\n" + ",\n".join(inner + _layout(v, inner) for v in value)
-                + f"\n{indent}]")
-    return _encode(value)
-
-
-def _params_text(value, indent: str) -> str:
-    """``_layout(_canon_params(value), indent)`` in one pass: dicts with
-    string keys are laid out in sorted key order, and lists item by item,
-    without building the canonical copy first.  A dict with some other key
-    (whose string forms may collide) takes the two-pass path."""
+    tuples are written as lists.  With ``canon`` it is laid out as
+    ``_canon_params(value)`` would be, in one pass: dicts with string keys
+    in sorted key order without building that copy, and a dict with some
+    other key (whose string forms may collide) through ``_canon_params``.
+    That stops at tuples, so what lies below one is written as it stands."""
     kind = type(value)
     if kind is str:
         return encode_basestring(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is dict:
+    inner = indent + "  "
+    if isinstance(value, dict):
         if not value:
             return "{}"
-        if not all(type(k) is str for k in value):
-            return _layout(_canon_params(value), indent)
-        inner = indent + "  "
-        return ("{\n" + ",\n".join(
-            f"{inner}{encode_basestring(k)}: {_params_text(value[k], inner)}"
-            for k in sorted(value)) + f"\n{indent}}}")
-    if kind is list:
+        if not canon:
+            body = ",\n".join(f"{inner}{_key_text(k)}: {_layout(v, inner)}"
+                               for k, v in value.items())
+        else:
+            if not all(type(k) is str for k in value):
+                value = _canon_params(value)
+            body = ",\n".join(
+                f"{inner}{encode_basestring(k)}: {_layout(value[k], inner, True)}"
+                for k in sorted(value))
+        return "{\n" + body + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        inner = indent + "  "
-        return ("[\n" + ",\n".join(inner + _params_text(v, inner)
+        canon = canon and isinstance(value, list)
+        return ("[\n" + ",\n".join(inner + _layout(v, inner, canon)
                                    for v in value) + f"\n{indent}]")
-    return _layout(_canon_params(value), indent)
+    return _encode(value)
 
 
 def _endpoint_text(ep: Optional[tuple[str, int]]) -> str:
@@ -192,7 +181,7 @@ def dumps(net: Network) -> str:
     comps = [
         f'    {{\n      "id": {_encode(c.id)},\n'
         f'      "kind": {_encode(c.kind.value)},\n'
-        f'      "params": {_params_text(c.params, "      ")}\n    }}'
+        f'      "params": {_layout(c.params, "      ", canon=True)}\n    }}'
         for c in sorted(net.components.values(), key=lambda c: c.id)]
     links = [
         f'    {{\n      "id": {_encode(ln.id)},\n'

@@ -766,6 +766,24 @@ def _buffer(sim: Simulation, k: int, comp: Component):
             hist[level] = hist.get(level, 0) + (end - since)
     sim._tails.append(tail)
 
+    def schedule(t: int, ack: Optional[tuple]) -> Optional[tuple]:
+        """Schedules the head's offer, folded or as a firing, beside the
+        acknowledge ``ack`` made at ``t``; returns one of the two for the
+        loop to queue and pushes the other."""
+        head, arrived = slots[0]
+        due = arrived + delay
+        if due < t:
+            due = t
+        if fold:
+            out_standing[ob] = True
+            nxt = (due, dk, dp, _OFFER, head)
+        else:
+            nxt = (due, k, 0, _FIRE, None)
+        if ack is None:
+            return nxt
+        heappush(heap, nxt)
+        return ack
+
     def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
         nonlocal level, since, top, busy
         if level >= cap:
@@ -783,19 +801,7 @@ def _buffer(sim: Simulation, k: int, comp: Component):
         if busy:
             return ack
         busy = True
-        head, arrived = slots[0]
-        due = arrived + delay
-        if due < t:
-            due = t
-        if fold:
-            out_standing[ob] = True
-            nxt = (due, dk, dp, _OFFER, head)
-        else:
-            nxt = (due, k, 0, _FIRE, None)
-        if ack is None:
-            return nxt
-        heappush(heap, nxt)
-        return ack
+        return schedule(t, ack)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal level, since, busy
@@ -816,21 +822,7 @@ def _buffer(sim: Simulation, k: int, comp: Component):
             level += 1
             log((t, name, level))
         busy = level > 0
-        if not busy:
-            return ack
-        head, arrived = slots[0]
-        due = arrived + delay
-        if due < t:
-            due = t
-        if fold:
-            out_standing[ob] = True
-            nxt = (due, dk, dp, _OFFER, head)
-        else:
-            nxt = (due, k, 0, _FIRE, None)
-        if ack is None:
-            return nxt
-        heappush(heap, nxt)
-        return ack
+        return schedule(t, ack) if busy else ack
 
     def on_fire(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal busy
