@@ -25,8 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import depgraph as dg
-from .ir import (IrError, Kind, Link, Network, back_edges, endpoints,
-                 find_back_edges, flow_successors, loop_carry_links,
+from .ir import (FlowGraph, IrError, Kind, Link, Network, back_edges,
                  reachable_links, splice_buffer_in_place)
 
 
@@ -57,6 +56,7 @@ def policy_simple(net: Network, mode: str = "async") -> BufferPlan:
 
 
 def policy_loop(net: Network, mode: str = "async") -> BufferPlan:
+    g = FlowGraph(net)
     planned: dict[str, list[str]] = {}
 
     def note(lid: str, why: str) -> None:
@@ -75,7 +75,7 @@ def policy_loop(net: Network, mode: str = "async") -> BufferPlan:
             if ln.src is not None and ln.src[0] == head_id:
                 note(ln.id, f"out of {head_id}: {why}")
 
-    for lid in find_back_edges(net):
+    for lid in g.back_edges:
         head = net.links[lid].dst
         if head is None:
             note(lid, f"back edge {lid}")
@@ -85,38 +85,38 @@ def policy_loop(net: Network, mode: str = "async") -> BufferPlan:
     # loop actually carries its token between iterations may stay unplanned.
     # Buffering around every carry point keeps one iteration's completion
     # handshakes from wedging against the next iteration's activation.
-    for lid in sorted(loop_carry_links(net)):
+    for lid in sorted(g.loop_carry):
         head = net.links[lid].dst
         if head is not None:
             around(head[0], f"loop carry {lid}")
-    _complete(net, planned)
+    _complete(g, planned)
     return _mkplan("loop", mode, planned)
 
 
 def policy_pac(net: Network, mode: str = "async") -> BufferPlan:
-    graph = dg.build(net)
-    marks, mark_prov = pac_mark(net, graph)
-    return pac_retime(net, marks, mode=mode, provenance=mark_prov)
+    g = FlowGraph(net)
+    return pac_retime(g, pac_mark(g, dg.build(g)), mode=mode)
 
 
 # ---------------------------------------------------------------------------
 # PAC phase 1: marking
 
-def pac_mark(net: Network, graph: dg.DependencyGraph
-             ) -> tuple[set[str], dict[str, list[str]]]:
-    """Candidate links per dependency edge: the link after the read side,
-    and the link after the production side (specialised by what produces)."""
+def pac_mark(g: FlowGraph, deps: dg.DependencyGraph
+             ) -> dict[str, list[str]]:
+    """Candidate links per dependency edge, each with its reasons: the
+    link after the read side, and the link after the production side
+    (specialised by what produces)."""
+    net = g.net
     marks: dict[str, list[str]] = {}
 
     def note(lid: str, why: str) -> None:
         marks.setdefault(lid, []).append(why)
 
-    ends = endpoints(net)
     chan_by_name: dict[str, dg.Channel] = {}
-    for ch in dg.channels(net):
+    for ch in dg.channels(g):
         chan_by_name.setdefault(ch.name, ch)
 
-    for e in graph.edges:
+    for e in deps.edges:
         if e.kind in ("WAR", "RAW"):
             vid = e.subject
             if vid not in net.components:
@@ -126,11 +126,11 @@ def pac_mark(net: Network, graph: dg.DependencyGraph
                 site = int(rnode.rsplit("/rd", 1)[1])
             except (IndexError, ValueError):
                 raise UnresolvedSite(f"{e}: malformed read site {rnode}")
-            rsites = dg.variable_read_sites(net, vid, ends)
+            rsites = dg.variable_read_sites(g, vid)
             if site >= len(rsites):
                 raise UnresolvedSite(f"{e}: read site {site} out of range")
             note(rsites[site][1], f"{e.kind} {vid} after rd{site}")
-            wd = ends.out_of.get((vid, 0))
+            wd = g.out_of.get((vid, 0))
             if wd is None:
                 raise UnresolvedSite(f"{e}: variable {vid} has no write done")
             note(wd.id, f"{e.kind} {vid} after write done")
@@ -139,7 +139,7 @@ def pac_mark(net: Network, graph: dg.DependencyGraph
             if ch is None:
                 raise UnresolvedSite(f"{e}: no channel {e.subject}")
             if ch.consumer_comp is not None:
-                after = ends.out_of.get((ch.consumer_comp, 0))
+                after = g.out_of.get((ch.consumer_comp, 0))
                 if after is not None:
                     note(after.id, f"PAC {ch.name} after consumer")
             if ch.producer_comp is not None:
@@ -147,29 +147,28 @@ def pac_mark(net: Network, graph: dg.DependencyGraph
                 if comp.kind is Kind.FORK:
                     note(ch.link, f"PAC {ch.name} channel link")
                 elif comp.kind is Kind.OPERATOR:
-                    out = ends.out_of.get((comp.id, 0))
+                    out = g.out_of.get((comp.id, 0))
                     if out is None:
                         raise UnresolvedSite(f"{e}: producer has no output")
                     note(out.id, f"PAC {ch.name} after producer")
                 elif comp.kind is Kind.VARIABLE:
-                    out = ends.out_of.get((comp.id, 0))
+                    out = g.out_of.get((comp.id, 0))
                     if out is None:
                         raise UnresolvedSite(f"{e}: producer has no write done")
                     note(out.id, f"PAC {ch.name} after producer")
                 else:
-                    act = ends.into.get((comp.id, 0))
+                    act = g.into.get((comp.id, 0))
                     if act is not None:
                         note(act.id, f"PAC {ch.name} producer activation")
-    return set(marks), marks
+    return marks
 
 
 # ---------------------------------------------------------------------------
 # PAC phase 2: retiming
 
-def pac_retime(net: Network, marks: set[str], mode: str = "async",
-               provenance: dict = None) -> BufferPlan:
-    provenance = provenance or {}
-    ends = endpoints(net)
+def pac_retime(g: FlowGraph, marks: dict[str, list[str]],
+               mode: str = "async") -> BufferPlan:
+    net = g.net
     planned: dict[str, list[str]] = {}
 
     def note(lid: str, why: str) -> None:
@@ -180,11 +179,11 @@ def pac_retime(net: Network, marks: set[str], mode: str = "async",
             raise UnresolvedSite(f"marked link {lid} does not exist")
         ln = net.links[lid]
         target = lid
-        why = "; ".join(provenance.get(lid, ["mark"]))
+        why = "; ".join(marks[lid])
         if ln.dst is not None:
             comp = net.components[ln.dst[0]]
             if comp.kind is Kind.JOIN:
-                out = ends.out_of.get((comp.id, 0))
+                out = g.out_of.get((comp.id, 0))
                 if out is not None:
                     target = out.id
                     why = f"retimed past {comp.id} ({why})"
@@ -193,16 +192,16 @@ def pac_retime(net: Network, marks: set[str], mode: str = "async",
     for cid in sorted(net.components):
         if net.components[cid].kind is not Kind.INITIAL:
             continue
-        before = ends.into.get((cid, 0))
-        after = ends.out_of.get((cid, 0))
+        before = g.into.get((cid, 0))
+        after = g.out_of.get((cid, 0))
         if before is not None:
             note(before.id, f"before initial {cid}")
         if after is not None:
             note(after.id, f"after initial {cid}")
 
     if mode == "sync":
-        _sync_balance(net, planned)
-    _complete(net, planned)
+        _sync_balance(g, planned)
+    _complete(g, planned)
     return _mkplan("pac", mode, planned)
 
 
@@ -221,8 +220,8 @@ def apply(net: Network, plan: BufferPlan, capacity: int = 1) -> Network:
 # ---------------------------------------------------------------------------
 # Completion passes shared by loop and pac
 
-def _complete(net: Network, planned: dict[str, list[str]]) -> None:
-    succ = flow_successors(net)
+def _complete(g: FlowGraph, planned: dict[str, list[str]]) -> None:
+    succ = g.flow
     while True:
         closing = _unplanned_cycle_edge(succ, planned)
         if closing is None:
@@ -284,7 +283,7 @@ def _unplanned_return_path(succ: dict[str, list[str]],
 # ---------------------------------------------------------------------------
 # Synchronous-elastic branch balancing
 
-def _sync_balance(net: Network, planned: dict[str, list[str]]) -> None:
+def _sync_balance(g: FlowGraph, planned: dict[str, list[str]]) -> None:
     """Equalize planned buffers between each Steer's control and data feeds.
 
     A Steer's select bits and payload arrive through one Join.  Under the
@@ -294,11 +293,10 @@ def _sync_balance(net: Network, planned: dict[str, list[str]]) -> None:
     The side with fewer planned buffers gets extra links planned until the
     counts match (or it runs out of unplanned links).
     """
-    removed = set(find_back_edges(net))
-    ends = endpoints(net)
-    succ = flow_successors(net)
+    net = g.net
+    removed = set(g.back_edges)
     fwd = {lid: [n for n in nxts if n not in removed]
-           for lid, nxts in succ.items() if lid not in removed}
+           for lid, nxts in g.flow.items() if lid not in removed}
     back: dict[str, list[str]] = {lid: [] for lid in fwd}
     for lid, nxts in fwd.items():
         for n in nxts:
@@ -314,7 +312,7 @@ def _sync_balance(net: Network, planned: dict[str, list[str]]) -> None:
         if fid not in reach_by_fork:
             outs = []
             for i in range(len(net.components[fid].output_widths())):
-                ln = ends.out_of.get((fid, i))
+                ln = g.out_of.get((fid, i))
                 if ln is not None:
                     outs.append(ln.id)
             reach_by_fork[fid] = reach(outs, fwd)
@@ -324,7 +322,7 @@ def _sync_balance(net: Network, planned: dict[str, list[str]]) -> None:
         comp = net.components[cid]
         if comp.kind is not Kind.STEER:
             continue
-        in_ln = ends.into.get((cid, 0))
+        in_ln = g.into.get((cid, 0))
         if in_ln is None or in_ln.src is None:
             continue
         join_id = in_ln.src[0]
@@ -337,7 +335,7 @@ def _sync_balance(net: Network, planned: dict[str, list[str]]) -> None:
         offset = 0
         complete = True
         for pi, w in enumerate(join.input_widths()):
-            ln = ends.into.get((join_id, pi))
+            ln = g.into.get((join_id, pi))
             if ln is None:
                 complete = False
                 break

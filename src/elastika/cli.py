@@ -26,7 +26,7 @@ from .buffering import apply as apply_plan
 from .frontend import FrontendError, LowerError
 from .frontend import compile as compile_module
 from .frontend import parse as parse_source
-from .ir import IrError, Network, validate
+from .ir import FlowGraph, IrError, Network, validate
 from .metrics import (TooManyCycles, analytic_throughput, area, power,
                       power_from_config)
 from .sim import (CombinationalCycle, ConfigError, SimConfig, SimError,
@@ -137,7 +137,7 @@ def cmd_depgraph(args: argparse.Namespace) -> int:
         net = _load_net(args.netlist)
     except (OSError, netlist.NetlistError) as exc:
         return _fail(str(exc))
-    graph = depgraph.build(net)
+    graph = depgraph.build(FlowGraph(net))
     obj = {
         "nodes": graph.nodes,
         "edges": [{"kind": e.kind, "subject": e.subject, "u": e.u,

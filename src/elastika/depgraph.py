@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .ir import (Endpoints, Kind, Network, endpoints, flow_successors,
-                 loop_carry_links, reachable_links)
+from .ir import FlowGraph, Kind, reachable_links
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class Channel:
     consumer_comp: Optional[str]
 
 
-def _write_funnel(net: Network, comp_id: str, ends: Endpoints
+def _write_funnel(g: FlowGraph, comp_id: str
                   ) -> Optional[list[tuple[str, str, str]]]:
     """(entry, tag entry, done) link triples when the Variable's write port
     is fed through a multi-site funnel, else None.
@@ -69,9 +68,9 @@ def _write_funnel(net: Network, comp_id: str, ends: Endpoints
     second Merge, and a Steer on the joined pair with one done per site.
     Recognition is by shape, not by component naming.
     """
-    into, out_of = ends
-    wg = into.get((comp_id, 0))
-    wd = out_of.get((comp_id, 0))
+    net = g.net
+    wg = g.into.get((comp_id, 0))
+    wd = g.out_of.get((comp_id, 0))
     if wg is None or wd is None or wg.src is None or wd.dst is None:
         return None
     m = net.components[wg.src[0]]
@@ -79,8 +78,8 @@ def _write_funnel(net: Network, comp_id: str, ends: Endpoints
     if not (m.kind is Kind.MERGE and j.kind is Kind.JOIN
             and wd.dst[1] == 0 and len(j.input_widths()) == 2):
         return None
-    jout = out_of.get((j.id, 0))
-    tagin = into.get((j.id, 1))
+    jout = g.out_of.get((j.id, 0))
+    tagin = g.into.get((j.id, 1))
     if jout is None or jout.dst is None or tagin is None or tagin.src is None:
         return None
     s = net.components[jout.dst[0]]
@@ -91,56 +90,51 @@ def _write_funnel(net: Network, comp_id: str, ends: Endpoints
         return None
     sites = []
     for i in range(m.params["inputs"]):
-        entry = into.get((m.id, i))
-        tag = into.get((t.id, i))
-        done = out_of.get((s.id, i))
+        entry = g.into.get((m.id, i))
+        tag = g.into.get((t.id, i))
+        done = g.out_of.get((s.id, i))
         if entry is None or tag is None or done is None:
             return None
         sites.append((entry.id, tag.id, done.id))
     return sites
 
 
-def variable_write_sites(net: Network, comp_id: str,
-                         ends: Optional[Endpoints] = None
+def variable_write_sites(g: FlowGraph, comp_id: str
                          ) -> list[tuple[str, str]]:
     """(entry link, done link) per write site of a Variable, in site order.
 
     A variable with one write site is driven directly; several sites are
     funnelled through a Merge, with completion routed back per site by a
-    tag/Join/Steer loop on the write-done.  Callers looking up many sites
-    pass ``ends = endpoints(net)`` built once.
+    tag/Join/Steer loop on the write-done.
     """
-    ends = ends if ends is not None else endpoints(net)
-    funnel = _write_funnel(net, comp_id, ends)
+    funnel = _write_funnel(g, comp_id)
     if funnel is not None:
         return [(entry, done) for entry, _, done in funnel]
-    wg = ends.into.get((comp_id, 0))
-    wd = ends.out_of.get((comp_id, 0))
+    wg = g.into.get((comp_id, 0))
+    wd = g.out_of.get((comp_id, 0))
     if wg is None or wd is None:
         return []
     return [(wg.id, wd.id)]
 
 
-def variable_read_sites(net: Network, comp_id: str,
-                        ends: Optional[Endpoints] = None
+def variable_read_sites(g: FlowGraph, comp_id: str
                         ) -> list[tuple[str, str]]:
     """(go link, data link) per read site of a Variable, in site order."""
-    ends = ends if ends is not None else endpoints(net)
-    comp = net.components[comp_id]
+    comp = g.net.components[comp_id]
     sites = []
     for i in range(comp.params["reads"]):
-        go = ends.into.get((comp_id, 1 + i))
-        data = ends.out_of.get((comp_id, 1 + i))
+        go = g.into.get((comp_id, 1 + i))
+        data = g.out_of.get((comp_id, 1 + i))
         if go is None or data is None:
             return []
         sites.append((go.id, data.id))
     return sites
 
 
-def channels(net: Network) -> list[Channel]:
+def channels(g: FlowGraph) -> list[Channel]:
     """All channels of the net: external port links first (by port name),
     then internal send links (by channel name, then producing component)."""
-    out_of = endpoints(net).out_of
+    net = g.net
     out: list[Channel] = []
     for name in sorted(net.ports):
         port = net.ports[name]
@@ -157,7 +151,7 @@ def channels(net: Network) -> list[Channel]:
     for cid in sorted(net.components):
         comp = net.components[cid]
         if comp.kind is Kind.FORK and "channel" in comp.params:
-            data = out_of.get((cid, 0))
+            data = g.out_of.get((cid, 0))
             if data is None or data.dst is None:
                 continue
             internal.append(Channel(comp.params["channel"], data.id,
@@ -166,21 +160,20 @@ def channels(net: Network) -> list[Channel]:
     return out + internal
 
 
-def _same_pass_successors(net: Network, ends: Endpoints
-                          ) -> dict[str, list[str]]:
+def _same_pass_successors(g: FlowGraph) -> dict[str, list[str]]:
     """Flow successors restricted to one traversal of each loop body.
 
     Loop-carry links are dropped, and every multi-site write funnel is made
     opaque: entering at site i continues at site i's done, never at another
     site's, which the kind-blind Steer relay would otherwise allow.
     """
-    succ = flow_successors(net)
-    for lid in loop_carry_links(net):
+    succ = dict(g.flow)
+    for lid in g.loop_carry:
         succ[lid] = []
-    for vid in sorted(net.components):
-        if net.components[vid].kind is not Kind.VARIABLE:
+    for vid in sorted(g.net.components):
+        if g.net.components[vid].kind is not Kind.VARIABLE:
             continue
-        funnel = _write_funnel(net, vid, ends)
+        funnel = _write_funnel(g, vid)
         if funnel is not None:
             for entry, tag, done in funnel:
                 succ[entry] = [done]
@@ -188,16 +181,15 @@ def _same_pass_successors(net: Network, ends: Endpoints
     return succ
 
 
-def extract_variable_constraints(net: Network) -> list[DepEdge]:
+def extract_variable_constraints(g: FlowGraph) -> list[DepEdge]:
     edges: list[DepEdge] = []
-    ends = endpoints(net)
-    succ = _same_pass_successors(net, ends)
-    for vid in sorted(net.components):
-        comp = net.components[vid]
+    succ = _same_pass_successors(g)
+    for vid in sorted(g.net.components):
+        comp = g.net.components[vid]
         if comp.kind is not Kind.VARIABLE:
             continue
-        wsites = variable_write_sites(net, vid, ends)
-        rsites = variable_read_sites(net, vid, ends)
+        wsites = variable_write_sites(g, vid)
+        rsites = variable_read_sites(g, vid)
         for r, (_, rdata) in enumerate(rsites):
             reach = reachable_links(succ, [rdata])
             for w, (entry, _) in enumerate(wsites):
@@ -211,10 +203,10 @@ def extract_variable_constraints(net: Network) -> list[DepEdge]:
     return edges
 
 
-def extract_pac_constraints(net: Network) -> list[DepEdge]:
+def extract_pac_constraints(g: FlowGraph) -> list[DepEdge]:
     edges: list[DepEdge] = []
-    succ = flow_successors(net)
-    for ch in channels(net):
+    succ = g.flow
+    for ch in channels(g):
         edges.append(DepEdge("PAC", ch.name, ch.producer, ch.consumer))
         if ch.link in reachable_links(succ, [ch.link]):
             edges.append(DepEdge("PAC", ch.name, ch.consumer, ch.producer,
@@ -222,16 +214,11 @@ def extract_pac_constraints(net: Network) -> list[DepEdge]:
     return edges
 
 
-def build(net: Network) -> DependencyGraph:
-    edges = extract_variable_constraints(net) + extract_pac_constraints(net)
+def build(g: FlowGraph) -> DependencyGraph:
+    edges = extract_variable_constraints(g) + extract_pac_constraints(g)
     edges.sort(key=lambda e: (e.subject, e.kind, e.u, e.v, e.tag))
     nodes = sorted({n for e in edges for n in (e.u, e.v)})
     return DependencyGraph(nodes, edges)
-
-
-def to_text(dg: DependencyGraph) -> str:
-    lines = [str(e) for e in dg.edges]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def to_dot(dg: DependencyGraph) -> str:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional
 
 
 class Kind(str, Enum):
@@ -154,31 +155,6 @@ class Network:
             if ln.src == (comp_id, port):
                 return ln
         return None
-
-
-class Endpoints(NamedTuple):
-    """Links by the component port they attach to: ``into[(cid, port)]`` is
-    the link feeding that input, ``out_of[(cid, port)]`` the link leaving
-    that output."""
-    into: dict[tuple[str, int], Link]
-    out_of: dict[tuple[str, int], Link]
-
-
-def endpoints(net: Network) -> Endpoints:
-    """Index every link by its endpoints in one pass over the links.
-
-    Agrees with ``Network.link_into``/``link_out_of``, first link in table
-    order on a doubly bound port included.  The index is a snapshot: build
-    a new one after the net is mutated.
-    """
-    into: dict[tuple[str, int], Link] = {}
-    out_of: dict[tuple[str, int], Link] = {}
-    for ln in net.links.values():
-        if ln.dst is not None:
-            into.setdefault(ln.dst, ln)
-        if ln.src is not None:
-            out_of.setdefault(ln.src, ln)
-    return Endpoints(into, out_of)
 
 
 @dataclass(frozen=True)
@@ -376,30 +352,6 @@ def splice_buffer_in_place(net: Network, link_id: str, capacity: int = 1) -> Non
             port.link = post_id
 
 
-def find_back_edges(net: Network) -> list[str]:
-    """Deterministic DFS over the component graph, blind to component kinds.
-
-    Roots: components fed by external input ports, then Initial components,
-    then any still-unvisited component, each group in ascending id order.
-    Children follow outgoing links in declared port order.  Returns the links
-    that close into an on-stack component; every directed cycle of the
-    component graph contains at least one returned link.
-    """
-    # (link id, target) per component, in port then link id order.
-    outgoing: dict[str, list[tuple[str, str]]] = {cid: [] for cid in net.components}
-    inner = [ln for ln in net.links.values()
-             if ln.src is not None and ln.dst is not None]
-    for ln in sorted(inner, key=lambda ln: (ln.src[1], ln.id)):
-        outgoing[ln.src[0]].append((ln.id, ln.dst[0]))
-    port_fed = set()
-    for port in net.ports.values():
-        if port.dir == "in" and net.links[port.link].dst is not None:
-            port_fed.add(net.links[port.link].dst[0])
-    initials = [c.id for c in net.components.values() if c.kind is Kind.INITIAL]
-    roots = sorted(port_fed) + sorted(initials) + sorted(net.components)
-    return [lid for _, lid, _ in back_edges(roots, outgoing.__getitem__)]
-
-
 def back_edges(roots: Iterable, children: Callable[[object], Iterable[tuple]],
                finished: Optional[list] = None
                ) -> Iterator[tuple[list, object, object]]:
@@ -444,60 +396,116 @@ def back_edges(roots: Iterable, children: Callable[[object], Iterable[tuple]],
 
 
 # ---------------------------------------------------------------------------
-# Port-level flow graph helpers.  The token-flow graph respects each kind's
-# internal relay edges (a Variable does not connect its write side to its
-# read side), which is what liveness, deadlock and timing analyses need.
+# The link graph.  The token-flow graph respects each kind's internal relay
+# edges (a Variable does not connect its write side to its read side), which
+# is what liveness, deadlock and timing analyses need.
 
-def loop_carry_links(net: Network) -> set[str]:
-    """Links that hand a token to the next traversal of a loop body.
+class FlowGraph:
+    """One net's link graph: links by endpoint and the views derived from
+    them, each built once, on first use.
 
-    Two shapes qualify: the input link of every Initial (the outer repeat
-    ring closes there) and, for Merges annotated with a ``loop`` parameter,
-    the input link on that port (a compiled while loop marks its body-done
-    feedback this way).  Every other link belongs to a single pass.
+    ``into[(cid, port)]`` is the link feeding that input and
+    ``out_of[(cid, port)]`` the link leaving that output; on a doubly bound
+    port the first link in table order wins, as with
+    ``Network.link_into``/``link_out_of``.  The graph is a snapshot: build
+    a new one after the net is mutated.  The views are shared by every
+    reader, so a caller that edits one copies it first.
     """
-    into = endpoints(net).into
-    out: set[str] = set()
-    for cid, comp in net.components.items():
-        port = None
-        if comp.kind is Kind.INITIAL:
-            port = 0
-        elif comp.kind is Kind.MERGE and "loop" in comp.params:
-            port = int(comp.params["loop"])
-        if port is None:
-            continue
-        ln = into.get((cid, port))
-        if ln is not None:
-            out.add(ln.id)
-    return out
 
+    def __init__(self, net: Network) -> None:
+        self.net = net
+        self.into: dict[tuple[str, int], Link] = {}
+        self.out_of: dict[tuple[str, int], Link] = {}
+        for ln in net.links.values():
+            if ln.dst is not None:
+                self.into.setdefault(ln.dst, ln)
+            if ln.src is not None:
+                self.out_of.setdefault(ln.src, ln)
 
-def flow_successors(net: Network) -> dict[str, list[str]]:
-    """Map each link id to the link ids a token can continue onto."""
-    return _successors(net, through_buffers=True)
+    @cached_property
+    def flow(self) -> dict[str, list[str]]:
+        """Link id -> sorted ids of the links a token can continue onto."""
+        return self._successors(through_buffers=True)
 
+    @cached_property
+    def comb(self) -> dict[str, list[str]]:
+        """Flow graph for same-cycle signal propagation: Buffers break paths
+        and a Variable's stored value breaks write->read, but write-go to
+        write-done and read-go to read-done ripple through, as does Initial
+        in wire mode."""
+        return self._successors(through_buffers=False)
 
-def _successors(net: Network, through_buffers: bool) -> dict[str, list[str]]:
-    """Link id -> sorted ids of the links each component's internal edges
-    relay it onto; Buffers relay only when ``through_buffers``."""
-    ends = endpoints(net)
-    succ: dict[str, list[str]] = {lid: [] for lid in net.links}
-    for cid, comp in net.components.items():
-        if not through_buffers and comp.kind is Kind.BUFFER:
-            continue
-        for i, o in comp.internal_edges():
-            a = ends.into.get((cid, i))
-            b = ends.out_of.get((cid, o))
-            if a is not None and b is not None:
-                succ[a.id].append(b.id)
-    for lid in succ:
-        succ[lid].sort()
-    return succ
+    def _successors(self, through_buffers: bool) -> dict[str, list[str]]:
+        """Link id -> sorted ids of the links each component's internal
+        edges relay it onto; Buffers relay only when ``through_buffers``."""
+        succ: dict[str, list[str]] = {lid: [] for lid in self.net.links}
+        for cid, comp in self.net.components.items():
+            if not through_buffers and comp.kind is Kind.BUFFER:
+                continue
+            for i, o in comp.internal_edges():
+                a = self.into.get((cid, i))
+                b = self.out_of.get((cid, o))
+                if a is not None and b is not None:
+                    succ[a.id].append(b.id)
+        for nxts in succ.values():
+            nxts.sort()
+        return succ
+
+    @cached_property
+    def back_edges(self) -> list[str]:
+        """Deterministic DFS over the component graph, blind to kinds.
+
+        Roots: components fed by external input ports, then Initial
+        components, then any still-unvisited component, each group in
+        ascending id order.  Children follow outgoing links in declared
+        port order.  Lists the links that close into an on-stack component;
+        every directed cycle of the component graph contains at least one.
+        """
+        net = self.net
+        # (link id, target) per component, in port then link id order.
+        outgoing: dict[str, list[tuple[str, str]]] = {
+            cid: [] for cid in net.components}
+        inner = [ln for ln in net.links.values()
+                 if ln.src is not None and ln.dst is not None]
+        for ln in sorted(inner, key=lambda ln: (ln.src[1], ln.id)):
+            outgoing[ln.src[0]].append((ln.id, ln.dst[0]))
+        port_fed = set()
+        for port in net.ports.values():
+            if port.dir == "in" and net.links[port.link].dst is not None:
+                port_fed.add(net.links[port.link].dst[0])
+        initials = [c.id for c in net.components.values()
+                    if c.kind is Kind.INITIAL]
+        roots = sorted(port_fed) + sorted(initials) + sorted(net.components)
+        return [lid for _, lid, _ in back_edges(roots, outgoing.__getitem__)]
+
+    @cached_property
+    def loop_carry(self) -> set[str]:
+        """Links that hand a token to the next traversal of a loop body.
+
+        Two shapes qualify: the input link of every Initial (the outer
+        repeat ring closes there) and, for Merges annotated with a ``loop``
+        parameter, the input link on that port (a compiled while loop marks
+        its body-done feedback this way).  Every other link belongs to a
+        single pass.
+        """
+        out: set[str] = set()
+        for cid, comp in self.net.components.items():
+            port = None
+            if comp.kind is Kind.INITIAL:
+                port = 0
+            elif comp.kind is Kind.MERGE and "loop" in comp.params:
+                port = int(comp.params["loop"])
+            if port is None:
+                continue
+            ln = self.into.get((cid, port))
+            if ln is not None:
+                out.add(ln.id)
+        return out
 
 
 def reachable_links(succ: dict[str, list[str]], starts: Iterable[str]) -> set[str]:
     """Links reachable in one or more steps from ``starts`` in a successor
-    map such as ``flow_successors(net)``; a start itself only when a path
+    map such as ``FlowGraph.flow``; a start itself only when a path
     returns to it.
     """
     seen: set[str] = set()
@@ -511,23 +519,12 @@ def reachable_links(succ: dict[str, list[str]], starts: Iterable[str]) -> set[st
     return seen
 
 
-def combinational_successors(net: Network) -> dict[str, list[str]]:
-    """Flow graph for same-cycle signal propagation: Buffers break paths and
-    a Variable's stored value breaks write->read, but write-go to write-done
-    and read-go to read-done ripple through, as does Initial in wire mode."""
-    return _successors(net, through_buffers=False)
-
-
-def combinational_cycle(net: Network,
-                        succ: Optional[dict[str, list[str]]] = None
-                        ) -> Optional[list[str]]:
+def combinational_cycle(graph: FlowGraph) -> Optional[list[str]]:
     """Return one buffer-free combinational cycle as a link list, or None.
 
     The list starts after the link the search closed into and ends with it.
-    ``succ`` is ``combinational_successors(net)``, built here when omitted.
     """
-    if succ is None:
-        succ = combinational_successors(net)
+    succ = graph.comb
     for path, _, target in back_edges(
             sorted(succ), lambda lid: [(nxt, nxt) for nxt in succ[lid]]):
         return path[path.index(target) + 1:] + [target]

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
-from .ir import Kind, LOGIC_KINDS, Network, endpoints, flow_successors
+from .ir import FlowGraph, Kind, LOGIC_KINDS, Network
 from .sim.config import DelayTable
 from .sim.report import SimReport
 
@@ -146,12 +146,15 @@ def power(net: Network, params: PowerParams,
 
 def initial_marking(net: Network) -> dict[str, int]:
     """One resting token on the output link of every Initial component."""
-    out_of = endpoints(net).out_of
+    return _initial_marking(FlowGraph(net))
+
+
+def _initial_marking(g: FlowGraph) -> dict[str, int]:
     marking: dict[str, int] = {}
-    for cid in sorted(net.components):
-        if net.components[cid].kind is not Kind.INITIAL:
+    for cid in sorted(g.net.components):
+        if g.net.components[cid].kind is not Kind.INITIAL:
             continue
-        ln = out_of.get((cid, 0))
+        ln = g.out_of.get((cid, 0))
         if ln is not None:
             marking[ln.id] = marking.get(ln.id, 0) + 1
     return marking
@@ -184,14 +187,14 @@ def analytic_throughput(net: Network, delays: DelayTable,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sync" and clock <= 0:
         raise ValueError("clocked throughput needs a positive clock period")
+    g = FlowGraph(net)
     if marking is None:
-        marking = initial_marking(net)
+        marking = _initial_marking(g)
     # Links numbered in sorted id order, then chains folded into single
     # nodes; each cycle is expanded and rotated to its smallest link id.
     ids = sorted(net.links)
     index = {lid: i for i, lid in enumerate(ids)}
-    succ = flow_successors(net)
-    adj = [sorted({index[nxt] for nxt in succ[lid]}) for lid in ids]
+    adj = [sorted({index[nxt] for nxt in g.flow[lid]}) for lid in ids]
     tok = [marking.get(lid, 0) for lid in ids]
     # Per-link share of a traversal: the consumer's delay (async) or one
     # clock period per buffer (sync).  Links without successors lie on no

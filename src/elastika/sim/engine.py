@@ -50,8 +50,8 @@ from dataclasses import replace
 from heapq import heappop, heappush, heappushpop
 from typing import Callable, Optional
 
-from ..ir import (Component, Kind, Network, back_edges, combinational_cycle,
-                  combinational_successors)
+from ..ir import (Component, FlowGraph, Kind, Network, back_edges,
+                  combinational_cycle)
 from .config import SimConfig
 from .report import SimReport
 
@@ -906,16 +906,13 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
     return True, lines
 
 
-def critical_path(net: Network, delays,
-                  succ: Optional[dict[str, list[str]]] = None) -> int:
+def critical_path(net: Network, delays) -> int:
     """Longest combinational component-delay chain between storage points.
 
-    ``succ`` is ``combinational_successors(net)``, built here when omitted.
-    One post-order search from each link in sorted id order; on a cyclic
-    net an edge back into the search path adds nothing.
+    One post-order search of ``FlowGraph.comb`` from each link in sorted id
+    order; on a cyclic net an edge back into the search path adds nothing.
     """
-    if succ is None:
-        succ = combinational_successors(net)
+    succ = FlowGraph(net).comb
     order: list[str] = []
     for _ in back_edges(sorted(succ), lambda lid: zip(succ[lid], succ[lid]),
                         order):
@@ -951,15 +948,17 @@ def run_async(net: Network, cfg: SimConfig) -> SimReport:
 def run_sync(net: Network, cfg: SimConfig) -> SimReport:
     """Clocked (forward-interlocked) run: combinational components settle
     within a cycle, Buffers advance tokens one period per cycle.  One
-    search of ``combinational_successors`` serves the cycle check and the
-    critical path; a cycle found is named by ``combinational_cycle``."""
+    search of the ``comb`` view of one ``FlowGraph`` serves the cycle check
+    and the critical path; a cycle found is named by
+    ``combinational_cycle``."""
     if cfg.mode != "sync":
         raise SimError(f"run_sync needs mode sync, got {cfg.mode!r}")
-    succ = combinational_successors(net)
+    g = FlowGraph(net)
+    succ = g.comb
     order: list[str] = []
     if next(back_edges(sorted(succ), lambda lid: zip(succ[lid], succ[lid]),
                        order), None) is not None:
-        raise CombinationalCycle(combinational_cycle(net, succ))
+        raise CombinationalCycle(combinational_cycle(g))
     # No back edge: the search ran to its end and ``order`` is complete.
     crit = _longest_chain(net, cfg.delays, succ, order)
     inner = replace(cfg, delays=cfg.delays.zeroed(buffer_delay=cfg.clock))

@@ -19,11 +19,14 @@ unfired.
 """
 from __future__ import annotations
 
+import functools
+from collections import Counter
+
 import pytest
 from hypothesis import settings
 
 from elastika.bench import benchmark
-from elastika.ir import Component, Kind, Link, Network, Port
+from elastika.ir import Component, FlowGraph, Kind, Link, Network, Port
 from elastika.sim.config import DelayTable
 
 settings.register_profile("suite", deadline=None, max_examples=40,
@@ -211,3 +214,30 @@ def smul_net() -> Network:
 @pytest.fixture()
 def ring_net() -> Network:
     return build_ring()
+
+
+@pytest.fixture()
+def graph_builds(monkeypatch) -> Counter:
+    """Counts, while the test runs, the ``FlowGraph``s built ("init") and
+    the ``flow``, ``comb`` and ``back_edges`` views computed."""
+    counts: Counter = Counter()
+    init, successors = FlowGraph.__init__, FlowGraph._successors
+    back_edges = FlowGraph.back_edges.func
+
+    def counted_init(self, net):
+        counts["init"] += 1
+        init(self, net)
+
+    def counted_successors(self, through_buffers):
+        counts["flow" if through_buffers else "comb"] += 1
+        return successors(self, through_buffers)
+
+    def counted_back_edges(self):
+        counts["back_edges"] += 1
+        return back_edges(self)
+    view = functools.cached_property(counted_back_edges)
+    view.__set_name__(FlowGraph, "back_edges")
+    monkeypatch.setattr(FlowGraph, "__init__", counted_init)
+    monkeypatch.setattr(FlowGraph, "_successors", counted_successors)
+    monkeypatch.setattr(FlowGraph, "back_edges", view)
+    return counts

@@ -11,9 +11,8 @@ from elastika import netlist
 from elastika.bench import benchmark
 from elastika.buffering import (BufferPlan, apply, pac_mark, pac_retime,
                                 policy_loop, policy_pac, policy_simple)
-from elastika.ir import (DoubleBuffer, Kind, Network, combinational_cycle,
-                         find_back_edges, flow_successors, loop_carry_links,
-                         splice_buffer, validate)
+from elastika.ir import (DoubleBuffer, FlowGraph, Kind, Network,
+                         combinational_cycle, splice_buffer, validate)
 
 BENCHES = ["elgcd", "poly", "smul"]
 MODES = ["async", "sync"]
@@ -26,7 +25,7 @@ def net_for(request, bench):
 def flow_cycles(net):
     g = nx.DiGraph()
     g.add_nodes_from(net.links)
-    for lid, nxts in flow_successors(net).items():
+    for lid, nxts in FlowGraph(net).flow.items():
         for nxt in nxts:
             g.add_edge(lid, nxt)
     return list(nx.simple_cycles(g))
@@ -108,11 +107,12 @@ def test_loop_policy_covers_back_edge_heads_and_carries(bench, request):
     net = net_for(request, bench)
     planned = set(policy_loop(net).links)
     heads = set()
-    for lid in find_back_edges(net):
+    g = FlowGraph(net)
+    for lid in g.back_edges:
         dst = net.links[lid].dst
         if dst is not None:
             heads.add(dst[0])
-    for lid in loop_carry_links(net):
+    for lid in g.loop_carry:
         dst = net.links[lid].dst
         if dst is not None:
             heads.add(dst[0])
@@ -128,15 +128,17 @@ def test_loop_policy_covers_back_edge_heads_and_carries(bench, request):
 # PAC phases
 
 def test_pac_marks_resolve_to_links(elgcd_net):
-    marks, prov = pac_mark(elgcd_net, dg.build(elgcd_net))
-    assert marks == set(prov)
-    assert marks <= set(elgcd_net.links)
+    g = FlowGraph(elgcd_net)
+    marks = pac_mark(g, dg.build(g))
+    assert set(marks) <= set(elgcd_net.links)
     assert marks, "dependency edges must mark something"
+    assert all(marks.values()), "every mark records its reasons"
 
 
 def test_pac_retime_moves_join_marks_to_join_output(elgcd_net):
-    marks, prov = pac_mark(elgcd_net, dg.build(elgcd_net))
-    plan = pac_retime(elgcd_net, marks, mode="async", provenance=prov)
+    g = FlowGraph(elgcd_net)
+    marks = pac_mark(g, dg.build(g))
+    plan = pac_retime(g, marks, mode="async")
     moved = 0
     for lid in marks:
         dst = elgcd_net.links[lid].dst
@@ -147,6 +149,34 @@ def test_pac_retime_moves_join_marks_to_join_output(elgcd_net):
         assert out.id in plan.links
         assert any("retimed past" in r for r in plan.provenance[out.id])
     assert moved, "the benchmark has marks landing on joins"
+
+
+@pytest.mark.parametrize("policy, mode", [
+    (policy_pac, "async"), (policy_pac, "sync"),
+    (policy_loop, "async"), (policy_loop, "sync")])
+def test_planners_build_one_graph(policy, mode, elgcd_net, graph_builds):
+    policy(elgcd_net, mode)
+    assert graph_builds["init"] == 1
+    assert max(graph_builds.values()) == 1
+
+
+@pytest.mark.parametrize("bench", BENCHES)
+def test_pac_leaves_its_graph_views_unchanged(bench, request, monkeypatch):
+    net = net_for(request, bench)
+    graphs = []
+    build = dg.build
+
+    def kept(g):
+        graphs.append(g)
+        return build(g)
+    monkeypatch.setattr(dg, "build", kept)
+    policy_pac(net, "sync")
+    [g] = graphs
+    dg.build(g)
+    fresh = FlowGraph(net)
+    assert g.flow == fresh.flow
+    assert g.back_edges == fresh.back_edges
+    assert g.loop_carry == fresh.loop_carry
 
 
 def test_pac_plans_around_initials(elgcd_net):
@@ -233,7 +263,7 @@ def test_apply_twice_rejected(elgcd_net):
 def test_buffered_nets_have_no_storage_free_cycles(bench, policy, request):
     net = net_for(request, bench)
     buffered = apply(net, policy(net, "async"))
-    assert combinational_cycle(buffered) is None
+    assert combinational_cycle(FlowGraph(buffered)) is None
 
 
 def test_plan_len_protocol():

@@ -27,6 +27,7 @@ from __future__ import annotations
 import pytest
 
 from elastika import depgraph as dg
+from elastika.ir import FlowGraph
 
 
 GOLDEN_ELGCD_WAR = {
@@ -49,7 +50,7 @@ GOLDEN_ELGCD_RAW = {
 
 @pytest.fixture(scope="module")
 def elgcd_graph(elgcd_net):
-    return dg.build(elgcd_net)
+    return dg.build(FlowGraph(elgcd_net))
 
 
 def test_elgcd_war_edges_exact(elgcd_graph):
@@ -83,7 +84,7 @@ def test_edge_counts_all_benchmarks(elgcd_net, poly_net, smul_net):
         (poly_net, {"WAR": 4, "RAW": 13, "PAC": 9}),
         (smul_net, {"WAR": 6, "RAW": 14, "PAC": 3}),
     ):
-        g = dg.build(net)
+        g = dg.build(FlowGraph(net))
         counts = dict(Counter(e.kind for e in g.edges))
         assert counts == expect, net.name
 
@@ -91,7 +92,7 @@ def test_edge_counts_all_benchmarks(elgcd_net, poly_net, smul_net):
 def test_internal_channels_get_backward_edges(poly_net):
     # A rendezvous between two in-network sites constrains both
     # directions; an external port only constrains the forward one.
-    g = dg.build(poly_net)
+    g = dg.build(FlowGraph(poly_net))
     pac = [e for e in g.edges if e.kind == "PAC"]
     internal = {e.subject for e in pac if e.tag == "backward"}
     assert internal == {"temp", "addRes"}
@@ -101,7 +102,7 @@ def test_internal_channels_get_backward_edges(poly_net):
 
 
 def test_channels_cover_external_ports(elgcd_net):
-    chans = dg.channels(elgcd_net)
+    chans = dg.channels(FlowGraph(elgcd_net))
     by_name = {c.name: c for c in chans}
     assert set(by_name) == {"a", "b", "g"}
     assert by_name["a"].producer == "a"
@@ -115,8 +116,9 @@ def test_channels_cover_external_ports(elgcd_net):
 def test_site_lookups_agree_with_graph(elgcd_net):
     # One (entry link, done link) pair per program write site of x and
     # one (go link, data link) pair per read site, in program order.
-    writes = dg.variable_write_sites(elgcd_net, "var.x")
-    reads = dg.variable_read_sites(elgcd_net, "var.x")
+    g = FlowGraph(elgcd_net)
+    writes = dg.variable_write_sites(g, "var.x")
+    reads = dg.variable_read_sites(g, "var.x")
     assert len(writes) == 2
     assert len(reads) == 5
     for entry, done in writes + reads:
@@ -132,22 +134,16 @@ def test_build_nodes_cover_edges(elgcd_graph):
 
 
 def test_build_deterministic(elgcd_net):
-    a = dg.build(elgcd_net)
-    b = dg.build(elgcd_net)
+    a = dg.build(FlowGraph(elgcd_net))
+    b = dg.build(FlowGraph(elgcd_net))
     assert a.nodes == b.nodes
     assert a.edges == b.edges
 
 
-def test_to_text_one_line_per_edge(elgcd_graph):
-    text = dg.to_text(elgcd_graph)
-    lines = [ln for ln in text.splitlines() if ln]
-    assert len(lines) == len(elgcd_graph.edges)
-    assert "WAR var.x: var.x/rd0 -> var.x/wr1" in lines
-
-
-def test_edge_str_shows_backward_tag():
+def test_edge_str_shows_backward_tag(elgcd_graph):
     e = dg.DepEdge("PAC", "c", "u", "v", tag="backward")
     assert str(e).endswith("[backward]")
+    assert "WAR var.x: var.x/rd0 -> var.x/wr1" in map(str, elgcd_graph.edges)
 
 
 def test_to_dot_well_formed(elgcd_graph):
@@ -160,7 +156,8 @@ def test_to_dot_well_formed(elgcd_graph):
 
 
 def test_extractors_compose_into_build(elgcd_net, elgcd_graph):
-    var_edges = dg.extract_variable_constraints(elgcd_net)
-    pac_edges = dg.extract_pac_constraints(elgcd_net)
+    g = FlowGraph(elgcd_net)
+    var_edges = dg.extract_variable_constraints(g)
+    pac_edges = dg.extract_pac_constraints(g)
     assert sorted(map(str, var_edges + pac_edges)) == \
         sorted(map(str, elgcd_graph.edges))

@@ -12,10 +12,8 @@ from elastika import netlist
 from elastika.bench import benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac, policy_simple
 from elastika.ir import (Component, Diagnostic, DoubleBuffer, IrError, Kind,
-                         Link, Network, Port, UnknownLink, back_edges,
-                         combinational_cycle, combinational_successors,
-                         endpoints, find_back_edges, flow_successors,
-                         loop_carry_links, splice_buffer,
+                         FlowGraph, Link, Network, Port, UnknownLink,
+                         back_edges, combinational_cycle, splice_buffer,
                          splice_buffer_in_place, validate)
 
 
@@ -259,19 +257,19 @@ def _acyclic_after_removal(net: Network, back: list[str]) -> bool:
 
 def test_back_edges_cover_ring_cycle():
     net = build_ring()
-    back = find_back_edges(net)
+    back = FlowGraph(net).back_edges
     assert back
     assert _acyclic_after_removal(net, back)
 
 
 def test_back_edges_deterministic(elgcd_net):
-    assert find_back_edges(elgcd_net) == find_back_edges(elgcd_net)
+    assert FlowGraph(elgcd_net).back_edges == FlowGraph(elgcd_net).back_edges
 
 
 @pytest.mark.parametrize("bench", ["elgcd", "poly", "smul"])
 def test_back_edges_cover_all_benchmark_cycles(bench, request):
     net = request.getfixturevalue(f"{bench}_net")
-    assert _acyclic_after_removal(net, find_back_edges(net))
+    assert _acyclic_after_removal(net, FlowGraph(net).back_edges)
 
 
 def test_back_edges_found_without_any_ports():
@@ -288,7 +286,7 @@ def test_back_edges_found_without_any_ports():
         "d": Link("d", 8, ("b", 0), ("i", 0)),
     }
     net = Network("island", comps, links, {})
-    back = find_back_edges(net)
+    back = FlowGraph(net).back_edges
     assert back and _acyclic_after_removal(net, back)
 
 
@@ -297,7 +295,7 @@ def test_back_edges_cover_arbitrary_digraphs(graph):
     n, edges = graph
     net = digraph_to_net(n, edges)
     assert validate(net) == []
-    assert _acyclic_after_removal(net, find_back_edges(net))
+    assert _acyclic_after_removal(net, FlowGraph(net).back_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +380,7 @@ def test_back_edges_deep_chain_is_iterative():
 # Flow-graph passes
 
 def test_flow_successors_follow_ring():
-    succ = flow_successors(build_ring())
+    succ = FlowGraph(build_ring()).flow
     assert succ["lm"] == ["l2", "l3"]
     assert succ["ls"] == ["lb"]
     assert succ["lj"] == ["lout", "ls"]
@@ -391,11 +389,11 @@ def test_flow_successors_follow_ring():
 def test_loop_carry_links_ring():
     # The initial's input link is always a carry point; the hand-built
     # merge carries no loop annotation, so it contributes nothing.
-    assert loop_carry_links(build_ring()) == {"lgo"}
+    assert FlowGraph(build_ring()).loop_carry == {"lgo"}
 
 
 def test_loop_carry_links_cover_compiled_loops(elgcd_net):
-    carries = loop_carry_links(elgcd_net)
+    carries = FlowGraph(elgcd_net).loop_carry
     assert carries
     for lid in carries:
         cid, port = elgcd_net.links[lid].dst
@@ -406,12 +404,12 @@ def test_loop_carry_links_cover_compiled_loops(elgcd_net):
 
 def test_combinational_cycle_broken_by_buffer():
     net = build_ring()
-    assert combinational_cycle(net) is None
+    assert combinational_cycle(FlowGraph(net)) is None
     net.components["b"] = Component("b", Kind.OPERATOR,
                                     {"fn": "id", "inputs": [8], "out": 8})
-    cyc = combinational_cycle(net)
+    cyc = combinational_cycle(FlowGraph(net))
     assert cyc is not None
-    succ = combinational_successors(net)
+    succ = FlowGraph(net).comb
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         assert b in succ[a]
     # The search starts at the smallest link id, l2, and closes back into
@@ -420,7 +418,7 @@ def test_combinational_cycle_broken_by_buffer():
 
 
 def test_unbuffered_compiles_have_combinational_cycles(elgcd_net):
-    assert combinational_cycle(elgcd_net) is not None
+    assert combinational_cycle(FlowGraph(elgcd_net)) is not None
 
 
 def test_network_copy_is_deep():
@@ -447,13 +445,13 @@ def test_endpoints_agree_with_linear_scan(bench, request):
     compiled = request.getfixturevalue(f"{bench}_net")
     for net in (compiled, apply(compiled, policy_pac(compiled, "sync")),
                 apply(compiled, policy_simple(compiled))):
-        ends = endpoints(net)
+        g = FlowGraph(net)
         for cid, comp in net.components.items():
             for port in range(len(comp.input_widths()) + 1):
-                assert ends.into.get((cid, port)) is net.link_into(cid, port)
+                assert g.into.get((cid, port)) is net.link_into(cid, port)
             for port in range(len(comp.output_widths()) + 1):
-                assert ends.out_of.get((cid, port)) is net.link_out_of(cid,
-                                                                       port)
+                assert g.out_of.get((cid, port)) is net.link_out_of(cid,
+                                                                    port)
 
 
 def test_link_lookups():

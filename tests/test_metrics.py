@@ -11,7 +11,7 @@ from conftest import (build_loop_net, build_ring, digraph_to_net,
                       loop_arrival_gaps, ring_delays)
 from elastika.bench import POLICIES, benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac
-from elastika.ir import Kind, flow_successors
+from elastika.ir import FlowGraph, Kind
 from elastika.metrics import (CycleRate, PowerParams, TooManyCycles,
                               _contract, _cycle_count, analytic_throughput,
                               area,
@@ -216,7 +216,7 @@ def oracle_throughput(net, delays, marking=None, mode="async", clock=0,
         marking = initial_marking(net)
     graph = nx.DiGraph()
     graph.add_nodes_from(net.links)
-    for lid, nxts in flow_successors(net).items():
+    for lid, nxts in FlowGraph(net).flow.items():
         for nxt in nxts:
             graph.add_edge(lid, nxt)
     best = None
@@ -358,7 +358,7 @@ def test_random_digraphs_match_oracle(graph, seeds):
 def test_refusal_boundary_is_the_simple_cycle_count():
     net = benchmark("poly").compiled()
     net = apply(net, policy_pac(net, mode="async"))
-    graph = nx.DiGraph(flow_successors(net))
+    graph = nx.DiGraph(FlowGraph(net).flow)
     n = sum(1 for _ in nx.simple_cycles(graph))
     assert n > 1
     delays = SimConfig().delays
@@ -420,7 +420,7 @@ def test_chain_heavy_digraphs_match_oracle(graph, hops, seeds, rnd):
     ids = sorted(net.links)
     marking = {ids[k % len(ids)]: n for k, n in seeds}
     cycles = sum(1 for _ in nx.simple_cycles(
-        nx.DiGraph(flow_successors(net))))
+        nx.DiGraph(FlowGraph(net).flow)))
     for limit in {cycles, max(cycles - 1, 0), 10_000}:
         assert_matches_oracle(net, FLAT_DELAYS, marking=marking,
                               cycle_limit=limit)
@@ -438,7 +438,7 @@ def link_graph(net):
     """Successor lists of the flow graph, links numbered in sorted order."""
     ids = sorted(net.links)
     index = {lid: i for i, lid in enumerate(ids)}
-    succ = flow_successors(net)
+    succ = FlowGraph(net).flow
     return [sorted({index[w] for w in succ[lid]}) for lid in ids]
 
 
@@ -502,7 +502,7 @@ def parallel_chain_graphs(draw):
 def test_cycle_count_matches_networkx(graph, seeds):
     net = digraph_to_net(*graph)
     cycles = sum(1 for _ in nx.simple_cycles(
-        nx.DiGraph(flow_successors(net))))
+        nx.DiGraph(FlowGraph(net).flow)))
     assert _cycle_count(link_graph(net), cycles) == cycles
     assert _cycle_count(folded_graph(net), cycles) == cycles
     ids = sorted(net.links)

@@ -23,7 +23,7 @@ from elastika.bench import POLICIES, benchmark, benchmark_names
 from elastika.cli import main
 from elastika.frontend import compile as compile_module
 from elastika.frontend import parse
-from elastika.ir import Network
+from elastika.ir import FlowGraph, Network
 from elastika.netlist import dumps
 
 DATA = Path(__file__).parent / "data"
@@ -160,7 +160,7 @@ def test_plan_tsv_bytes(case):
 
 @pytest.mark.parametrize("name", sorted(EDGES))
 def test_dependency_edge_bytes(name):
-    edges = dg.build(compiled(name)).edges
+    edges = dg.build(FlowGraph(compiled(name))).edges
     assert sha("".join(f"{e}\n" for e in edges)) == EDGES[name]
 
 

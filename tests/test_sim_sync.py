@@ -116,18 +116,11 @@ def test_sync_gcd_computes_the_same_values(elgcd_net):
     assert not rep.deadlock
 
 
-def test_run_sync_builds_the_combinational_graph_once(monkeypatch, ring_net):
-    calls = []
-    successors = ir._successors
-
-    def counted(net, through_buffers):
-        calls.append(through_buffers)
-        return successors(net, through_buffers)
-    monkeypatch.setattr(ir, "_successors", counted)
+def test_run_sync_builds_the_combinational_graph_once(graph_builds, ring_net):
     run_sync(ring_net, SimConfig(mode="sync", clock=2000,
                                  delays=ring_delays(), stimulus={"go": []},
                                  max_time=10_000))
-    assert calls == [False]
+    assert graph_builds == {"init": 1, "comb": 1}
 
 
 def test_run_sync_leaves_no_cyclic_garbage():
@@ -172,8 +165,9 @@ def test_static_checks_match_the_link_id_graph(graph, buffered):
     ids = sorted(net.links)
     for lid in sorted({ids[i % len(ids)] for i in buffered}):
         ir.splice_buffer_in_place(net, lid)
-    succ = ir.combinational_successors(net)
-    loop = ir.combinational_cycle(net, succ)
+    g = ir.FlowGraph(net)
+    succ = g.comb
+    loop = ir.combinational_cycle(g)
     # Clock 0 is refused only once the cycle check has passed.
     cfg = SimConfig(mode="sync", clock=0, delays=STAGE_DELAYS)
     if loop is not None:
@@ -190,7 +184,7 @@ def test_static_checks_match_the_link_id_graph(graph, buffered):
 
 
 def test_cycle_is_named_before_any_config_error(elgcd_net):
-    loop = ir.combinational_cycle(elgcd_net)
+    loop = ir.combinational_cycle(ir.FlowGraph(elgcd_net))
     with pytest.raises(CombinationalCycle) as err:
         run_sync(elgcd_net, SimConfig(mode="sync", clock=0, max_time=0,
                                       stimulus={"nowhere": [1]}))
