@@ -180,7 +180,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
         delays = delays_from_config(_read_config_file(args.delays))
         cfg = SimConfig(mode=args.mode, clock=args.clock, delays=delays,
                         stimulus=stimulus, max_time=args.horizon,
-                        max_results=args.max_results)
+                        max_results=args.max_results,
+                        record_occupancy=args.occupancy is not None)
         report = run(net, cfg)
     except CombinationalCycle as exc:
         return _fail(f"combinational cycle under clocked timing: {exc}")

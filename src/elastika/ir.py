@@ -76,8 +76,7 @@ class Component:
             for i in range(self.params["reads"]):
                 edges.append((1 + i, 1 + i))
             return edges
-        n_in = len(self.input_widths())
-        n_out = len(self.output_widths())
+        n_in, n_out = port_counts(self)
         return [(i, o) for i in range(n_in) for o in range(n_out)]
 
 
@@ -104,6 +103,29 @@ _OUTPUT_WIDTHS: dict[Kind, Callable[[dict], list[int]]] = {
     Kind.INITIAL: lambda p: [p.get("width", 0)],
     Kind.BUFFER: lambda p: [p["width"]],
 }
+
+# Port counts per kind: the lengths of the width lists above, read straight
+# from the params so that no list is built (a list repeated a negative
+# number of times is empty).
+_PORT_COUNTS: dict[Kind, Callable[[dict], tuple[int, int]]] = {
+    Kind.JOIN: lambda p: (len(p["inputs"]), 1),
+    Kind.FORK: lambda p: (1, len(p["outputs"])),
+    Kind.STEER: lambda p: (1, max(p["outputs"], 0)),
+    Kind.MERGE: lambda p: (max(p["inputs"], 0), 1),
+    Kind.VARIABLE: lambda p: (1 + max(p["reads"], 0), 1 + max(p["reads"], 0)),
+    Kind.OPERATOR: lambda p: (len(p["inputs"]), 1),
+    Kind.INITIAL: lambda p: (1, 1),
+    Kind.BUFFER: lambda p: (1, 1),
+}
+
+
+def port_counts(comp: Component) -> tuple[int, int]:
+    """(input ports, output ports) of ``comp``: the lengths of its
+    input_widths() and output_widths(), without building either list."""
+    counts = _PORT_COUNTS.get(comp.kind)
+    if counts is None:
+        raise IrError(f"unhandled kind {comp.kind}")
+    return counts(comp.params)
 
 
 @dataclass
@@ -229,6 +251,15 @@ def validate(net: Network) -> list[Diagnostic]:
         if cid != comp.id:
             err("id-mismatch", cid, "component table key differs from component id")
         try:
+            # Every port needs a link of its own, so a port count above the
+            # net's link count cannot be valid; it is checked before any
+            # width list of that length is built.
+            n_in, n_out = port_counts(comp)
+            if max(n_in, n_out) > len(net.links):
+                err("connectivity", cid,
+                    f"{n_in} input and {n_out} output ports, but the net "
+                    f"has {len(net.links)} links")
+                continue
             problems = _param_problems(comp)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             err("bad-params", cid, f"missing or malformed params for {comp.kind.value}: {exc}")
@@ -268,11 +299,12 @@ def validate(net: Network) -> list[Diagnostic]:
                     err("double-buffer", lid, "two buffers adjacent on one link position")
 
     for cid, comp in comps_ok.items():
-        for pidx in range(len(comp.input_widths())):
+        n_in, n_out = port_counts(comp)
+        for pidx in range(n_in):
             n = len(in_bound.get((cid, pidx), []))
             if n != 1:
                 err("connectivity", cid, f"input port {pidx} bound by {n} links (need 1)")
-        for pidx in range(len(comp.output_widths())):
+        for pidx in range(n_out):
             n = len(out_bound.get((cid, pidx), []))
             if n != 1:
                 err("connectivity", cid, f"output port {pidx} bound by {n} links (need 1)")

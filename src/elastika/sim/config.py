@@ -185,6 +185,9 @@ class SimConfig:
     mode is "async" or "sync"; clock is the period in ps and must be
     positive in sync mode.  The horizon stops free-running nets: the run
     is cut at max_time or once any output port has max_results values.
+    record_occupancy keeps the report's occupancy_series, one (time,
+    buffer, level) tuple per buffer level change, which only the CSV
+    export reads; without it the series stays empty.
     """
     mode: str = "async"
     clock: int = 0
@@ -192,6 +195,7 @@ class SimConfig:
     stimulus: dict[str, list[int]] = field(default_factory=dict)
     max_time: int = 10**12
     max_results: int = 10**6
+    record_occupancy: bool = False
 
     def validate(self, net: Network) -> None:
         if self.mode not in ("async", "sync"):

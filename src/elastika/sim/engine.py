@@ -38,20 +38,26 @@ next event in one call (and skips the heap when it is the smallest), and
 calls the handler of that event's phase and key; one sentinel event past
 the horizon ends it.  A Buffer whose consumer's key sorts after its own
 queues the consumer's offer directly instead of an internal firing that
-would only forward it (see ``_buffer``).
+would only forward it (see ``_buffer``).  Lowering refuses a link to a
+port the component lacks, or to a port another link already binds.
+
+``run_async`` and ``run_sync`` pause the cyclic collector for the whole
+run, lowering included (see ``_collector_paused``).
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import operator
 from bisect import bisect_right
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import replace
 from heapq import heappop, heappush, heappushpop
 from typing import Callable, Optional
 
 from ..ir import (Component, FlowGraph, Kind, Network, back_edges,
-                  combinational_cycle)
+                  combinational_cycle, port_counts)
 from .config import SimConfig
 from .report import SimReport
 
@@ -238,13 +244,11 @@ class Simulation:
                 n_out[ids[key]] = 1
             else:
                 n_in[ids[key]] = 1
-        builders, initials = [], []
+        initials = []
         for cid, comp in net.components.items():
             k = ids[cid]
-            ports, build = _HANDLERS[comp.kind]
-            builders.append((k, comp, build))
-            n_in[k], n_out[k] = ports(comp.params)
-            if build is _initial:
+            n_in[k], n_out[k] = port_counts(comp)
+            if comp.kind is Kind.INITIAL:
                 initials.append(k)
         self._initials = sorted(initials)
         self.n_in, self.n_out = n_in, n_out
@@ -260,6 +264,9 @@ class Simulation:
         # with no consumer, the offer stands forever.
         self.out_standing = out_standing = [False] * out_base[-1]
         self.out_dst = out_dst = [(-1, 0, False)] * out_base[-1]
+        # The link bound to each input and output slot so far.
+        in_link: dict[int, str] = {}
+        out_link: dict[int, str] = {}
         for lid, ln in net.links.items():
             src, dst = ln.src, ln.dst
             if src is None:
@@ -271,11 +278,19 @@ class Simulation:
                 if not 0 <= sp < n_out[sk]:
                     raise SimError(f"link {lid} leaves {src[0]}, which has "
                                    f"no output {sp}")
+                other = out_link.setdefault(out_base[sk] + sp, lid)
+                if other != lid:
+                    raise SimError(f"link {lid} leaves {src[0]} output {sp}, "
+                                   f"which link {other} already binds")
             if dst is not None:
                 dk, dp = ids[dst[0]], dst[1]
                 if not 0 <= dp < n_in[dk]:
                     raise SimError(f"link {lid} enters {dst[0]}, which has "
                                    f"no input {dp}")
+                other = in_link.setdefault(in_base[dk] + dp, lid)
+                if other != lid:
+                    raise SimError(f"link {lid} enters {dst[0]} input {dp}, "
+                                   f"which link {other} already binds")
                 if src is not None:
                     in_src[in_base[dk] + dp] = (sk, sp)
             if src is not None:
@@ -291,8 +306,10 @@ class Simulation:
                 on_ack[k] = _stimulus(self, k, name)
             else:
                 on_offer[k] = _sink(self, k, name)
-        for k, comp, build in builders:
-            on_offer[k], on_ack[k], on_fire[k] = build(self, k, comp)
+        for cid, comp in net.components.items():
+            k = ids[cid]
+            on_offer[k], on_ack[k], on_fire[k] = _HANDLERS[comp.kind](
+                self, k, comp)
 
     # -- run loop ---------------------------------------------------------
 
@@ -400,11 +417,11 @@ class Simulation:
 # -- per-kind handlers ----------------------------------------------------
 #
 # Each builder takes one key whose slots are already wired (port counts as
-# in Component.input_widths/output_widths) and returns its (offer,
-# acknowledge, fire) handlers, closed over its slots, the far ends of its
-# links, its parameters and its resolved delay.  Every handler is called
-# as (port, payload, t), keeps its own slots and returns one event it
-# causes, or None; it pushes any further events itself:
+# in ir.port_counts) and returns its (offer, acknowledge, fire) handlers,
+# closed over its slots, the far ends of its links, its parameters and its
+# resolved delay.  Every handler is called as (port, payload, t), keeps
+# its own slots and returns one event it causes, or None; it pushes any
+# further events itself:
 #
 # * an offer handler gets the offered value; it stores it in the input
 #   slot unless it takes the value at once;
@@ -728,8 +745,9 @@ def _merge(sim: Simulation, k: int, comp: Component):
 
 def _buffer(sim: Simulation, k: int, comp: Component):
     """Takes while below capacity; the head token is offered one buffer
-    delay after it arrived.  Every level change is logged, and the time
-    spent at each level is added up as the run goes.
+    delay after it arrived.  The time spent at each level is added up as
+    the run goes, and every level change is logged when the run records
+    the occupancy series.
 
     The head's offer is due at ``due``.  When the consumer's key sorts
     after this Buffer's (``dk > k``, so the output is linked), the offer
@@ -753,7 +771,8 @@ def _buffer(sim: Simulation, k: int, comp: Component):
     dk, dp, stands = sim.out_dst[ob]
     fold = dk > k
     slots = sim.buf_slots[name] = deque()   # (value, arrival time)
-    log, peak = sim.occupancy_series.append, sim.occupancy_max
+    record, log = sim.cfg.record_occupancy, sim.occupancy_series.append
+    peak = sim.occupancy_max
     peak[name] = top = 0
     hist = sim.occupancy_time[name] = {}
     level = since = 0   # level is len(slots)
@@ -794,7 +813,8 @@ def _buffer(sim: Simulation, k: int, comp: Component):
             hist[level] = hist.get(level, 0) + (t - since)
             since = t
         level += 1
-        log((t, name, level))
+        if record:
+            log((t, name, level))
         if level > top:
             peak[name] = top = level
         ack = (t, sk, sp, _ACK, None) if sk >= 0 else None
@@ -811,7 +831,8 @@ def _buffer(sim: Simulation, k: int, comp: Component):
             hist[level] = hist.get(level, 0) + (t - since)
             since = t
         level -= 1
-        log((t, name, level))
+        if record:
+            log((t, name, level))
         ack = None
         value = in_val[ib]
         if value is not None:    # take the waiting offer: back to the peak
@@ -820,7 +841,8 @@ def _buffer(sim: Simulation, k: int, comp: Component):
                 ack = (t, sk, sp, _ACK, None)
             slots.append((value, t))
             level += 1
-            log((t, name, level))
+            if record:
+                log((t, name, level))
         busy = level > 0
         return schedule(t, ack) if busy else ack
 
@@ -831,17 +853,16 @@ def _buffer(sim: Simulation, k: int, comp: Component):
     return on_offer, on_ack, on_fire
 
 
-# Per kind: the port counts of Component.input_widths/output_widths, read
-# straight from the params, and the handler builder.
+# The handler builder per kind.
 _HANDLERS = {
-    Kind.JOIN: (lambda p: (len(p["inputs"]), 1), _join),
-    Kind.OPERATOR: (lambda p: (len(p["inputs"]), 1), _operator),
-    Kind.FORK: (lambda p: (1, len(p["outputs"])), _fork),
-    Kind.STEER: (lambda p: (1, p["outputs"]), _steer),
-    Kind.INITIAL: (lambda p: (1, 1), _initial),
-    Kind.VARIABLE: (lambda p: (1 + p["reads"], 1 + p["reads"]), _variable),
-    Kind.MERGE: (lambda p: (p["inputs"], 1), _merge),
-    Kind.BUFFER: (lambda p: (1, 1), _buffer),
+    Kind.JOIN: _join,
+    Kind.OPERATOR: _operator,
+    Kind.FORK: _fork,
+    Kind.STEER: _steer,
+    Kind.INITIAL: _initial,
+    Kind.VARIABLE: _variable,
+    Kind.MERGE: _merge,
+    Kind.BUFFER: _buffer,
 }
 
 
@@ -938,11 +959,27 @@ def _longest_chain(net: Network, delays, succ: dict[str, list[str]],
     return max(chain.values(), default=0)
 
 
+@contextmanager
+def _collector_paused():
+    """Keeps CPython's cyclic collector off for one run, and on again
+    afterwards only if it was on before.  A run creates no reference
+    cycles, so reference counting frees all it allocates; the collector
+    would only walk the lowering's closures and cells while they live."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def run_async(net: Network, cfg: SimConfig) -> SimReport:
     """Event-driven run with the full delay table."""
     if cfg.mode != "async":
         raise SimError(f"run_async needs mode async, got {cfg.mode!r}")
-    return Simulation(net, cfg).run()
+    with _collector_paused():
+        return Simulation(net, cfg).run()
 
 
 def run_sync(net: Network, cfg: SimConfig) -> SimReport:
@@ -953,16 +990,18 @@ def run_sync(net: Network, cfg: SimConfig) -> SimReport:
     ``combinational_cycle``."""
     if cfg.mode != "sync":
         raise SimError(f"run_sync needs mode sync, got {cfg.mode!r}")
-    g = FlowGraph(net)
-    succ = g.comb
-    order: list[str] = []
-    if next(back_edges(sorted(succ), lambda lid: zip(succ[lid], succ[lid]),
-                       order), None) is not None:
-        raise CombinationalCycle(combinational_cycle(g))
-    # No back edge: the search ran to its end and ``order`` is complete.
-    crit = _longest_chain(net, cfg.delays, succ, order)
-    inner = replace(cfg, delays=cfg.delays.zeroed(buffer_delay=cfg.clock))
-    report = Simulation(net, inner).run()
+    with _collector_paused():
+        g = FlowGraph(net)
+        succ = g.comb
+        order: list[str] = []
+        if next(back_edges(sorted(succ),
+                           lambda lid: zip(succ[lid], succ[lid]), order),
+                None) is not None:
+            raise CombinationalCycle(combinational_cycle(g))
+        # No back edge: the search ran to its end and ``order`` is complete.
+        crit = _longest_chain(net, cfg.delays, succ, order)
+        inner = replace(cfg, delays=cfg.delays.zeroed(buffer_delay=cfg.clock))
+        report = Simulation(net, inner).run()
     report.mode = "sync"
     report.critical_path = crit
     report.overclocked = cfg.clock < crit

@@ -37,7 +37,8 @@ class SimReport:
     critical_path: int = 0
     overclocked: bool = False
     # Buffer occupancy: peak per buffer, time spent at each level, and the
-    # full (time, buffer, level) change series for CSV export.
+    # full (time, buffer, level) change series for CSV export, which is
+    # kept only when SimConfig.record_occupancy is set.
     occupancy_max: dict[str, int] = field(default_factory=dict)
     occupancy_time: dict[str, dict[int, int]] = field(default_factory=dict)
     occupancy_series: list[tuple[int, str, int]] = field(default_factory=list)

@@ -44,7 +44,7 @@ def test_gate_1_ring_timing_oracle(capsys):
               "and the analytic bound agrees within 1%", 1.0):
         rep = run_async(build_ring(), SimConfig(
             mode="async", delays=ring_delays(), stimulus={"go": []},
-            max_time=60_000))
+            max_time=60_000, record_occupancy=True))
         gaps = ring_arrival_gaps(rep)
         assert len(gaps) >= 10
         assert set(gaps) == {RING_LAP_PS}
@@ -148,7 +148,8 @@ def test_gate_7_random_loops_match_the_bound(capsys):
             rate = analytic_throughput(net, delays)
             lap = round(1 / rate.theta)
             rep = run_async(net, SimConfig(mode="async", delays=delays,
-                                           max_time=lap * 8))
+                                           max_time=lap * 8,
+                                           record_occupancy=True))
             gaps = loop_arrival_gaps(rep)
             assert gaps
             measured = 1 / statistics.mean(gaps)

@@ -3,6 +3,7 @@ and the documented exit codes."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -145,6 +146,51 @@ def test_sim_computes_gcds(tmp_path, elgcd_buffered, capsys):
     assert [v for v, _ in obj["results"]["g"]] == [6, 12, 7]
     assert obj["completion"] == "stimulus-exhausted"
     assert occ.read_text().startswith("time,buffer,occupancy\n")
+
+
+# sha256 of the --occupancy CSV for elgcd on write_stimulus's inputs, taken
+# when every run still kept the series.
+OCCUPANCY_CSV = {
+    ("simple", "async"):
+        "6798d7f34d564b55a727786b8606ff0327e17d047e5f45e5b4de01c9ed767745",
+    ("simple", "sync"):
+        "2a886441030557a8c0953bbd41bf8ee87a876d8a219c055c06056128fd762003",
+    ("pac", "async"):
+        "9984fafa848a4ddf050a5b11ec4d4e116648f7b198aa792dfe9ebcb5a525b28c",
+    ("pac", "sync"):
+        "5405b428eb9d7422fe2f425492fa0e5d22737c62d41536418afcdfa40ab1885f",
+}
+
+
+@pytest.mark.parametrize("policy, mode", sorted(OCCUPANCY_CSV))
+def test_sim_occupancy_csv_bytes(tmp_path, elgcd_netlist, policy, mode):
+    buffered = tmp_path / "buffered.json"
+    assert main(["buffer", str(elgcd_netlist), "--policy", policy,
+                 "-o", str(buffered)]) == 0
+    occ = tmp_path / "occ.csv"
+    clock = ["--clock", "2000"] if mode == "sync" else []
+    assert main(["sim", str(buffered), "--stimulus",
+                 str(write_stimulus(tmp_path)), "--mode", mode, *clock,
+                 "-o", str(tmp_path / "report.json"),
+                 "--occupancy", str(occ)]) == 0
+    assert hashlib.sha256(occ.read_bytes()).hexdigest() == \
+        OCCUPANCY_CSV[policy, mode]
+
+
+@pytest.mark.parametrize("kind, key", [("merge", "inputs"),
+                                       ("steer", "outputs"),
+                                       ("variable", "reads")])
+def test_sim_huge_port_count_exit_2(tmp_path, elgcd_netlist, capsys, kind,
+                                    key):
+    # More ports than the net has links cannot all be bound.  Any width
+    # list of 2**40 entries fails at once, so a missed check cannot hang.
+    obj = json.loads(elgcd_netlist.read_text())
+    comp = next(c for c in obj["components"] if c["kind"] == kind)
+    comp["params"][key] = 2 ** 40
+    elgcd_netlist.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["sim", str(elgcd_netlist)]) == 2
+    assert f"error: connectivity {comp['id']}: " in capsys.readouterr().err
 
 
 def test_sim_unbuffered_deadlocks_exit_3(tmp_path, elgcd_netlist, capsys):

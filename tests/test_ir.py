@@ -13,8 +13,8 @@ from elastika.bench import benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac, policy_simple
 from elastika.ir import (Component, Diagnostic, DoubleBuffer, IrError, Kind,
                          FlowGraph, Link, Network, Port, UnknownLink,
-                         back_edges, combinational_cycle, splice_buffer,
-                         splice_buffer_in_place, validate)
+                         back_edges, combinational_cycle, port_counts,
+                         splice_buffer, splice_buffer_in_place, validate)
 
 
 def small_graphs():
@@ -45,13 +45,27 @@ def test_component_port_widths():
 
 def test_every_kind_has_port_widths_and_a_delay():
     # Every per-kind table, so a kind cannot be half added or half removed.
-    from elastika.ir import _INPUT_WIDTHS, _OUTPUT_WIDTHS
+    from elastika.ir import _INPUT_WIDTHS, _OUTPUT_WIDTHS, _PORT_COUNTS
     from elastika.netlist import _DOT_SHAPE
     from elastika.sim.config import _KIND_DELAYS
     from elastika.sim.engine import _HANDLERS
-    for table in (_INPUT_WIDTHS, _OUTPUT_WIDTHS, _KIND_DELAYS, _HANDLERS,
-                  _DOT_SHAPE):
+    for table in (_INPUT_WIDTHS, _OUTPUT_WIDTHS, _PORT_COUNTS, _KIND_DELAYS,
+                  _HANDLERS, _DOT_SHAPE):
         assert set(table) == set(Kind)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 3])
+def test_port_counts_are_the_width_list_lengths(n):
+    comps = [Component("m", Kind.MERGE, {"width": 8, "inputs": n}),
+             Component("s", Kind.STEER, {"input": 9, "select": 1,
+                                         "outputs": n, "table": {}}),
+             Component("v", Kind.VARIABLE, {"width": 8, "reads": n}),
+             Component("j", Kind.JOIN, {"inputs": [8] * max(n, 0)}),
+             Component("f", Kind.FORK, {"input": 8,
+                                        "outputs": [8] * max(n, 0)})]
+    for comp in comps:
+        assert port_counts(comp) == (len(comp.input_widths()),
+                                     len(comp.output_widths()))
 
 
 def test_unknown_kind_is_rejected():

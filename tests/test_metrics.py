@@ -168,7 +168,8 @@ def test_single_loop_bound_matches_simulation_exactly():
     for classes in (["id", "id"], ["default"], ["body", "id", "flag"]):
         net = build_loop_net(classes)
         rep = run_async(net, SimConfig(mode="async", delays=dl,
-                                       max_time=50_000))
+                                       max_time=50_000,
+                                       record_occupancy=True))
         gaps = loop_arrival_gaps(rep)
         cr = analytic_throughput(net, dl)
         assert len(set(gaps)) == 1
@@ -184,7 +185,7 @@ def test_single_loop_bound_property(classes):
     cr = analytic_throughput(net, dl)
     lap = round(1 / cr.theta)
     rep = run_async(net, SimConfig(mode="async", delays=dl,
-                                   max_time=lap * 6))
+                                   max_time=lap * 6, record_occupancy=True))
     gaps = loop_arrival_gaps(rep)
     assert gaps and set(gaps) == {lap}
 

@@ -128,6 +128,29 @@ def test_wiring_to_missing_ports_is_rejected():
         sim(chain, {"a": [1]})
 
 
+@pytest.mark.parametrize("mode", ["async", "sync"])
+def test_doubly_bound_ports_are_rejected(mode):
+    # Nets that ir.validate rejects; run unchecked, the first one drained
+    # with z = [1, 7, 8] and never took the value 2.
+    def run_mode(net, stimulus):
+        return run(net, SimConfig(mode=mode, stimulus=stimulus,
+                                  clock=2000 if mode == "sync" else 0))
+    fed_twice = id_chain()
+    fed_twice.links["lb"] = Link("lb", 8, None, ("op", 0))
+    fed_twice.ports["b"] = Port("b", "in", 8, "lb")
+    with pytest.raises(SimError,
+                       match="link lb enters op input 0, which link la "
+                             "already binds"):
+        run_mode(fed_twice, {"a": [1, 2], "b": [7, 8]})
+    drains_twice = id_chain()
+    drains_twice.links["ly"] = Link("ly", 8, ("op", 0), None)
+    drains_twice.ports["y"] = Port("y", "out", 8, "ly")
+    with pytest.raises(SimError,
+                       match="link ly leaves op output 0, which link lz "
+                             "already binds"):
+        run_mode(drains_twice, {"a": [1, 2]})
+
+
 def merge_net():
     return mknet("m",
                  [Component("m", Kind.MERGE, {"width": 8, "inputs": 2})],
@@ -189,7 +212,7 @@ def test_variable_commit_is_at_write_done():
 def test_ring_laps_exactly():
     rep = run_async(build_ring(), SimConfig(
         mode="async", delays=ring_delays(), stimulus={"go": []},
-        max_time=60_000))
+        max_time=60_000, record_occupancy=True))
     assert rep.completion == "horizon"
     assert rep.truncated
     gaps = ring_arrival_gaps(rep)
@@ -416,11 +439,11 @@ def test_unknown_operator_raises_only_when_it_fires():
 def test_lowering_port_counts_match_the_port_widths(elgcd_net, poly_net,
                                                     smul_net):
     from elastika.buffering import apply, policy_simple
-    from elastika.sim.engine import _HANDLERS
+    from elastika.ir import port_counts
     kinds = set()
     for net in (elgcd_net, poly_net, smul_net):
         for comp in apply(net, policy_simple(net)).components.values():
             kinds.add(comp.kind)
-            assert _HANDLERS[comp.kind][0](comp.params) == (
+            assert port_counts(comp) == (
                 len(comp.input_widths()), len(comp.output_widths()))
     assert kinds == set(Kind)

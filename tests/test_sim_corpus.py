@@ -133,9 +133,26 @@ def test_wide_corpus_report_bytes(case):
     if plan in POLICIES:
         net = apply(net, POLICIES[plan](net, mode=mode))
     report = run(net, SimConfig(mode=mode, clock=2000 if mode == "sync" else 0,
-                                stimulus=stimulus))
+                                stimulus=stimulus, record_occupancy=True))
     assert report.completion == ("deadlock" if case in DEADLOCKS
                                  else "stimulus-exhausted")
     assert (hashlib.sha256(to_json(report).encode()).hexdigest(),
             hashlib.sha256(occupancy_csv(report).encode()).hexdigest()
             ) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("program", sorted({c.split("-")[0] for c in GOLDEN}))
+def test_recording_occupancy_changes_no_report_byte(program):
+    # Every case of GOLDEN for one program, run with and without the series.
+    compiled = compile_module(parse((DATA / f"{program}.csp").read_text()))
+    stimulus = parse_stimulus((DATA / f"{program}.stim").read_text())
+    nets = [("async", compiled)] + [
+        (mode, apply(compiled, POLICIES[plan](compiled, mode=mode)))
+        for plan in sorted(POLICIES) for mode in ("async", "sync")]
+    for mode, net in nets:
+        plain, recorded = (run(net, SimConfig(
+            mode=mode, clock=2000 if mode == "sync" else 0, stimulus=stimulus,
+            record_occupancy=record)) for record in (False, True))
+        assert to_json(plain) == to_json(recorded)
+        assert plain.occupancy_series == []
+        assert bool(recorded.occupancy_series) == (net is not compiled)

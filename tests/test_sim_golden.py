@@ -235,7 +235,8 @@ def simulate(case) -> tuple[str, str]:
         if policy is not None:
             net = apply(net, POLICIES[policy](net, mode=mode))
     cfg = SimConfig(mode=mode, clock=clock,
-                    stimulus={k: list(v) for k, v in stimulus.items()})
+                    stimulus={k: list(v) for k, v in stimulus.items()},
+                    record_occupancy=True)
     if cap is not None:
         cfg.max_results = cap
     return digests(run(net, cfg))
@@ -248,3 +249,20 @@ def test_simulator_bytes_match_golden(case_id):
 
 def test_golden_covers_every_case():
     assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_recording_occupancy_changes_no_report_byte(name):
+    # Every buffered case of CASES, run with and without the series.
+    spec = benchmark(name)
+    compiled = spec.compiled()
+    for policy in sorted(POLICIES):
+        for mode, clock in (("async", 0), ("sync", 2000)):
+            net = apply(compiled, POLICIES[policy](compiled, mode=mode))
+            for stimulus in spec.datasets:
+                plain, recorded = (run(net, SimConfig(
+                    mode=mode, clock=clock, stimulus=stimulus,
+                    record_occupancy=record)) for record in (False, True))
+                assert to_json(plain) == to_json(recorded)
+                assert plain.occupancy_series == []
+                assert recorded.occupancy_series

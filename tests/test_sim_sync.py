@@ -10,11 +10,12 @@ from hypothesis import given, strategies as st
 from conftest import (RING_LAP_PS, build_ring, digraph_to_net,
                       ring_arrival_gaps, ring_delays)
 from elastika import ir
-from elastika.bench import benchmark
+from elastika.bench import POLICIES, benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac, policy_simple
 from elastika.ir import Component, Kind, Link, Network, Port
 from elastika.sim import (CombinationalCycle, ConfigError, DelayTable,
-                          SimConfig, critical_path, run, run_sync)
+                          SimConfig, SteerMiss, critical_path, run, run_async,
+                          run_sync)
 
 
 def mknet(name, comps, links, ports):
@@ -55,7 +56,7 @@ def test_unbuffered_compile_is_rejected_statically(elgcd_net):
 def test_buffered_loop_passes_the_static_check(ring_net):
     rep = run_sync(ring_net, SimConfig(
         mode="sync", clock=2000, delays=ring_delays(),
-        stimulus={"go": []}, max_time=30_000))
+        stimulus={"go": []}, max_time=30_000, record_occupancy=True))
     assert rep.completion == "horizon"
     # All logic settles within the period, so a lap costs exactly one
     # buffer traversal: one clock.
@@ -97,7 +98,7 @@ def test_sync_matches_async_ring_tempo(ring_net):
     # per lap.  Both are the same network, only the protocol differs.
     rep = run_sync(ring_net, SimConfig(
         mode="sync", clock=4500, delays=ring_delays(),
-        stimulus={"go": []}, max_time=50_000))
+        stimulus={"go": []}, max_time=50_000, record_occupancy=True))
     assert not rep.overclocked
     assert set(ring_arrival_gaps(rep)) == {4500}
     assert RING_LAP_PS < 4500
@@ -133,6 +134,79 @@ def test_run_sync_leaves_no_cyclic_garbage():
     try:
         run_sync(net, cfg)
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_async_runs_leave_no_cyclic_garbage(name, policy):
+    # A run pauses the collector, so reference counting alone must free
+    # everything it allocates.
+    spec = benchmark(name)
+    net = spec.compiled()
+    net = apply(net, POLICIES[policy](net, mode="async"))
+    cfg = SimConfig(stimulus=spec.datasets[0])
+    gc.collect()
+    gc.disable()
+    try:
+        run_async(net, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def steer_miss_net() -> Network:
+    """a -> Steer with a route for select 0 only -> z."""
+    return mknet("miss",
+                 [Component("s", Kind.STEER,
+                            {"input": 9, "select": 1, "outputs": 2,
+                             "table": {"0": 0}})],
+                 [Link("la", 9, None, ("s", 0)),
+                  Link("l0", 8, ("s", 0), None),
+                  Link("l1", 8, ("s", 1), None)],
+                 [Port("a", "in", 9, "la"), Port("z0", "out", 8, "l0"),
+                  Port("z1", "out", 8, "l1")])
+
+
+def _sync_cfg(**kw) -> SimConfig:
+    return SimConfig(mode="sync", clock=2000, **kw)
+
+
+# Each call, and the exception it raises (None: it returns a report).
+COLLECTOR_CASES = {
+    "run-async": (lambda: run(buffered_chain(), SimConfig(
+        stimulus={"a": [1, 2]})), None),
+    "run-sync": (lambda: run(buffered_chain(), _sync_cfg(
+        stimulus={"a": [1, 2]})), None),
+    "run_async": (lambda: run_async(buffered_chain(), SimConfig(
+        stimulus={"a": [1, 2]})), None),
+    "run_sync": (lambda: run_sync(buffered_chain(), _sync_cfg(
+        stimulus={"a": [1, 2]})), None),
+    "run_async-steer-miss": (lambda: run_async(steer_miss_net(), SimConfig(
+        stimulus={"a": [3]})), SteerMiss),
+    "run_sync-steer-miss": (lambda: run_sync(steer_miss_net(), _sync_cfg(
+        stimulus={"a": [3]})), SteerMiss),
+    "run_sync-combinational-cycle": (lambda: run_sync(
+        benchmark("elgcd").compiled(), _sync_cfg()), CombinationalCycle),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", sorted(COLLECTOR_CASES))
+def test_runs_leave_the_collector_as_they_found_it(case, enabled):
+    call, raises = COLLECTOR_CASES[case]
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        if raises is None:
+            call()
+        else:
+            with pytest.raises(raises):
+                call()
+        assert gc.isenabled() is enabled
     finally:
         gc.enable()
 
