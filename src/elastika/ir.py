@@ -144,6 +144,18 @@ class Port:
     link: str
 
 
+def _copy_value(value):
+    """A JSON-like value with its dicts and lists rebuilt (see Network.copy)."""
+    kind = type(value)
+    if kind is str or kind is int:
+        return value
+    if kind is dict:
+        return {k: _copy_value(v) for k, v in value.items()}
+    if kind is list:
+        return [_copy_value(v) for v in value]
+    return copy.deepcopy(value)
+
+
 @dataclass
 class Network:
     name: str
@@ -152,11 +164,15 @@ class Network:
     ports: dict[str, Port] = field(default_factory=dict)
 
     def copy(self) -> "Network":
-        """Structural copy: fresh Component, Link and Port objects, with
-        params deep-copied; endpoint tuples are immutable and shared."""
+        """Structural copy: fresh Component, Link and Port objects.  Params
+        are copied by a walk over their JSON values: dicts and lists are
+        rebuilt, str and int leaves shared, and any other value goes to
+        ``copy.deepcopy``, so a tuple is copied as before.  Unlike a
+        deepcopy of the whole dict, a list held twice becomes two lists.
+        Endpoint tuples are immutable and shared."""
         return Network(
             self.name,
-            {cid: Component(c.id, c.kind, copy.deepcopy(c.params))
+            {cid: Component(c.id, c.kind, _copy_value(c.params))
              for cid, c in self.components.items()},
             {lid: Link(ln.id, ln.width, ln.src, ln.dst)
              for lid, ln in self.links.items()},
@@ -345,14 +361,6 @@ def validate(net: Network) -> list[Diagnostic]:
             err("dangling", lid, "unconsumed link not claimed by any output port")
 
     return diags
-
-
-def splice_buffer(net: Network, link_id: str, capacity: int = 1) -> Network:
-    """Return a new network with a Buffer spliced into ``link_id``; ``net``
-    itself is left untouched.  See ``splice_buffer_in_place``."""
-    out = net.copy()
-    splice_buffer_in_place(out, link_id, capacity)
-    return out
 
 
 def splice_buffer_in_place(net: Network, link_id: str, capacity: int = 1) -> None:

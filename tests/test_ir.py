@@ -14,7 +14,7 @@ from elastika.buffering import apply, policy_pac, policy_simple
 from elastika.ir import (Component, Diagnostic, DoubleBuffer, IrError, Kind,
                          FlowGraph, Link, Network, Port, UnknownLink,
                          back_edges, combinational_cycle, port_counts,
-                         splice_buffer, splice_buffer_in_place, validate)
+                         splice_buffer_in_place, validate)
 
 
 def small_graphs():
@@ -200,40 +200,46 @@ def test_diagnostic_renders_with_subject():
 
 def test_splice_keeps_upstream_id_and_adds_post():
     net = build_ring()
-    out = splice_buffer(net, "lm", capacity=3)
+    out = net.copy()
+    splice_buffer_in_place(out, "lm", capacity=3)
     assert out.links["lm"].dst == ("buf.lm", 0)
     assert out.links["lm.post"].src == ("buf.lm", 0)
     assert out.links["lm.post"].dst == ("f", 0)
     assert out.components["buf.lm"].params == {"width": 8, "capacity": 3}
     assert validate(out) == []
-    # The original network is untouched.
+    # The copy shares nothing the splice changes with the original.
     assert "buf.lm" not in net.components
+    assert "lm.post" not in net.links
+    assert net.links["lm"].dst == ("f", 0)
 
 
 def test_splice_retargets_output_port():
     net = build_ring()
-    out = splice_buffer(net, "lout")
+    out = net.copy()
+    splice_buffer_in_place(out, "lout")
     assert out.ports["spill"].link == "lout.post"
     assert validate(out) == []
+    assert net.ports["spill"].link == "lout"
 
 
 def test_splice_rejects_unknown_link():
     with pytest.raises(UnknownLink):
-        splice_buffer(build_ring(), "nope")
+        splice_buffer_in_place(build_ring().copy(), "nope")
 
 
 def test_splice_rejects_buffer_adjacency():
     net = build_ring()
     with pytest.raises(DoubleBuffer):
-        splice_buffer(net, "ls")  # dst is already the ring buffer
+        splice_buffer_in_place(net.copy(), "ls")  # dst is the ring buffer
     with pytest.raises(DoubleBuffer):
-        splice_buffer(net, "lb")  # src is the ring buffer
+        splice_buffer_in_place(net.copy(), "lb")  # src is the ring buffer
 
 
 def test_splice_rejects_same_position_twice():
-    out = splice_buffer(build_ring(), "lm")
+    out = build_ring().copy()
+    splice_buffer_in_place(out, "lm")
     with pytest.raises(DoubleBuffer):
-        splice_buffer(out, "lm")
+        splice_buffer_in_place(out.copy(), "lm")
 
 
 def test_splice_in_place_checks_before_changing_the_net():
@@ -244,9 +250,11 @@ def test_splice_in_place_checks_before_changing_the_net():
         with pytest.raises(error):
             splice_buffer_in_place(net, lid)
         assert netlist.dumps(net) == before
+    copied = net.copy()
     splice_buffer_in_place(net, "lout", capacity=3)
-    assert netlist.dumps(net) == netlist.dumps(
-        splice_buffer(build_ring(), "lout", capacity=3))
+    assert netlist.dumps(copied) == before
+    splice_buffer_in_place(copied, "lout", capacity=3)
+    assert netlist.dumps(net) == netlist.dumps(copied)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Netlist serialization: canonical JSON round-trips and DOT export."""
 from __future__ import annotations
 
+import functools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,8 +12,23 @@ from conftest import build_ring, digraph_to_net
 from elastika import netlist
 from elastika.bench import POLICIES, benchmark, benchmark_names
 from elastika.buffering import apply
+from elastika.frontend import compile as compile_module
+from elastika.frontend import parse
 from elastika.ir import Network, validate
 from test_ir import small_graphs
+
+DATA = Path(__file__).parent / "data"
+# The four generated programs of the ``wide`` benchmark corpus.
+WIDE = sorted(path.stem for path in DATA.glob("wide*.csp"))
+
+
+@functools.lru_cache(maxsize=None)
+def compiled(name: str) -> Network:
+    """A shipped benchmark or a corpus program, compiled; callers copy it
+    before changing it."""
+    if name in WIDE:
+        return compile_module(parse((DATA / f"{name}.csp").read_text()))
+    return benchmark(name).compiled()
 
 
 def assert_same_net(a, b):
@@ -87,7 +104,6 @@ def test_loads_rejects_unknown_kind():
 def test_loads_rejects_duplicate_ids():
     obj = netlist.to_obj(build_ring())
     obj["links"].append(dict(obj["links"][0]))
-    import json
     with pytest.raises(netlist.NetlistError):
         netlist.loads(json.dumps(obj))
 
@@ -97,6 +113,21 @@ def test_loads_rejects_malformed_endpoint():
         netlist.loads('{"name": "x", "components": [], "links": '
                       '[{"id": "l", "width": 8, "from": {"comp": "c"}, '
                       '"to": null}], "ports": []}')
+
+
+@pytest.mark.parametrize("where", ["width", "port"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_loads_rejects_a_non_finite_number(where, value):
+    # An infinite width escaped the reader as OverflowError.
+    obj = netlist.to_obj(build_ring())
+    link = next(ln for ln in obj["links"] if ln["from"] is not None)
+    if where == "width":
+        link["width"] = value
+    else:
+        link["from"]["port"] = value
+    with pytest.raises(netlist.NetlistError,
+                       match="^malformed netlist: cannot convert float"):
+        netlist.loads(json.dumps(obj))
 
 
 def test_to_dot_lists_every_component_and_link():
@@ -136,9 +167,9 @@ def oracle_dumps(net: Network) -> str:
     return json.dumps(netlist.to_obj(net), indent=2, ensure_ascii=False) + "\n"
 
 
-@pytest.mark.parametrize("name", benchmark_names())
+@pytest.mark.parametrize("name", [*benchmark_names(), *WIDE])
 def test_dumps_matches_json_on_shipped_nets(name):
-    net = benchmark(name).compiled()
+    net = compiled(name)
     assert netlist.dumps(net) == oracle_dumps(net)
     for plan in POLICIES.values():
         for mode in ("async", "sync"):
@@ -182,3 +213,115 @@ def test_dumps_lays_out_tuples_as_lists():
     text = netlist.dumps(net)
     assert text == oracle_dumps(net)
     assert '"shape": [\n          8,\n          8\n        ]' in text
+
+
+def _scribble(value) -> None:
+    """Change every dict and list inside ``value``, tuples included."""
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            _scribble(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            _scribble(v)
+    if isinstance(value, list):
+        value.append(0)
+    elif isinstance(value, dict):
+        value["scribbled"] = 0
+
+
+@given(params=st.lists(st.dictionaries(st.text(), _PARAMS, max_size=4),
+                       min_size=1, max_size=6))
+def test_copy_shares_no_params_container(params):
+    net = build_ring()
+    for i, cid in enumerate(sorted(net.components)):
+        net.components[cid].params = params[i % len(params)]
+    before = netlist.dumps(net)
+    dup = net.copy()
+    assert netlist.dumps(dup) == before
+    for comp in dup.components.values():
+        _scribble(comp.params)
+    assert netlist.dumps(net) == before
+
+
+# ---------------------------------------------------------------------------
+# loads builds the net in one pass; it must accept and reject exactly what
+# the reader it replaced did.
+
+def _keys_sorted(value) -> bool:
+    if isinstance(value, dict):
+        return (list(value) == sorted(value)
+                and all(_keys_sorted(v) for v in value.values()))
+    if isinstance(value, list):
+        return all(_keys_sorted(v) for v in value)
+    return True
+
+
+def _reversed_keys(value):
+    if isinstance(value, dict):
+        return {k: _reversed_keys(value[k]) for k in reversed(value)}
+    if isinstance(value, list):
+        return [_reversed_keys(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("name", [*benchmark_names(), *WIDE])
+def test_loads_sorts_params_keys_at_every_depth(name):
+    net = compiled(name)
+    for plan in (None, *POLICIES.values()):
+        buffered = net if plan is None else apply(net, plan(net, mode="async"))
+        obj = netlist.to_obj(buffered)
+        for comp in obj["components"]:
+            comp["params"] = _reversed_keys(comp["params"])
+        again = netlist.loads(json.dumps(obj))
+        assert all(_keys_sorted(c.params) for c in again.components.values())
+        assert netlist.to_obj(again) == netlist.to_obj(buffered)
+        assert netlist.dumps(again) == netlist.dumps(buffered)
+
+
+# One mutation of a decoded netlist: a field set to one of these, a key
+# dropped, a record duplicated, or a kind made unhashable.
+_ODD_VALUES = (st.none() | st.just([]) | st.just([1]) | st.just({})
+               | st.just({"comp": "x"}) | st.floats() | st.text(max_size=3)
+               | st.just("7") | st.just(2 ** 70))
+
+
+def _mutable_objects(obj: dict) -> list[dict]:
+    """The top level, every record and every endpoint of a decoded net."""
+    out = [obj]
+    for section in ("components", "links", "ports"):
+        for rec in obj[section]:
+            out.append(rec)
+            out += [rec[end] for end in ("from", "to")
+                    if isinstance(rec.get(end), dict)]
+    return out
+
+
+@given(data=st.data())
+def test_loads_returns_a_net_or_raises_netlist_error(data):
+    name = data.draw(st.sampled_from(["ring", "elgcd"]))
+    net = build_ring() if name == "ring" else compiled(name)
+    obj = json.loads(netlist.dumps(net))
+    how = data.draw(st.sampled_from(["drop", "set", "duplicate", "kind"]))
+    if how == "duplicate":
+        section = obj[data.draw(st.sampled_from(["components", "links",
+                                                 "ports"]))]
+        section.append(json.loads(json.dumps(data.draw(
+            st.sampled_from(section)))))
+    elif how == "kind":
+        comp = data.draw(st.sampled_from(obj["components"]))
+        comp["kind"] = data.draw(st.sampled_from([[comp["kind"]],
+                                                  {"kind": comp["kind"]}]))
+    else:
+        target = data.draw(st.sampled_from(_mutable_objects(obj)))
+        key = data.draw(st.sampled_from(sorted(target)))
+        if how == "drop":
+            del target[key]
+        else:
+            target[key] = data.draw(_ODD_VALUES)
+    try:
+        again = netlist.loads(json.dumps(obj))
+    except netlist.NetlistError:
+        return
+    assert all(_keys_sorted(c.params) for c in again.components.values())
+    text = netlist.dumps(again)
+    assert netlist.dumps(netlist.loads(text)) == text

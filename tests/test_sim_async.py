@@ -2,16 +2,20 @@
 termination classification and operator arithmetic."""
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (RING_LAP_PS, build_ring, ring_arrival_gaps, ring_delays,
                       two_chains)
+from elastika import netlist
 from elastika.ir import Component, Kind, Link, Network, Port
 from elastika.sim import (ConfigError, DelayTable, SimConfig, SimError,
                           SteerMiss, critical_path, eval_operator,
                           format_stimulus, parse_stimulus, read_config, run,
                           run_async)
+from elastika.sim import engine
 from elastika.sim.engine import _operator_fn
 
 
@@ -149,6 +153,24 @@ def test_doubly_bound_ports_are_rejected(mode):
                        match="link ly leaves op output 0, which link lz "
                              "already binds"):
         run_mode(drains_twice, {"a": [1, 2]})
+
+
+@pytest.mark.parametrize("mode", ["async", "sync"])
+@pytest.mark.parametrize("kind, key", [(Kind.MERGE, "inputs"),
+                                       (Kind.STEER, "outputs"),
+                                       (Kind.VARIABLE, "reads")])
+def test_huge_port_count_is_rejected(elgcd_net, monkeypatch, mode, kind, key):
+    # A net ir.validate rejects, run unchecked.  Any slot list of 2**40
+    # entries fails at once; the clocked comb search would walk 2**40 port
+    # pairs instead, so it is stubbed out to fail fast should it be reached.
+    net = netlist.loads(netlist.dumps(elgcd_net))
+    comp = next(c for c in sorted(net.components.values(), key=lambda c: c.id)
+                if c.kind is kind)
+    comp.params[key] = 2 ** 40
+    monkeypatch.setattr(engine, "FlowGraph", None)
+    with pytest.raises(SimError, match=f"^{re.escape(comp.id)} has .* but "
+                                       f"the net has {len(net.links)} links$"):
+        run(net, SimConfig(mode=mode, clock=2000 if mode == "sync" else 0))
 
 
 def merge_net():
