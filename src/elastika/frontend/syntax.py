@@ -6,7 +6,8 @@ shipped benchmark sources are the normative examples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 
@@ -36,9 +37,14 @@ class ParConflict(FrontendError):
 _KEYWORDS = {"module", "in", "out", "var", "chan", "loop", "while", "if",
              "else", "case", "of", "for", "skip"}
 
-_PUNCT = ["||", ":=", "..", "==", "!=", "<=", ">=", "<<", ">>",
-          "(", ")", "{", "}", "[", "]", ";", ":", "?", "!",
-          "<", ">", "+", "-", "*", "&", "|", "^", "~", ","]
+# The lexical section of docs/grammar.md, one alternative per token class;
+# two-character punctuation comes before the one-character marks it starts
+# with.  Only ASCII is accepted outside comments.
+_TOKEN = re.compile(
+    r"(?P<nl>\n)|(?P<blank>[ \t\r]+|#[^\n]*)"
+    r"|(?P<hex>0[xX][0-9a-fA-F]*)|(?P<num>[0-9]+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>\|\||:=|\.\.|==|!=|<=|>=|<<|>>|[(){}\[\];:?!<>+\-*&|^~,])")
 
 
 @dataclass(frozen=True)
@@ -51,56 +57,26 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            if text.startswith("0x", i) or text.startswith("0X", i):
-                i += 2
-                while i < n and text[i] in "0123456789abcdefABCDEF":
-                    i += 1
-                if i == start + 2:
-                    raise SyntaxError("malformed hex literal", line, col)
-                val = int(text[start:i], 16)
-            else:
-                while i < n and text[i].isdigit():
-                    i += 1
-                val = int(text[start:i])
-            toks.append(Token("num", val, line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
+    i, line, bol = 0, 1, 0  # bol: index where the current line begins
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        col = i - bol + 1
+        if m is None:
+            raise SyntaxError(f"unexpected character {text[i]!r}", line, col)
+        kind, word, i = m.lastgroup, m.group(), m.end()
+        if kind == "nl":
+            line, bol = line + 1, i
+        elif kind == "hex":
+            if len(word) == 2:
+                raise SyntaxError("malformed hex literal", line, col)
+            toks.append(Token("num", int(word, 16), line, col))
+        elif kind == "num":
+            toks.append(Token("num", int(word), line, col))
+        elif kind == "ident":
             toks.append(Token("kw" if word in _KEYWORDS else "ident", word, line, col))
-            col += i - start
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise SyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        elif kind == "punct":
+            toks.append(Token(word, word, line, col))
+    toks.append(Token("eof", "", line, i - bol + 1))
     return toks
 
 
@@ -256,6 +232,8 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.i = 0
+        # Generator variables of the enclosing ``for`` arms -> this arm's value.
+        self.bound: dict[str, int] = {}
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -397,6 +375,7 @@ class _Parser:
                 return CaseStmt(sel, tuple(arms), pos)
             raise SyntaxError(f"unexpected keyword {tok.value!r}", tok.line, tok.col)
         if tok.type == "ident":
+            first = self.i
             base = self.next().value
             name = str(base)
             if self.peek().type == "[":
@@ -412,7 +391,10 @@ class _Parser:
                 if name != base:
                     raise SyntaxError("cannot assign to an indexed name", pos.line, pos.col)
                 return Assign(name, self.expr(), pos)
-            raise SyntaxError(f"expected '?', '!' or ':=' after {name}", nxt.line, nxt.col)
+            # Name the channel as written, before any generator value.
+            written = "".join(str(t.value) for t in self.toks[first:self.i - 1])
+            raise SyntaxError(f"expected '?', '!' or ':=' after {written}",
+                              nxt.line, nxt.col)
         raise SyntaxError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
     def block(self) -> Stmt:
@@ -422,14 +404,14 @@ class _Parser:
         return inner
 
     def _index(self) -> str:
-        """Bracket index: a literal, or a generator variable to be filled in
-        during case-arm elaboration.  Consumes through the closing bracket."""
+        """Bracket index: a literal, or a generator variable, which reads as
+        its bound value.  Consumes through the closing bracket."""
         tok = self.next()
         if tok.type not in ("num", "ident"):
             raise SyntaxError("expected index number or generator variable",
                               tok.line, tok.col)
         self.expect("]")
-        return str(tok.value)
+        return str(self.bound.get(tok.value, tok.value))
 
     def arm(self) -> list[tuple[int, Stmt]]:
         tok = self.peek()
@@ -444,9 +426,15 @@ class _Parser:
                 raise SyntaxError("generator range upper bound below lower",
                                   tok.line, tok.col)
             self.expect("{")
-            body = self.stmt()
-            self.expect("}")
-            return [(k, _substitute(body, str(var), k)) for k in range(lo, hi + 1)]
+            # Parse the body once per value, with the variable bound to it,
+            # so each generated arm has nodes of its own.
+            start, outer, arms = self.i, self.bound, []
+            for k in range(lo, hi + 1):
+                self.i, self.bound = start, {**outer, str(var): k}
+                arms.append((k, self.stmt()))
+                self.expect("}")
+            self.bound = outer
+            return arms
         value = self.expect("num", "case arm value").value
         self.expect(":")
         return [(int(value), self.block())]
@@ -483,7 +471,9 @@ class _Parser:
             name = str(tok.value)
             if self.peek().type == "[":
                 self.next()
-                name = f"{name}[{self._index()}]"
+                return Name(f"{name}[{self._index()}]", pos)
+            if name in self.bound:
+                return Num(self.bound[name], pos)
             return Name(name, pos)
         if tok.type == "(":
             inner = self.expr()
@@ -491,54 +481,6 @@ class _Parser:
             return inner
         raise SyntaxError(f"unexpected token {tok.value!r} in expression",
                           tok.line, tok.col)
-
-
-def _substitute(node, var: str, value: int):
-    """Replace generator variable references by the literal ``value``."""
-    if isinstance(node, Name):
-        if node.ident == var:
-            return Num(value, node.pos)
-        if f"[{var}]" in node.ident:
-            return Name(node.ident.replace(f"[{var}]", f"[{value}]"), node.pos)
-        return node
-    if isinstance(node, Num):
-        return node
-    if isinstance(node, BinOp):
-        return replace(node, a=_substitute(node.a, var, value),
-                       b=_substitute(node.b, var, value))
-    if isinstance(node, UnOp):
-        return replace(node, a=_substitute(node.a, var, value))
-    if isinstance(node, Skip):
-        return node
-    if isinstance(node, Assign):
-        return replace(node, expr=_substitute(node.expr, var, value))
-    if isinstance(node, Send):
-        return replace(node, chan=_subst_name(node.chan, var, value),
-                       expr=_substitute(node.expr, var, value))
-    if isinstance(node, Receive):
-        return replace(node, chan=_subst_name(node.chan, var, value))
-    if isinstance(node, Seq):
-        return replace(node, parts=tuple(_substitute(p, var, value) for p in node.parts))
-    if isinstance(node, Par):
-        return replace(node, branches=tuple(_substitute(p, var, value)
-                                            for p in node.branches))
-    if isinstance(node, LoopStmt):
-        return replace(node, body=_substitute(node.body, var, value))
-    if isinstance(node, WhileStmt):
-        return replace(node, cond=_substitute(node.cond, var, value),
-                       body=_substitute(node.body, var, value))
-    if isinstance(node, IfStmt):
-        return replace(node, cond=_substitute(node.cond, var, value),
-                       then=_substitute(node.then, var, value),
-                       els=_substitute(node.els, var, value))
-    if isinstance(node, CaseStmt):
-        return replace(node, sel=_substitute(node.sel, var, value),
-                       arms=tuple((v, _substitute(s, var, value)) for v, s in node.arms))
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _subst_name(name: str, var: str, value: int) -> str:
-    return name.replace(f"[{var}]", f"[{value}]")
 
 
 # ---------------------------------------------------------------------------

@@ -67,18 +67,6 @@ class Component:
             raise IrError(f"unhandled kind {self.kind}")
         return widths(self.params)
 
-    def internal_edges(self) -> list[tuple[int, int]]:
-        """Token-flow edges (input port index, output port index) inside the
-        component.  Variables relay only write->write-done and per-site
-        read-go->read-done; every other kind relays any input to any output."""
-        if self.kind is Kind.VARIABLE:
-            edges = [(0, 0)]
-            for i in range(self.params["reads"]):
-                edges.append((1 + i, 1 + i))
-            return edges
-        n_in, n_out = port_counts(self)
-        return [(i, o) for i in range(n_in) for o in range(n_out)]
-
 
 # Port widths per kind, as functions of the component's params; dict
 # dispatch keeps the enum member lookups out of these hot calls.
@@ -476,17 +464,26 @@ class FlowGraph:
         return self._successors(through_buffers=False)
 
     def _successors(self, through_buffers: bool) -> dict[str, list[str]]:
-        """Link id -> sorted ids of the links each component's internal
-        edges relay it onto; Buffers relay only when ``through_buffers``."""
+        """Link id -> sorted ids of the links each component relays it onto,
+        pairing only the ports that links bind: a Variable relays port i to
+        port i (write go to write done, each read go to its read done), a
+        Buffer relays only when ``through_buffers``, and every other kind
+        relays each bound input to each bound output."""
+        comps = self.net.components
+        outs: dict[str, list[str]] = {}
+        for (cid, _), ln in self.out_of.items():
+            outs.setdefault(cid, []).append(ln.id)
         succ: dict[str, list[str]] = {lid: [] for lid in self.net.links}
-        for cid, comp in self.net.components.items():
-            if not through_buffers and comp.kind is Kind.BUFFER:
+        for (cid, port), ln in self.into.items():
+            comp = comps.get(cid)
+            if comp is None or (comp.kind is Kind.BUFFER and not through_buffers):
                 continue
-            for i, o in comp.internal_edges():
-                a = self.into.get((cid, i))
-                b = self.out_of.get((cid, o))
-                if a is not None and b is not None:
-                    succ[a.id].append(b.id)
+            if comp.kind is Kind.VARIABLE:
+                out = self.out_of.get((cid, port))
+                if out is not None:
+                    succ[ln.id].append(out.id)
+            else:
+                succ[ln.id] += outs.get(cid, ())
         for nxts in succ.values():
             nxts.sort()
         return succ

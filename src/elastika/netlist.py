@@ -168,7 +168,9 @@ def loads(text: str) -> Network:
     input raises NetlistError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer too long to
+        # convert; RecursionError, arrays or objects nested too deep.
         raise NetlistError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise NetlistError("netlist must be a JSON object")
@@ -206,7 +208,8 @@ def loads(text: str) -> Network:
             if port.name in ports:
                 raise NetlistError(f"duplicate port name {port.name}")
             ports[port.name] = port
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise NetlistError(f"malformed netlist: {exc}") from None
     return net
 

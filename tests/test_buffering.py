@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 from elastika import depgraph as dg
-from elastika import netlist
+from elastika import ir, netlist
 from elastika.bench import benchmark
 from elastika.buffering import (BufferPlan, apply, pac_mark, pac_retime,
                                 policy_loop, policy_pac, policy_simple)
@@ -195,6 +195,24 @@ def test_sync_balance_reasons_recorded(elgcd_net):
         reasons = " ".join(plan.provenance[lid])
         assert "sync balance" in reasons or "liveness" in reasons or \
             "coverage" in reasons
+
+
+@pytest.mark.parametrize("policy", [policy_loop, policy_pac])
+@pytest.mark.parametrize("mode", MODES)
+def test_planners_ignore_unbound_ports(policy, mode, elgcd_net, monkeypatch):
+    # An unvalidated net may declare far more ports than it binds.  The
+    # planners pair only the ports that links bind, so a Merge declaring
+    # 2**40 inputs plans as the net does, and no walk over its declared
+    # ports (port_counts raises here, instead of allocating) takes place.
+    huge = netlist.loads(netlist.dumps(elgcd_net))
+    merge = next(c for c in huge.components.values() if c.kind is Kind.MERGE)
+    merge.params["inputs"] = 2 ** 40
+    expected = policy(elgcd_net, mode)
+
+    def refuse(comp):
+        raise AssertionError(f"walked the declared ports of {comp.id}")
+    monkeypatch.setattr(ir, "port_counts", refuse)
+    assert policy(huge, mode) == expected
 
 
 # ---------------------------------------------------------------------------

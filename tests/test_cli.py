@@ -17,6 +17,7 @@ import elastika
 from elastika import bench, netlist
 from elastika.cli import main
 from elastika.ir import validate
+from test_netlist import undecodable
 
 
 @pytest.fixture()
@@ -72,6 +73,21 @@ def test_compile_rejects_bad_source(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, line, col",
+                         [("²", 1, 31), ("٣", 1, 31), ("é", 1, 31),
+                          ("\n  é", 2, 3)])
+def test_compile_rejects_a_character_outside_the_grammar(tmp_path, capsys,
+                                                         text, line, col):
+    # "²" escaped the lexer as ValueError, which printed a traceback.
+    src = tmp_path / "bad.csp"
+    src.write_text("module t(in a: 8; out z: 8) { " + text + " z ! a }",
+                   encoding="utf-8")
+    assert main(["compile", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: {line}:{col}: unexpected character")
+    assert "Traceback" not in err
+
+
 def test_compile_missing_file(tmp_path):
     assert main(["compile", str(tmp_path / "absent.csp")]) == 2
 
@@ -93,6 +109,20 @@ def test_depgraph_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["depgraph", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("how", sorted(undecodable("")))
+@pytest.mark.parametrize("command", [["sim"], ["buffer", "--policy", "pac"],
+                                     ["depgraph"], ["report"]])
+def test_undecodable_netlist_exit_2(tmp_path, elgcd_netlist, capsys, how,
+                                    command):
+    # A 5,000-digit width or deep nesting printed a traceback and exit 1.
+    bad = tmp_path / "bad.json"
+    bad.write_text(undecodable(elgcd_netlist.read_text())[how])
+    capsys.readouterr()
+    assert main([command[0], str(bad), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Parser, static checker and lowering of the source language."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elastika import frontend
-from elastika.frontend import (LowerError, ParConflict, SyntaxError,
-                               UndeclaredName, compile, parse)
+from elastika.frontend import (FrontendError, LowerError, ParConflict,
+                               SyntaxError, UndeclaredName, compile, parse)
 from elastika.frontend import syntax as S
+from elastika.buffering import apply, policy_pac
 from elastika.ir import Kind, validate
+from elastika.sim import SimConfig, parse_stimulus, run
 
 
 def wrap(body: str, ports: str = "in a: 32; out z: 32",
@@ -51,6 +56,34 @@ def test_unexpected_character_is_positioned():
         parse("module t() { @ }")
     assert exc.value.line == 1
     assert exc.value.col > 0
+
+
+@pytest.mark.parametrize("ch", ["²", "٣", "é"])
+def test_characters_outside_the_grammar_are_positioned(ch):
+    # "²" escaped as ValueError, "٣" read as the number 3, "é" as a letter.
+    for text, line, col in ((f"module t() {{ x{ch} }}", 1, 15),
+                            (f"module t() {{\n  {ch}1 }}", 2, 3)):
+        with pytest.raises(SyntaxError, match="unexpected character") as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+    parse(wrap(f"x := a ; z ! x  # {ch} is fine in a comment\n"))
+
+
+def test_tokens_follow_the_lexical_grammar():
+    toks = S.tokenize("a<=b<<c||d..0x1F:=_e9 # c\n<>")
+    assert [(t.type, t.value) for t in toks] == [
+        ("ident", "a"), ("<=", "<="), ("ident", "b"), ("<<", "<<"),
+        ("ident", "c"), ("||", "||"), ("ident", "d"), ("..", ".."),
+        ("num", 31), (":=", ":="), ("ident", "_e9"), ("<", "<"), (">", ">"),
+        ("eof", "")]
+    assert (toks[-3].line, toks[-3].col) == (2, 1)
+    with pytest.raises(SyntaxError, match="^1:5: malformed hex literal$"):
+        S.tokenize("x + 0x;")
+
+
+def test_end_of_file_after_a_comment_has_its_true_column():
+    with pytest.raises(SyntaxError, match="^1:20: unexpected token ''$"):
+        parse("module t() { # open")
 
 
 def test_missing_else_rejected():
@@ -205,6 +238,37 @@ def test_for_generator_unrolls_arms():
     assert isinstance(arm0.expr, S.Name) and arm0.expr.ident == "c[0]"
 
 
+SHARED_LITERAL = (
+    "module t(in i: 2; out z: 4) { var s: 2; var x: 4; s := i ; "
+    "case s of { for j in 0..3 { if j == 1 { x := 7 } else { x := 9 } } } ;"
+    " z ! x }")
+
+
+def test_each_generated_arm_has_its_own_literal_widths():
+    # The literal 1 in `j == 1` compares with 0, 1, 2, 3 in turn; each arm
+    # lowers with the widths it was checked with (one node was shared by
+    # all four arms, so every arm got the last arm's width of 2).
+    net = compile(parse(SHARED_LITERAL))
+    assert validate(net) == []
+    eqs = sorted((c.id, c.params["inputs"]) for c in net.components.values()
+                 if c.kind is Kind.OPERATOR and c.params["fn"] == "eq")
+    assert [inputs for _, inputs in eqs] == [[1, 1], [1, 1], [2, 2], [2, 2]]
+    plan = policy_pac(net, mode="async")
+    report = run(apply(net, plan),
+                 SimConfig(stimulus=parse_stimulus("i: 0 1 2 3 1")))
+    assert [v for v, _ in report.results["z"]] == [9, 7, 9, 9, 7]
+
+
+def test_inner_generator_variable_shadows_the_outer():
+    src = ("module t(in s: 2; out z: 8) { var x: 8; var q: 2; q := s ; "
+           "case q of { for j in 0..1 { case q of { for j in 2..3 "
+           "{ x := j } } } } ; z ! x }")
+    outer = next(st for st in parse(src).body.body.parts
+                 if isinstance(st, S.CaseStmt))
+    for _, arm in outer.arms:
+        assert [(v, st.expr.value) for v, st in arm.arms] == [(2, 2), (3, 3)]
+
+
 def test_empty_generator_range_rejected():
     with pytest.raises(SyntaxError):
         parse(wrap("case a of { for j in 3..1 { x := 1 } } ; z ! x",
@@ -241,3 +305,41 @@ def test_compile_loop_merges_are_annotated(elgcd_net):
 def test_frontend_exports():
     assert frontend.compile is compile
     assert issubclass(LowerError, Exception)
+
+
+# ---------------------------------------------------------------------------
+# Parser fuzz
+
+FUZZ_SOURCES = sorted(
+    [*Path("src/elastika/benchmarks").glob("*.csp"),
+     *(Path(__file__).parent / "data").glob("*.csp")])
+
+# ASCII the grammar uses, and digits and letters it does not.
+_FUZZ_CHARS = st.one_of(st.sampled_from(list("aj_09x #\n;:{}[]()!?+-*<>=|.")),
+                        st.sampled_from(list("²٣é１ßЖ")))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_mutated_sources_compile_or_raise_frontend_errors(data):
+    # One to three insertions, deletions or copied spans in a checked-in
+    # source: the result is a net that validates, or a FrontendError or
+    # LowerError, never another exception.
+    text = data.draw(st.sampled_from(FUZZ_SOURCES)).read_text()
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        how = data.draw(st.sampled_from(["insert", "delete", "copy"]))
+        if how == "insert":
+            piece = data.draw(st.text(_FUZZ_CHARS, min_size=1, max_size=3))
+        elif how == "delete":
+            piece, text = "", text[:at] + text[at + data.draw(
+                st.integers(1, 8)):]
+        else:
+            start = data.draw(st.integers(0, len(text)))
+            piece = text[start:start + data.draw(st.integers(1, 40))]
+        text = text[:at] + piece + text[at:]
+    try:
+        net = compile(parse(text))
+    except (FrontendError, LowerError):
+        return
+    assert validate(net) == []

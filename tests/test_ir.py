@@ -77,17 +77,36 @@ def test_unknown_kind_is_rejected():
             call()
 
 
+def _relay_net(comp: Component) -> Network:
+    """``comp`` with every port bound: input i is fed by link ``i<i>`` and
+    output o drains to link ``o<o>``, all from and to the environment."""
+    n_in, n_out = port_counts(comp)
+    links = [Link(f"i{i}", 8, None, (comp.id, i)) for i in range(n_in)]
+    links += [Link(f"o{o}", 8, (comp.id, o), None) for o in range(n_out)]
+    return Network("relay", {comp.id: comp}, {ln.id: ln for ln in links}, {})
+
+
 def test_variable_relays_are_isolated():
     # The stored value decouples the write side from the read side: write
     # go reaches only write done, each read go only its own read done.
-    v = Component("v", Kind.VARIABLE, {"width": 8, "reads": 2})
-    assert v.internal_edges() == [(0, 0), (1, 1), (2, 2)]
+    g = FlowGraph(_relay_net(Component("v", Kind.VARIABLE,
+                                       {"width": 8, "reads": 2})))
+    relays = {"i0": ["o0"], "i1": ["o1"], "i2": ["o2"],
+              "o0": [], "o1": [], "o2": []}
+    assert g.flow == relays
+    assert g.comb == relays
 
 
 def test_transparent_kinds_relay_all_ports():
     s = Component("s", Kind.STEER, {"input": 9, "select": 1, "outputs": 2,
                                     "table": {"0": 0, "1": 1}})
-    assert s.internal_edges() == [(0, 0), (0, 1)]
+    g = FlowGraph(_relay_net(s))
+    assert g.flow == g.comb == {"i0": ["o0", "o1"], "o0": [], "o1": []}
+    # A Buffer relays on the flow view only: it breaks combinational paths.
+    g = FlowGraph(_relay_net(Component("b", Kind.BUFFER,
+                                       {"width": 8, "capacity": 1})))
+    assert g.flow == {"i0": ["o0"], "o0": []}
+    assert g.comb == {"i0": [], "o0": []}
 
 
 # ---------------------------------------------------------------------------

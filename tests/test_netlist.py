@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,28 @@ def test_loads_rejects_a_non_finite_number(where, value):
     with pytest.raises(netlist.NetlistError,
                        match="^malformed netlist: cannot convert float"):
         netlist.loads(json.dumps(obj))
+
+
+def undecodable(text: str) -> dict[str, str]:
+    """Variants of a netlist ``text`` that are valid JSON but that
+    ``json.loads`` or the reader cannot take in: a width of 5,000 digits
+    (past Python's limit on digits in an int string), arrays nested 100,000
+    deep, and params nested 3,000 deep."""
+    return {
+        "long integer": re.sub(r'"width": \d+', '"width": ' + "9" * 5000,
+                               text, count=1),
+        "deep arrays": "[" * 100_000 + "]" * 100_000,
+        "deep params": text.replace(
+            '"params": {', '"params": {"deep": ' + "[" * 3000 + "]" * 3000
+            + ", ", 1),
+    }
+
+
+@pytest.mark.parametrize("how", sorted(undecodable("")))
+def test_loads_rejects_what_json_cannot_decode(how):
+    # The first two escaped the reader as ValueError and RecursionError.
+    with pytest.raises(netlist.NetlistError):
+        netlist.loads(undecodable(netlist.dumps(build_ring()))[how])
 
 
 def test_to_dot_lists_every_component_and_link():
