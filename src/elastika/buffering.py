@@ -7,10 +7,11 @@ Three policies produce a BufferPlan over a compiled (buffer-free) network:
   loop carry point (Initial components and loop-closing Merges).
 * pac: dependency-driven two-phase placement.  Phase 1 marks candidate
   links from the WAR/RAW/PAC constraint edges; Phase 2 retimes marks whose
-  consumer is a Join onto the Join's output, adds the links around each
-  Initial (top-level nets have no external go), and in synchronous-elastic
-  mode pads reconvergent branch regions so both arms of a choice carry the
-  same number of planned buffers.
+  consumer is a Join onto the Join's output and adds the links around each
+  Initial (top-level nets have no external go).
+
+A plan depends only on the net and the policy; ``mode`` only labels it, as
+a Join waits for its late input under either timing mode.
 
 All policies finish with the same two completion passes.  Coverage plans
 the closing link of any cycle that has no planned buffer at all.  The
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from . import depgraph as dg
 from .ir import (FlowGraph, IrError, Kind, Link, Network, back_edges,
-                 reachable_links, splice_buffer_in_place)
+                 splice_buffer_in_place)
 
 
 class UnresolvedSite(IrError):
@@ -95,7 +96,7 @@ def policy_loop(net: Network, mode: str = "async") -> BufferPlan:
 
 def policy_pac(net: Network, mode: str = "async") -> BufferPlan:
     g = FlowGraph(net)
-    return pac_retime(g, pac_mark(g, dg.build(g)), mode=mode)
+    return _mkplan("pac", mode, pac_retime(g, pac_mark(g, dg.build(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +167,10 @@ def pac_mark(g: FlowGraph, deps: dg.DependencyGraph
 # ---------------------------------------------------------------------------
 # PAC phase 2: retiming
 
-def pac_retime(g: FlowGraph, marks: dict[str, list[str]],
-               mode: str = "async") -> BufferPlan:
+def pac_retime(g: FlowGraph, marks: dict[str, list[str]]
+               ) -> dict[str, list[str]]:
+    """Planned links and their reasons: the marks, each moved past a Join it
+    feeds, the links around each Initial, and what completion adds."""
     net = g.net
     planned: dict[str, list[str]] = {}
 
@@ -199,10 +202,8 @@ def pac_retime(g: FlowGraph, marks: dict[str, list[str]],
         if after is not None:
             note(after.id, f"after initial {cid}")
 
-    if mode == "sync":
-        _sync_balance(g, planned)
     _complete(g, planned)
-    return _mkplan("pac", mode, planned)
+    return planned
 
 
 def apply(net: Network, plan: BufferPlan, capacity: int = 1) -> Network:
@@ -279,93 +280,3 @@ def _unplanned_return_path(succ: dict[str, list[str]],
                 queue.append(nxt)
     return None
 
-
-# ---------------------------------------------------------------------------
-# Synchronous-elastic branch balancing
-
-def _sync_balance(g: FlowGraph, planned: dict[str, list[str]]) -> None:
-    """Equalize planned buffers between each Steer's control and data feeds.
-
-    A Steer's select bits and payload arrive through one Join.  Under the
-    clocked protocol both must present in the same cycle, so the path that
-    computes the select and the path that carries the payload, measured
-    from the Fork where the two diverge, need the same number of buffers.
-    The side with fewer planned buffers gets extra links planned until the
-    counts match (or it runs out of unplanned links).
-    """
-    net = g.net
-    removed = set(g.back_edges)
-    fwd = {lid: [n for n in nxts if n not in removed]
-           for lid, nxts in g.flow.items() if lid not in removed}
-    back: dict[str, list[str]] = {lid: [] for lid in fwd}
-    for lid, nxts in fwd.items():
-        for n in nxts:
-            back[n].append(lid)
-
-    def reach(starts: list[str], adj: dict[str, list[str]]) -> set[str]:
-        return {s for s in starts if s in adj} | reachable_links(adj, starts)
-
-    # A Fork's forward reach is the same for every Steer; found on first use.
-    reach_by_fork: dict[str, set[str]] = {}
-
-    def reach_of_fork(fid: str) -> set[str]:
-        if fid not in reach_by_fork:
-            outs = []
-            for i in range(len(net.components[fid].output_widths())):
-                ln = g.out_of.get((fid, i))
-                if ln is not None:
-                    outs.append(ln.id)
-            reach_by_fork[fid] = reach(outs, fwd)
-        return reach_by_fork[fid]
-
-    for cid in sorted(net.components):
-        comp = net.components[cid]
-        if comp.kind is not Kind.STEER:
-            continue
-        in_ln = g.into.get((cid, 0))
-        if in_ln is None or in_ln.src is None:
-            continue
-        join_id = in_ln.src[0]
-        join = net.components[join_id]
-        if join.kind is not Kind.JOIN:
-            continue
-        select = int(comp.params["select"])
-        ctrl: list[str] = []
-        data: list[str] = []
-        offset = 0
-        complete = True
-        for pi, w in enumerate(join.input_widths()):
-            ln = g.into.get((join_id, pi))
-            if ln is None:
-                complete = False
-                break
-            # low `select` bits of the joined word do the steering
-            (ctrl if w > 0 and offset < select else data).append(ln.id)
-            offset += w
-        if not complete or not ctrl or not data:
-            continue
-        best: tuple[int, str, set[str]] | None = None
-        for fid in sorted(net.components):
-            if net.components[fid].kind is not Kind.FORK:
-                continue
-            rs = reach_of_fork(fid)
-            if all(c in rs for c in ctrl) and all(d in rs for d in data):
-                if best is None or len(rs) < best[0]:
-                    best = (len(rs), fid, rs)
-        if best is None:
-            continue
-        fork_reach = best[2]
-        region_c = fork_reach & reach(ctrl, back)
-        region_d = fork_reach & reach(data, back)
-        n_c = sum(1 for l in region_c if l in planned)
-        n_d = sum(1 for l in region_d if l in planned)
-        if n_c == n_d:
-            continue
-        short = region_d if n_d < n_c else region_c
-        need = abs(n_c - n_d)
-        for lid in sorted(short):
-            if need == 0:
-                break
-            if lid not in planned:
-                planned.setdefault(lid, []).append(f"sync balance at {cid}")
-                need -= 1

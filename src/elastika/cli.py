@@ -155,7 +155,7 @@ def cmd_buffer(args: argparse.Namespace) -> int:
     except (OSError, netlist.NetlistError) as exc:
         return _fail(str(exc))
     try:
-        plan = bench.POLICIES[args.policy](net, mode=args.mode)
+        plan = bench.POLICIES[args.policy](net)
         buffered = apply_plan(net, plan, capacity=args.capacity)
     except IrError as exc:
         return _fail(str(exc))
@@ -319,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist")
     p.add_argument("--policy", required=True,
                    choices=("simple", "loop", "pac"))
-    p.add_argument("--mode", default="async", choices=("async", "sync"),
-                   help="protocol the plan is tuned for (default async)")
     p.add_argument("--capacity", type=int, default=1,
                    help="tokens per spliced buffer (default 1)")
     p.add_argument("-o", "--output", help="buffered netlist (default stdout)")

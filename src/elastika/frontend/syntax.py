@@ -10,6 +10,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from ..ir import MAX_WIDTH
+
 
 class FrontendError(Exception):
     def __init__(self, message: str, line: int = 0, col: int = 0):
@@ -66,12 +68,17 @@ def tokenize(text: str) -> list[Token]:
         kind, word, i = m.lastgroup, m.group(), m.end()
         if kind == "nl":
             line, bol = line + 1, i
-        elif kind == "hex":
-            if len(word) == 2:
+        elif kind == "hex" or kind == "num":
+            if word in ("0x", "0X"):
                 raise SyntaxError("malformed hex literal", line, col)
-            toks.append(Token("num", int(word, 16), line, col))
-        elif kind == "num":
-            toks.append(Token("num", int(word), line, col))
+            # No width holds 2**MAX_WIDTH, a number of 155 digits, so the
+            # first 156 digits of a longer decimal literal are enough; int()
+            # would refuse more than 4,300 of them.
+            value = (int(word, 16) if kind == "hex"
+                     else int(word.lstrip("0")[:156] or "0"))
+            if value >> MAX_WIDTH:
+                raise SyntaxError(f"literal wider than {MAX_WIDTH} bits", line, col)
+            toks.append(Token("num", value, line, col))
         elif kind == "ident":
             toks.append(Token("kw" if word in _KEYWORDS else "ident", word, line, col))
         elif kind == "punct":
@@ -314,8 +321,8 @@ class _Parser:
 
     def _width(self) -> int:
         tok = self.expect("num", "width")
-        if tok.value < 0 or tok.value > 512:
-            raise SyntaxError("width out of range 0..512", tok.line, tok.col)
+        if tok.value > MAX_WIDTH:
+            raise SyntaxError(f"width out of range 0..{MAX_WIDTH}", tok.line, tok.col)
         return tok.value
 
     # -- statements

@@ -34,6 +34,10 @@ LOGIC_KINDS = (
 )
 
 
+# The widest port or link, the source language's cap on a declared width.
+MAX_WIDTH = 512
+
+
 class IrError(Exception):
     pass
 
@@ -236,9 +240,6 @@ def _param_problems(comp: Component) -> list[tuple[str, str]]:
         out.append(("arity", "variable needs at least 1 read port"))
     if k is Kind.BUFFER and p.get("capacity", 1) < 1:
         out.append(("bad-params", "buffer capacity must be >= 1"))
-    for w in ins + outs:
-        if w < 0:
-            out.append(("width", "negative port width"))
     return out
 
 
@@ -278,6 +279,10 @@ def validate(net: Network) -> list[Diagnostic]:
     for lid, ln in net.links.items():
         if lid != ln.id:
             err("id-mismatch", lid, "link table key differs from link id")
+        # Every port is bound to a link of its own width, or is reported,
+        # so this is also the check on port widths.
+        if not 0 <= ln.width <= MAX_WIDTH:
+            err("width", lid, f"link width {ln.width} outside 0..{MAX_WIDTH}")
         for side, ep in (("src", ln.src), ("dst", ln.dst)):
             if ep is None:
                 continue

@@ -24,6 +24,10 @@ class NetlistError(Exception):
 # The one-type sets of a string-keyed dict's keys and of a list of ints.
 _STR, _INT = {str}, {int}
 
+# The deepest params ``loads`` takes, the params dict being level 1: the
+# writer recurses per level, and Python's stack ends a few hundred down.
+MAX_DEPTH = 100
+
 
 def _canon_params(value):
     if isinstance(value, dict):
@@ -142,10 +146,13 @@ def dumps(net: Network) -> str:
 _KINDS = {k.value: k for k in Kind}
 
 
-def _sort_keys(value):
+def _sort_keys(value, depth: int = 1):
     """Decoded JSON ``value`` as ``_canon_params`` leaves it: every dict in
     sorted key order.  Only a dict out of order is rebuilt; everything else
-    is updated in place, which is safe on what ``json.loads`` just made."""
+    is updated in place, which is safe on what ``json.loads`` just made.
+    A dict or list deeper than MAX_DEPTH raises NetlistError."""
+    if depth > MAX_DEPTH:
+        raise NetlistError(f"params nested more than {MAX_DEPTH} levels deep")
     if type(value) is dict:
         keys = [*value]
         if keys != sorted(keys):
@@ -157,7 +164,7 @@ def _sort_keys(value):
         return value
     for k, v in items:
         if type(v) is dict or type(v) is list:
-            value[k] = _sort_keys(v)
+            value[k] = _sort_keys(v, depth + 1)
     return value
 
 

@@ -193,17 +193,6 @@ def _operator_fn(params: dict, in_widths: list[int]
     return f if len(in_widths) > 1 else (lambda ins: f([ins[0], 0]))
 
 
-def _port_counts(net: Network, cid: str, comp: Component) -> tuple[int, int]:
-    """``port_counts(comp)``, or SimError when either count exceeds the
-    net's links: every port needs a link of its own, the rule of
-    ``ir.validate``.  Checked before anything is built per port."""
-    n_in, n_out = port_counts(comp)
-    if max(n_in, n_out) > len(net.links):
-        raise SimError(f"{cid} has {n_in} input and {n_out} output ports, "
-                       f"but the net has {len(net.links)} links")
-    return n_in, n_out
-
-
 class Simulation:
     """One run's mutable state.  Use run_async/run_sync; this class is
     exposed so deadlock diagnosis can be inspected on a quiesced net."""
@@ -260,7 +249,11 @@ class Simulation:
         initials = []
         for cid, comp in net.components.items():
             k = ids[cid]
-            n_in[k], n_out[k] = _port_counts(net, cid, comp)
+            # Refused before anything is built per port: each needs a link.
+            a, b = n_in[k], n_out[k] = port_counts(comp)
+            if max(a, b) > len(net.links):
+                raise SimError(f"{cid} has {a} input and {b} output ports, "
+                               f"but the net has {len(net.links)} links")
             if comp.kind is Kind.INITIAL:
                 initials.append(k)
         self._initials = sorted(initials)
@@ -1000,13 +993,11 @@ def run_sync(net: Network, cfg: SimConfig) -> SimReport:
     within a cycle, Buffers advance tokens one period per cycle.  One
     search of the ``comb`` view of one ``FlowGraph`` serves the cycle check
     and the critical path; a cycle found is named by
-    ``combinational_cycle``.  Port counts are checked first, since the
-    search walks each component's (input, output) port pairs."""
+    ``combinational_cycle``.  The search pairs only bound ports, so a huge
+    port count is left for ``Simulation`` to refuse."""
     if cfg.mode != "sync":
         raise SimError(f"run_sync needs mode sync, got {cfg.mode!r}")
     with _collector_paused():
-        for cid, comp in net.components.items():
-            _port_counts(net, cid, comp)
         g = FlowGraph(net)
         succ = g.comb
         order: list[str] = []

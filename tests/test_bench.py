@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +134,10 @@ def test_compiled_returns_a_fresh_net():
     assert net is not spec.compiled() and net is not spec._net
     net.components.clear()
     assert spec.compiled().components and spec._net.components
+
+
+def test_readme_sweep_block_is_the_elgcd_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("$ elastika sweep elgcd\n# elgcd\n", 1)[1]
+    assert block.split("```", 1)[0] == \
+        format_table(sweep(benchmark("elgcd")))

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,18 @@ def test_compile_rejects_a_character_outside_the_grammar(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("literal", ["9" * 5000, "0" * 5000 + "9" * 155,
+                                     str(2 ** 512), "0x1" + "0" * 128],
+                         ids=["5000 nines", "zero-padded", "2**512", "hex"])
+def test_compile_rejects_a_literal_no_width_holds(tmp_path, capsys, literal):
+    # 5,000 nines escaped the lexer as int()'s ValueError, a traceback.
+    src = tmp_path / "big.csp"
+    src.write_text("module t(in a: 8; out z: 8) { z ! a + " + literal + " }")
+    assert main(["compile", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {src}: 1:39: literal wider than 512 bits\n"
+
+
 def test_compile_missing_file(tmp_path):
     assert main(["compile", str(tmp_path / "absent.csp")]) == 2
 
@@ -116,13 +129,28 @@ def test_depgraph_rejects_garbage(tmp_path):
                                      ["depgraph"], ["report"]])
 def test_undecodable_netlist_exit_2(tmp_path, elgcd_netlist, capsys, how,
                                     command):
-    # A 5,000-digit width or deep nesting printed a traceback and exit 1.
+    # A 5,000-digit width or deep nesting printed a traceback and exit 1;
+    # params 400 deep passed loads, and `buffer` then ran out of stack.
     bad = tmp_path / "bad.json"
     bad.write_text(undecodable(elgcd_netlist.read_text())[how])
     capsys.readouterr()
     assert main([command[0], str(bad), *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_width_above_the_source_cap_exit_2(tmp_path, capsys):
+    # Every 32 of smul rewritten as 2**40 passed validate, and `sim
+    # --stimulus` then died building 1 << 2**40 with a MemoryError.
+    net, stim = tmp_path / "smul.net.json", tmp_path / "stim.txt"
+    assert main(["compile", str(bench.benchmark("smul").source),
+                 "-o", str(net)]) == 0
+    net.write_text(re.sub(r"\b32\b", str(2 ** 40), net.read_text()))
+    stim.write_text("a: 3\nb: 5\n")
+    capsys.readouterr()
+    assert main(["sim", str(net), "--stimulus", str(stim)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: width w0000: link width {2 ** 40} outside 0..512; ")
 
 
 # ---------------------------------------------------------------------------

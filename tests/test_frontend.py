@@ -81,6 +81,16 @@ def test_tokens_follow_the_lexical_grammar():
         S.tokenize("x + 0x;")
 
 
+def test_literals_stop_below_two_to_the_widest_width():
+    top = 2 ** 512 - 1
+    for word in (str(top), "0" * 5000 + str(top), hex(top)):
+        assert S.tokenize(word)[0].value == top
+    for word in (str(top + 1), "9" * 5000, hex(top + 1)):
+        with pytest.raises(SyntaxError,
+                           match="^1:3: literal wider than 512 bits$"):
+            S.tokenize("x " + word)
+
+
 def test_end_of_file_after_a_comment_has_its_true_column():
     with pytest.raises(SyntaxError, match="^1:20: unexpected token ''$"):
         parse("module t() { # open")

@@ -11,10 +11,10 @@ from conftest import build_ring, digraph_to_net
 from elastika import netlist
 from elastika.bench import benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac, policy_simple
-from elastika.ir import (Component, Diagnostic, DoubleBuffer, IrError, Kind,
-                         FlowGraph, Link, Network, Port, UnknownLink,
-                         back_edges, combinational_cycle, port_counts,
-                         splice_buffer_in_place, validate)
+from elastika.ir import (MAX_WIDTH, Component, Diagnostic, DoubleBuffer,
+                         IrError, Kind, FlowGraph, Link, Network, Port,
+                         UnknownLink, back_edges, combinational_cycle,
+                         port_counts, splice_buffer_in_place, validate)
 
 
 def small_graphs():
@@ -121,6 +121,29 @@ def test_validate_flags_width_mismatch():
     net.links["lm"].width = 4
     codes = {d.code for d in validate(net)}
     assert "width" in codes
+
+
+@pytest.mark.parametrize("width", [MAX_WIDTH, MAX_WIDTH + 1, 2 ** 40])
+def test_validate_stops_widths_at_max_width(width):
+    # A wire with no component, and an Operator between two links: each
+    # port is as wide as its link, so the link check covers the ports.
+    wire = Network("w", {}, {"l": Link("l", width, None, None)},
+                   {"a": Port("a", "in", width, "l"),
+                    "z": Port("z", "out", width, "l")})
+    op = Network("o", {"op": Component("op", Kind.OPERATOR,
+                                       {"fn": "id", "inputs": [width],
+                                        "out": width})},
+                 {"la": Link("la", width, None, ("op", 0)),
+                  "lz": Link("lz", width, ("op", 0), None)},
+                 {"a": Port("a", "in", width, "la"),
+                  "z": Port("z", "out", width, "lz")})
+    if width <= MAX_WIDTH:
+        assert validate(wire) == validate(op) == []
+        return
+    wide = f"link width {width} outside 0..{MAX_WIDTH}"
+    assert validate(wire) == [Diagnostic("width", "l", wide)]
+    assert validate(op) == [Diagnostic("width", "la", wide),
+                            Diagnostic("width", "lz", wide)]
 
 
 def test_validate_flags_dangling_reference():

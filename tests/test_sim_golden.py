@@ -103,11 +103,11 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "4efcfc94bbcbca42ac433b9c060b82a682325fe9176767c71c5208f6e715ada2",
         "d9cbc2ab0bc7a05fdae3051ac9fac28dc8724548ddd0d468aeda414d28e89066"),
     "elgcd-pac-sync-d1": (
-        "08d82fd8b4b0ef47f1af57ce60cc8db45bd741925bf5153c72ec0c8eb92254a3",
-        "6eb2b8c5ba072e77eb8441e622198887c70bfba131bff7fffab3d0fefc68100e"),
+        "03d6a0d859dd63c8e2b15fe5b3ccebc850209b0f5d765fbbafaf44e166cd9e48",
+        "5405b428eb9d7422fe2f425492fa0e5d22737c62d41536418afcdfa40ab1885f"),
     "elgcd-pac-sync-d2": (
-        "7318845fa6155b14cf7f3f3ffae35adf0a3238dfd25ae1fe0005d87ba7421619",
-        "faec39fc5885c67055eca588d58fe24ca7fba3a16a9b34496e9802f92776f728"),
+        "2cb96797bb5fd468b34ca1d3f91e6d3b7358a3c3d55cd304d339eced865e4d16",
+        "805930c49e17109b4df918f420a5794c8d0bedeab6000f4e7af9d971700a2733"),
     "elgcd-simple-async-d1": (
         "0a0f6b99640125666307448aed322276ba5774900db79dc3ac296a41fba6e563",
         "6798d7f34d564b55a727786b8606ff0327e17d047e5f45e5b4de01c9ed767745"),
@@ -145,11 +145,11 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "245109c1e36bd1138deeead58404433540a69729f7a029aa1a933bd08a5a84fc",
         "ef88b19be9f6d11c7aa31fad1fb9918b8319ca8a944b978461244a41df311ee3"),
     "poly-pac-sync-d1": (
-        "3d1182af96def0b3e8b1de6cbbfe7f18c689f1f8231be6d1f3af4d2b0f4d7d14",
-        "486f083f1ed271111ca9bac4f7cbf751621a725784f8b8cf3d6f3962af9beeda"),
+        "b5ea3906e92aed010e476d3105a9bb511df6682d24735ffefe4b007bf0e4ea32",
+        "9d239d2f63e4f0c73ee5d2bb08d013cd642c83ba802cf531f926b03e3d54386d"),
     "poly-pac-sync-d2": (
-        "b515da2d746e59fbf3d4f1273aa6575ab89413b4a3a785d448ad63c2fa909031",
-        "486f083f1ed271111ca9bac4f7cbf751621a725784f8b8cf3d6f3962af9beeda"),
+        "2e4f6eb56f498c5fe6f49454adb3ee802ac83607b472ff5d0ec013a337aa36a0",
+        "9d239d2f63e4f0c73ee5d2bb08d013cd642c83ba802cf531f926b03e3d54386d"),
     "poly-simple-async-d1": (
         "f4b4963bb73eb04d5f9227080a053ca4e20c94af4128ced108e04c6e64138163",
         "e39cc36cd21b4ad98ee9d5651cc69fa756e721cd6570a6fa3735fc9f03076d7e"),
@@ -187,11 +187,11 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "f32ad6165157fae83a1cd1e241b6cbaf77ad1f04105449595f1461ce458a6373",
         "a80036d09f430a52af9a5c3b54e607384651648189051c5e09cb798a39c43980"),
     "smul-pac-sync-d1": (
-        "c9d21182aa76248f72684d37c3fce5ef20ae80a6de56238fc05b04d4c3063d12",
-        "516e73b3a768c99aa2adbe10b0f47040d5d5e7536191b4a04baab98aecab6b46"),
+        "ebfc75652acee9b093b468e448fc13b3780cd7aba55898ade5a0c434f9c3586c",
+        "63dab44119c36d18bbf76e869ad525916ced87a3ff1c970d44aaa7ac4386afbd"),
     "smul-pac-sync-d2": (
-        "8ace8f6c8df1358c9a6777c714e2e99b5257738473ecca2d4f39cda401fc8790",
-        "75b2b9bae4e13c9c23e57fa9932b34d9b5b7b949d3bea2c8a07a21187f79992e"),
+        "1e5f9c7fb4bf72321c8c68ae1c060c059cedf6d1b4030f389714a3e8598132ab",
+        "d95f70a6ca6ab3adc27a02df26700a431d6486f46616791f1b874c0f87266231"),
     "smul-simple-async-d1": (
         "817f64203fa469c27351714d81fb156960935f1a889c771ba2390024727d8114",
         "70c0d369031f143095f2235beb6c787a1d9c8a424473fa872d268ccf75826289"),
