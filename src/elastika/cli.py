@@ -237,9 +237,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         try:
             rate = analytic_throughput(net, delays, mode=args.mode,
                                        clock=args.clock)
-        except TooManyCycles as exc:
-            return _fail(str(exc))
-        except ValueError as exc:
+        except (TooManyCycles, ValueError) as exc:
             return _fail(str(exc))
         obj["throughput"] = (None if rate is None else {
             "theta_per_ps": rate.theta, "tokens": rate.tokens,

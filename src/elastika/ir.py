@@ -362,8 +362,11 @@ def splice_buffer_in_place(net: Network, link_id: str, capacity: int = 1) -> Non
     The upstream half keeps the link id; the downstream half gets
     ``<id>.post``.  Splicing a link that already touches a Buffer raises
     DoubleBuffer, which also catches a second splice on the same original
-    link position.  Every check runs before the net is changed.
+    link position, and a capacity below 1 raises IrError.  Every check
+    runs before the net is changed.
     """
+    if capacity < 1:
+        raise IrError(f"buffer capacity must be >= 1, got {capacity}")
     ln = net.links.get(link_id)
     if ln is None:
         raise UnknownLink(link_id)

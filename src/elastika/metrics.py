@@ -85,7 +85,6 @@ class CostReport:
     cell_area: int
     dynamic_power: float | None = None
     leakage_power: float | None = None
-    throughput: CycleRate | None = None
 
 
 def _mem_units(net: Network) -> int:
@@ -190,8 +189,8 @@ def analytic_throughput(net: Network, delays: DelayTable,
     g = FlowGraph(net)
     if marking is None:
         marking = _initial_marking(g)
-    # Links numbered in sorted id order, then chains folded into single
-    # nodes; each cycle is expanded and rotated to its smallest link id.
+    # Links numbered in sorted id order, so each cycle is found starting
+    # at its smallest link id.
     ids = sorted(net.links)
     index = {lid: i for i, lid in enumerate(ids)}
     adj = [sorted({index[nxt] for nxt in g.flow[lid]}) for lid in ids]
@@ -208,7 +207,6 @@ def analytic_throughput(net: Network, delays: DelayTable,
                 cost[i] = delays.component_delay(comp)
             elif comp.kind is Kind.BUFFER:
                 cost[i] = 1
-    chains, adj, tok, cost = _contract(adj, tok, cost)
     # Refused iff the net has at least one cycle and more than the limit.
     if _cycle_count(adj, cycle_limit) > max(cycle_limit, 0):
         raise TooManyCycles(cycle_limit)
@@ -226,64 +224,13 @@ def analytic_throughput(net: Network, delays: DelayTable,
         theta = tokens / (gamma * delta)
         if best is not None and theta > best.theta:
             continue
-        nodes = [i for c in path for i in chains[c]]
-        first = nodes.index(min(nodes))
-        cycle = tuple(ids[i] for i in nodes[first:] + nodes[:first])
+        cycle = tuple(ids[i] for i in path)
         key = tuple(sorted(cycle))
         if best is None or theta < best.theta or key < best_key:
             best = CycleRate(theta=theta, tokens=tokens, gamma=gamma,
                              delta=delta, links=cycle)
             best_key = key
     return best
-
-
-def _contract(adj: list[list[int]], tok: list[int], cost: list[int]
-              ) -> tuple[list[list[int]], list[list[int]], list[int],
-                         list[int]]:
-    """Fold every edge x->w where x has exactly one successor and w exactly
-    one predecessor (w != x).  Returns ``(chains, adj, tok, cost)`` of the
-    folded graph: ``chains[c]`` lists the original nodes of node c in flow
-    order, and ``tok``/``cost`` are their sums.
-
-    A cycle through any node of a chain runs through all of it, so the
-    elementary cycles of both graphs map one to one, with equal sums.
-    Folded nodes are numbered by their smallest original node, and each
-    successor list keeps the order of the original one (every successor
-    of a chain's last node is the first node of its own chain), so
-    `_circuits` finds the same cycles in the same order.
-    """
-    n = len(adj)
-    preds = [0] * n
-    for nxts in adj:
-        for w in nxts:
-            preds[w] += 1
-    # folded[w]: the edge into w from its one predecessor is folded.
-    folded = [False] * n
-    for x, nxts in enumerate(adj):
-        if len(nxts) == 1 and nxts[0] != x and preds[nxts[0]] == 1:
-            folded[nxts[0]] = True
-    owner = [-1] * n
-    chains: list[list[int]] = []
-    # Chains start at unfolded nodes; what is left are rings of folded
-    # nodes, each started at its smallest node.
-    for v in [v for v in range(n) if not folded[v]] + list(range(n)):
-        if owner[v] >= 0:
-            continue
-        chain = [v]
-        owner[v] = len(chains)
-        while len(adj[v]) == 1 and folded[adj[v][0]] and owner[adj[v][0]] < 0:
-            v = adj[v][0]
-            chain.append(v)
-            owner[v] = len(chains)
-        chains.append(chain)
-    order = sorted(range(len(chains)), key=lambda c: min(chains[c]))
-    rank = [0] * len(chains)
-    for r, c in enumerate(order):
-        rank[c] = r
-    return ([chains[c] for c in order],
-            [[rank[owner[w]] for w in adj[chains[c][-1]]] for c in order],
-            [sum(tok[v] for v in chains[c]) for c in order],
-            [sum(cost[v] for v in chains[c]) for c in order])
 
 
 def _cycle_count(adj: list[list[int]], limit: int) -> int:

@@ -89,12 +89,6 @@ def test_plans_deterministic(bench, request):
         assert policy(net, "sync") == policy(net, "sync")
 
 
-@pytest.mark.parametrize("bench", BENCHES)
-def test_sync_pac_plans_at_least_async_size(bench, request):
-    net = net_for(request, bench)
-    assert len(policy_pac(net, "sync")) >= len(policy_pac(net, "async"))
-
-
 # ---------------------------------------------------------------------------
 # Liveness: every token cycle ends up with >= 2 planned buffers
 
@@ -279,6 +273,19 @@ def test_apply_capacity_parameter(elgcd_net):
     caps = {c.params["capacity"] for c in buffered.components.values()
             if c.kind is Kind.BUFFER}
     assert caps == {4}
+
+
+def test_apply_capacity_below_one_rejected(elgcd_net):
+    plan = policy_pac(elgcd_net, "async")
+    before = netlist.dumps(elgcd_net)
+    with pytest.raises(ir.IrError, match="capacity must be >= 1, got 0"):
+        apply(elgcd_net, plan, capacity=0)
+    assert netlist.dumps(elgcd_net) == before
+    # The splice itself refuses before it touches the net it is given.
+    net = elgcd_net.copy()
+    with pytest.raises(ir.IrError, match="got 0"):
+        splice_buffer_in_place(net, plan.links[0], capacity=0)
+    assert netlist.dumps(net) == before
 
 
 def test_apply_twice_rejected(elgcd_net):

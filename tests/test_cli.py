@@ -178,6 +178,18 @@ def test_buffer_capacity_flag(tmp_path, elgcd_netlist):
     assert caps == {3}
 
 
+@pytest.mark.parametrize("capacity", ["0", "-2"])
+def test_buffer_capacity_below_one_exit_2(tmp_path, elgcd_netlist, capacity,
+                                          capsys):
+    out = tmp_path / "buf.json"
+    capsys.readouterr()
+    assert main(["buffer", str(elgcd_netlist), "--policy", "pac",
+                 "--capacity", capacity, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: buffer capacity must be >= 1, got {capacity}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("policy", ["simple", "loop", "pac"])
 def test_buffer_on_a_buffered_net_exit_2(tmp_path, elgcd_buffered, policy,
                                          capsys):

@@ -13,8 +13,7 @@ from elastika.bench import POLICIES, benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac
 from elastika.ir import FlowGraph, Kind
 from elastika.metrics import (CycleRate, PowerParams, TooManyCycles,
-                              _contract, _cycle_count, analytic_throughput,
-                              area,
+                              _cycle_count, analytic_throughput, area,
                               initial_marking, power, power_from_config)
 from elastika.sim import DelayTable, SimConfig, run_async
 
@@ -369,30 +368,9 @@ def test_refusal_boundary_is_the_simple_cycle_count():
 
 
 # ---------------------------------------------------------------------------
-# Chains are folded before the cycle search.  Nets whose edges run through
-# long one-in/one-out chains check that the folded search keeps every
-# cycle, every sum, the tie-break and the refusal count.
-
-def test_contract_folds_chains_and_rings():
-    # 0 -> 1 -> 2 -> {3, 4}; 3 -> 0; 4 -> 0: the fold keeps 0..2 as one node
-    # (3 and 4 feed 0, which has two predecessors).  5 <-> 6 is a ring.
-    adj = [[1], [2], [3, 4], [0], [0], [6], [5]]
-    chains, folded, tok, cost = _contract(adj, [1] * 7, list(range(7)))
-    assert chains == [[0, 1, 2], [3], [4], [5, 6]]
-    assert folded == [[1, 2], [0], [0], [3]]
-    assert tok == [3, 1, 1, 2]
-    assert cost == [3, 3, 4, 11]
-
-
-def test_contract_numbers_chains_by_their_smallest_node():
-    # The chain 2 -> 0 starts at 2 but is numbered by node 0.  Node 3's
-    # successors stay in original order (1 before 2), not folded order, so
-    # the search meets the cycles in the same order as on the whole graph.
-    adj = [[3], [3], [0], [1, 2]]
-    chains, folded, _, _ = _contract(adj, [0] * 4, [0] * 4)
-    assert chains == [[2, 0], [1], [3]]
-    assert folded == [[2], [2], [1, 0]]
-
+# Nets whose edges run through long one-in/one-out chains, with shuffled
+# link ids: the bound matches the oracle on every cycle, every sum,
+# the tie-break and the refusal count.
 
 def subdivided(n_nodes, edges, hops):
     """The digraph with edge k run through hops[k] extra one-in/one-out
@@ -441,11 +419,6 @@ def link_graph(net):
     index = {lid: i for i, lid in enumerate(ids)}
     succ = FlowGraph(net).flow
     return [sorted({index[w] for w in succ[lid]}) for lid in ids]
-
-
-def folded_graph(net):
-    adj = link_graph(net)
-    return _contract(adj, [0] * len(adj), [0] * len(adj))[1]
 
 
 SERIES_PARALLEL_RINGS = {
@@ -505,7 +478,6 @@ def test_cycle_count_matches_networkx(graph, seeds):
     cycles = sum(1 for _ in nx.simple_cycles(
         nx.DiGraph(FlowGraph(net).flow)))
     assert _cycle_count(link_graph(net), cycles) == cycles
-    assert _cycle_count(folded_graph(net), cycles) == cycles
     ids = sorted(net.links)
     marking = {ids[k % len(ids)]: n for k, n in seeds}
     for limit in (cycles, cycles - 1):
@@ -523,7 +495,7 @@ def test_cycle_count_matches_networkx(graph, seeds):
 def test_shipped_pac_nets_cycle_counts(name, cycles):
     net = benchmark(name).compiled()
     net = apply(net, policy_pac(net, mode="async"))
-    assert _cycle_count(folded_graph(net), 10_000) == cycles
+    assert _cycle_count(link_graph(net), 10_000) == cycles
     delays = SimConfig().delays
     assert analytic_throughput(net, delays, cycle_limit=cycles) is not None
     with pytest.raises(TooManyCycles, match=f"exceeded {cycles - 1} cycles"):
