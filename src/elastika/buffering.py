@@ -106,39 +106,22 @@ def pac_mark(g: FlowGraph, deps: dg.DependencyGraph
              ) -> dict[str, list[str]]:
     """Candidate links per dependency edge, each with its reasons: the
     link after the read side, and the link after the production side
-    (specialised by what produces)."""
+    (specialised by what produces).  Sites and channels are the ones
+    ``deps`` resolved."""
     net = g.net
     marks: dict[str, list[str]] = {}
 
     def note(lid: str, why: str) -> None:
         marks.setdefault(lid, []).append(why)
 
-    chan_by_name: dict[str, dg.Channel] = {}
-    for ch in dg.channels(g):
-        chan_by_name.setdefault(ch.name, ch)
-
     for e in deps.edges:
         if e.kind in ("WAR", "RAW"):
             vid = e.subject
-            if vid not in net.components:
-                raise UnresolvedSite(f"{e}: no variable {vid}")
-            rnode = e.u if e.kind == "WAR" else e.v
-            try:
-                site = int(rnode.rsplit("/rd", 1)[1])
-            except (IndexError, ValueError):
-                raise UnresolvedSite(f"{e}: malformed read site {rnode}")
-            rsites = dg.variable_read_sites(g, vid)
-            if site >= len(rsites):
-                raise UnresolvedSite(f"{e}: read site {site} out of range")
-            note(rsites[site][1], f"{e.kind} {vid} after rd{site}")
-            wd = g.out_of.get((vid, 0))
-            if wd is None:
-                raise UnresolvedSite(f"{e}: variable {vid} has no write done")
-            note(wd.id, f"{e.kind} {vid} after write done")
+            site, data = deps.reads[e.u if e.kind == "WAR" else e.v]
+            note(data, f"{e.kind} {vid} after rd{site}")
+            note(g.out_of[(vid, 0)].id, f"{e.kind} {vid} after write done")
         else:  # PAC
-            ch = chan_by_name.get(e.subject)
-            if ch is None:
-                raise UnresolvedSite(f"{e}: no channel {e.subject}")
+            ch = deps.channels[e.subject]
             if ch.consumer_comp is not None:
                 after = g.out_of.get((ch.consumer_comp, 0))
                 if after is not None:
@@ -147,15 +130,11 @@ def pac_mark(g: FlowGraph, deps: dg.DependencyGraph
                 comp = net.components[ch.producer_comp]
                 if comp.kind is Kind.FORK:
                     note(ch.link, f"PAC {ch.name} channel link")
-                elif comp.kind is Kind.OPERATOR:
+                elif comp.kind in (Kind.OPERATOR, Kind.VARIABLE):
+                    # An Operator's output, or a Variable's write done.
                     out = g.out_of.get((comp.id, 0))
                     if out is None:
-                        raise UnresolvedSite(f"{e}: producer has no output")
-                    note(out.id, f"PAC {ch.name} after producer")
-                elif comp.kind is Kind.VARIABLE:
-                    out = g.out_of.get((comp.id, 0))
-                    if out is None:
-                        raise UnresolvedSite(f"{e}: producer has no write done")
+                        raise UnresolvedSite(f"{e}: producer has no output 0")
                     note(out.id, f"PAC {ch.name} after producer")
                 else:
                     act = g.into.get((comp.id, 0))

@@ -40,12 +40,6 @@ class DepEdge:
         return f"{self.kind} {self.subject}: {self.u} -> {self.v}{suffix}"
 
 
-@dataclass
-class DependencyGraph:
-    nodes: list[str] = field(default_factory=list)
-    edges: list[DepEdge] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class Channel:
     """A producer/consumer pair: an external port link or an internal
@@ -58,63 +52,67 @@ class Channel:
     consumer_comp: Optional[str]
 
 
-def _write_funnel(g: FlowGraph, comp_id: str
-                  ) -> Optional[list[tuple[str, str, str]]]:
-    """(entry, tag entry, done) link triples when the Variable's write port
-    is fed through a multi-site funnel, else None.
+@dataclass
+class DependencyGraph:
+    """The edges and their nodes, with the sites the edges name as the
+    extraction resolved them: ``reads`` maps each read-site node
+    (``var.x/rd2``) to its site number and data link, and ``channels``
+    each channel name to its first channel."""
+    nodes: list[str] = field(default_factory=list)
+    edges: list[DepEdge] = field(default_factory=list)
+    reads: dict[str, tuple[int, str]] = field(default_factory=dict)
+    channels: dict[str, Channel] = field(default_factory=dict)
 
-    The funnel shape is a Merge into the write port, the write-done into
-    port 0 of a two-input Join whose other port takes a site tag through a
-    second Merge, and a Steer on the joined pair with one done per site.
-    Recognition is by shape, not by component naming.
+
+def _write_links(g: FlowGraph, comp_id: str
+                 ) -> list[tuple[str, Optional[str], str]]:
+    """(entry, tag entry, done) link triples per write site of a Variable,
+    in site order; the tag entry is None when the Variable is driven
+    directly.
+
+    Several write sites are funnelled through a Merge into the write port,
+    the write-done into port 0 of a two-input Join whose other port takes a
+    site tag through a second Merge, and a Steer on the joined pair with
+    one done per site.  Recognition is by shape, not by component naming.
     """
     net = g.net
     wg = g.into.get((comp_id, 0))
     wd = g.out_of.get((comp_id, 0))
-    if wg is None or wd is None or wg.src is None or wd.dst is None:
-        return None
+    if wg is None or wd is None:
+        return []
+    direct = [(wg.id, None, wd.id)]
+    if wg.src is None or wd.dst is None:
+        return direct
     m = net.components[wg.src[0]]
     j = net.components[wd.dst[0]]
     if not (m.kind is Kind.MERGE and j.kind is Kind.JOIN
             and wd.dst[1] == 0 and len(j.input_widths()) == 2):
-        return None
+        return direct
     jout = g.out_of.get((j.id, 0))
     tagin = g.into.get((j.id, 1))
     if jout is None or jout.dst is None or tagin is None or tagin.src is None:
-        return None
+        return direct
     s = net.components[jout.dst[0]]
     t = net.components[tagin.src[0]]
     if not (s.kind is Kind.STEER and t.kind is Kind.MERGE
             and len(s.output_widths()) == m.params["inputs"]
             and t.params["inputs"] == m.params["inputs"]):
-        return None
+        return direct
     sites = []
     for i in range(m.params["inputs"]):
         entry = g.into.get((m.id, i))
         tag = g.into.get((t.id, i))
         done = g.out_of.get((s.id, i))
         if entry is None or tag is None or done is None:
-            return None
+            return direct
         sites.append((entry.id, tag.id, done.id))
     return sites
 
 
 def variable_write_sites(g: FlowGraph, comp_id: str
                          ) -> list[tuple[str, str]]:
-    """(entry link, done link) per write site of a Variable, in site order.
-
-    A variable with one write site is driven directly; several sites are
-    funnelled through a Merge, with completion routed back per site by a
-    tag/Join/Steer loop on the write-done.
-    """
-    funnel = _write_funnel(g, comp_id)
-    if funnel is not None:
-        return [(entry, done) for entry, _, done in funnel]
-    wg = g.into.get((comp_id, 0))
-    wd = g.out_of.get((comp_id, 0))
-    if wg is None or wd is None:
-        return []
-    return [(wg.id, wd.id)]
+    """(entry link, done link) per write site of a Variable, in site order."""
+    return [(entry, done) for entry, _, done in _write_links(g, comp_id)]
 
 
 def variable_read_sites(g: FlowGraph, comp_id: str
@@ -160,65 +158,63 @@ def channels(g: FlowGraph) -> list[Channel]:
     return out + internal
 
 
-def _same_pass_successors(g: FlowGraph) -> dict[str, list[str]]:
-    """Flow successors restricted to one traversal of each loop body.
-
-    Loop-carry links are dropped, and every multi-site write funnel is made
-    opaque: entering at site i continues at site i's done, never at another
-    site's, which the kind-blind Steer relay would otherwise allow.
-    """
+def extract_variable_constraints(g: FlowGraph,
+                                 deps: Optional[DependencyGraph] = None
+                                 ) -> list[DepEdge]:
+    """Adds the WAR and RAW edges of every Variable, and its read sites, to
+    ``deps`` (a new graph when None); returns its edges."""
+    deps = DependencyGraph() if deps is None else deps
+    writes = {vid: _write_links(g, vid) for vid in sorted(g.net.components)
+              if g.net.components[vid].kind is Kind.VARIABLE}
+    # Successors within one traversal of each loop body: loop-carry links
+    # are dropped, and every multi-site write funnel is made opaque, so
+    # entering at site i continues at site i's done, never at another
+    # site's, which the kind-blind Steer relay would otherwise allow.
     succ = dict(g.flow)
     for lid in g.loop_carry:
         succ[lid] = []
-    for vid in sorted(g.net.components):
-        if g.net.components[vid].kind is not Kind.VARIABLE:
-            continue
-        funnel = _write_funnel(g, vid)
-        if funnel is not None:
-            for entry, tag, done in funnel:
-                succ[entry] = [done]
-                succ[tag] = [done]
-    return succ
-
-
-def extract_variable_constraints(g: FlowGraph) -> list[DepEdge]:
-    edges: list[DepEdge] = []
-    succ = _same_pass_successors(g)
-    for vid in sorted(g.net.components):
-        comp = g.net.components[vid]
-        if comp.kind is not Kind.VARIABLE:
-            continue
-        wsites = variable_write_sites(g, vid)
+    for sites in writes.values():
+        for entry, tag, done in sites:
+            if tag is not None:
+                succ[entry] = succ[tag] = [done]
+    for vid, wsites in writes.items():
         rsites = variable_read_sites(g, vid)
         for r, (_, rdata) in enumerate(rsites):
+            deps.reads[f"{vid}/rd{r}"] = (r, rdata)
             reach = reachable_links(succ, [rdata])
-            for w, (entry, _) in enumerate(wsites):
+            for w, (entry, _, _) in enumerate(wsites):
                 if entry in reach:
-                    edges.append(DepEdge("WAR", vid, f"{vid}/rd{r}",
-                                         f"{vid}/wr{w}"))
+                    deps.edges.append(DepEdge("WAR", vid, f"{vid}/rd{r}",
+                                              f"{vid}/wr{w}"))
         for w in range(len(wsites)):
             for r in range(len(rsites)):
-                edges.append(DepEdge("RAW", vid, f"{vid}/wr{w}",
-                                     f"{vid}/rd{r}"))
-    return edges
+                deps.edges.append(DepEdge("RAW", vid, f"{vid}/wr{w}",
+                                          f"{vid}/rd{r}"))
+    return deps.edges
 
 
-def extract_pac_constraints(g: FlowGraph) -> list[DepEdge]:
-    edges: list[DepEdge] = []
-    succ = g.flow
+def extract_pac_constraints(g: FlowGraph,
+                            deps: Optional[DependencyGraph] = None
+                            ) -> list[DepEdge]:
+    """Adds the PAC edges of every channel, and the first channel of each
+    name, to ``deps`` (a new graph when None); returns its edges."""
+    deps = DependencyGraph() if deps is None else deps
     for ch in channels(g):
-        edges.append(DepEdge("PAC", ch.name, ch.producer, ch.consumer))
-        if ch.link in reachable_links(succ, [ch.link]):
-            edges.append(DepEdge("PAC", ch.name, ch.consumer, ch.producer,
-                                 tag="backward"))
-    return edges
+        deps.channels.setdefault(ch.name, ch)
+        deps.edges.append(DepEdge("PAC", ch.name, ch.producer, ch.consumer))
+        if ch.link in reachable_links(g.flow, [ch.link]):
+            deps.edges.append(DepEdge("PAC", ch.name, ch.consumer,
+                                      ch.producer, tag="backward"))
+    return deps.edges
 
 
 def build(g: FlowGraph) -> DependencyGraph:
-    edges = extract_variable_constraints(g) + extract_pac_constraints(g)
-    edges.sort(key=lambda e: (e.subject, e.kind, e.u, e.v, e.tag))
-    nodes = sorted({n for e in edges for n in (e.u, e.v)})
-    return DependencyGraph(nodes, edges)
+    deps = DependencyGraph()
+    extract_variable_constraints(g, deps)
+    extract_pac_constraints(g, deps)
+    deps.edges.sort(key=lambda e: (e.subject, e.kind, e.u, e.v, e.tag))
+    deps.nodes = sorted({n for e in deps.edges for n in (e.u, e.v)})
+    return deps
 
 
 def to_dot(dg: DependencyGraph) -> str:

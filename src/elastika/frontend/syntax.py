@@ -7,6 +7,7 @@ shipped benchmark sources are the normative examples.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -498,33 +499,34 @@ class _Checker:
         self.mod = mod
         self.ports = {p.name: p for p in mod.ports}
         self.widths: dict[int, int] = {}
-        # site counts: name -> list of positions
-        self.var_writes: dict[str, list[Pos]] = {v: [] for v in mod.vars}
-        self.var_reads: dict[str, list[Pos]] = {v: [] for v in mod.vars}
-        self.chan_sends: dict[str, list[Pos]] = {c: [] for c in mod.chans}
-        self.chan_recvs: dict[str, list[Pos]] = {c: [] for c in mod.chans}
+        # site counts: name -> number of sites
+        self.var_writes: dict[str, int] = dict.fromkeys(mod.vars, 0)
+        self.var_reads: dict[str, int] = dict.fromkeys(mod.vars, 0)
+        self.chan_sends: dict[str, int] = dict.fromkeys(mod.chans, 0)
+        self.chan_recvs: dict[str, int] = dict.fromkeys(mod.chans, 0)
         for p in mod.ports:
             if p.dir == "in":
-                self.chan_recvs[p.name] = []
+                self.chan_recvs[p.name] = 0
             else:
-                self.chan_sends[p.name] = []
+                self.chan_sends[p.name] = 0
 
     def run(self) -> None:
-        names = list(self.mod.vars) + list(self.mod.chans) + list(self.ports)
-        dupes = {n for n in names if names.count(n) > 1}
+        names = Counter([*self.mod.vars, *self.mod.chans,
+                         *(p.name for p in self.mod.ports)])
+        dupes = [n for n, count in names.items() if count > 1]
         if dupes:
-            raise SyntaxError(f"name declared twice: {sorted(dupes)[0]}")
+            raise SyntaxError(f"name declared twice: {min(dupes)}")
         self.check_stmt(self.mod.body, top=True)
         for name, sites in self.chan_sends.items():
-            if len(sites) != 1:
+            if sites != 1:
                 kind = "channel" if name in self.mod.chans else "output port"
                 raise ParConflict(
-                    f"{kind} {name} needs exactly one send site, found {len(sites)}")
+                    f"{kind} {name} needs exactly one send site, found {sites}")
         for name, sites in self.chan_recvs.items():
-            if len(sites) != 1:
+            if sites != 1:
                 kind = "channel" if name in self.mod.chans else "input port"
                 raise ParConflict(
-                    f"{kind} {name} needs exactly one consuming site, found {len(sites)}")
+                    f"{kind} {name} needs exactly one consuming site, found {sites}")
         for name, sites in self.var_writes.items():
             if not sites:
                 raise UndeclaredName(f"variable {name} is never written")
@@ -532,8 +534,8 @@ class _Checker:
             if not sites:
                 raise UndeclaredName(f"variable {name} is never read")
         self.mod.widths = self.widths
-        self.mod.reads = {v: len(s) for v, s in self.var_reads.items()}
-        self.mod.writes = {v: len(s) for v, s in self.var_writes.items()}
+        self.mod.reads = self.var_reads
+        self.mod.writes = self.var_writes
 
     # Effects of a statement, for the Par conflict rule.
     def check_stmt(self, st: Stmt, top: bool = False) -> tuple[set, set]:
@@ -550,7 +552,7 @@ class _Checker:
                 raise SyntaxError(
                     f"width {w} expression assigned to {st.var}:{self.mod.vars[st.var]}",
                     st.pos.line, st.pos.col)
-            self.var_writes[st.var].append(st.pos)
+            self.var_writes[st.var] += 1
             writes.add(st.var)
         elif isinstance(st, Send):
             width = self._chan_width(st.chan, st.pos, sending=True)
@@ -558,7 +560,7 @@ class _Checker:
             if w != width:
                 raise SyntaxError(f"width {w} expression sent on {st.chan}:{width}",
                                   st.pos.line, st.pos.col)
-            self.chan_sends[st.chan].append(st.pos)
+            self.chan_sends[st.chan] += 1
             sends.add(st.chan)
         elif isinstance(st, Receive):
             width = self._chan_width(st.chan, st.pos, sending=False)
@@ -569,8 +571,8 @@ class _Checker:
                 raise SyntaxError(
                     f"receive {st.chan}:{width} into {st.var}:{self.mod.vars[st.var]}",
                     st.pos.line, st.pos.col)
-            self.chan_recvs[st.chan].append(st.pos)
-            self.var_writes[st.var].append(st.pos)
+            self.chan_recvs[st.chan] += 1
+            self.var_writes[st.var] += 1
             writes.add(st.var)
         elif isinstance(st, Seq):
             for part in st.parts:
@@ -667,17 +669,17 @@ class _Checker:
             return w
         if isinstance(e, Name):
             if e.ident in self.mod.vars:
-                self.var_reads[e.ident].append(e.pos)
+                self.var_reads[e.ident] += 1
                 return self.mod.vars[e.ident]
             if e.ident in self.mod.chans:
-                self.chan_recvs[e.ident].append(e.pos)
+                self.chan_recvs[e.ident] += 1
                 return self.mod.chans[e.ident]
             port = self.ports.get(e.ident)
             if port is not None:
                 if port.dir != "in":
                     raise SyntaxError(f"output port {e.ident} read in expression",
                                       e.pos.line, e.pos.col)
-                self.chan_recvs[e.ident].append(e.pos)
+                self.chan_recvs[e.ident] += 1
                 return port.width
             raise UndeclaredName(f"undeclared name {e.ident}", e.pos.line, e.pos.col)
         if isinstance(e, UnOp):

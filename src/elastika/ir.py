@@ -230,6 +230,8 @@ def _param_problems(comp: Component) -> list[tuple[str, str]]:
     if k in (Kind.OPERATOR, Kind.INITIAL) and not isinstance(
             p.get("value", 0), int):
         out.append(("bad-params", f"{k.value} value must be an integer"))
+    if k is Kind.VARIABLE and not isinstance(p.get("init", 0), int):
+        out.append(("bad-params", "variable init must be an integer"))
     if k is Kind.OPERATOR and not isinstance(p.get("delay_class", ""), str):
         out.append(("bad-params", "operator delay_class must be a string"))
     if k is Kind.MERGE and not isinstance(p.get("loop", 0), int):
@@ -238,8 +240,9 @@ def _param_problems(comp: Component) -> list[tuple[str, str]]:
         out.append(("bad-params", "fork channel must be a string"))
     if k is Kind.VARIABLE and p["reads"] < 1:
         out.append(("arity", "variable needs at least 1 read port"))
-    if k is Kind.BUFFER and p.get("capacity", 1) < 1:
-        out.append(("bad-params", "buffer capacity must be >= 1"))
+    cap = p.get("capacity", 1)
+    if k is Kind.BUFFER and not (isinstance(cap, int) and cap >= 1):
+        out.append(("bad-params", "buffer capacity must be an integer >= 1"))
     return out
 
 
@@ -471,6 +474,20 @@ class FlowGraph:
         in wire mode."""
         return self._successors(through_buffers=False)
 
+    @cached_property
+    def comb_search(self) -> tuple[list[str], Optional[list[str]]]:
+        """One search of ``comb`` from each link in sorted id order: its
+        post-order, and the first cycle it closes or None.  The cycle runs
+        from after the link the search closed into and ends with it."""
+        succ = self.comb
+        order: list[str] = []
+        cycle = None
+        for path, _, target in back_edges(
+                sorted(succ), lambda lid: zip(succ[lid], succ[lid]), order):
+            if cycle is None:
+                cycle = path[path.index(target) + 1:] + [target]
+        return order, cycle
+
     def _successors(self, through_buffers: bool) -> dict[str, list[str]]:
         """Link id -> sorted ids of the links each component relays it onto,
         pairing only the ports that links bind: a Variable relays port i to
@@ -565,12 +582,6 @@ def reachable_links(succ: dict[str, list[str]], starts: Iterable[str]) -> set[st
 
 
 def combinational_cycle(graph: FlowGraph) -> Optional[list[str]]:
-    """Return one buffer-free combinational cycle as a link list, or None.
-
-    The list starts after the link the search closed into and ends with it.
-    """
-    succ = graph.comb
-    for path, _, target in back_edges(
-            sorted(succ), lambda lid: [(nxt, nxt) for nxt in succ[lid]]):
-        return path[path.index(target) + 1:] + [target]
-    return None
+    """One buffer-free combinational cycle as a link list, or None: the
+    first that ``graph.comb_search`` closes."""
+    return graph.comb_search[1]

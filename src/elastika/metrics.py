@@ -60,10 +60,16 @@ class PowerParams:
 
 
 def power_from_config(cfg: dict, base: PowerParams | None = None) -> PowerParams:
-    """PowerParams from flat config keys (power.activity, power.supply, ...)."""
-    overrides = {f.name: float(cfg[f"power.{f.name}"])
-                 for f in fields(PowerParams)
-                 if f"power.{f.name}" in cfg}
+    """PowerParams from flat config keys (power.activity, power.supply, ...);
+    an unknown ``power.*`` key raises ValueError."""
+    names = {f.name for f in fields(PowerParams)}
+    overrides = {}
+    for key in sorted(cfg):
+        if key.startswith("power."):
+            name = key[len("power."):]
+            if name not in names:
+                raise ValueError(f"unknown power key {name!r}")
+            overrides[name] = float(cfg[key])
     return replace(base or PowerParams(), **overrides)
 
 

@@ -59,7 +59,7 @@ from heapq import heappop, heappush, heappushpop
 from typing import Callable, Optional
 
 from ..ir import (Component, FlowGraph, Kind, Network, back_edges,
-                  combinational_cycle, port_counts)
+                  port_counts)
 from .config import SimConfig
 from .report import SimReport
 
@@ -936,24 +936,19 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
 def critical_path(net: Network, delays) -> int:
     """Longest combinational component-delay chain between storage points.
 
-    One post-order search of ``FlowGraph.comb`` from each link in sorted id
-    order; on a cyclic net an edge back into the search path adds nothing.
+    Read from the post-order of ``FlowGraph.comb_search``; on a cyclic net
+    an edge back into the search path adds nothing.
     """
-    succ = FlowGraph(net).comb
-    order: list[str] = []
-    for _ in back_edges(sorted(succ), lambda lid: zip(succ[lid], succ[lid]),
-                        order):
-        pass
-    return _longest_chain(net, delays, succ, order)
+    return _longest_chain(FlowGraph(net), delays)
 
 
-def _longest_chain(net: Network, delays, succ: dict[str, list[str]],
-                   order: list[str]) -> int:
-    """critical_path from the post-order of the search: a successor that
-    the search left before this link adds its chain, one it left later
-    closed a cycle back into the path and adds nothing."""
+def _longest_chain(g: FlowGraph, delays) -> int:
+    """critical_path of ``g``'s net: a successor that the search left
+    before this link adds its chain, one it left later closed a cycle back
+    into the path and adds nothing."""
+    net, succ = g.net, g.comb
     chain: dict[str, int] = {}
-    for lid in order:
+    for lid in g.comb_search[0]:
         best = 0
         for nxt in succ[lid]:
             c = chain.get(nxt, 0)
@@ -990,26 +985,20 @@ def run_async(net: Network, cfg: SimConfig) -> SimReport:
 
 def run_sync(net: Network, cfg: SimConfig) -> SimReport:
     """Clocked (forward-interlocked) run: combinational components settle
-    within a cycle, Buffers advance tokens one period per cycle.  One
-    search of the ``comb`` view of one ``FlowGraph`` serves the cycle check
-    and the critical path; a cycle found is named by
-    ``combinational_cycle``.  The search pairs only bound ports, so a huge
-    port count is left for ``Simulation`` to refuse."""
+    within a cycle, Buffers advance tokens one period per cycle.  The
+    cycle check and the critical path both read ``comb_search`` of one
+    ``FlowGraph``.  The search pairs only bound ports, so a huge port count
+    is left for ``Simulation`` to refuse."""
     if cfg.mode != "sync":
         raise SimError(f"run_sync needs mode sync, got {cfg.mode!r}")
     with _collector_paused():
         g = FlowGraph(net)
-        succ = g.comb
-        order: list[str] = []
-        if next(back_edges(sorted(succ),
-                           lambda lid: zip(succ[lid], succ[lid]), order),
-                None) is not None:
-            raise CombinationalCycle(combinational_cycle(g))
-        # No back edge: the search ran to its end and ``order`` is complete.
-        crit = _longest_chain(net, cfg.delays, succ, order)
+        cycle = g.comb_search[1]
+        if cycle is not None:
+            raise CombinationalCycle(cycle)
+        crit = _longest_chain(g, cfg.delays)
         inner = replace(cfg, delays=cfg.delays.zeroed(buffer_delay=cfg.clock))
         report = Simulation(net, inner).run()
-    report.mode = "sync"
     report.critical_path = crit
     report.overclocked = cfg.clock < crit
     return report

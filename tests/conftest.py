@@ -219,10 +219,10 @@ def ring_net() -> Network:
 @pytest.fixture()
 def graph_builds(monkeypatch) -> Counter:
     """Counts, while the test runs, the ``FlowGraph``s built ("init") and
-    the ``flow``, ``comb`` and ``back_edges`` views computed."""
+    the ``flow``, ``comb``, ``back_edges`` and ``comb_search`` views
+    computed."""
     counts: Counter = Counter()
     init, successors = FlowGraph.__init__, FlowGraph._successors
-    back_edges = FlowGraph.back_edges.func
 
     def counted_init(self, net):
         counts["init"] += 1
@@ -232,12 +232,17 @@ def graph_builds(monkeypatch) -> Counter:
         counts["flow" if through_buffers else "comb"] += 1
         return successors(self, through_buffers)
 
-    def counted_back_edges(self):
-        counts["back_edges"] += 1
-        return back_edges(self)
-    view = functools.cached_property(counted_back_edges)
-    view.__set_name__(FlowGraph, "back_edges")
+    def count_view(name):
+        compute = getattr(FlowGraph, name).func
+
+        def counted(self):
+            counts[name] += 1
+            return compute(self)
+        view = functools.cached_property(counted)
+        view.__set_name__(FlowGraph, name)
+        monkeypatch.setattr(FlowGraph, name, view)
     monkeypatch.setattr(FlowGraph, "__init__", counted_init)
     monkeypatch.setattr(FlowGraph, "_successors", counted_successors)
-    monkeypatch.setattr(FlowGraph, "back_edges", view)
+    count_view("back_edges")
+    count_view("comb_search")
     return counts

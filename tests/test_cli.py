@@ -391,6 +391,18 @@ def test_report_bad_config_exit_2(ring_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["report", "sweep"])
+def test_misspelled_power_key_exit_2(ring_file, tmp_path, command, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("power.activty = 0.8\n")
+    out = tmp_path / "out.txt"
+    target = str(ring_file) if command == "report" else "elgcd"
+    assert main([command, target, "--config", str(cfg),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown power key 'activty'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "1e999"])
 @pytest.mark.parametrize("knob", ["frequency", "capacitance", "supply",
                                   "leak_per_area"])
@@ -450,6 +462,10 @@ PARAM_EDITS = {
     "merge-loop-text": ("merge", lambda c: c["params"].update(loop="x")),
     "fork-channel-dict": ("fork",
                           lambda c: c["params"].update(channel={"k": 1})),
+    "variable-init-text": ("variable",
+                           lambda c: c["params"].update(init="abc")),
+    "buffer-capacity-fraction": ("buffer",
+                                 lambda c: c["params"].update(capacity=1.5)),
 }
 
 
@@ -462,6 +478,28 @@ def test_malformed_params_exit_2(elgcd_buffered, edit, command, capsys):
     assert code == 2
     assert err.startswith("error: bad-params ")
     assert "Traceback" not in err
+
+
+def test_sim_refuses_a_text_init_read_before_any_write(tmp_path, capsys):
+    # x is sent before it is received, so the first result is its init.
+    src = tmp_path / "t.csp"
+    src.write_text("module t(in a: 8; out z: 8) { var x: 8; z ! x ; a ? x }\n")
+    net = tmp_path / "t.json"
+    assert main(["compile", str(src), "-o", str(net)]) == 0
+    _edit_first(net, "variable", lambda c: c["params"].update(init="abc"))
+    code, err = _run_loader(["sim"], net, capsys)
+    assert (code, err) == (
+        2, "error: bad-params var.x: variable init must be an integer\n")
+
+
+def test_report_refuses_a_fractional_buffer_capacity(elgcd_buffered, capsys):
+    # The area model would count int(1.5) = 1 slot.
+    _edit_first(elgcd_buffered, "buffer",
+                lambda c: c["params"].update(capacity=1.5))
+    code, err = _run_loader(["report", "--area"], elgcd_buffered, capsys)
+    assert code == 2
+    assert err.startswith("error: bad-params buf.")
+    assert err.endswith(": buffer capacity must be an integer >= 1\n")
 
 
 @pytest.mark.parametrize("command", LOADING_COMMANDS,

@@ -126,6 +126,20 @@ def test_site_lookups_agree_with_graph(elgcd_net):
         assert done in elgcd_net.links
 
 
+def test_build_resolves_the_sites_its_edges_name(elgcd_net, elgcd_graph):
+    # pac plans from these, so each must be the site the lookups find.
+    g = FlowGraph(elgcd_net)
+    for e in elgcd_graph.edges:
+        if e.kind == "PAC":
+            assert elgcd_graph.channels[e.subject].name == e.subject
+            continue
+        node = e.u if e.kind == "WAR" else e.v
+        site, data = elgcd_graph.reads[node]
+        assert node == f"{e.subject}/rd{site}"
+        assert data == dg.variable_read_sites(g, e.subject)[site][1]
+    assert list(elgcd_graph.channels.values()) == dg.channels(g)
+
+
 def test_build_nodes_cover_edges(elgcd_graph):
     nodes = set(elgcd_graph.nodes)
     for e in elgcd_graph.edges:

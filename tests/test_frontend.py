@@ -1,6 +1,7 @@
 """Parser, static checker and lowering of the source language."""
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,28 @@ def test_undeclared_variable():
 def test_undeclared_channel():
     with pytest.raises(UndeclaredName):
         parse(wrap("x := a ; w ! x"))
+
+
+@pytest.mark.parametrize("ports, decls, name", [
+    ("in a: 32; out z: 32", "var x: 32; chan x: 32; var b: 32; chan b: 32;",
+     "b"),
+    ("in a: 32; out z: 32", "var x: 32; var z: 32;", "z"),
+    ("in a: 32; in a: 32; out z: 32", "var x: 32;", "a"),
+])
+def test_name_declared_twice_names_the_smallest(ports, decls, name):
+    with pytest.raises(SyntaxError) as err:
+        parse(wrap("x := a ; z ! x", ports=ports, decls=decls))
+    assert str(err.value) == f"name declared twice: {name}"
+
+
+def test_huge_port_array_is_checked_in_linear_time():
+    # Each name was once counted against every other declared name.
+    start = time.perf_counter()
+    with pytest.raises(ParConflict) as err:
+        parse("module t(in c[0..99999]: 8; out z: 8) { z ! 1 }")
+    assert time.perf_counter() - start < 5
+    assert str(err.value) == ("input port c[0] needs exactly one consuming "
+                              "site, found 0")
 
 
 def test_unwritten_variable_rejected():

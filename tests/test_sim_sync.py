@@ -121,7 +121,16 @@ def test_run_sync_builds_the_combinational_graph_once(graph_builds, ring_net):
     run_sync(ring_net, SimConfig(mode="sync", clock=2000,
                                  delays=ring_delays(), stimulus={"go": []},
                                  max_time=10_000))
-    assert graph_builds == {"init": 1, "comb": 1}
+    assert graph_builds == {"init": 1, "comb": 1, "comb_search": 1}
+
+
+def test_run_sync_searches_comb_once_on_a_cyclic_net(graph_builds, elgcd_net):
+    # The unbuffered net has a combinational cycle: the search that finds
+    # it also names it for the error.
+    with pytest.raises(CombinationalCycle) as err:
+        run_sync(elgcd_net, SimConfig(mode="sync", clock=2000))
+    assert graph_builds == {"init": 1, "comb": 1, "comb_search": 1}
+    assert str(err.value).startswith("combinational cycle through links: ")
 
 
 def test_run_sync_leaves_no_cyclic_garbage():
