@@ -158,12 +158,10 @@ def channels(g: FlowGraph) -> list[Channel]:
     return out + internal
 
 
-def extract_variable_constraints(g: FlowGraph,
-                                 deps: Optional[DependencyGraph] = None
-                                 ) -> list[DepEdge]:
+def extract_variable_constraints(g: FlowGraph, deps: DependencyGraph
+                                 ) -> None:
     """Adds the WAR and RAW edges of every Variable, and its read sites, to
-    ``deps`` (a new graph when None); returns its edges."""
-    deps = DependencyGraph() if deps is None else deps
+    ``deps``."""
     writes = {vid: _write_links(g, vid) for vid in sorted(g.net.components)
               if g.net.components[vid].kind is Kind.VARIABLE}
     # Successors within one traversal of each loop body: loop-carry links
@@ -190,22 +188,17 @@ def extract_variable_constraints(g: FlowGraph,
             for r in range(len(rsites)):
                 deps.edges.append(DepEdge("RAW", vid, f"{vid}/wr{w}",
                                           f"{vid}/rd{r}"))
-    return deps.edges
 
 
-def extract_pac_constraints(g: FlowGraph,
-                            deps: Optional[DependencyGraph] = None
-                            ) -> list[DepEdge]:
+def extract_pac_constraints(g: FlowGraph, deps: DependencyGraph) -> None:
     """Adds the PAC edges of every channel, and the first channel of each
-    name, to ``deps`` (a new graph when None); returns its edges."""
-    deps = DependencyGraph() if deps is None else deps
+    name, to ``deps``."""
     for ch in channels(g):
         deps.channels.setdefault(ch.name, ch)
         deps.edges.append(DepEdge("PAC", ch.name, ch.producer, ch.consumer))
         if ch.link in reachable_links(g.flow, [ch.link]):
             deps.edges.append(DepEdge("PAC", ch.name, ch.consumer,
                                       ch.producer, tag="backward"))
-    return deps.edges
 
 
 def build(g: FlowGraph) -> DependencyGraph:

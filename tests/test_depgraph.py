@@ -171,7 +171,11 @@ def test_to_dot_well_formed(elgcd_graph):
 
 def test_extractors_compose_into_build(elgcd_net, elgcd_graph):
     g = FlowGraph(elgcd_net)
-    var_edges = dg.extract_variable_constraints(g)
-    pac_edges = dg.extract_pac_constraints(g)
-    assert sorted(map(str, var_edges + pac_edges)) == \
+    deps = dg.DependencyGraph()
+    dg.extract_variable_constraints(g, deps)
+    n_var = len(deps.edges)
+    dg.extract_pac_constraints(g, deps)
+    assert {e.kind for e in deps.edges[:n_var]} == {"WAR", "RAW"}
+    assert {e.kind for e in deps.edges[n_var:]} == {"PAC"}
+    assert sorted(map(str, deps.edges)) == \
         sorted(map(str, elgcd_graph.edges))
