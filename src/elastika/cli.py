@@ -10,7 +10,9 @@ input (source, netlist, config, stimulus, --freq-sweep, a sweep clock),
 a net that buffer cannot plan or splice, a throughput bound refused for
 too many cycles, a simulation error, or an output file that cannot be
 written; 3 simulated deadlock.  A sweep checks its benchmark names, sync
-clocks and output path before it runs the first cell.
+clocks and output path before it runs the first cell.  ``main`` is the
+one place that turns an exception into an exit code; a command catches
+one itself only to add to its message.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ from .frontend import parse as parse_source
 from .ir import FlowGraph, IrError, Network, validate
 from .metrics import (TooManyCycles, analytic_throughput, area, power,
                       power_from_config)
-from .sim import (CombinationalCycle, ConfigError, SimConfig, SimError,
-                  occupancy_csv, parse_stimulus, read_config, run, to_json)
+from .sim import (ConfigError, SimConfig, SimError, occupancy_csv,
+                  parse_stimulus, read_config, run, to_json)
 from .sim.config import check_clock, delays_from_config
 
 EXIT_OK = 0
@@ -60,25 +62,18 @@ def _fail(message: str, code: int = EXIT_BAD_INPUT) -> int:
     return code
 
 
-class _WriteError(Exception):
-    """An output file could not be written."""
-
-
 def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _WriteError(str(exc)) from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _check_writable(path: str | None) -> None:
-    """Raise _WriteError now if _write could not create ``path`` later.
+    """Raise OSError now if _write could not create ``path`` later.
     Creates and truncates nothing, so a run that fails later leaves an
     existing file as it was."""
     if path is None or path == "-":
@@ -92,12 +87,16 @@ def _check_writable(path: str | None) -> None:
         code = errno.EACCES
     else:
         return
-    raise _WriteError(str(OSError(code, os.strerror(code), path)))
+    raise OSError(code, os.strerror(code), path)
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _load_net(path: str) -> Network:
-    with open(path, encoding="utf-8") as fh:
-        net = netlist.loads(fh.read())
+    net = netlist.loads(_read_text(path))
     problems = validate(net)
     if problems:
         raise netlist.NetlistError(
@@ -106,19 +105,21 @@ def _load_net(path: str) -> Network:
 
 
 def _read_config_file(path: str | None) -> dict:
+    """The config at ``path``; every key must sit under delay. or power."""
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        return read_config(fh.read())
+    cfg = read_config(_read_text(path))
+    strays = [key for key in cfg if not key.startswith(("delay.", "power."))]
+    if strays:
+        raise ConfigError(f"unknown config key {min(strays)!r} "
+                          f"(keys start with delay. or power.)")
+    return cfg
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    text = _read_text(args.source)
     try:
-        with open(args.source, encoding="utf-8") as fh:
-            module = parse_source(fh.read())
-        net = compile_module(module)
-    except OSError as exc:
-        return _fail(str(exc))
+        net = compile_module(parse_source(text))
     except (FrontendError, LowerError) as exc:
         return _fail(f"{args.source}: {exc}")
     problems = validate(net)
@@ -133,11 +134,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_depgraph(args: argparse.Namespace) -> int:
-    try:
-        net = _load_net(args.netlist)
-    except (OSError, netlist.NetlistError) as exc:
-        return _fail(str(exc))
-    graph = depgraph.build(FlowGraph(net))
+    graph = depgraph.build(FlowGraph(_load_net(args.netlist)))
     obj = {
         "nodes": graph.nodes,
         "edges": [{"kind": e.kind, "subject": e.subject, "u": e.u,
@@ -150,15 +147,9 @@ def cmd_depgraph(args: argparse.Namespace) -> int:
 
 
 def cmd_buffer(args: argparse.Namespace) -> int:
-    try:
-        net = _load_net(args.netlist)
-    except (OSError, netlist.NetlistError) as exc:
-        return _fail(str(exc))
-    try:
-        plan = bench.POLICIES[args.policy](net)
-        buffered = apply_plan(net, plan, capacity=args.capacity)
-    except IrError as exc:
-        return _fail(str(exc))
+    net = _load_net(args.netlist)
+    plan = bench.POLICIES[args.policy](net)
+    buffered = apply_plan(net, plan, capacity=args.capacity)
     _write(netlist.dumps(buffered), args.output)
     if args.plan:
         records = [f"{lid}\t{'; '.join(plan.provenance[lid])}"
@@ -171,22 +162,14 @@ def cmd_buffer(args: argparse.Namespace) -> int:
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
-    try:
-        net = _load_net(args.netlist)
-        stimulus = {}
-        if args.stimulus:
-            with open(args.stimulus, encoding="utf-8") as fh:
-                stimulus = parse_stimulus(fh.read())
-        delays = delays_from_config(_read_config_file(args.delays))
-        cfg = SimConfig(mode=args.mode, clock=args.clock, delays=delays,
-                        stimulus=stimulus, max_time=args.horizon,
-                        max_results=args.max_results,
-                        record_occupancy=args.occupancy is not None)
-        report = run(net, cfg)
-    except CombinationalCycle as exc:
-        return _fail(f"combinational cycle under clocked timing: {exc}")
-    except (OSError, netlist.NetlistError, ConfigError, SimError) as exc:
-        return _fail(str(exc))
+    net = _load_net(args.netlist)
+    stimulus = parse_stimulus(_read_text(args.stimulus)) if args.stimulus else {}
+    cfg = SimConfig(mode=args.mode, clock=args.clock,
+                    delays=delays_from_config(_read_config_file(args.delays)),
+                    stimulus=stimulus, max_time=args.horizon,
+                    max_results=args.max_results,
+                    record_occupancy=args.occupancy is not None)
+    report = run(net, cfg)
     _write(to_json(report), args.output)
     if args.occupancy:
         _write(occupancy_csv(report), args.occupancy)
@@ -198,13 +181,10 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        net = _load_net(args.netlist)
-        cfg = _read_config_file(args.config)
-        params = power_from_config(cfg)
-        delays = delays_from_config(cfg)
-    except (OSError, netlist.NetlistError, ConfigError, ValueError) as exc:
-        return _fail(str(exc))
+    net = _load_net(args.netlist)
+    cfg = _read_config_file(args.config)
+    params = power_from_config(cfg)
+    delays = delays_from_config(cfg)
     sections = [name for name in ("area", "power", "throughput")
                 if getattr(args, name)]
     if not sections:
@@ -234,11 +214,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                         "leakage": cost.leakage_power,
                         "params": dataclasses.asdict(params)}
     if "throughput" in sections:
-        try:
-            rate = analytic_throughput(net, delays, mode=args.mode,
-                                       clock=args.clock)
-        except (TooManyCycles, ValueError) as exc:
-            return _fail(str(exc))
+        rate = analytic_throughput(net, delays, mode=args.mode,
+                                   clock=args.clock)
         obj["throughput"] = (None if rate is None else {
             "theta_per_ps": rate.theta, "tokens": rate.tokens,
             "gamma": rate.gamma, "delta": rate.delta,
@@ -249,42 +226,30 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     names = args.bench or bench.benchmark_names()
-    try:
-        cfg = _read_config_file(args.config)
-        params = power_from_config(cfg)
-        delays = delays_from_config(cfg)
-    except (OSError, ConfigError, ValueError) as exc:
-        return _fail(str(exc))
+    cfg = _read_config_file(args.config)
+    params = power_from_config(cfg)
+    delays = delays_from_config(cfg)
     # Every check that needs no cell runs before the first cell does.
     specs = []
     for name in names:
         try:
             spec = bench.benchmark(name)
         except KeyError as exc:
-            return _fail(str(exc))
+            return _fail(exc.args[0])
         spec = dataclasses.replace(
             spec,
             policies=tuple(args.policies) if args.policies else spec.policies,
             modes=tuple(args.modes) if args.modes else spec.modes,
             clocks=tuple(args.clocks) if args.clocks else spec.clocks)
-        try:
-            for mode in spec.modes:
-                for clock in spec.clocks:
-                    check_clock(mode, clock)
-        except ConfigError as exc:
-            return _fail(str(exc))
+        for mode in spec.modes:
+            for clock in spec.clocks:
+                check_clock(mode, clock)
         specs.append(spec)
     _check_writable(args.output)
     sections = []
     for name, spec in zip(names, specs):
-        try:
-            rows = bench.sweep(spec, delays=delays, params=params)
-        except bench.EquivalenceError as exc:
-            return _fail(str(exc), EXIT_EQUIVALENCE)
-        except ConfigError as exc:
-            return _fail(str(exc))
-        table = bench.format_table(rows)
-        sections.append(f"# {name}\n{table}")
+        rows = bench.sweep(spec, delays=delays, params=params)
+        sections.append(f"# {name}\n{bench.format_table(rows)}")
     _write("\n".join(sections), args.output)
     return EXIT_OK
 
@@ -376,11 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# What a command raises on input it cannot take: main maps each to exit 2.
+_INPUT_ERRORS = (OSError, ValueError, FrontendError, LowerError, IrError,
+                 netlist.NetlistError, ConfigError, SimError, TooManyCycles)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _WriteError as exc:
+    except bench.EquivalenceError as exc:
+        return _fail(str(exc), EXIT_EQUIVALENCE)
+    except _INPUT_ERRORS as exc:
         return _fail(str(exc))
 
 

@@ -381,5 +381,9 @@ def _act_leaves(e: S.Expr, mod: S.SourceModule) -> int:
 
 
 def compile(mod: S.SourceModule) -> Network:
-    """Compile a checked source module to an elastic network with no buffers."""
-    return _Lowerer(mod).run()
+    """Compile a checked source module to an elastic network with no buffers;
+    a module nested deeper than the lowering can recurse is a LowerError."""
+    try:
+        return _Lowerer(mod).run()
+    except RecursionError:
+        raise LowerError("program nested too deeply") from None

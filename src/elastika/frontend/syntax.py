@@ -712,11 +712,15 @@ class _Checker:
 
 def parse(text: str) -> SourceModule:
     """Parse and check a source module; raises SyntaxError, UndeclaredName or
-    ParConflict with position information on bad input."""
-    mod = _Parser(tokenize(text)).module()
-    # A top-level body that is not already a loop repeats forever, matching
-    # the activation model of generated top-level modules.
-    if not isinstance(mod.body, LoopStmt):
-        mod.body = LoopStmt(mod.body, Pos(0, 0))
-    _Checker(mod).run()
+    ParConflict with position information on bad input.  A program nested
+    deeper than the parser or checker can recurse is a SyntaxError too."""
+    try:
+        mod = _Parser(tokenize(text)).module()
+        # A top-level body that is not already a loop repeats forever,
+        # matching the activation model of generated top-level modules.
+        if not isinstance(mod.body, LoopStmt):
+            mod.body = LoopStmt(mod.body, Pos(0, 0))
+        _Checker(mod).run()
+    except RecursionError:
+        raise SyntaxError("program nested too deeply") from None
     return mod

@@ -16,7 +16,7 @@ buffer on the cycle instead of summing component delays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .ir import FlowGraph, Kind, LOGIC_KINDS, Network
@@ -59,7 +59,7 @@ class PowerParams:
                 raise ValueError(f"{name} must be finite")
 
 
-def power_from_config(cfg: dict, base: PowerParams | None = None) -> PowerParams:
+def power_from_config(cfg: dict) -> PowerParams:
     """PowerParams from flat config keys (power.activity, power.supply, ...);
     an unknown ``power.*`` key raises ValueError."""
     names = {f.name for f in fields(PowerParams)}
@@ -70,7 +70,7 @@ def power_from_config(cfg: dict, base: PowerParams | None = None) -> PowerParams
             if name not in names:
                 raise ValueError(f"unknown power key {name!r}")
             overrides[name] = float(cfg[key])
-    return replace(base or PowerParams(), **overrides)
+    return PowerParams(**overrides)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ Stimulus files hold one channel per line: `name: v1 v2 ...`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from ..ir import Component, IrError, Kind, Network
 
@@ -104,10 +104,9 @@ def _set_delay(table: DelayTable, key: str, value: int) -> DelayTable:
     raise ConfigError(f"unknown delay key {key!r}")
 
 
-def delays_from_config(cfg: dict, base: Optional[DelayTable] = None
-                       ) -> DelayTable:
-    """Apply every `delay.*` entry of a parsed config onto a base table."""
-    table = base if base is not None else DelayTable()
+def delays_from_config(cfg: dict) -> DelayTable:
+    """Apply every `delay.*` entry of a parsed config onto the defaults."""
+    table = DelayTable()
     for key in sorted(cfg):
         if key.startswith("delay."):
             value = cfg[key]

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_ring, two_chains
 import elastika
@@ -103,6 +104,27 @@ def test_compile_rejects_a_literal_no_width_holds(tmp_path, capsys, literal):
 
 def test_compile_missing_file(tmp_path):
     assert main(["compile", str(tmp_path / "absent.csp")]) == 2
+
+
+# Each ran the parser or checker out of stack: a RecursionError traceback.
+DEEP_SOURCES = {
+    "90 parentheses": "z ! " + "(" * 90 + "a" + ")" * 90,
+    "400 blocks": "{" * 400 + "a ? x ; z ! x" + "}" * 400,
+    "300 ifs": "a ? x ; " + "if x == 1 { " * 300 + "z ! x"
+               + " } else { skip }" * 300,
+    "500-term sum": "a ? x ; z ! " + " + ".join(["x"] * 500),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SOURCES))
+def test_compile_refuses_a_program_nested_too_deeply(tmp_path, capsys, shape):
+    src = tmp_path / "deep.csp"
+    decls = "" if shape == "90 parentheses" else "var x: 8; "
+    src.write_text("module t(in a: 8; out z: 8) { " + decls
+                   + DEEP_SOURCES[shape] + " }")
+    assert main(["compile", str(src), "-o", str(tmp_path / "n.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {src}: program nested too deeply\n")
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +549,8 @@ def test_sweep_deterministic_bytes(tmp_path):
 
 def test_sweep_unknown_benchmark_exit_2(capsys):
     assert main(["sweep", "fibonacci"]) == 2
-    assert "unknown benchmark" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: unknown benchmark 'fibonacci'; have elgcd, poly, smul\n")
 
 
 @pytest.mark.parametrize("clock", ["0", "-2000"])
@@ -718,3 +741,203 @@ def test_sim_unknown_operator_that_never_fires_exit_0(tmp_path, capsys):
     assert main(["sim", str(net), "--stimulus", str(fires)]) == 2
     assert capsys.readouterr().err == (
         "error: unknown operator function 'pow'\n")
+
+
+# ---------------------------------------------------------------------------
+# input files that are not UTF-8: exit 2 from every command, in every role
+
+UNDECODABLE = {
+    "compile source": ("source", lambda f, bad: ["compile", bad]),
+    "depgraph netlist": ("netlist", lambda f, bad: ["depgraph", bad]),
+    "buffer netlist": ("netlist", lambda f, bad: ["buffer", bad,
+                                                  "--policy", "pac"]),
+    "sim netlist": ("netlist", lambda f, bad: ["sim", bad]),
+    "sim --stimulus": ("stim", lambda f, bad: ["sim", f["buffered"],
+                                               "--stimulus", bad]),
+    "sim --delays": ("config", lambda f, bad: ["sim", f["buffered"],
+                                               "--delays", bad]),
+    "report netlist": ("netlist", lambda f, bad: ["report", bad]),
+    "report --config": ("config", lambda f, bad: ["report", f["buffered"],
+                                                  "--config", bad]),
+    "sweep --config": ("config", lambda f, bad: ["sweep", "elgcd",
+                                                 "--config", bad]),
+}
+
+
+@pytest.mark.parametrize("role", sorted(UNDECODABLE))
+def test_undecodable_input_file_exit_2(tmp_path, elgcd_source, elgcd_netlist,
+                                       elgcd_buffered, monkeypatch, capsys,
+                                       role):
+    # The first six roles printed a UnicodeDecodeError traceback, exit 1.
+    monkeypatch.setattr(bench, "run_cell", no_cells)
+    config = tmp_path / "cfg.txt"
+    config.write_text("delay.join = 100\n")
+    files = {"source": elgcd_source, "netlist": elgcd_netlist,
+             "buffered": str(elgcd_buffered),
+             "stim": write_stimulus(tmp_path), "config": config}
+    kind, argv = UNDECODABLE[role]
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff" + files[kind].read_bytes())
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert main([*argv(files, str(bad)), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# config files: every key under delay. or power.
+
+@pytest.mark.parametrize("key", ["dealy.join", "foo"])
+@pytest.mark.parametrize("command", ["report", "sim", "sweep"])
+def test_config_key_outside_delay_and_power_exit_2(tmp_path, elgcd_buffered,
+                                                   monkeypatch, capsys,
+                                                   command, key):
+    # Each was ignored: exit 0, and the run used the default table.
+    monkeypatch.setattr(bench, "run_cell", no_cells)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"delay.join = 100\n{key} = 3\n")
+    argv = {"report": ["report", str(elgcd_buffered), "--config"],
+            "sim": ["sim", str(elgcd_buffered), "--delays"],
+            "sweep": ["sweep", "elgcd", "--config"]}[command]
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert main([*argv, str(cfg), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown config key {key!r} "
+        f"(keys start with delay. or power.)\n")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# source features and delay keys, end to end under pac
+
+def pac_results(tmp_path, source: str, stimulus: str, delays: str = ""
+                ) -> dict:
+    src, net = tmp_path / "t.csp", tmp_path / "t.json"
+    buffered, stim = tmp_path / "t.pac.json", tmp_path / "stim.txt"
+    src.write_text(source)
+    stim.write_text(stimulus)
+    assert main(["compile", str(src), "-o", str(net)]) == 0
+    assert main(["buffer", str(net), "--policy", "pac",
+                 "-o", str(buffered)]) == 0
+    argv = ["sim", str(buffered), "--stimulus", str(stim),
+            "-o", str(tmp_path / "report.json")]
+    if delays:
+        cfg = tmp_path / "delays.cfg"
+        cfg.write_text(delays)
+        argv += ["--delays", str(cfg)]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    return report["results"]
+
+
+def values(results: dict, port: str) -> list[int]:
+    return [v for v, _ in results[port]]
+
+
+def test_unary_minus_and_complement(tmp_path):
+    results = pac_results(
+        tmp_path, "module t(in a: 8; out z: 8; out y: 8) { var x: 8; "
+                  "x := -a ; z ! ~x ; y ! x }", "a: 1 2 255\n")
+    assert values(results, "y") == [255, 254, 1]
+    assert values(results, "z") == [0, 1, 254]
+
+
+def test_send_and_receive_on_indexed_ports(tmp_path):
+    results = pac_results(
+        tmp_path, "module t(in a[0..1]: 8; out z[0..0]: 8) { var x: 8; "
+                  "a[0] ? x ; z[0] ! x + a[1] }", "a[0]: 1 2\na[1]: 10 20\n")
+    assert values(results, "z[0]") == [11, 22]
+
+
+def test_receive_before_its_channels_send(tmp_path):
+    results = pac_results(
+        tmp_path, "module t(in a: 8; out z: 8) { chan c: 8; var x: 8; "
+                  "{ c ? x ; z ! x } || { c ! a + 1 } }", "a: 1 7 255\n")
+    assert values(results, "z") == [2, 8, 0]
+
+
+# `z ! a * 3 || skip` under pac.  The first result passes Initial, its
+# buffer, the Par fork, const, mul, a buffer, the send fork and the output
+# buffer: I + 3B + 2F + C + M = 700 + M with every other delay at 100 ps.
+# Each later lap adds the Par join's J to that: 700 + M + J.
+DELAY_KEYS = {
+    "": (1700, 1800),
+    "delay.operator.mul = 3000\n": (3700, 3800),
+    "delay.operator = 1500\n": (2200, 2300),
+    "delay.join = 400\n": (1700, 2100),
+    "delay.operator = 1500\ndelay.operator.mul = 200\n": (900, 1000),
+}
+
+
+@pytest.mark.parametrize("delays", sorted(DELAY_KEYS))
+def test_delay_keys_set_the_hand_computed_times(tmp_path, delays):
+    results = pac_results(tmp_path,
+                          "module t(in a: 8; out z: 8) { z ! a * 3 || skip }",
+                          "a: 2 5 7\n", delays)
+    first, lap = DELAY_KEYS[delays]
+    assert results["z"] == [[6, first], [15, first + lap],
+                            [21, first + 2 * lap]]
+
+
+def test_fractional_delay_exit_2(tmp_path, elgcd_buffered, capsys):
+    cfg = tmp_path / "delays.cfg"
+    cfg.write_text("delay.join = 1.5\n")
+    capsys.readouterr()
+    assert main(["sim", str(elgcd_buffered), "--delays", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: delay.join must be an integer (ps)\n")
+
+
+# ---------------------------------------------------------------------------
+# byte mutations of valid input files: exit 0, 2 or 3, never a traceback
+
+MUTATED = {
+    "compile": ("module t(in a: 8; out z: 8; out y: 8) { var x: 8; "
+                "x := -a ; z ! ~(x * 3) ; y ! x }\n"),
+    "sim --stimulus": "a: 2 5 7\n",
+    "sim --delays": "delay.join = 400\ndelay.operator.mul = 3000\n",
+    "report --config": "power.activity = 0.8\ndelay.operator = 1500\n",
+}
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mutated")
+    (path / "t.csp").write_text(
+        "module t(in a: 8; out z: 8) { z ! a * 3 || skip }")
+    assert main(["compile", str(path / "t.csp"), "-o",
+                 str(path / "t.json")]) == 0
+    assert main(["buffer", str(path / "t.json"), "--policy", "pac",
+                 "-o", str(path / "t.pac.json")]) == 0
+    return path
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_mutated_input_files_exit_0_2_or_3(mutation_dir, data):
+    role = data.draw(st.sampled_from(sorted(MUTATED)))
+    raw = MUTATED[role].encode()
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(raw)))
+        how = data.draw(st.sampled_from(["set", "delete", "insert",
+                                         "parens"]))
+        piece = b""
+        if how in ("set", "insert"):
+            piece = bytes([data.draw(st.sampled_from(
+                [0xff, 0x80, 0, ord("("), ord("="), ord("9"), ord("."),
+                 ord(":"), ord("\n"), ord("#")]))])
+        elif how == "parens":
+            piece = b"(" * data.draw(st.integers(1, 1200))
+        raw = raw[:at] + piece + raw[at + (how in ("set", "delete")):]
+    path = mutation_dir / "input"
+    path.write_bytes(raw)
+    net, out = str(mutation_dir / "t.pac.json"), str(mutation_dir / "out")
+    argv = {"compile": ["compile", str(path)],
+            "sim --stimulus": ["sim", net, "--stimulus", str(path)],
+            "sim --delays": ["sim", net, "--delays", str(path)],
+            "report --config": ["report", net, "--config", str(path)]}[role]
+    assert main([*argv, "-o", out]) in (0, 2, 3)

@@ -1,6 +1,7 @@
 """Parser, static checker and lowering of the source language."""
 from __future__ import annotations
 
+import sys
 import time
 from pathlib import Path
 
@@ -333,6 +334,22 @@ def test_compile_loop_merges_are_annotated(elgcd_net):
     loops = [c for c in elgcd_net.components.values()
              if c.kind is Kind.MERGE and "loop" in c.params]
     assert loops, "a while loop lowers to at least one loop-closing merge"
+
+
+def test_compile_refuses_a_module_nested_past_the_stack():
+    # The checker passes a 300-term sum; lowering it with less stack left
+    # than its depth ran out of stack in a RecursionError.
+    mod = parse(wrap("a ? x ; z ! " + " + ".join(["x"] * 300)))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        with pytest.raises(LowerError, match="^program nested too deeply$"):
+            compile(mod)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_frontend_exports():

@@ -115,8 +115,6 @@ def test_power_from_config_overrides():
     assert params.supply == 2.0
     assert params.frequency == 5.0
     assert params.activity == 0.5
-    base = PowerParams(activity=0.75)
-    assert power_from_config({}, base) == base
 
 
 # ---------------------------------------------------------------------------
