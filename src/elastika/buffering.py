@@ -18,16 +18,18 @@ the closing link of any cycle that has no planned buffer at all.  The
 liveness pass then raises every cycle to at least two planned links: a
 circulating token frees its buffer slot only once the token has been
 accepted somewhere downstream, so a ring with a single buffer wedges after
-one lap.  Both passes are deterministic fixpoints.
+one lap.  Both passes are deterministic fixpoints over ``FlowGraph.flow``:
+coverage runs one ``ir.back_edges`` search of the unplanned links per
+round, and liveness one ``ir.walk`` from a planned link back to itself
+that does not pass another planned link.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import depgraph as dg
-from .ir import (FlowGraph, IrError, Kind, Link, Network, back_edges,
-                 splice_buffer_in_place)
+from .ir import (FlowGraph, IrError, Kind, Network, back_edges, port_counts,
+                 splice_buffer_in_place, walk)
 
 
 class UnresolvedSite(IrError):
@@ -63,18 +65,14 @@ def policy_loop(net: Network, mode: str = "async") -> BufferPlan:
     def note(lid: str, why: str) -> None:
         planned.setdefault(lid, []).append(why)
 
-    # Links touching each component, in link id order.
-    touching: dict[str, list[Link]] = {}
-    for ln in sorted(net.links.values(), key=lambda l: l.id):
-        for cid in {ep[0] for ep in (ln.src, ln.dst) if ep is not None}:
-            touching.setdefault(cid, []).append(ln)
-
     def around(head_id: str, why: str) -> None:
-        for ln in touching.get(head_id, ()):
-            if ln.dst is not None and ln.dst[0] == head_id:
-                note(ln.id, f"into {head_id}: {why}")
-            if ln.src is not None and ln.src[0] == head_id:
-                note(ln.id, f"out of {head_id}: {why}")
+        n_in, n_out = port_counts(net.components[head_id])
+        for side, ends, n in (("into", g.into, n_in),
+                              ("out of", g.out_of, n_out)):
+            for port in range(n):
+                ln = ends.get((head_id, port))
+                if ln is not None:
+                    note(ln.id, f"{side} {head_id}: {why}")
 
     for lid in g.back_edges:
         head = net.links[lid].dst
@@ -207,13 +205,21 @@ def _complete(g: FlowGraph, planned: dict[str, list[str]]) -> None:
         if closing is None:
             break
         planned.setdefault(closing, []).append("coverage")
+    # Liveness: while a cycle holds lid as its only planned link, plan the
+    # least link of the unplanned chain that a walk finds from lid's
+    # successors back to lid.
     changed = True
     while changed:
         changed = False
         for lid in sorted(planned):
             while True:
-                path = _unplanned_return_path(succ, planned, lid)
-                if path is None or not path:
+                reach = walk(succ, succ[lid], blocked=planned, stop=lid)
+                path = []
+                cur = reach.get(lid)
+                while cur is not None:
+                    path.append(cur)
+                    cur = reach[cur]
+                if not path:
                     break
                 pick = min(path)
                 planned.setdefault(pick, []).append(f"liveness of {lid}")
@@ -230,32 +236,3 @@ def _unplanned_cycle_edge(succ: dict[str, list[str]],
             lambda lid: [(n, n) for n in succ[lid] if n not in planned]):
         return path[-1]
     return None
-
-
-def _unplanned_return_path(succ: dict[str, list[str]],
-                           planned: dict[str, list[str]], lid: str):
-    """A chain of unplanned links leading from lid's successors back to lid,
-    i.e. a cycle on which lid is the only planned link.  Returns the chain
-    (possibly [] for a direct self loop), or None when no such cycle exists."""
-    parent: dict[str, str] = {}
-    queue = deque()
-    for nxt in succ[lid]:
-        if nxt == lid:
-            return []
-        if nxt not in planned and nxt not in parent:
-            parent[nxt] = ""
-            queue.append(nxt)
-    while queue:
-        cur = queue.popleft()
-        for nxt in succ[cur]:
-            if nxt == lid:
-                path = [cur]
-                while parent[path[-1]]:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            if nxt not in planned and nxt not in parent:
-                parent[nxt] = cur
-                queue.append(nxt)
-    return None
-

@@ -91,8 +91,12 @@ def _check_writable(path: str | None) -> None:
 
 
 def _read_text(path: str) -> str:
+    """The text of ``path``; an undecodable file is named in the error."""
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_net(path: str) -> Network:

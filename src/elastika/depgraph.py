@@ -4,9 +4,10 @@ Three constraint kinds are extracted:
 
 * WAR (write after read): on a shared variable, a write site that can be
   reached from a read site within one traversal of the enclosing loop body
-  must not overtake the read.  Reachability is computed on the token-flow
-  graph with back-edge links removed, so constraints across iterations are
-  carried by the loop structure instead of being duplicated here.
+  must not overtake the read.  Reachability is computed on
+  ``FlowGraph.one_pass``, the token-flow graph with loop-carry links cut,
+  so constraints across iterations are carried by the loop structure
+  instead of being duplicated here.
 * RAW (read after write): every (write site, read site) pair of a variable;
   the stored value couples all writes to all reads regardless of which loop
   iteration performs them.
@@ -15,16 +16,18 @@ Three constraint kinds are extracted:
   producer, a second edge tagged ``backward`` records that the producer
   must also wait for the consume before producing again.
 
-The graph is independent of buffer placement: Buffers relay tokens
-transparently, so adding them changes neither site resolution nor
-reachability.
+This module only extracts constraints: the read and write sites and the
+one-pass map are ``FlowGraph`` views, and every reachability question is
+one ``ir.walk``.  The graph is independent of buffer placement: Buffers
+relay tokens transparently, so adding them changes neither site
+resolution nor reachability.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .ir import FlowGraph, Kind, reachable_links
+from .ir import FlowGraph, Kind, walk
 
 
 @dataclass(frozen=True)
@@ -64,71 +67,6 @@ class DependencyGraph:
     channels: dict[str, Channel] = field(default_factory=dict)
 
 
-def _write_links(g: FlowGraph, comp_id: str
-                 ) -> list[tuple[str, Optional[str], str]]:
-    """(entry, tag entry, done) link triples per write site of a Variable,
-    in site order; the tag entry is None when the Variable is driven
-    directly.
-
-    Several write sites are funnelled through a Merge into the write port,
-    the write-done into port 0 of a two-input Join whose other port takes a
-    site tag through a second Merge, and a Steer on the joined pair with
-    one done per site.  Recognition is by shape, not by component naming.
-    """
-    net = g.net
-    wg = g.into.get((comp_id, 0))
-    wd = g.out_of.get((comp_id, 0))
-    if wg is None or wd is None:
-        return []
-    direct = [(wg.id, None, wd.id)]
-    if wg.src is None or wd.dst is None:
-        return direct
-    m = net.components[wg.src[0]]
-    j = net.components[wd.dst[0]]
-    if not (m.kind is Kind.MERGE and j.kind is Kind.JOIN
-            and wd.dst[1] == 0 and len(j.input_widths()) == 2):
-        return direct
-    jout = g.out_of.get((j.id, 0))
-    tagin = g.into.get((j.id, 1))
-    if jout is None or jout.dst is None or tagin is None or tagin.src is None:
-        return direct
-    s = net.components[jout.dst[0]]
-    t = net.components[tagin.src[0]]
-    if not (s.kind is Kind.STEER and t.kind is Kind.MERGE
-            and len(s.output_widths()) == m.params["inputs"]
-            and t.params["inputs"] == m.params["inputs"]):
-        return direct
-    sites = []
-    for i in range(m.params["inputs"]):
-        entry = g.into.get((m.id, i))
-        tag = g.into.get((t.id, i))
-        done = g.out_of.get((s.id, i))
-        if entry is None or tag is None or done is None:
-            return direct
-        sites.append((entry.id, tag.id, done.id))
-    return sites
-
-
-def variable_write_sites(g: FlowGraph, comp_id: str
-                         ) -> list[tuple[str, str]]:
-    """(entry link, done link) per write site of a Variable, in site order."""
-    return [(entry, done) for entry, _, done in _write_links(g, comp_id)]
-
-
-def variable_read_sites(g: FlowGraph, comp_id: str
-                        ) -> list[tuple[str, str]]:
-    """(go link, data link) per read site of a Variable, in site order."""
-    comp = g.net.components[comp_id]
-    sites = []
-    for i in range(comp.params["reads"]):
-        go = g.into.get((comp_id, 1 + i))
-        data = g.out_of.get((comp_id, 1 + i))
-        if go is None or data is None:
-            return []
-        sites.append((go.id, data.id))
-    return sites
-
-
 def channels(g: FlowGraph) -> list[Channel]:
     """All channels of the net: external port links first (by port name),
     then internal send links (by channel name, then producing component)."""
@@ -161,25 +99,14 @@ def channels(g: FlowGraph) -> list[Channel]:
 def extract_variable_constraints(g: FlowGraph, deps: DependencyGraph
                                  ) -> None:
     """Adds the WAR and RAW edges of every Variable, and its read sites, to
-    ``deps``."""
-    writes = {vid: _write_links(g, vid) for vid in sorted(g.net.components)
-              if g.net.components[vid].kind is Kind.VARIABLE}
-    # Successors within one traversal of each loop body: loop-carry links
-    # are dropped, and every multi-site write funnel is made opaque, so
-    # entering at site i continues at site i's done, never at another
-    # site's, which the kind-blind Steer relay would otherwise allow.
-    succ = dict(g.flow)
-    for lid in g.loop_carry:
-        succ[lid] = []
-    for sites in writes.values():
-        for entry, tag, done in sites:
-            if tag is not None:
-                succ[entry] = succ[tag] = [done]
-    for vid, wsites in writes.items():
-        rsites = variable_read_sites(g, vid)
+    ``deps``.  A read orders a write site its data reaches in
+    ``g.one_pass``."""
+    succ = g.one_pass
+    for vid, wsites in g.write_sites.items():
+        rsites = g.read_sites[vid]
         for r, (_, rdata) in enumerate(rsites):
             deps.reads[f"{vid}/rd{r}"] = (r, rdata)
-            reach = reachable_links(succ, [rdata])
+            reach = walk(succ, succ[rdata])
             for w, (entry, _, _) in enumerate(wsites):
                 if entry in reach:
                     deps.edges.append(DepEdge("WAR", vid, f"{vid}/rd{r}",
@@ -196,7 +123,7 @@ def extract_pac_constraints(g: FlowGraph, deps: DependencyGraph) -> None:
     for ch in channels(g):
         deps.channels.setdefault(ch.name, ch)
         deps.edges.append(DepEdge("PAC", ch.name, ch.producer, ch.consumer))
-        if ch.link in reachable_links(g.flow, [ch.link]):
+        if ch.link in walk(g.flow, g.flow[ch.link], stop=ch.link):
             deps.edges.append(DepEdge("PAC", ch.name, ch.consumer,
                                       ch.producer, tag="backward"))
 

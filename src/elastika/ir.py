@@ -12,7 +12,7 @@ import copy
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 
 class Kind(str, Enum):
@@ -564,21 +564,111 @@ class FlowGraph:
                 out.add(ln.id)
         return out
 
+    @cached_property
+    def write_sites(self) -> dict[str, list[tuple[str, Optional[str], str]]]:
+        """Variable id -> (entry, tag entry, done) link ids per write site,
+        in site order; the tag entry is None when the Variable is driven
+        directly.
 
-def reachable_links(succ: dict[str, list[str]], starts: Iterable[str]) -> set[str]:
-    """Links reachable in one or more steps from ``starts`` in a successor
-    map such as ``FlowGraph.flow``; a start itself only when a path
-    returns to it.
+        Several write sites are funnelled through a Merge into the write
+        port, the write-done into port 0 of a two-input Join whose other port
+        takes a site tag through a second Merge, and a Steer on the joined
+        pair with one done per site.  Recognition is by shape, not by
+        component naming.
+        """
+        return {cid: self._write_links(cid) for cid in sorted(self.net.components)
+                if self.net.components[cid].kind is Kind.VARIABLE}
+
+    def _write_links(self, comp_id: str
+                     ) -> list[tuple[str, Optional[str], str]]:
+        comps = self.net.components
+        wg = self.into.get((comp_id, 0))
+        wd = self.out_of.get((comp_id, 0))
+        if wg is None or wd is None:
+            return []
+        direct = [(wg.id, None, wd.id)]
+        if wg.src is None or wd.dst is None:
+            return direct
+        m = comps[wg.src[0]]
+        j = comps[wd.dst[0]]
+        if not (m.kind is Kind.MERGE and j.kind is Kind.JOIN
+                and wd.dst[1] == 0 and len(j.input_widths()) == 2):
+            return direct
+        jout = self.out_of.get((j.id, 0))
+        tagin = self.into.get((j.id, 1))
+        if jout is None or jout.dst is None or tagin is None or tagin.src is None:
+            return direct
+        s = comps[jout.dst[0]]
+        t = comps[tagin.src[0]]
+        if not (s.kind is Kind.STEER and t.kind is Kind.MERGE
+                and len(s.output_widths()) == m.params["inputs"]
+                and t.params["inputs"] == m.params["inputs"]):
+            return direct
+        sites = []
+        for i in range(m.params["inputs"]):
+            entry = self.into.get((m.id, i))
+            tag = self.into.get((t.id, i))
+            done = self.out_of.get((s.id, i))
+            if entry is None or tag is None or done is None:
+                return direct
+            sites.append((entry.id, tag.id, done.id))
+        return sites
+
+    @cached_property
+    def read_sites(self) -> dict[str, list[tuple[str, str]]]:
+        """Variable id -> (go, data) link ids per read site, in site order;
+        empty when a read port is unbound."""
+        return {cid: self._read_links(cid) for cid in sorted(self.net.components)
+                if self.net.components[cid].kind is Kind.VARIABLE}
+
+    def _read_links(self, comp_id: str) -> list[tuple[str, str]]:
+        sites = []
+        for port in range(1, 1 + self.net.components[comp_id].params["reads"]):
+            go = self.into.get((comp_id, port))
+            data = self.out_of.get((comp_id, port))
+            if go is None or data is None:
+                return []
+            sites.append((go.id, data.id))
+        return sites
+
+    @cached_property
+    def one_pass(self) -> dict[str, list[str]]:
+        """``flow`` within one traversal of each loop body: loop-carry links
+        lead nowhere, and every multi-site write funnel is opaque, so a
+        site's entry and tag lead only to that site's done, never to
+        another site's, which the kind-blind Steer relay would allow."""
+        succ = dict(self.flow)
+        for lid in self.loop_carry:
+            succ[lid] = []
+        for sites in self.write_sites.values():
+            for entry, tag, done in sites:
+                if tag is not None:
+                    succ[entry] = succ[tag] = [done]
+        return succ
+
+
+def walk(succ: dict[str, list[str]], starts: Iterable[str],
+         blocked: Container[str] = (), stop: Optional[str] = None
+         ) -> dict[str, Optional[str]]:
+    """Breadth-first search of a successor map such as ``FlowGraph.flow``.
+
+    Returns every link reached, in discovery order, with the link it was
+    reached from (None for one of ``starts``).  A link in ``blocked`` is
+    recorded but not expanded.  The search returns as soon as it records
+    ``stop``, blocked or not, so a start equal to ``stop`` ends it at once.
     """
-    seen: set[str] = set()
-    frontier = list(starts)
-    while frontier:
-        lid = frontier.pop()
-        for nxt in succ.get(lid, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+    parent: dict[str, Optional[str]] = {}
+    # A queue read while it grows; None stands for the parent of the starts.
+    frontier: list[Optional[str]] = [None]
+    for cur in frontier:
+        for nxt in starts if cur is None else succ[cur]:
+            if nxt not in parent:
+                parent[nxt] = cur
+                if nxt == stop:
+                    return parent
+                if nxt not in blocked:
+                    frontier.append(nxt)
+    return parent
 
 
 def combinational_cycle(graph: FlowGraph) -> Optional[list[str]]:

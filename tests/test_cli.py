@@ -768,7 +768,8 @@ UNDECODABLE = {
 def test_undecodable_input_file_exit_2(tmp_path, elgcd_source, elgcd_netlist,
                                        elgcd_buffered, monkeypatch, capsys,
                                        role):
-    # The first six roles printed a UnicodeDecodeError traceback, exit 1.
+    # The first six roles printed a UnicodeDecodeError traceback, exit 1;
+    # the message names the file, as a command may read three.
     monkeypatch.setattr(bench, "run_cell", no_cells)
     config = tmp_path / "cfg.txt"
     config.write_text("delay.join = 100\n")
@@ -782,7 +783,7 @@ def test_undecodable_input_file_exit_2(tmp_path, elgcd_source, elgcd_netlist,
     capsys.readouterr()
     assert main([*argv(files, str(bad)), "-o", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
         "invalid start byte\n")
     assert not out.exists()
 

@@ -114,20 +114,20 @@ def test_channels_cover_external_ports(elgcd_net):
 
 
 def test_site_lookups_agree_with_graph(elgcd_net):
-    # One (entry link, done link) pair per program write site of x and
-    # one (go link, data link) pair per read site, in program order.
+    # One (entry, tag, done) triple per program write site of x and one
+    # (go link, data link) pair per read site, in program order.
     g = FlowGraph(elgcd_net)
-    writes = dg.variable_write_sites(g, "var.x")
-    reads = dg.variable_read_sites(g, "var.x")
+    writes = g.write_sites["var.x"]
+    reads = g.read_sites["var.x"]
     assert len(writes) == 2
     assert len(reads) == 5
-    for entry, done in writes + reads:
-        assert entry in elgcd_net.links
-        assert done in elgcd_net.links
+    for site in writes + reads:
+        assert all(lid in elgcd_net.links for lid in site)
+    assert set(g.write_sites) == set(g.read_sites) == {"var.x", "var.y"}
 
 
 def test_build_resolves_the_sites_its_edges_name(elgcd_net, elgcd_graph):
-    # pac plans from these, so each must be the site the lookups find.
+    # pac plans from these, so each must be the site the graph views find.
     g = FlowGraph(elgcd_net)
     for e in elgcd_graph.edges:
         if e.kind == "PAC":
@@ -136,7 +136,7 @@ def test_build_resolves_the_sites_its_edges_name(elgcd_net, elgcd_graph):
         node = e.u if e.kind == "WAR" else e.v
         site, data = elgcd_graph.reads[node]
         assert node == f"{e.subject}/rd{site}"
-        assert data == dg.variable_read_sites(g, e.subject)[site][1]
+        assert data == g.read_sites[e.subject][site][1]
     assert list(elgcd_graph.channels.values()) == dg.channels(g)
 
 

@@ -11,10 +11,12 @@ from conftest import build_ring, digraph_to_net
 from elastika import netlist
 from elastika.bench import benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac, policy_simple
+from elastika.frontend import compile as compile_module
+from elastika.frontend import parse
 from elastika.ir import (MAX_WIDTH, Component, Diagnostic, DoubleBuffer,
                          IrError, Kind, FlowGraph, Link, Network, Port,
                          UnknownLink, back_edges, combinational_cycle,
-                         port_counts, splice_buffer_in_place, validate)
+                         port_counts, splice_buffer_in_place, validate, walk)
 
 
 def small_graphs():
@@ -464,6 +466,72 @@ def test_loop_carry_links_cover_compiled_loops(elgcd_net):
         comp = elgcd_net.components[cid]
         assert (comp.kind is Kind.INITIAL and port == 0) or (
             comp.kind is Kind.MERGE and port == int(comp.params["loop"]))
+
+
+# a -> b -> d, a -> c -> d, d -> a: a diamond closed into a ring.
+DIAMOND = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": ["a"]}
+
+
+def test_walk_discovery_order_and_parents():
+    reach = walk(DIAMOND, ["a"])
+    assert list(reach.items()) == [
+        ("a", None), ("b", "a"), ("c", "a"), ("d", "b")]
+    # Reached in one or more steps: a start only when a path returns to it.
+    assert list(walk(DIAMOND, DIAMOND["a"])) == ["b", "c", "d", "a"]
+
+
+def test_walk_records_a_blocked_link_without_expanding_it():
+    reach = walk(DIAMOND, ["a"], blocked={"b"})
+    assert reach == {"a": None, "b": "a", "c": "a", "d": "c"}
+    assert walk(DIAMOND, ["a"], blocked={"b", "c"}) == {
+        "a": None, "b": "a", "c": "a"}
+
+
+def test_walk_returns_on_reaching_stop():
+    assert walk(DIAMOND, ["a"], stop="c") == {"a": None, "b": "a", "c": "a"}
+    # A blocked stop is still recorded, which is how a return path to a
+    # planned link is found past other planned links.
+    assert walk(DIAMOND, DIAMOND["d"], blocked={"a", "b"}, stop="a") == {
+        "a": None}
+    assert walk(DIAMOND, DIAMOND["a"], blocked={"a", "b"}, stop="a") == {
+        "b": None, "c": None, "d": "c", "a": "d"}
+
+
+def test_walk_start_equal_to_stop_ends_at_once():
+    # The self-loop case: succ[x] holds x itself.
+    succ = {"x": ["y", "x"], "y": ["x"]}
+    assert walk(succ, succ["x"], blocked={"x"}, stop="x") == {
+        "y": None, "x": None}
+
+
+def test_one_pass_cuts_loop_carry_links(elgcd_net):
+    g = FlowGraph(elgcd_net)
+    for lid in g.loop_carry:
+        assert g.flow[lid]
+        assert g.one_pass[lid] == []
+
+
+def test_one_pass_makes_each_write_funnel_opaque(elgcd_net):
+    g = FlowGraph(elgcd_net)
+    sites = g.write_sites["var.x"]
+    assert len(sites) == 2
+    for entry, tag, done in sites:
+        assert g.one_pass[entry] == g.one_pass[tag] == [done]
+        # The kind-blind relay of flow also leads to the other site's done.
+        others = {d for _, _, d in sites if d != done}
+        assert others & set(walk(g.flow, [entry]))
+
+
+def test_write_sites_of_a_directly_driven_variable_have_no_tag():
+    net = compile_module(parse(
+        "module t(in a: 8; out z: 8) { var x: 8; x := a ; z ! x }"))
+    g = FlowGraph(net)
+    [(entry, tag, done)] = g.write_sites["var.x"]
+    assert tag is None
+    assert net.links[entry].dst == ("var.x", 0)
+    assert net.links[done].src == ("var.x", 0)
+    [(go, data)] = g.read_sites["var.x"]
+    assert net.links[go].dst == net.links[data].src == ("var.x", 1)
 
 
 def test_combinational_cycle_broken_by_buffer():
