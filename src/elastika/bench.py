@@ -20,7 +20,7 @@ from .frontend import compile as compile_module
 from .frontend import parse
 from .ir import Network
 from .metrics import PowerParams, power
-from .sim import SimConfig, SimReport, run
+from .sim import Lowered, SimConfig, SimReport, run
 from .sim.config import DelayTable
 
 WORD = 1 << 32
@@ -157,19 +157,22 @@ def _steady_rate(rep: SimReport, port: str) -> float:
 def run_cell(spec: BenchmarkSpec, policy: str, mode: str, clock: int,
              delays: DelayTable | None = None,
              params: PowerParams | None = None) -> SweepRow:
-    """One sweep cell: plan, buffer, simulate both datasets, verify, cost."""
+    """One sweep cell: plan, buffer, simulate both datasets, verify, cost.
+    Both runs share one Lowered of the buffered net, which lives only as
+    long as the cell."""
     delays = delays if delays is not None else DelayTable()
     params = params if params is not None else PowerParams()
     net = spec._net
     plan = POLICIES[policy](net, mode=mode)
     buffered = apply(net, plan)
+    lowered = Lowered(buffered)
     reports: list[SimReport] = []
     out_port = ""
     for idx, dataset in enumerate(spec.datasets, start=1):
         cfg = SimConfig(mode=mode, clock=clock if mode == "sync" else 0,
                         delays=delays, stimulus={k: list(v)
                                                  for k, v in dataset.items()})
-        rep = run(buffered, cfg)
+        rep = run(lowered, cfg)
         expected = spec.reference(dataset)
         for port in sorted(expected):
             out_port = port

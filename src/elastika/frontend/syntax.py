@@ -231,6 +231,12 @@ _BIN_LEVELS = [
     ["*"],
 ]
 
+# Parentheses and braces open at once inside a module body, at most.  The
+# parser refuses one more where it is opened, so the refusal does not
+# depend on the caller's stack; at this depth a program still compiles
+# with 400 frames of Python's default recursion limit already in use.
+MAX_NESTING = 48
+
 _BIN_FN = {"|": "or", "^": "xor", "&": "and", "==": "eq", "!=": "ne",
            "<": "lt", ">": "gt", "<=": "le", ">=": "ge",
            "<<": "shl", ">>": "shr", "+": "add", "-": "sub", "*": "mul"}
@@ -242,6 +248,7 @@ class _Parser:
         self.i = 0
         # Generator variables of the enclosing ``for`` arms -> this arm's value.
         self.bound: dict[str, int] = {}
+        self.depth = 0   # brackets open in the module body
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -263,6 +270,19 @@ class _Parser:
         if tok.type != "kw" or tok.value != word:
             raise SyntaxError(f"expected {word!r}, got {tok.value!r}", tok.line, tok.col)
         return tok
+
+    def open(self, tok: Token) -> None:
+        """Counts the bracket ``tok``, just consumed, as open; refuses it
+        past MAX_NESTING.  ``shut`` counts its partner."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SyntaxError(f"program nested too deeply: more than "
+                              f"{MAX_NESTING} parentheses and braces open",
+                              tok.line, tok.col)
+
+    def shut(self, type_: str) -> None:
+        self.expect(type_)
+        self.depth -= 1
 
     def pos(self) -> Pos:
         tok = self.peek()
@@ -348,9 +368,9 @@ class _Parser:
         tok = self.peek()
         pos = Pos(tok.line, tok.col)
         if tok.type == "{":
-            self.next()
+            self.open(self.next())
             inner = self.stmt()
-            self.expect("}")
+            self.shut("}")
             return inner
         if tok.type == "kw":
             if tok.value == "skip":
@@ -373,11 +393,11 @@ class _Parser:
                 self.next()
                 sel = self.expr()
                 self.expect_kw("of")
-                self.expect("{")
+                self.open(self.expect("{"))
                 arms: list[tuple[int, Stmt]] = []
                 while self.peek().type != "}":
                     arms.extend(self.arm())
-                self.expect("}")
+                self.shut("}")
                 if not arms:
                     raise SyntaxError("case with no arms", pos.line, pos.col)
                 return CaseStmt(sel, tuple(arms), pos)
@@ -406,9 +426,9 @@ class _Parser:
         raise SyntaxError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
     def block(self) -> Stmt:
-        self.expect("{")
+        self.open(self.expect("{"))
         inner = self.stmt()
-        self.expect("}")
+        self.shut("}")
         return inner
 
     def _index(self) -> str:
@@ -433,7 +453,7 @@ class _Parser:
             if hi < lo:
                 raise SyntaxError("generator range upper bound below lower",
                                   tok.line, tok.col)
-            self.expect("{")
+            self.open(self.expect("{"))
             # Parse the body once per value, with the variable bound to it,
             # so each generated arm has nodes of its own.
             start, outer, arms = self.i, self.bound, []
@@ -441,6 +461,7 @@ class _Parser:
                 self.i, self.bound = start, {**outer, str(var): k}
                 arms.append((k, self.stmt()))
                 self.expect("}")
+            self.depth -= 1
             self.bound = outer
             return arms
         value = self.expect("num", "case arm value").value
@@ -484,8 +505,9 @@ class _Parser:
                 return Num(self.bound[name], pos)
             return Name(name, pos)
         if tok.type == "(":
+            self.open(tok)
             inner = self.expr()
-            self.expect(")")
+            self.shut(")")
             return inner
         raise SyntaxError(f"unexpected token {tok.value!r} in expression",
                           tok.line, tok.col)
@@ -712,8 +734,11 @@ class _Checker:
 
 def parse(text: str) -> SourceModule:
     """Parse and check a source module; raises SyntaxError, UndeclaredName or
-    ParConflict with position information on bad input.  A program nested
-    deeper than the parser or checker can recurse is a SyntaxError too."""
+    ParConflict with position information on bad input.  A program with
+    more than MAX_NESTING parentheses and braces open at once is a
+    SyntaxError at the bracket that opens one too many; one nested deeper
+    than the parser or checker can recurse otherwise (a long chain of
+    operators, say) is a SyntaxError without a position."""
     try:
         mod = _Parser(tokenize(text)).module()
         # A top-level body that is not already a loop repeats forever,

@@ -1,14 +1,14 @@
 """Token-flow simulation of elastic networks (async and clocked)."""
 from .config import (ConfigError, DelayTable, SimConfig, delays_from_config,
                      format_stimulus, parse_stimulus, read_config)
-from .engine import (CombinationalCycle, SimError, SteerMiss, Simulation,
-                     critical_path, detect_deadlock, eval_operator, run,
-                     run_async, run_sync)
+from .engine import (CombinationalCycle, Lowered, SimError, SteerMiss,
+                     Simulation, critical_path, detect_deadlock,
+                     eval_operator, run, run_async, run_sync)
 from .report import SimReport, occupancy_csv, to_json
 
 __all__ = [
-    "CombinationalCycle", "ConfigError", "DelayTable", "SimConfig",
-    "SimError", "SimReport", "SteerMiss", "Simulation", "critical_path",
+    "CombinationalCycle", "ConfigError", "DelayTable", "Lowered",
+    "SimConfig", "SimError", "SimReport", "SteerMiss", "Simulation", "critical_path",
     "delays_from_config", "detect_deadlock", "eval_operator",
     "format_stimulus", "occupancy_csv", "parse_stimulus", "read_config",
     "run", "run_async", "run_sync", "to_json",

@@ -23,25 +23,31 @@ slot at most one offer queued, and a firing port at most one firing.  The
 heap's order is therefore total and does not depend on the order in
 which events were pushed.  All times are integer picoseconds.
 
-Each Simulation lowers its net once into int-indexed tables.  Component
-ids and the environment keys `$in.<port>` and `$out.<port>` are numbered
-in sorted string order, so int keys tie exactly as the strings would.
-Every key owns a run of flat input slots (the standing offer's value)
-and output slots (whether an offer stands), every slot knows the key and
-port at the far end of its link, and every key has its own offer,
-acknowledge and fire handler with its parameters, delay and far ends
-resolved (an Operator's function too).  A handler returns one of the
-events it causes (taking an input causes the producer's acknowledge,
-firing the consumer's offer) and pushes any others itself.  The run loop
-hands the returned event to ``heappushpop``, which queues it and pops the
-next event in one call (and skips the heap when it is the smallest), and
-calls the handler of that event's phase and key; one sentinel event past
-the horizon ends it.  A Buffer whose consumer's key sorts after its own
-queues the consumer's offer directly instead of an internal firing that
-would only forward it (see ``_buffer``).  Lowering refuses a component
-with more input or output ports than the net has links before it builds
-any slot list, a link to a port the component lacks, and a link to a port
-another link already binds.
+Lowering turns a net into int-indexed tables in two halves.  The half
+that depends only on the net is a ``Lowered``, which every run given it
+shares: component ids and the environment keys `$in.<port>` and
+`$out.<port>` are numbered in sorted string order, so int keys tie
+exactly as the strings would; every key owns a run of flat input and
+output slots, and every slot knows the key and port at the far end of
+its link.  A Lowered is a snapshot, as a ``FlowGraph`` is: build a new
+one after the net is mutated.  Each Simulation adds the per-run half:
+the slot state (an input slot's standing value, whether an output
+slot's offer stands), and an offer, acknowledge and fire handler per key
+with its parameters, delay and far ends resolved (an Operator's
+function too).
+
+A handler returns one of the events it causes (taking an input causes
+the producer's acknowledge, firing the consumer's offer) and pushes any
+others itself.  The run loop hands the returned event to
+``heappushpop``, which queues it and pops the next event in one call
+(and skips the heap when it is the smallest), and calls the handler of
+that event's phase and key; one sentinel event past the horizon ends
+it.  A Buffer whose consumer's key sorts after its own queues the
+consumer's offer directly instead of an internal firing that would only
+forward it (see ``_buffer``).  The net's half of lowering
+refuses a component with more input or output ports than the net has
+links before it builds any slot list, a link to a port the component
+lacks, and a link to a port another link already binds.
 
 ``run_async`` and ``run_sync`` pause the cyclic collector for the whole
 run, lowering included (see ``_collector_paused``).
@@ -55,8 +61,9 @@ from bisect import bisect_right
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import cached_property
 from heapq import heappop, heappush, heappushpop
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..ir import (Component, FlowGraph, Kind, Network, back_edges,
                   port_counts)
@@ -193,34 +200,44 @@ def _operator_fn(params: dict, in_widths: list[int]
     return f if len(in_widths) > 1 else (lambda ins: f([ins[0], 0]))
 
 
-class Simulation:
-    """One run's mutable state.  Use run_async/run_sync; this class is
-    exposed so deadlock diagnosis can be inspected on a quiesced net."""
+class _Wiring(NamedTuple):
+    """``Lowered.wiring``: keys in sorted order and their numbers, the
+    environment keys' port names, the Initials' keys, port counts and
+    slot bases per key, and the far end of every input and output slot."""
+    names: list[str]
+    ids: dict[str, int]
+    env: dict[str, str]
+    initials: list[int]
+    n_in: list[int]
+    n_out: list[int]
+    in_base: list[int]
+    out_base: list[int]
+    in_src: list[tuple[int, int]]
+    out_dst: list[tuple[int, int, bool]]
 
-    def __init__(self, net: Network, cfg: SimConfig):
-        cfg.validate(net)
+
+class Lowered:
+    """The half of lowering that depends only on the net, shared by every
+    run of it.
+
+    ``wiring`` numbers the keys, counts each key's ports (refusing a huge
+    count first), lays out the slot bases and wires every slot to the far
+    end of its link, refusing a link to a missing or already bound port.
+    ``graph`` is the net's ``FlowGraph``, whose ``comb_search`` a clocked
+    run reads.  Both are built on first use, and a refusal is raised again
+    on every use.  Like ``FlowGraph``, a Lowered is a snapshot: build a new
+    one after the net is mutated.  Nothing in it changes during a run.
+    """
+
+    def __init__(self, net: Network) -> None:
         self.net = net
-        self.cfg = cfg
-        self.heap: list[tuple] = []
-        self.seq = 0    # events pushed, set when the run ends
-        self.now = 0
 
-        # Environment.
-        self.offer_times: dict[str, list[int]] = {}
-        self.accepted: dict[str, int] = {}    # stimulus values taken
-        self.results: dict[str, list[tuple[int, int]]] = {}
-        self.seeds: list[str] = []            # Initials that fired a seed
+    @cached_property
+    def graph(self) -> FlowGraph:
+        return FlowGraph(self.net)
 
-        self.buf_slots: dict[str, deque] = {}
-        self.occupancy_series: list[tuple[int, str, int]] = []
-        self.occupancy_max: dict[str, int] = {}
-        self.occupancy_time: dict[str, dict[int, int]] = {}
-        self._tails: list[Callable[[int], None]] = []
-        self._lower()
-
-    # -- lowering ---------------------------------------------------------
-
-    def _lower(self) -> None:
+    @cached_property
+    def wiring(self) -> _Wiring:
         net = self.net
         # Environment keys, and the environment end of each port's link.
         env: dict[str, str] = {}
@@ -236,8 +253,8 @@ class Simulation:
                 link_out[port.link] = (key, 0)
             env[key] = name
 
-        self.names = names = sorted([*net.components, *env])
-        self.ids = ids = {name: k for k, name in enumerate(names)}
+        names = sorted([*net.components, *env])
+        ids = {name: k for k, name in enumerate(names)}
         # Port counts per key.  Each key's slots follow those of the key
         # before it, so in_base[k + 1] is where key k's inputs end.
         n_in, n_out = [0] * len(names), [0] * len(names)
@@ -256,20 +273,15 @@ class Simulation:
                                f"but the net has {len(net.links)} links")
             if comp.kind is Kind.INITIAL:
                 initials.append(k)
-        self._initials = sorted(initials)
-        self.n_in, self.n_out = n_in, n_out
-        self.in_base = in_base = [0, *itertools.accumulate(n_in)]
-        self.out_base = out_base = [0, *itertools.accumulate(n_out)]
-        # Input slot: the standing value (None when empty), and the
-        # producer (key, port) to acknowledge (key -1: none).
-        self.in_val: list[Optional[int]] = [None] * in_base[-1]
-        self.in_src = in_src = [(-1, 0)] * in_base[-1]
-        # Output slot: whether an offer stands, and the consumer (key,
-        # port) to offer to (key -1: none) with whether an offer from the
-        # slot stands.  Without a link, firing offers nothing; on a link
-        # with no consumer, the offer stands forever.
-        self.out_standing = out_standing = [False] * out_base[-1]
-        self.out_dst = out_dst = [(-1, 0, False)] * out_base[-1]
+        in_base = [0, *itertools.accumulate(n_in)]
+        out_base = [0, *itertools.accumulate(n_out)]
+        # Input slot: the producer (key, port) to acknowledge (key -1:
+        # none).  Output slot: the consumer (key, port) to offer to (key
+        # -1: none) with whether an offer from the slot stands.  Without
+        # a link, firing offers nothing; on a link with no consumer, the
+        # offer stands forever.
+        in_src = [(-1, 0)] * in_base[-1]
+        out_dst = [(-1, 0, False)] * out_base[-1]
         # The link bound to each input and output slot so far.
         in_link: dict[int, str] = {}
         out_link: dict[int, str] = {}
@@ -302,17 +314,63 @@ class Simulation:
             if src is not None:
                 out_dst[out_base[sk] + sp] = (
                     (-1, 0, True) if dst is None else (dk, dp, True))
+        return _Wiring(names, ids, env, sorted(initials), n_in, n_out,
+                       in_base, out_base, in_src, out_dst)
 
-        self.on_offer = on_offer = [None] * len(names)
-        self.on_ack = on_ack = [None] * len(names)
-        self.on_fire = on_fire = [None] * len(names)
+
+def _lowered(net: Network | Lowered) -> Lowered:
+    return net if isinstance(net, Lowered) else Lowered(net)
+
+
+class Simulation:
+    """One run's mutable state, on a net or on a Lowered whose wiring it
+    shares.  Use run_async/run_sync; this class is exposed so deadlock
+    diagnosis can be inspected on a quiesced net."""
+
+    def __init__(self, net: Network | Lowered, cfg: SimConfig):
+        low = _lowered(net)
+        cfg.validate(low.net)
+        self.net = low.net
+        self.cfg = cfg
+        self.heap: list[tuple] = []
+        self.seq = 0    # events pushed, set when the run ends
+        self.now = 0
+
+        # Environment.
+        self.offer_times: dict[str, list[int]] = {}
+        self.accepted: dict[str, int] = {}    # stimulus values taken
+        self.results: dict[str, list[tuple[int, int]]] = {}
+        self.seeds: list[str] = []            # Initials that fired a seed
+
+        self.buf_slots: dict[str, deque] = {}
+        self.occupancy_series: list[tuple[int, str, int]] = []
+        self.occupancy_max: dict[str, int] = {}
+        self.occupancy_time: dict[str, dict[int, int]] = {}
+        self._tails: list[Callable[[int], None]] = []
+        self._lower(low.wiring)
+
+    # -- lowering ---------------------------------------------------------
+
+    def _lower(self, w: _Wiring) -> None:
+        """The per-run half: the run's slot state and a handler per key,
+        built on the shared wiring ``w``."""
+        (self.names, self.ids, env, self._initials, self.n_in, self.n_out,
+         self.in_base, self.out_base, self.in_src, self.out_dst) = w
+        # The standing value of each input slot (None when empty), and
+        # whether an offer stands on each output slot.
+        self.in_val: list[Optional[int]] = [None] * w.in_base[-1]
+        self.out_standing = [False] * w.out_base[-1]
+        ids = w.ids
+        self.on_offer = on_offer = [None] * len(w.names)
+        self.on_ack = on_ack = [None] * len(w.names)
+        self.on_fire = on_fire = [None] * len(w.names)
         for key, name in env.items():
             k = ids[key]
             if key.startswith("$in."):
                 on_ack[k] = _stimulus(self, k, name)
             else:
                 on_offer[k] = _sink(self, k, name)
-        for cid, comp in net.components.items():
+        for cid, comp in self.net.components.items():
             k = ids[cid]
             on_offer[k], on_ack[k], on_fire[k] = _HANDLERS[comp.kind](
                 self, k, comp)
@@ -752,8 +810,9 @@ def _merge(sim: Simulation, k: int, comp: Component):
 def _buffer(sim: Simulation, k: int, comp: Component):
     """Takes while below capacity; the head token is offered one buffer
     delay after it arrived.  The time spent at each level is added up as
-    the run goes, and every level change is logged when the run records
-    the occupancy series.
+    the run goes, in a list indexed by level that grows as new levels are
+    reached, and every level change is logged when the run records the
+    occupancy series.  Wrap-up reports the levels with positive time.
 
     The head's offer is due at ``due``.  When the consumer's key sorts
     after this Buffer's (``dk > k``, so the output is linked), the offer
@@ -780,15 +839,16 @@ def _buffer(sim: Simulation, k: int, comp: Component):
     record, log = sim.cfg.record_occupancy, sim.occupancy_series.append
     peak = sim.occupancy_max
     peak[name] = top = 0
-    hist = sim.occupancy_time[name] = {}
+    occupancy = sim.occupancy_time
+    spent = [0]   # time at each level up to top
     level = since = 0   # level is len(slots)
     # True from scheduling the head's offer until it is taken: the output
     # is then firing or standing, and nothing else is scheduled.
     busy = False
 
     def tail(end: int) -> None:
-        if end > since:
-            hist[level] = hist.get(level, 0) + (end - since)
+        spent[level] += end - since
+        occupancy[name] = {lvl: s for lvl, s in enumerate(spent) if s}
     sim._tails.append(tail)
 
     def schedule(t: int, ack: Optional[tuple]) -> Optional[tuple]:
@@ -815,14 +875,14 @@ def _buffer(sim: Simulation, k: int, comp: Component):
             in_val[ib] = value   # stands until a slot frees
             return None
         slots.append((value, t))
-        if t > since:
-            hist[level] = hist.get(level, 0) + (t - since)
-            since = t
+        spent[level] += t - since
+        since = t
         level += 1
         if record:
             log((t, name, level))
         if level > top:
             peak[name] = top = level
+            spent.append(0)
         ack = (t, sk, sp, _ACK, None) if sk >= 0 else None
         if busy:
             return ack
@@ -833,9 +893,8 @@ def _buffer(sim: Simulation, k: int, comp: Component):
         nonlocal level, since, busy
         out_standing[ob] = False
         slots.popleft()
-        if t > since:
-            hist[level] = hist.get(level, 0) + (t - since)
-            since = t
+        spent[level] += t - since
+        since = t
         level -= 1
         if record:
             log((t, name, level))
@@ -975,7 +1034,7 @@ def _collector_paused():
             gc.enable()
 
 
-def run_async(net: Network, cfg: SimConfig) -> SimReport:
+def run_async(net: Network | Lowered, cfg: SimConfig) -> SimReport:
     """Event-driven run with the full delay table."""
     if cfg.mode != "async":
         raise SimError(f"run_async needs mode async, got {cfg.mode!r}")
@@ -983,26 +1042,28 @@ def run_async(net: Network, cfg: SimConfig) -> SimReport:
         return Simulation(net, cfg).run()
 
 
-def run_sync(net: Network, cfg: SimConfig) -> SimReport:
+def run_sync(net: Network | Lowered, cfg: SimConfig) -> SimReport:
     """Clocked (forward-interlocked) run: combinational components settle
     within a cycle, Buffers advance tokens one period per cycle.  The
-    cycle check and the critical path both read ``comb_search`` of one
-    ``FlowGraph``.  The search pairs only bound ports, so a huge port count
-    is left for ``Simulation`` to refuse."""
+    cycle check and the critical path both read ``comb_search`` of the
+    Lowered's ``FlowGraph``.  The search pairs only bound ports, so a huge
+    port count is left for ``Simulation`` to refuse."""
     if cfg.mode != "sync":
         raise SimError(f"run_sync needs mode sync, got {cfg.mode!r}")
+    low = _lowered(net)
     with _collector_paused():
-        g = FlowGraph(net)
-        cycle = g.comb_search[1]
+        cycle = low.graph.comb_search[1]
         if cycle is not None:
             raise CombinationalCycle(cycle)
-        crit = _longest_chain(g, cfg.delays)
+        crit = _longest_chain(low.graph, cfg.delays)
         inner = replace(cfg, delays=cfg.delays.zeroed(buffer_delay=cfg.clock))
-        report = Simulation(net, inner).run()
+        report = Simulation(low, inner).run()
     report.critical_path = crit
     report.overclocked = cfg.clock < crit
     return report
 
 
-def run(net: Network, cfg: SimConfig) -> SimReport:
+def run(net: Network | Lowered, cfg: SimConfig) -> SimReport:
+    """One run of ``net`` under ``cfg``.  Runs given the same Lowered share
+    its per-net half of lowering."""
     return run_sync(net, cfg) if cfg.mode == "sync" else run_async(net, cfg)

@@ -18,6 +18,7 @@ from conftest import build_ring, two_chains
 import elastika
 from elastika import bench, netlist
 from elastika.cli import main
+from elastika.frontend.syntax import MAX_NESTING
 from elastika.ir import validate
 from test_netlist import undecodable
 
@@ -120,11 +121,20 @@ DEEP_SOURCES = {
 def test_compile_refuses_a_program_nested_too_deeply(tmp_path, capsys, shape):
     src = tmp_path / "deep.csp"
     decls = "" if shape == "90 parentheses" else "var x: 8; "
-    src.write_text("module t(in a: 8; out z: 8) { " + decls
-                   + DEEP_SOURCES[shape] + " }")
+    text = ("module t(in a: 8; out z: 8) { " + decls + DEEP_SOURCES[shape]
+            + " }")
+    src.write_text(text)
     assert main(["compile", str(src), "-o", str(tmp_path / "n.json")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {src}: program nested too deeply\n")
+    if shape == "500-term sum":   # no brackets: only the stack refuses it
+        want = "program nested too deeply"
+    else:
+        # At the bracket one too many; the brackets of the port list and
+        # of the body itself do not count.
+        opens = [i for i, c in enumerate(text) if c in "({"]
+        col = opens[2 + MAX_NESTING] + 1
+        want = (f"1:{col}: program nested too deeply: more than "
+                f"{MAX_NESTING} parentheses and braces open")
+    assert capsys.readouterr().err == f"error: {src}: {want}\n"
 
 
 # ---------------------------------------------------------------------------

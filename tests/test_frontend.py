@@ -352,6 +352,64 @@ def test_compile_refuses_a_module_nested_past_the_stack():
         sys.setrecursionlimit(limit)
 
 
+# Programs with `n` brackets open at their deepest point, one shape each.
+NESTED = {
+    "parentheses": lambda n: "a ? x ; z ! " + "(" * n + "x" + ")" * n,
+    "blocks": lambda n: "{" * n + "a ? x ; z ! x" + "}" * n,
+    "ifs": lambda n: "a ? x ; " + "if x == 1 { " * n + "x := x + 1"
+                     + " } else { skip }" * n + " ; z ! x",
+    # Each level opens two braces: the case's and its arm's.
+    "cases": lambda n: "a ? x ; "
+                       + "case x of { 1: { skip } 0: { " * (n // 2)
+                       + "x := x + 1" + " } }" * (n // 2) + " ; z ! x",
+}
+
+
+def _at_depth(frames: int, fn):
+    """fn() called from ``frames`` frames below this one."""
+    return fn() if frames == 0 else _at_depth(frames - 1, fn)
+
+
+def _compile_or_refuse(text: str):
+    try:
+        return compile(parse(text))
+    except SyntaxError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_ceiling_does_not_depend_on_the_caller(shape):
+    n = S.MAX_NESTING - (S.MAX_NESTING % 2 if shape == "cases" else 0)
+    deeper = n + (2 if shape == "cases" else 1)
+    refusals = set()
+    for frames in (0, 400):
+        assert not isinstance(
+            _at_depth(frames, lambda: _compile_or_refuse(
+                wrap(NESTED[shape](n), "in a: 8; out z: 8", "var x: 8;"))),
+            str)
+        refusals.add(_at_depth(frames, lambda: _compile_or_refuse(
+            wrap(NESTED[shape](deeper), "in a: 8; out z: 8", "var x: 8;"))))
+    assert len(refusals) == 1
+    (message,) = refusals
+    assert message.endswith(": program nested too deeply: more than "
+                            f"{S.MAX_NESTING} parentheses and braces open")
+
+
+def test_nesting_refusal_points_at_the_bracket_too_many():
+    text = wrap("z ! " + "(" * (S.MAX_NESTING + 1) + "a"
+                + ")" * (S.MAX_NESTING + 1), decls="")
+    col = text.index("(" * (S.MAX_NESTING + 1)) + S.MAX_NESTING + 1
+    with pytest.raises(SyntaxError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_operator_chains_still_meet_the_recursion_backstop():
+    # Chains of operators are not brackets: only the stack bounds them.
+    with pytest.raises(SyntaxError, match="^program nested too deeply$"):
+        parse(wrap("a ? x ; z ! " + " + ".join(["x"] * 1000)))
+
+
 def test_frontend_exports():
     assert frontend.compile is compile
     assert issubclass(LowerError, Exception)
