@@ -44,13 +44,14 @@ _EPILOG = """\
 exit codes:
   0  success
   1  a sweep cell's outputs disagreed with the software reference
-  2  malformed input: source, netlist, config, or stimulus; buffer
-     could not plan or splice the net (such as a net whose links
-     already hold buffers); a --freq-sweep value or power knob that is
-     not a finite positive number; a sweep --clocks value that is not
-     positive; report refused the throughput bound of a net with more
-     than 10,000 directed cycles; sim stopped on a simulation error (a
-     steer select value with no route, an unknown operator function, a
+  2  malformed input: source, netlist (such as an unknown operator
+     function, refused at load by every command), config, or
+     stimulus; buffer could not plan or splice the net (such as a net
+     whose links already hold buffers); a --freq-sweep value or power
+     knob that is not a finite positive number; a sweep --clocks value
+     that is not positive; report refused the throughput bound of a
+     net with more than 10,000 directed cycles; sim stopped on a
+     simulation error (a steer select value with no route, a
      combinational cycle under clocked timing); or an output file could
      not be written
   3  the simulated net deadlocked

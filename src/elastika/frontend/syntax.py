@@ -237,6 +237,11 @@ _BIN_LEVELS = [
 # with 400 frames of Python's default recursion limit already in use.
 MAX_NESTING = 48
 
+# Port-array elements and generated `case` arms a program may unroll, in
+# all.  A range that would pass it is refused before it is unrolled; a
+# `for` inside a generated arm counts again each time its arm is parsed.
+MAX_UNROLL = 4096
+
 _BIN_FN = {"|": "or", "^": "xor", "&": "and", "==": "eq", "!=": "ne",
            "<": "lt", ">": "gt", "<=": "le", ">=": "ge",
            "<<": "shl", ">>": "shr", "+": "add", "-": "sub", "*": "mul"}
@@ -249,6 +254,7 @@ class _Parser:
         # Generator variables of the enclosing ``for`` arms -> this arm's value.
         self.bound: dict[str, int] = {}
         self.depth = 0   # brackets open in the module body
+        self.unrolled = 0   # port-array elements and generated arms
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -279,6 +285,16 @@ class _Parser:
             raise SyntaxError(f"program nested too deeply: more than "
                               f"{MAX_NESTING} parentheses and braces open",
                               tok.line, tok.col)
+
+    def unroll(self, lo: int, hi: int, tok: Token) -> range:
+        """The range lo..hi (hi >= lo) that ``tok`` starts, counted against
+        MAX_UNROLL; refused at ``tok`` when the count passes it."""
+        self.unrolled += hi - lo + 1
+        if self.unrolled > MAX_UNROLL:
+            raise SyntaxError(f"program unrolls more than {MAX_UNROLL} "
+                              f"port-array elements and generated arms",
+                              tok.line, tok.col)
+        return range(lo, hi + 1)
 
     def shut(self, type_: str) -> None:
         self.expect(type_)
@@ -334,11 +350,12 @@ class _Parser:
             self.expect("]")
             if hi < lo:
                 raise SyntaxError("array range upper bound below lower", tok.line, tok.col)
+            elements = self.unroll(lo, hi, tok)
         self.expect(":")
         width = self._width()
         if lo is None:
             return [PortDecl(str(ident), direction, width)]
-        return [PortDecl(f"{ident}[{k}]", direction, width) for k in range(lo, hi + 1)]
+        return [PortDecl(f"{ident}[{k}]", direction, width) for k in elements]
 
     def _width(self) -> int:
         tok = self.expect("num", "width")
@@ -453,11 +470,12 @@ class _Parser:
             if hi < lo:
                 raise SyntaxError("generator range upper bound below lower",
                                   tok.line, tok.col)
+            values = self.unroll(lo, hi, tok)
             self.open(self.expect("{"))
             # Parse the body once per value, with the variable bound to it,
             # so each generated arm has nodes of its own.
             start, outer, arms = self.i, self.bound, []
-            for k in range(lo, hi + 1):
+            for k in values:
                 self.i, self.bound = start, {**outer, str(var): k}
                 arms.append((k, self.stmt()))
                 self.expect("}")

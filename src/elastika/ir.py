@@ -37,6 +37,12 @@ LOGIC_KINDS = (
 # The widest port or link, the source language's cap on a declared width.
 MAX_WIDTH = 512
 
+# The functions an Operator may compute: `validate` refuses any other `fn`,
+# and the simulator resolves each of these once per Operator.
+OPERATOR_FNS = ("const", "id", "neg", "not", "add", "sub", "mul", "and",
+                "or", "xor", "eq", "ne", "lt", "gt", "le", "ge", "shl",
+                "shr")
+
 
 class IrError(Exception):
     pass
@@ -226,6 +232,8 @@ def _param_problems(comp: Component) -> list[tuple[str, str]]:
         out.append(("arity", "merge needs at least 2 inputs"))
     if k is Kind.OPERATOR and n_in < 1:
         out.append(("arity", "operator needs at least 1 input"))
+    if k is Kind.OPERATOR and p["fn"] not in OPERATOR_FNS:
+        out.append(("bad-params", f"unknown operator function {p['fn']!r}"))
     # Optional params read by the simulator, the bound and the planners.
     if k in (Kind.OPERATOR, Kind.INITIAL) and not isinstance(
             p.get("value", 0), int):

@@ -1,12 +1,13 @@
 """Canonical netlist serialization.
 
-The on-disk format is JSON with a fixed field order so that write(read(f))
-reproduces f byte for byte: top-level keys name/components/links/ports,
-arrays sorted by id or name, params with sorted keys, two-space indent and
-a trailing newline.  ``dumps`` writes that text record by record from the
-fixed schema.  ``loads`` builds the net in one pass over what
-``json.loads`` returns: it keeps the decoded params, rebuilding only a dict
-whose keys are out of sorted order.
+The on-disk format is JSON with a fixed field order so that
+dumps(loads(text)) reproduces a canonical text byte for byte: top-level
+keys name/components/links/ports, arrays sorted by id or name, params
+with sorted keys, two-space indent and a trailing newline.  ``dumps``
+writes that text record by record from the fixed schema.  ``loads``
+builds the net in one pass over what ``json.loads`` returns: it keeps the
+decoded params, rebuilding only a dict whose keys are out of sorted
+order.
 """
 from __future__ import annotations
 
@@ -219,16 +220,6 @@ def loads(text: str) -> Network:
             RecursionError) as exc:
         raise NetlistError(f"malformed netlist: {exc}") from None
     return net
-
-
-def write(net: Network, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(net))
-
-
-def read(path: str) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
 
 
 _DOT_SHAPE = {

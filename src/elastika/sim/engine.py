@@ -11,8 +11,8 @@ edges take no time.
 Both protocols run on this one machine.  Asynchronous mode charges every
 component its delay-table latency.  Synchronous-elastic mode zeroes the
 combinational delays and charges each Buffer exactly one clock period, so
-tokens advance one stage per cycle under forward interlock; the clocked
-wrapper also rejects buffer-free cycles and flags overclocking against
+tokens advance one stage per cycle under forward interlock; a clocked
+``run`` also rejects buffer-free cycles and flags overclocking against
 the combinational critical path.
 
 Determinism: simultaneous events are delivered in (time, component id,
@@ -49,8 +49,8 @@ refuses a component with more input or output ports than the net has
 links before it builds any slot list, a link to a port the component
 lacks, and a link to a port another link already binds.
 
-``run_async`` and ``run_sync`` pause the cyclic collector for the whole
-run, lowering included (see ``_collector_paused``).
+``run`` pauses the cyclic collector for the whole run, lowering included
+(see ``_collector_paused``).
 """
 from __future__ import annotations
 
@@ -65,8 +65,8 @@ from functools import cached_property
 from heapq import heappop, heappush, heappushpop
 from typing import Callable, NamedTuple, Optional
 
-from ..ir import (Component, FlowGraph, Kind, Network, back_edges,
-                  port_counts)
+from ..ir import (OPERATOR_FNS, Component, FlowGraph, Kind, Network,
+                  back_edges, port_counts)
 from .config import SimConfig
 from .report import SimReport
 
@@ -100,43 +100,6 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def eval_operator(fn: str, params: dict, ins: list[int],
-                  in_widths: list[int], out_width: int) -> int:
-    """Unsigned word arithmetic modulo the output width."""
-    m = _mask(out_width)
-    if fn == "const":
-        return params["value"] & m
-    if fn == "id":
-        return ins[0] & m
-    if fn == "neg":
-        return (-ins[0]) & m
-    if fn == "not":
-        return (~ins[0]) & m
-    a = ins[0]
-    b = ins[1] if len(ins) > 1 else 0
-    if fn == "add":
-        return (a + b) & m
-    if fn == "sub":
-        return (a - b) & m
-    if fn == "mul":
-        return (a * b) & m
-    if fn == "and":
-        return (a & b) & m
-    if fn == "or":
-        return (a | b) & m
-    if fn == "xor":
-        return (a ^ b) & m
-    if fn in ("eq", "ne", "lt", "gt", "le", "ge"):
-        hit = {"eq": a == b, "ne": a != b, "lt": a < b,
-               "gt": a > b, "le": a <= b, "ge": a >= b}[fn]
-        return 1 if hit else 0
-    if fn == "shl":
-        return 0 if b >= out_width else (a << b) & m
-    if fn == "shr":
-        return 0 if b >= in_widths[0] else (a >> b) & m
-    raise SimError(f"unknown operator function {fn!r}")
-
-
 def _concat(widths: list[int]) -> Callable[[list[int]], int]:
     """A Join's output word: its inputs concatenated, low bits first."""
     fields = []
@@ -154,27 +117,30 @@ def _concat(widths: list[int]) -> Callable[[list[int]], int]:
 
 
 # Operators of two words (a, b) that _operator_fn resolves; a comparison
-# gives 0 or 1 unmasked, like eval_operator.
+# gives 0 or 1 unmasked.
 _WORD_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
              "and": operator.and_, "or": operator.or_, "xor": operator.xor}
 _COMPARE_OPS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
                 "gt": operator.gt, "le": operator.le, "ge": operator.ge}
 
 
-def _operator_fn(params: dict, in_widths: list[int]
-                 ) -> Callable[[list[int]], int]:
-    """eval_operator(params["fn"], params, ins, in_widths, params["out"])
-    as a function of the input words alone, resolved once per Operator.
-    An unknown or missing ``fn``, or an output width that is no
-    non-negative int, resolves to eval_operator itself, so it raises when
-    the Operator first fires, not before."""
+def _operator_fn(comp: Component) -> Callable[[list[int]], int]:
+    """The Operator ``comp`` as a function of its input words, resolved
+    once at lowering: unsigned word arithmetic modulo the output width.
+    A shift by at least the width it shifts within gives 0.  A ``fn``
+    outside ``ir.OPERATOR_FNS``, or an output width that is no int >= 0,
+    raises SimError; ``validate`` refuses both."""
+    params, in_widths = comp.params, comp.params["inputs"]
     fn, out_width = params.get("fn"), params.get("out")
-    if not isinstance(fn, str) or not isinstance(out_width, int) \
-            or out_width < 0:
-        fn = None   # unknown, and perhaps not hashable
-    m = 0 if fn is None else _mask(out_width)
+    if fn not in OPERATOR_FNS:
+        raise SimError(f"{comp.id}: unknown operator function {fn!r}")
+    if not isinstance(out_width, int) or out_width < 0:
+        raise SimError(f"{comp.id}: operator output width {out_width!r} "
+                       f"is not an integer >= 0")
+    m = _mask(out_width)
     if fn == "const":
-        return lambda ins: params["value"] & m
+        value = params.get("value", 0)
+        return lambda ins: value & m
     if fn == "id":
         return lambda ins: ins[0] & m
     if fn == "neg":
@@ -190,12 +156,9 @@ def _operator_fn(params: dict, in_widths: list[int]
     elif fn == "shl":
         f = lambda ins: (0 if ins[1] >= out_width   # noqa: E731
                          else (ins[0] << ins[1]) & m)
-    elif fn == "shr":
+    else:   # shr
         f = lambda ins: (0 if ins[1] >= in_widths[0]   # noqa: E731
                          else (ins[0] >> ins[1]) & m)
-    else:
-        return lambda ins: eval_operator(params["fn"], params, ins,
-                                         in_widths, params["out"])
     # A one-input Operator reads its missing second word as 0.
     return f if len(in_widths) > 1 else (lambda ins: f([ins[0], 0]))
 
@@ -324,8 +287,8 @@ def _lowered(net: Network | Lowered) -> Lowered:
 
 class Simulation:
     """One run's mutable state, on a net or on a Lowered whose wiring it
-    shares.  Use run_async/run_sync; this class is exposed so deadlock
-    diagnosis can be inspected on a quiesced net."""
+    shares.  Use run; this class is exposed so deadlock diagnosis can be
+    inspected on a quiesced net."""
 
     def __init__(self, net: Network | Lowered, cfg: SimConfig):
         low = _lowered(net)
@@ -589,8 +552,7 @@ def _join(sim: Simulation, k: int, comp: Component):
 def _operator(sim: Simulation, k: int, comp: Component):
     p = comp.params
     delay = sim.cfg.delays.operator_delay(p.get("delay_class", "default"))
-    return _combinational(sim, k, len(p["inputs"]), delay,
-                          _operator_fn(p, p["inputs"]))
+    return _combinational(sim, k, len(p["inputs"]), delay, _operator_fn(comp))
 
 
 def _fork(sim: Simulation, k: int, comp: Component):
@@ -1034,24 +996,19 @@ def _collector_paused():
             gc.enable()
 
 
-def run_async(net: Network | Lowered, cfg: SimConfig) -> SimReport:
-    """Event-driven run with the full delay table."""
-    if cfg.mode != "async":
-        raise SimError(f"run_async needs mode async, got {cfg.mode!r}")
-    with _collector_paused():
-        return Simulation(net, cfg).run()
+def run(net: Network | Lowered, cfg: SimConfig) -> SimReport:
+    """One run of ``net`` under ``cfg``.  Runs given the same Lowered share
+    its per-net half of lowering.
 
-
-def run_sync(net: Network | Lowered, cfg: SimConfig) -> SimReport:
-    """Clocked (forward-interlocked) run: combinational components settle
-    within a cycle, Buffers advance tokens one period per cycle.  The
-    cycle check and the critical path both read ``comb_search`` of the
+    A sync run refuses a combinational cycle before any ``ConfigError``,
+    then measures the critical path, then runs on the zeroed delay table.
+    The cycle check and the critical path both read ``comb_search`` of the
     Lowered's ``FlowGraph``.  The search pairs only bound ports, so a huge
     port count is left for ``Simulation`` to refuse."""
-    if cfg.mode != "sync":
-        raise SimError(f"run_sync needs mode sync, got {cfg.mode!r}")
     low = _lowered(net)
     with _collector_paused():
+        if cfg.mode != "sync":
+            return Simulation(low, cfg).run()
         cycle = low.graph.comb_search[1]
         if cycle is not None:
             raise CombinationalCycle(cycle)
@@ -1061,9 +1018,3 @@ def run_sync(net: Network | Lowered, cfg: SimConfig) -> SimReport:
     report.critical_path = crit
     report.overclocked = cfg.clock < crit
     return report
-
-
-def run(net: Network | Lowered, cfg: SimConfig) -> SimReport:
-    """One run of ``net`` under ``cfg``.  Runs given the same Lowered share
-    its per-net half of lowering."""
-    return run_sync(net, cfg) if cfg.mode == "sync" else run_async(net, cfg)

@@ -17,8 +17,7 @@ from conftest import (RING_LAP_PS, build_loop_net, build_ring,
 from elastika.bench import POLICIES, benchmark, benchmark_names, run_cell
 from elastika.buffering import apply, policy_loop, policy_pac, policy_simple
 from elastika.metrics import PowerParams, analytic_throughput, power
-from elastika.sim import (CombinationalCycle, DelayTable, SimConfig, run,
-                          run_async)
+from elastika.sim import CombinationalCycle, DelayTable, SimConfig, run
 
 SYNC_CLOCK = 2000
 
@@ -42,7 +41,7 @@ def gate(capsys, index, name, budget):
 def test_gate_1_ring_timing_oracle(capsys):
     with gate(capsys, 1, "closed ring laps at the hand-computed 4400 ps "
               "and the analytic bound agrees within 1%", 1.0):
-        rep = run_async(build_ring(), SimConfig(
+        rep = run(build_ring(), SimConfig(
             mode="async", delays=ring_delays(), stimulus={"go": []},
             max_time=60_000, record_occupancy=True))
         gaps = ring_arrival_gaps(rep)
@@ -147,9 +146,9 @@ def test_gate_7_random_loops_match_the_bound(capsys):
             assert len(net.components) <= 12
             rate = analytic_throughput(net, delays)
             lap = round(1 / rate.theta)
-            rep = run_async(net, SimConfig(mode="async", delays=delays,
-                                           max_time=lap * 8,
-                                           record_occupancy=True))
+            rep = run(net, SimConfig(mode="async", delays=delays,
+                                     max_time=lap * 8,
+                                     record_occupancy=True))
             gaps = loop_arrival_gaps(rep)
             assert gaps
             measured = 1 / statistics.mean(gaps)

@@ -2,7 +2,9 @@
 and the documented exit codes."""
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -16,10 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_ring, two_chains
 import elastika
-from elastika import bench, netlist
+from elastika import bench, cli, netlist
+from elastika.buffering import apply
 from elastika.cli import main
 from elastika.frontend.syntax import MAX_NESTING
-from elastika.ir import validate
+from elastika.ir import Network, validate
+from elastika.metrics import PowerParams, analytic_throughput, power
+from elastika.sim import DelayTable, SimConfig, run
 from test_netlist import undecodable
 
 
@@ -344,14 +349,16 @@ def test_sim_steer_miss_exit_2(tmp_path, capsys):
 
 def test_sim_unknown_operator_exit_2(tmp_path, elgcd_buffered, capsys):
     obj = json.loads(elgcd_buffered.read_text())
+    refused = []
     for comp in obj["components"]:
         if comp["kind"] == "operator" and comp["params"]["fn"] == "sub":
             comp["params"]["fn"] = "pow"
+            refused.append(f"bad-params {comp['id']}: unknown operator "
+                           f"function 'pow'")
     elgcd_buffered.write_text(json.dumps(obj))
     stim = write_stimulus(tmp_path)
     assert main(["sim", str(elgcd_buffered), "--stimulus", str(stim)]) == 2
-    assert capsys.readouterr().err == (
-        "error: unknown operator function 'pow'\n")
+    assert capsys.readouterr().err == f"error: {'; '.join(refused)}\n"
 
 
 def test_sim_rejects_arbiter_delay_key(tmp_path, elgcd_buffered, capsys):
@@ -740,17 +747,28 @@ def test_report_runs_without_networkx(tmp_path, elgcd_netlist):
     assert json.loads(blocked.stdout)["throughput"]["cycle"]
 
 
-def test_sim_unknown_operator_that_never_fires_exit_0(tmp_path, capsys):
-    net = tmp_path / "two.json"
-    net.write_text(netlist.dumps(two_chains("pow")))
+@pytest.mark.parametrize("fn, message", [
+    ("pow", "unknown operator function 'pow'"),
+    (None, "missing or malformed params for operator: 'fn'")],
+    ids=["pow", "missing"])
+def test_unknown_operator_is_refused_by_every_command(tmp_path, capsys, fn,
+                                                      message):
+    # Refused at load, also where the Operator would never fire.
+    net = two_chains(fn)
+    if fn is None:
+        del net.components["odd"].params["fn"]
+    path = tmp_path / "two.json"
+    path.write_text(netlist.dumps(net))
     quiet, fires = tmp_path / "quiet.txt", tmp_path / "fires.txt"
     quiet.write_text("a: 1 2\n")
     fires.write_text("a: 1\nb: 1\n")
-    assert main(["sim", str(net), "--stimulus", str(quiet)]) == 0
-    capsys.readouterr()
-    assert main(["sim", str(net), "--stimulus", str(fires)]) == 2
-    assert capsys.readouterr().err == (
-        "error: unknown operator function 'pow'\n")
+    for argv in (["sim", str(path), "--stimulus", str(quiet)],
+                 ["sim", str(path), "--stimulus", str(fires)],
+                 ["report", str(path)], ["depgraph", str(path)],
+                 ["buffer", str(path), "--policy", "pac"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(
+            f"error: bad-params odd: {message}"), argv
 
 
 # ---------------------------------------------------------------------------
@@ -952,3 +970,66 @@ def test_mutated_input_files_exit_0_2_or_3(mutation_dir, data):
             "sim --delays": ["sim", net, "--delays", str(path)],
             "report --config": ["report", net, "--config", str(path)]}[role]
     assert main([*argv, "-o", out]) in (0, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# validate and the pipeline agree: what validate accepts, no stage fails
+# on with an error outside the exit-2 boundary
+
+MUTATED_KEYS = ("fn", "value", "loop", "channel", "delay_class", "init",
+                "width")
+MISSING = "<missing>"
+MUTATED_VALUES = (MISSING, -1, 0, 2**40, "x", [1], {"a": 1}, 1.5, True, "1")
+
+
+@functools.cache
+def compiled_elgcd() -> Network:
+    return bench.benchmark("elgcd").compiled()
+
+
+@settings(max_examples=140)
+@given(data=st.data())
+def test_validate_and_the_pipeline_agree(data):
+    # One param of one component: a key from MUTATED_KEYS on a component
+    # that holds it (any component when none does), or one of the
+    # component's own keys.  Most kinds read none of MUTATED_KEYS, so a
+    # draw on them would change nothing any stage reads.
+    net = compiled_elgcd().copy()
+    comps = [comp for _, comp in sorted(net.components.items())]
+    key = data.draw(st.sampled_from((*MUTATED_KEYS, "own")))
+    if key == "own":
+        comp = data.draw(st.sampled_from(comps))
+        key = data.draw(st.sampled_from(sorted(comp.params)))
+    else:
+        comp = data.draw(st.sampled_from(
+            [c for c in comps if key in c.params] or comps))
+    value = data.draw(st.sampled_from(MUTATED_VALUES))
+    if value == MISSING:
+        comp.params.pop(key, None)
+    else:
+        comp.params[key] = copy.deepcopy(value)
+    if validate(net):
+        return
+
+    def attempt(stage, *args):
+        try:
+            return stage(*args)
+        except cli._INPUT_ERRORS:
+            return None
+
+    attempt(lambda: netlist.loads(netlist.dumps(net)))
+    buffered = {}
+    for policy, planner in sorted(bench.POLICIES.items()):
+        plan = attempt(planner, net)
+        if plan is not None:
+            buffered[policy] = attempt(apply, net, plan)
+    # The later stages run on the pac net, or on the unbuffered net when
+    # pac refused it.
+    pac = buffered.get("pac") or net
+    stimulus = bench.benchmark("elgcd").datasets[0]
+    for cfg in (SimConfig(stimulus=dict(stimulus), max_time=10**8),
+                SimConfig(mode="sync", clock=2000, stimulus=dict(stimulus),
+                          max_time=10**8)):
+        attempt(run, pac, cfg)
+    attempt(analytic_throughput, pac, DelayTable())
+    attempt(power, pac, PowerParams())

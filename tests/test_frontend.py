@@ -186,13 +186,56 @@ def test_name_declared_twice_names_the_smallest(ports, decls, name):
 
 
 def test_huge_port_array_is_checked_in_linear_time():
-    # Each name was once counted against every other declared name.
+    # Each name was once counted against every other declared name.  A
+    # port array this long passes MAX_UNROLL, so the names are channels.
+    text = wrap("z ! a", ports="in a: 8; out z: 8",
+                decls="".join(f"chan c{k}: 8; " for k in range(100_000)))
     start = time.perf_counter()
     with pytest.raises(ParConflict) as err:
-        parse("module t(in c[0..99999]: 8; out z: 8) { z ! 1 }")
+        parse(text)
     assert time.perf_counter() - start < 5
-    assert str(err.value) == ("input port c[0] needs exactly one consuming "
-                              "site, found 0")
+    assert str(err.value) == "channel c0 needs exactly one send site, found 0"
+
+
+UNROLLED = {
+    "port array": lambda n: (f"module t(in c[1..{n}]: 8; out z: 8) "
+                             f"{{ z ! 1 }}"),
+    "generated arms": lambda n: (f"module t(in q: 13; out z: 8) {{ case q of "
+                                 f"{{ for j in 1..{n} {{ z ! 1 }} }} }}"),
+    "both": lambda n: (f"module t(in c[1..{n // 2}]: 8; in q: 13; "
+                       f"out z: 8) {{ case q of {{ for j in "
+                       f"1..{n - n // 2} {{ z ! 1 }} }} }}"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UNROLLED))
+def test_unroll_cap_counts_the_whole_program(shape):
+    # MAX_UNROLL items reach the checker, which refuses the program for
+    # its own reasons; one more is refused where the range that passes
+    # the cap starts.
+    with pytest.raises(ParConflict):
+        parse(UNROLLED[shape](S.MAX_UNROLL))
+    text = UNROLLED[shape](S.MAX_UNROLL + 1)
+    with pytest.raises(SyntaxError) as err:
+        parse(text)
+    assert str(err.value).endswith(
+        f": program unrolls more than {S.MAX_UNROLL} port-array elements "
+        f"and generated arms")
+    where = text.index("for") if "for" in text else text.index("in c")
+    assert (err.value.line, err.value.col) == (1, where + 1)
+
+
+@pytest.mark.parametrize("body", [
+    "case q of { for j in 0..199999999 { z ! 1 } }",
+    "case q of { for j in 0..99 { case q of { for k in 0..99 "
+    "{ z ! 1 } } } }"])
+def test_unroll_cap_refuses_before_unrolling(body):
+    # Unrolled first, the range would take hours; the nested generator
+    # re-parses its inner range once per outer value, and each counts.
+    start = time.perf_counter()
+    with pytest.raises(SyntaxError, match="program unrolls more than"):
+        parse(wrap(body, ports="in q: 8; out z: 8", decls=""))
+    assert time.perf_counter() - start < 1
 
 
 def test_unwritten_variable_rejected():

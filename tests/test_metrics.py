@@ -15,7 +15,7 @@ from elastika.ir import FlowGraph, Kind
 from elastika.metrics import (CycleRate, PowerParams, TooManyCycles,
                               _cycle_count, analytic_throughput, area,
                               initial_marking, power, power_from_config)
-from elastika.sim import DelayTable, SimConfig, run_async
+from elastika.sim import DelayTable, SimConfig, run
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_leakage_ignores_frequency(ring_net):
 
 
 def test_occupancy_weighted_dynamic_power(ring_net):
-    rep = run_async(ring_net, SimConfig(
+    rep = run(ring_net, SimConfig(
         mode="async", delays=ring_delays(), stimulus={"go": []},
         max_time=60_000))
     params = PowerParams()
@@ -164,9 +164,9 @@ def test_single_loop_bound_matches_simulation_exactly():
                               "flag": 100, "const": 100})
     for classes in (["id", "id"], ["default"], ["body", "id", "flag"]):
         net = build_loop_net(classes)
-        rep = run_async(net, SimConfig(mode="async", delays=dl,
-                                       max_time=50_000,
-                                       record_occupancy=True))
+        rep = run(net, SimConfig(mode="async", delays=dl,
+                                 max_time=50_000,
+                                 record_occupancy=True))
         gaps = loop_arrival_gaps(rep)
         cr = analytic_throughput(net, dl)
         assert len(set(gaps)) == 1
@@ -181,8 +181,8 @@ def test_single_loop_bound_property(classes):
     net = build_loop_net(classes)
     cr = analytic_throughput(net, dl)
     lap = round(1 / cr.theta)
-    rep = run_async(net, SimConfig(mode="async", delays=dl,
-                                   max_time=lap * 6, record_occupancy=True))
+    rep = run(net, SimConfig(mode="async", delays=dl,
+                             max_time=lap * 6, record_occupancy=True))
     gaps = loop_arrival_gaps(rep)
     assert gaps and set(gaps) == {lap}
 
@@ -194,8 +194,8 @@ def test_compiled_gcd_bound_is_a_sound_lower_bound():
     # of) the measurement, and reasonably tight.
     net = benchmark("elgcd").compiled()
     buf = apply(net, policy_pac(net, mode="async"))
-    rep = run_async(buf, SimConfig(mode="async",
-                                   stimulus={"a": [5] * 24, "b": [5] * 24}))
+    rep = run(buf, SimConfig(mode="async",
+                             stimulus={"a": [5] * 24, "b": [5] * 24}))
     times = [t for _, t in rep.results["g"]]
     gaps = [b - a for a, b in zip(times, times[1:])]
     measured = 1 / statistics.median(gaps)

@@ -10,11 +10,11 @@ from hypothesis import given, strategies as st
 from conftest import (RING_LAP_PS, build_ring, ring_arrival_gaps, ring_delays,
                       two_chains)
 from elastika.buffering import apply, policy_pac
-from elastika.ir import Component, Kind, Link, Network, Port
+from elastika.frontend.syntax import _BIN_FN
+from elastika.ir import OPERATOR_FNS, Component, Kind, Link, Network, Port
 from elastika.sim import (ConfigError, DelayTable, SimConfig, SimError,
-                          SteerMiss, critical_path, eval_operator,
-                          format_stimulus, parse_stimulus, read_config, run,
-                          run_async)
+                          Simulation, SteerMiss, critical_path,
+                          format_stimulus, parse_stimulus, read_config, run)
 from elastika.sim.engine import _operator_fn
 
 
@@ -34,7 +34,7 @@ def id_chain() -> Network:
 
 
 def sim(net, stimulus, **kw):
-    return run_async(net, SimConfig(mode="async", stimulus=stimulus, **kw))
+    return run(net, SimConfig(mode="async", stimulus=stimulus, **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def test_variable_commit_is_at_write_done():
 # The worked loop: measured lap time matches the hand-computed sum
 
 def test_ring_laps_exactly():
-    rep = run_async(build_ring(), SimConfig(
+    rep = run(build_ring(), SimConfig(
         mode="async", delays=ring_delays(), stimulus={"go": []},
         max_time=60_000, record_occupancy=True))
     assert rep.completion == "horizon"
@@ -246,7 +246,7 @@ def test_ring_laps_exactly():
 
 
 def test_ring_occupancy_histogram_accounts_all_time():
-    rep = run_async(build_ring(), SimConfig(
+    rep = run(build_ring(), SimConfig(
         mode="async", delays=ring_delays(), stimulus={"go": []},
         max_time=60_000))
     hist = rep.occupancy_time["b"]
@@ -300,7 +300,7 @@ def test_unbuffered_compile_deadlocks(elgcd_net):
 
 
 def test_horizon_truncation():
-    rep = run_async(build_ring(), SimConfig(
+    rep = run(build_ring(), SimConfig(
         mode="async", delays=ring_delays(), stimulus={"go": []},
         max_time=10_000))
     assert rep.truncated
@@ -317,13 +317,13 @@ def test_max_results_cap():
 # Config surface
 
 def test_config_rejects_bad_mode(ring_net):
-    with pytest.raises(SimError):
+    with pytest.raises(ConfigError, match="^mode 'fast' not async/sync$"):
         run(ring_net, SimConfig(mode="fast"))
 
 
 def test_config_rejects_unknown_stimulus_port(ring_net):
     with pytest.raises(ConfigError):
-        run_async(ring_net, SimConfig(stimulus={"nope": [1]}))
+        run(ring_net, SimConfig(stimulus={"nope": [1]}))
 
 
 def test_config_rejects_oversized_stimulus_value():
@@ -365,6 +365,53 @@ def test_read_config_types_and_errors():
 # ---------------------------------------------------------------------------
 # Operator arithmetic
 
+def eval_operator(fn: str, params: dict, ins: list[int],
+                  in_widths: list[int], out_width: int) -> int:
+    """Reference semantics of one Operator firing, which the simulator's
+    closures must match: unsigned word arithmetic modulo the output width,
+    a comparison giving 0 or 1, and a shift by at least the width it
+    shifts within giving 0."""
+    m = (1 << out_width) - 1
+    if fn == "const":
+        return params.get("value", 0) & m
+    if fn == "id":
+        return ins[0] & m
+    if fn == "neg":
+        return (-ins[0]) & m
+    if fn == "not":
+        return (~ins[0]) & m
+    a = ins[0]
+    b = ins[1] if len(ins) > 1 else 0
+    if fn == "add":
+        return (a + b) & m
+    if fn == "sub":
+        return (a - b) & m
+    if fn == "mul":
+        return (a * b) & m
+    if fn == "and":
+        return (a & b) & m
+    if fn == "or":
+        return (a | b) & m
+    if fn == "xor":
+        return (a ^ b) & m
+    if fn in ("eq", "ne", "lt", "gt", "le", "ge"):
+        hit = {"eq": a == b, "ne": a != b, "lt": a < b,
+               "gt": a > b, "le": a <= b, "ge": a >= b}[fn]
+        return 1 if hit else 0
+    if fn == "shl":
+        return 0 if b >= out_width else (a << b) & m
+    if fn == "shr":
+        return 0 if b >= in_widths[0] else (a >> b) & m
+    raise ValueError(f"unknown operator function {fn!r}")
+
+
+def operator_fn(params: dict, widths: list[int]):
+    """The simulator's resolved function for an Operator with ``params``
+    and input widths ``widths``."""
+    return _operator_fn(Component("op", Kind.OPERATOR,
+                                  {**params, "inputs": widths}))
+
+
 def test_eval_operator_basics():
     assert eval_operator("add", {}, [200, 100], [8, 8], 8) == (300) & 0xff
     assert eval_operator("sub", {}, [0, 1], [8, 8], 8) == 0xff
@@ -403,11 +450,6 @@ def test_eval_operator_comparisons_unsigned(width, a, b):
     assert eval_operator("ne", {}, [a, b], [width] * 2, 1) == int(a != b)
 
 
-OPERATOR_FNS = ("const", "id", "neg", "not", "add", "sub", "mul", "and",
-                "or", "xor", "eq", "ne", "lt", "gt", "le", "ge", "shl",
-                "shr")
-
-
 @given(st.sampled_from(OPERATOR_FNS),
        st.lists(st.integers(0, 70), min_size=1, max_size=2),
        st.integers(0, 70), st.integers(-2**80, 2**80), st.data())
@@ -417,7 +459,7 @@ def test_operator_closures_match_eval_operator(fn, widths, out, value, data):
     ins = [data.draw(st.integers(0, min(80, (1 << w) - 1))
                      | st.integers(0, (1 << w) - 1)) for w in widths]
     params = {"fn": fn, "value": value, "out": out}
-    assert _operator_fn(params, widths)(ins) == eval_operator(
+    assert operator_fn(params, widths)(ins) == eval_operator(
         fn, params, ins, widths, out)
 
 
@@ -432,28 +474,48 @@ def test_operator_closures_match_eval_operator_on_a_grid():
                     for a in words:
                         for b in (0, 1, 2, 3, 4, 5, 7, 8, 9, 15):
                             ins = [a, b][:len(widths)]
-                            assert _operator_fn(params, widths)(ins) == \
+                            assert operator_fn(params, widths)(ins) == \
                                 eval_operator(fn, params, ins, widths, out), \
                                 (fn, widths, out, ins)
 
 
-def test_unknown_operator_raises_only_when_it_fires():
-    rep = sim(two_chains("pow"), {"a": [1, 2]})
-    assert [v for v, _ in rep.results["z"]] == [1, 2]
-    assert rep.results["y"] == [] and rep.completion == "drained"
-    with pytest.raises(SimError, match="unknown operator function 'pow'"):
-        sim(two_chains("pow"), {"a": [1], "b": [3]})
-    for param, error in (("fn", KeyError), ("out", KeyError)):
+def test_frontend_emits_only_table_functions():
+    assert {*_BIN_FN.values(), "neg", "not", "const"} <= set(OPERATOR_FNS)
+
+
+@pytest.mark.parametrize("fn", OPERATOR_FNS)
+def test_every_table_function_resolves(fn):
+    assert operator_fn({"fn": fn, "out": 8}, [8, 8])([7, 3]) == \
+        eval_operator(fn, {}, [7, 3], [8, 8], 8)
+
+
+@pytest.mark.parametrize("fn", ["pow", "ADD", "1", True, [1], None])
+def test_function_outside_the_table_raises_sim_error(fn):
+    with pytest.raises(SimError, match="^op: unknown operator function "):
+        operator_fn({"fn": fn, "out": 8}, [8])
+
+
+def test_unknown_operator_is_refused_at_lowering():
+    # Refused when the Simulation is built, so also when the Operator
+    # would never fire.
+    for stimulus in ({"a": [1, 2]}, {"a": [1], "b": [3]}):
+        with pytest.raises(SimError,
+                           match="^odd: unknown operator function 'pow'$"):
+            sim(two_chains("pow"), stimulus)
+    cases = {"fn": "^odd: unknown operator function None$",
+             "out": "^odd: operator output width None is not an integer"}
+    for param, message in cases.items():
         broken = two_chains("id")
         del broken.components["odd"].params[param]
-        assert [v for v, _ in sim(broken, {"a": [1]}).results["z"]] == [1]
-        with pytest.raises(error):
-            sim(broken, {"b": [1]})
+        with pytest.raises(SimError, match=message):
+            Simulation(broken, SimConfig(stimulus={"a": [1]}))
     broken = two_chains("id")
     broken.components["odd"].params["out"] = -1
-    assert [v for v, _ in sim(broken, {"a": [1]}).results["z"]] == [1]
-    with pytest.raises(ValueError):
-        sim(broken, {"b": [1]})
+    with pytest.raises(SimError, match="^odd: operator output width -1 is"):
+        Simulation(broken, SimConfig(stimulus={"a": [1]}))
+    # A const with no value outputs 0, as validate assumes.
+    rep = sim(two_chains("const"), {"a": [1], "b": [5]})
+    assert rep.results["y"] == [(0, 1000)] and rep.completion == "drained"
 
 
 def test_lowering_port_counts_match_the_port_widths(elgcd_net, poly_net,

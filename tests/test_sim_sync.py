@@ -14,8 +14,7 @@ from elastika.bench import POLICIES, benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac, policy_simple
 from elastika.ir import Component, Kind, Link, Network, Port
 from elastika.sim import (CombinationalCycle, ConfigError, DelayTable,
-                          SimConfig, SteerMiss, critical_path, run, run_async,
-                          run_sync)
+                          SimConfig, SteerMiss, critical_path, run)
 
 
 def mknet(name, comps, links, ports):
@@ -44,7 +43,7 @@ def test_unbuffered_loop_is_rejected_statically():
                  Link("lo", 8, ("op", 0), ("init", 0))],
                 [])
     with pytest.raises(CombinationalCycle):
-        run_sync(net, SimConfig(mode="sync", clock=1000))
+        run(net, SimConfig(mode="sync", clock=1000))
 
 
 def test_unbuffered_compile_is_rejected_statically(elgcd_net):
@@ -54,7 +53,7 @@ def test_unbuffered_compile_is_rejected_statically(elgcd_net):
 
 
 def test_buffered_loop_passes_the_static_check(ring_net):
-    rep = run_sync(ring_net, SimConfig(
+    rep = run(ring_net, SimConfig(
         mode="sync", clock=2000, delays=ring_delays(),
         stimulus={"go": []}, max_time=30_000, record_occupancy=True))
     assert rep.completion == "horizon"
@@ -68,7 +67,7 @@ def test_buffered_loop_passes_the_static_check(ring_net):
 
 
 def test_clocked_chain_times():
-    rep = run_sync(buffered_chain(), SimConfig(
+    rep = run(buffered_chain(), SimConfig(
         mode="sync", clock=2000, stimulus={"a": [1, 2]}))
     assert rep.results["z"] == [(1, 2000), (2, 4000)]
     assert rep.completion == "drained"
@@ -81,14 +80,14 @@ def test_overclocked_is_strict():
     # buffer admission.
     for clock, flag in ((2000, False), (1100, False), (1099, True),
                         (1000, True)):
-        rep = run_sync(buffered_chain(), SimConfig(
+        rep = run(buffered_chain(), SimConfig(
             mode="sync", clock=clock, stimulus={"a": [1]}))
         assert rep.critical_path == 1100
         assert rep.overclocked is flag, clock
 
 
 def test_overclocking_does_not_change_function():
-    rep = run_sync(buffered_chain(), SimConfig(
+    rep = run(buffered_chain(), SimConfig(
         mode="sync", clock=1000, stimulus={"a": [1, 2]}))
     assert rep.results["z"] == [(1, 1000), (2, 2000)]
 
@@ -96,7 +95,7 @@ def test_overclocking_does_not_change_function():
 def test_sync_matches_async_ring_tempo(ring_net):
     # Async: one 4400 ps lap per token.  Sync at a safe clock: one clock
     # per lap.  Both are the same network, only the protocol differs.
-    rep = run_sync(ring_net, SimConfig(
+    rep = run(ring_net, SimConfig(
         mode="sync", clock=4500, delays=ring_delays(),
         stimulus={"go": []}, max_time=50_000, record_occupancy=True))
     assert not rep.overclocked
@@ -106,7 +105,7 @@ def test_sync_matches_async_ring_tempo(ring_net):
 
 def test_sync_gcd_computes_the_same_values(elgcd_net):
     net = apply(elgcd_net, policy_simple(elgcd_net))
-    rep = run_sync(net, SimConfig(
+    rep = run(net, SimConfig(
         mode="sync", clock=2000,
         stimulus={"a": [12, 36, 63], "b": [18, 24, 56]}))
     assert [v for v, _ in rep.results["g"]] == [6, 12, 7]
@@ -118,9 +117,9 @@ def test_sync_gcd_computes_the_same_values(elgcd_net):
 
 
 def test_run_sync_builds_the_combinational_graph_once(graph_builds, ring_net):
-    run_sync(ring_net, SimConfig(mode="sync", clock=2000,
-                                 delays=ring_delays(), stimulus={"go": []},
-                                 max_time=10_000))
+    run(ring_net, SimConfig(mode="sync", clock=2000,
+                            delays=ring_delays(), stimulus={"go": []},
+                            max_time=10_000))
     assert graph_builds == {"init": 1, "comb": 1, "comb_search": 1}
 
 
@@ -128,7 +127,7 @@ def test_run_sync_searches_comb_once_on_a_cyclic_net(graph_builds, elgcd_net):
     # The unbuffered net has a combinational cycle: the search that finds
     # it also names it for the error.
     with pytest.raises(CombinationalCycle) as err:
-        run_sync(elgcd_net, SimConfig(mode="sync", clock=2000))
+        run(elgcd_net, SimConfig(mode="sync", clock=2000))
     assert graph_builds == {"init": 1, "comb": 1, "comb_search": 1}
     assert str(err.value).startswith("combinational cycle through links: ")
 
@@ -141,7 +140,7 @@ def test_run_sync_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        run_sync(net, cfg)
+        run(net, cfg)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -159,7 +158,7 @@ def test_async_runs_leave_no_cyclic_garbage(name, policy):
     gc.collect()
     gc.disable()
     try:
-        run_async(net, cfg)
+        run(net, cfg)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -188,15 +187,11 @@ COLLECTOR_CASES = {
         stimulus={"a": [1, 2]})), None),
     "run-sync": (lambda: run(buffered_chain(), _sync_cfg(
         stimulus={"a": [1, 2]})), None),
-    "run_async": (lambda: run_async(buffered_chain(), SimConfig(
-        stimulus={"a": [1, 2]})), None),
-    "run_sync": (lambda: run_sync(buffered_chain(), _sync_cfg(
-        stimulus={"a": [1, 2]})), None),
-    "run_async-steer-miss": (lambda: run_async(steer_miss_net(), SimConfig(
+    "run_async-steer-miss": (lambda: run(steer_miss_net(), SimConfig(
         stimulus={"a": [3]})), SteerMiss),
-    "run_sync-steer-miss": (lambda: run_sync(steer_miss_net(), _sync_cfg(
+    "run_sync-steer-miss": (lambda: run(steer_miss_net(), _sync_cfg(
         stimulus={"a": [3]})), SteerMiss),
-    "run_sync-combinational-cycle": (lambda: run_sync(
+    "run_sync-combinational-cycle": (lambda: run(
         benchmark("elgcd").compiled(), _sync_cfg()), CombinationalCycle),
 }
 
@@ -255,13 +250,13 @@ def test_static_checks_match_the_link_id_graph(graph, buffered):
     cfg = SimConfig(mode="sync", clock=0, delays=STAGE_DELAYS)
     if loop is not None:
         with pytest.raises(CombinationalCycle) as err:
-            run_sync(net, cfg)
+            run(net, cfg)
         assert err.value.cycle == loop
         assert str(err.value) == ("combinational cycle through links: "
                                   + " -> ".join(loop))
     else:
         with pytest.raises(ConfigError):
-            run_sync(net, cfg)
+            run(net, cfg)
         assert critical_path(net, STAGE_DELAYS) == dag_chain(
             net, succ, STAGE_DELAYS)
 
@@ -269,6 +264,6 @@ def test_static_checks_match_the_link_id_graph(graph, buffered):
 def test_cycle_is_named_before_any_config_error(elgcd_net):
     loop = ir.combinational_cycle(ir.FlowGraph(elgcd_net))
     with pytest.raises(CombinationalCycle) as err:
-        run_sync(elgcd_net, SimConfig(mode="sync", clock=0, max_time=0,
-                                      stimulus={"nowhere": [1]}))
+        run(elgcd_net, SimConfig(mode="sync", clock=0, max_time=0,
+                                 stimulus={"nowhere": [1]}))
     assert err.value.cycle == loop
