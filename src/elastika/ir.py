@@ -261,8 +261,11 @@ def validate(net: Network) -> list[Diagnostic]:
     def err(code: str, subject: str, msg: str) -> None:
         diags.append(Diagnostic(code, subject, msg))
 
-    # Kind-level parameter sanity first; port bookkeeping assumes it.
+    # Kind-level parameter sanity first; port bookkeeping assumes it.  The
+    # ports of a component reported here cannot be counted, so its links'
+    # endpoints on it are skipped below rather than reported as missing.
     comps_ok: dict[str, Component] = {}
+    unchecked: set[str] = set()
     for cid, comp in net.components.items():
         if cid != comp.id:
             err("id-mismatch", cid, "component table key differs from component id")
@@ -275,10 +278,12 @@ def validate(net: Network) -> list[Diagnostic]:
                 err("connectivity", cid,
                     f"{n_in} input and {n_out} output ports, but the net "
                     f"has {len(net.links)} links")
+                unchecked.add(cid)
                 continue
             problems = _param_problems(comp)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             err("bad-params", cid, f"missing or malformed params for {comp.kind.value}: {exc}")
+            unchecked.add(cid)
             continue
         for code, msg in problems:
             err(code, cid, msg)
@@ -300,6 +305,8 @@ def validate(net: Network) -> list[Diagnostic]:
             cid, pidx = ep
             comp = comps_ok.get(cid)
             if comp is None:
+                if cid in unchecked:
+                    continue
                 err("dangling", lid, f"{side} references missing component {cid}")
                 continue
             widths = comp.output_widths() if side == "src" else comp.input_widths()

@@ -42,12 +42,13 @@ others itself.  The run loop hands the returned event to
 ``heappushpop``, which queues it and pops the next event in one call
 (and skips the heap when it is the smallest), and calls the handler of
 that event's phase and key; one sentinel event past the horizon ends
-it.  A Buffer whose consumer's key sorts after its own queues the
-consumer's offer directly instead of an internal firing that would only
-forward it (see ``_buffer``).  The net's half of lowering
-refuses a component with more input or output ports than the net has
-links before it builds any slot list, a link to a port the component
-lacks, and a link to a port another link already binds.
+it.  Handlers are specialised at lowering: a Buffer keeps its head token
+in its own variables and queues the consumer's offer directly when the
+consumer's key sorts after its own (see ``_buffer``), and an Operator or
+a Join of one or two inputs reads its input slots directly.  The net's
+half of lowering refuses a component with more input or output ports
+than the net has links before it builds any slot list, a link to a port
+the component lacks, and a link to a port another link already binds.
 
 ``run`` pauses the cyclic collector for the whole run, lowering included
 (see ``_collector_paused``).
@@ -100,13 +101,18 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def _concat(widths: list[int]) -> Callable[[list[int]], int]:
-    """A Join's output word: its inputs concatenated, low bits first."""
+def _concat(widths: list[int]) -> Callable:
+    """A Join's output word: its inputs concatenated, low bits first.  For
+    at most two inputs a function of two words (a, b), a missing one read
+    as 0; for more, of the list of words."""
     fields = []
     shift = 0
     for w in widths:
         fields.append((_mask(w), shift))
         shift += w
+    if len(fields) <= 2:
+        (m0, _), (m1, s1) = [*fields, (0, 0), (0, 0)][:2]
+        return lambda a, b: (a & m0) | (b & m1) << s1
 
     def concat(vals: list[int]) -> int:
         out = 0
@@ -124,12 +130,14 @@ _COMPARE_OPS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
                 "gt": operator.gt, "le": operator.le, "ge": operator.ge}
 
 
-def _operator_fn(comp: Component) -> Callable[[list[int]], int]:
-    """The Operator ``comp`` as a function of its input words, resolved
+def _operator_fn(comp: Component) -> Callable[[int, int], int]:
+    """The Operator ``comp`` as a function of two words (a, b), resolved
     once at lowering: unsigned word arithmetic modulo the output width.
-    A shift by at least the width it shifts within gives 0.  A ``fn``
-    outside ``ir.OPERATOR_FNS``, or an output width that is no int >= 0,
-    raises SimError; ``validate`` refuses both."""
+    A one-input Operator is called with b = 0, and one with more inputs
+    reads only its first two.  A shift by at least the width it shifts
+    within gives 0.  A ``fn`` outside ``ir.OPERATOR_FNS``, or an output
+    width that is no int >= 0, raises SimError; ``validate`` refuses
+    both."""
     params, in_widths = comp.params, comp.params["inputs"]
     fn, out_width = params.get("fn"), params.get("out")
     if fn not in OPERATOR_FNS:
@@ -140,27 +148,22 @@ def _operator_fn(comp: Component) -> Callable[[list[int]], int]:
     m = _mask(out_width)
     if fn == "const":
         value = params.get("value", 0)
-        return lambda ins: value & m
+        return lambda a, b: value & m
     if fn == "id":
-        return lambda ins: ins[0] & m
+        return lambda a, b: a & m
     if fn == "neg":
-        return lambda ins: -ins[0] & m
+        return lambda a, b: -a & m
     if fn == "not":
-        return lambda ins: ~ins[0] & m
+        return lambda a, b: ~a & m
     if fn in _WORD_OPS:
         op = _WORD_OPS[fn]
-        f = lambda ins: op(ins[0], ins[1]) & m   # noqa: E731
-    elif fn in _COMPARE_OPS:
+        return lambda a, b: op(a, b) & m
+    if fn in _COMPARE_OPS:
         test = _COMPARE_OPS[fn]
-        f = lambda ins: 1 if test(ins[0], ins[1]) else 0   # noqa: E731
-    elif fn == "shl":
-        f = lambda ins: (0 if ins[1] >= out_width   # noqa: E731
-                         else (ins[0] << ins[1]) & m)
-    else:   # shr
-        f = lambda ins: (0 if ins[1] >= in_widths[0]   # noqa: E731
-                         else (ins[0] >> ins[1]) & m)
-    # A one-input Operator reads its missing second word as 0.
-    return f if len(in_widths) > 1 else (lambda ins: f([ins[0], 0]))
+        return lambda a, b: 1 if test(a, b) else 0
+    if fn == "shl":
+        return lambda a, b: 0 if b >= out_width else (a << b) & m
+    return lambda a, b: 0 if b >= in_widths[0] else (a >> b) & m   # shr
 
 
 class _Wiring(NamedTuple):
@@ -190,14 +193,24 @@ class Lowered:
     run reads.  Both are built on first use, and a refusal is raised again
     on every use.  Like ``FlowGraph``, a Lowered is a snapshot: build a new
     one after the net is mutated.  Nothing in it changes during a run.
+    ``critical_path`` keeps the last delay table it was given and its
+    answer, so runs of one delay table measure the path once.
     """
 
     def __init__(self, net: Network) -> None:
         self.net = net
+        self._crit: Optional[tuple] = None   # (delays, critical path)
 
     @cached_property
     def graph(self) -> FlowGraph:
         return FlowGraph(self.net)
+
+    def critical_path(self, delays) -> int:
+        if self._crit is None or self._crit[0] != delays:
+            # A copy, so a later change to the caller's table is noticed.
+            kept = replace(delays, operator=dict(delays.operator))
+            self._crit = kept, _longest_chain(self.graph, delays)
+        return self._crit[1]
 
     @cached_property
     def wiring(self) -> _Wiring:
@@ -305,11 +318,10 @@ class Simulation:
         self.results: dict[str, list[tuple[int, int]]] = {}
         self.seeds: list[str] = []            # Initials that fired a seed
 
-        self.buf_slots: dict[str, deque] = {}
         self.occupancy_series: list[tuple[int, str, int]] = []
         self.occupancy_max: dict[str, int] = {}
         self.occupancy_time: dict[str, dict[int, int]] = {}
-        self._tails: list[Callable[[int], None]] = []
+        self._tails: list[Callable[[int], int]] = []
         self._lower(low.wiring)
 
     # -- lowering ---------------------------------------------------------
@@ -385,27 +397,10 @@ class Simulation:
 
     # -- wrap-up ----------------------------------------------------------
 
-    def _in_flight(self) -> bool:
-        return (self.in_val.count(None) < len(self.in_val)
-                or any(self.buf_slots.values()))
-
     def _finish(self, truncated: bool) -> SimReport:
         report = SimReport(mode=self.cfg.mode, clock=self.cfg.clock)
         report.results = self.results
         report.truncated = truncated
-        if truncated:
-            report.completion = "horizon"
-        elif not self._in_flight():
-            report.completion = "drained"
-        else:
-            flag, diagnosis = detect_deadlock(self)
-            if flag:
-                report.completion = "deadlock"
-                report.deadlock = True
-                report.diagnosis = diagnosis
-            else:
-                report.completion = "stimulus-exhausted"
-
         primary = report.primary_port()
         if primary is not None and self.results[primary]:
             times = [t for _, t in self.results[primary]]
@@ -416,18 +411,11 @@ class Simulation:
                 report.cycle_time = sum(gaps) / len(gaps)
             if self.cfg.mode == "sync" and self.cfg.clock:
                 report.gamma = (times[-1] / self.cfg.clock) / len(times)
-            marks = []
-            i = 0
-            while True:
-                stamp = [seq[i] for seq in self.offer_times.values()
-                         if len(seq) > i]
-                if not stamp:
-                    break
-                marks.append(min(stamp))
-                i += 1
-            for i, (_, out_t) in enumerate(self.results[primary]):
-                if i < len(marks):
-                    report.latencies.append(out_t - marks[i])
+            # The i-th mark is the earliest i-th offer of any input port.
+            marks = map(min, itertools.zip_longest(
+                *self.offer_times.values(), fillvalue=float("inf")))
+            report.latencies = [out_t - mark for (_, out_t), mark
+                                in zip(self.results[primary], marks)]
 
         report.tokens_in = sum(self.accepted.values())
         report.tokens_out = sum(len(got) for got in self.results.values())
@@ -435,9 +423,20 @@ class Simulation:
         report.occupancy_series = self.occupancy_series
         report.occupancy_max = dict(self.occupancy_max)
         end = max(self.now, report.elapsed)
-        for tail in self._tails:
-            tail(end)
+        held = [tail(end) for tail in self._tails]   # tokens in each Buffer
         report.occupancy_time = self.occupancy_time
+        if truncated:
+            report.completion = "horizon"
+        elif self.in_val.count(None) == len(self.in_val) and not any(held):
+            report.completion = "drained"
+        else:
+            flag, diagnosis = detect_deadlock(self)
+            if flag:
+                report.completion = "deadlock"
+                report.deadlock = True
+                report.diagnosis = diagnosis
+            else:
+                report.completion = "stimulus-exhausted"
         return report
 
 
@@ -505,41 +504,53 @@ def _sink(sim: Simulation, k: int, name: str):
 
 
 def _combinational(sim: Simulation, k: int, n: int, delay: int,
-                   compute: Callable[[list[int]], int]):
+                   compute: Callable):
     """Join and Operator: fire once every input stands, hold the inputs
-    until the output is taken."""
+    until the output is taken.  With one or two inputs ``compute`` takes
+    two words (a, b), b = 0 for one input, and the offer handler reads the
+    slots directly; with more it takes the list of the input words."""
     ib, ob = sim.in_base[k], sim.out_base[k]
     end = ib + n
     heap = sim.heap
     in_val, out_standing = sim.in_val, sim.out_standing
     # The producers to acknowledge, the smallest key first: it is returned.
     srcs = sorted(src for src in sim.in_src[ib:end] if src[0] >= 0)
-    first = srcs[0] if srcs else None
+    fk, fp = srcs[0] if srcs else (-1, 0)
     rest = srcs[1:]
     cleared = [None] * n
     dk, dp, stands = sim.out_dst[ob]
-    have = 0    # inputs standing; none arrives while the output stands
 
-    def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
-        nonlocal have
-        in_val[ib + port] = value
-        have += 1
-        if have < n:
-            return None
-        out = compute(in_val[ib:end])
-        out_standing[ob] = stands
-        return (t + delay, dk, dp, _OFFER, out) if dk >= 0 else None
+    if n == 1:
+        def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
+            in_val[ib] = value
+            out_standing[ob] = stands
+            return (t + delay, dk, dp, _OFFER, compute(value, 0)) \
+                if dk >= 0 else None
+    elif n == 2:
+        def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
+            in_val[ib + port] = value
+            a, b = in_val[ib], in_val[ib + 1]
+            if a is None or b is None:
+                return None
+            out_standing[ob] = stands
+            return (t + delay, dk, dp, _OFFER, compute(a, b)) \
+                if dk >= 0 else None
+    else:
+        def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
+            in_val[ib + port] = value
+            vals = in_val[ib:end]
+            if None in vals:
+                return None
+            out_standing[ob] = stands
+            return (t + delay, dk, dp, _OFFER, compute(vals)) \
+                if dk >= 0 else None
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
-        nonlocal have
         out_standing[ob] = False
-        have = 0
         in_val[ib:end] = cleared
         for sk, sp in rest:
             heappush(heap, (t, sk, sp, _ACK, None))
-        if first is None:
-            return None
-        return (t, first[0], first[1], _ACK, None)
+        return (t, fk, fp, _ACK, None) if fk >= 0 else None
     return on_offer, on_ack, None
 
 
@@ -552,7 +563,9 @@ def _join(sim: Simulation, k: int, comp: Component):
 def _operator(sim: Simulation, k: int, comp: Component):
     p = comp.params
     delay = sim.cfg.delays.operator_delay(p.get("delay_class", "default"))
-    return _combinational(sim, k, len(p["inputs"]), delay, _operator_fn(comp))
+    n, f = len(p["inputs"]), _operator_fn(comp)
+    return _combinational(sim, k, n, delay,
+                          f if n <= 2 else lambda vals: f(vals[0], vals[1]))
 
 
 def _fork(sim: Simulation, k: int, comp: Component):
@@ -770,24 +783,27 @@ def _merge(sim: Simulation, k: int, comp: Component):
 
 
 def _buffer(sim: Simulation, k: int, comp: Component):
-    """Takes while below capacity; the head token is offered one buffer
-    delay after it arrived.  The time spent at each level is added up as
-    the run goes, in a list indexed by level that grows as new levels are
-    reached, and every level change is logged when the run records the
-    occupancy series.  Wrap-up reports the levels with positive time.
+    """Takes while below capacity.  The head token's value is kept in the
+    handler and the tokens behind it queue in a deque, which capacity 1
+    leaves empty.  Where a token becomes the head, its offer is scheduled
+    one buffer delay after it arrived, or at once if that is past.  The
+    time spent at each level is added up as the run goes, in a list
+    indexed by level that grows as new levels are reached, and every
+    level change is logged when the run records the occupancy series.
+    Wrap-up reports the levels with positive time.
 
-    The head's offer is due at ``due``.  When the consumer's key sorts
-    after this Buffer's (``dk > k``, so the output is linked), the offer
-    is queued at once, at ``due``, and the output marked standing then;
-    otherwise a firing (due, k, 0, _FIRE) is queued and pushes the offer
-    when it is popped, at the same time.  Folding cannot change the pop
-    order: every event that pops before the firing would is smaller than
-    the firing, and so smaller than the offer, whose key sorts after the
-    firing's at the same time; and once the firing would have popped, the
-    queue holds the same events either way.  Nothing reads this output's
-    standing flag before then but deadlock diagnosis, which runs only on
-    a quiesced net.  A Buffer draining into a `$out.*` sink, or into any
-    consumer whose key sorts first, keeps the firing."""
+    When the consumer's key sorts after this Buffer's (``dk > k``, so the
+    output is linked), the head's offer is queued at once, at its due
+    time, and the output marked standing then; otherwise a firing (due,
+    k, 0, _FIRE) is queued and pushes the offer when it is popped.
+    Folding cannot change the pop order: every event that pops before the
+    firing would is smaller than the firing, and so smaller than the
+    offer, whose key sorts after the firing's at the same time; and once
+    the firing would have popped, the queue holds the same events either
+    way.  Nothing reads this output's standing flag before then but
+    deadlock diagnosis, which runs only on a quiesced net.  A Buffer
+    draining into a `$out.*` sink, or into any consumer whose key sorts
+    first, keeps the firing."""
     ib, ob = sim.in_base[k], sim.out_base[k]
     name = sim.names[k]
     cap = comp.params["capacity"]
@@ -797,86 +813,87 @@ def _buffer(sim: Simulation, k: int, comp: Component):
     sk, sp = sim.in_src[ib]
     dk, dp, stands = sim.out_dst[ob]
     fold = dk > k
-    slots = sim.buf_slots[name] = deque()   # (value, arrival time)
-    record, log = sim.cfg.record_occupancy, sim.occupancy_series.append
+    head = None
+    behind: deque = deque()   # (value, arrival time) behind the head
+    # Logs a level change, when the run records the occupancy series.
+    log = sim.occupancy_series.append if sim.cfg.record_occupancy else None
     peak = sim.occupancy_max
     peak[name] = top = 0
     occupancy = sim.occupancy_time
     spent = [0]   # time at each level up to top
-    level = since = 0   # level is len(slots)
-    # True from scheduling the head's offer until it is taken: the output
-    # is then firing or standing, and nothing else is scheduled.
-    busy = False
+    level = since = 0   # level counts the head and the tokens behind it
 
-    def tail(end: int) -> None:
+    def tail(end: int) -> int:
+        """Closes the occupancy at ``end``; returns the tokens held."""
         spent[level] += end - since
         occupancy[name] = {lvl: s for lvl, s in enumerate(spent) if s}
+        return level
     sim._tails.append(tail)
 
-    def schedule(t: int, ack: Optional[tuple]) -> Optional[tuple]:
-        """Schedules the head's offer, folded or as a firing, beside the
-        acknowledge ``ack`` made at ``t``; returns one of the two for the
-        loop to queue and pushes the other."""
-        head, arrived = slots[0]
-        due = arrived + delay
-        if due < t:
-            due = t
-        if fold:
-            out_standing[ob] = True
-            nxt = (due, dk, dp, _OFFER, head)
-        else:
-            nxt = (due, k, 0, _FIRE, None)
-        if ack is None:
-            return nxt
-        heappush(heap, nxt)
-        return ack
-
     def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
-        nonlocal level, since, top, busy
+        nonlocal level, since, top, head
         if level >= cap:
             in_val[ib] = value   # stands until a slot frees
             return None
-        slots.append((value, t))
         spent[level] += t - since
         since = t
         level += 1
-        if record:
+        if log:
             log((t, name, level))
         if level > top:
             peak[name] = top = level
             spent.append(0)
         ack = (t, sk, sp, _ACK, None) if sk >= 0 else None
-        if busy:
+        if level > 1:
+            behind.append((value, t))
             return ack
-        busy = True
-        return schedule(t, ack)
+        head = value   # the output was free: offer it
+        out_standing[ob] = fold
+        nxt = ((t + delay, dk, dp, _OFFER, value) if fold
+               else (t + delay, k, 0, _FIRE, None))
+        if ack is None:
+            return nxt
+        heappush(heap, nxt)
+        return ack
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
-        nonlocal level, since, busy
-        out_standing[ob] = False
-        slots.popleft()
+        nonlocal level, since, head
         spent[level] += t - since
         since = t
         level -= 1
-        if record:
+        if log:
             log((t, name, level))
-        ack = None
         value = in_val[ib]
         if value is not None:    # take the waiting offer: back to the peak
             in_val[ib] = None
-            if sk >= 0:
-                ack = (t, sk, sp, _ACK, None)
-            slots.append((value, t))
+            ack = (t, sk, sp, _ACK, None) if sk >= 0 else None
             level += 1
-            if record:
+            if log:
                 log((t, name, level))
-        busy = level > 0
-        return schedule(t, ack) if busy else ack
+            behind.append((value, t))
+        elif level:
+            ack = None
+        else:
+            out_standing[ob] = False
+            return None
+        head, due = behind.popleft()
+        due += delay
+        if due < t:
+            due = t
+        out_standing[ob] = fold
+        nxt = ((due, dk, dp, _OFFER, head) if fold
+               else (due, k, 0, _FIRE, None))
+        if ack is None:
+            return nxt
+        heappush(heap, nxt)
+        return ack
+
+    if fold:
+        return on_offer, on_ack, None
 
     def on_fire(port: int, payload, t: int) -> Optional[tuple]:
-        nonlocal busy
-        busy = out_standing[ob] = stands
-        return (t, dk, dp, _OFFER, slots[0][0]) if dk >= 0 else None
+        out_standing[ob] = stands
+        return (t, dk, dp, _OFFER, head) if dk >= 0 else None
     return on_offer, on_ack, on_fire
 
 
@@ -1001,9 +1018,9 @@ def run(net: Network | Lowered, cfg: SimConfig) -> SimReport:
     its per-net half of lowering.
 
     A sync run refuses a combinational cycle before any ``ConfigError``,
-    then measures the critical path, then runs on the zeroed delay table.
-    The cycle check and the critical path both read ``comb_search`` of the
-    Lowered's ``FlowGraph``.  The search pairs only bound ports, so a huge
+    then measures the critical path (once per Lowered and delay table),
+    then runs on the zeroed delay table.  The cycle check and the critical
+    path both read ``comb_search`` of the Lowered's ``FlowGraph``.  The search pairs only bound ports, so a huge
     port count is left for ``Simulation`` to refuse."""
     low = _lowered(net)
     with _collector_paused():
@@ -1012,7 +1029,7 @@ def run(net: Network | Lowered, cfg: SimConfig) -> SimReport:
         cycle = low.graph.comb_search[1]
         if cycle is not None:
             raise CombinationalCycle(cycle)
-        crit = _longest_chain(low.graph, cfg.delays)
+        crit = low.critical_path(cfg.delays)
         inner = replace(cfg, delays=cfg.delays.zeroed(buffer_delay=cfg.clock))
         report = Simulation(low, inner).run()
     report.critical_path = crit

@@ -771,6 +771,20 @@ def test_unknown_operator_is_refused_by_every_command(tmp_path, capsys, fn,
             f"error: bad-params odd: {message}"), argv
 
 
+def test_a_component_with_bad_params_leaves_its_links_unreported(tmp_path,
+                                                                 capsys):
+    # Its ports cannot be counted, so its links are not checked against
+    # them; they are not reported as leading to a missing component.
+    net = two_chains("id")
+    del net.components["odd"].params["fn"]
+    path = tmp_path / "two.json"
+    path.write_text(netlist.dumps(net))
+    assert main(["sim", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad-params odd: missing or malformed params for operator: "
+        "'fn'\n")
+
+
 # ---------------------------------------------------------------------------
 # input files that are not UTF-8: exit 2 from every command, in every role
 

@@ -12,6 +12,7 @@ from elastika import frontend
 from elastika.frontend import (FrontendError, LowerError, ParConflict,
                                SyntaxError, UndeclaredName, compile, parse)
 from elastika.frontend import syntax as S
+from elastika.bench import benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac
 from elastika.ir import Kind, validate
 from elastika.sim import SimConfig, parse_stimulus, run
@@ -26,7 +27,7 @@ def wrap(body: str, ports: str = "in a: 32; out z: 32",
 # Parsing
 
 def test_parse_elgcd_shape():
-    src = open("src/elastika/benchmarks/elgcd.csp").read()
+    src = benchmark("elgcd").source.read_text()
     mod = parse(src)
     assert mod.name == "elgcd"
     assert [p.name for p in mod.ports] == ["a", "b", "g"]
@@ -357,7 +358,7 @@ def test_empty_generator_range_rejected():
 
 @pytest.mark.parametrize("name", ["elgcd", "poly", "smul"])
 def test_compile_benchmarks_validate_clean(name):
-    src = open(f"src/elastika/benchmarks/{name}.csp").read()
+    src = benchmark(name).source.read_text()
     net = compile(parse(src))
     assert validate(net) == []
     # Compilation itself never inserts buffers; that is the policies' job.
@@ -365,7 +366,7 @@ def test_compile_benchmarks_validate_clean(name):
 
 
 def test_compile_ports_match_declaration():
-    src = open("src/elastika/benchmarks/elgcd.csp").read()
+    src = benchmark("elgcd").source.read_text()
     net = compile(parse(src))
     assert sorted(net.ports) == ["a", "b", "g"]
     assert net.ports["a"].dir == "in"
@@ -462,7 +463,7 @@ def test_frontend_exports():
 # Parser fuzz
 
 FUZZ_SOURCES = sorted(
-    [*Path("src/elastika/benchmarks").glob("*.csp"),
+    [*(benchmark(name).source for name in benchmark_names()),
      *(Path(__file__).parent / "data").glob("*.csp")])
 
 # ASCII the grammar uses, and digits and letters it does not.

@@ -258,6 +258,20 @@ def test_ring_occupancy_histogram_accounts_all_time():
     assert sum(hist.values()) >= 50_000
 
 
+def test_buffer_with_an_unconsumed_output_still_holds_its_token():
+    # Its offer stands forever on a link nothing consumes, so the run ends
+    # with the token in the Buffer: stimulus exhausted, not drained.
+    net = mknet("b",
+                [Component("b", Kind.BUFFER, {"width": 8, "capacity": 1})],
+                [Link("la", 8, None, ("b", 0)),
+                 Link("lo", 8, ("b", 0), None)],
+                [Port("a", "in", 8, "la")])
+    rep = sim(net, {"a": [1]})
+    assert rep.completion == "stimulus-exhausted"
+    assert rep.occupancy_time == {"b": {1: 100}}
+    assert rep.tokens_in == 1 and not rep.deadlock
+
+
 def test_critical_path_of_ring():
     # Longest combinational chain: go -> initial(100) -> merge(100)
     # -> fork(100) -> body(4000) -> join(100) -> steer(100) -> buffer(0).
@@ -406,8 +420,9 @@ def eval_operator(fn: str, params: dict, ins: list[int],
 
 
 def operator_fn(params: dict, widths: list[int]):
-    """The simulator's resolved function for an Operator with ``params``
-    and input widths ``widths``."""
+    """The simulator's resolved function of two words (a, b) for an
+    Operator with ``params`` and input widths ``widths``; a one-input
+    Operator is called with b = 0."""
     return _operator_fn(Component("op", Kind.OPERATOR,
                                   {**params, "inputs": widths}))
 
@@ -459,7 +474,8 @@ def test_operator_closures_match_eval_operator(fn, widths, out, value, data):
     ins = [data.draw(st.integers(0, min(80, (1 << w) - 1))
                      | st.integers(0, (1 << w) - 1)) for w in widths]
     params = {"fn": fn, "value": value, "out": out}
-    assert operator_fn(params, widths)(ins) == eval_operator(
+    a, b = [*ins, 0][:2]
+    assert operator_fn(params, widths)(a, b) == eval_operator(
         fn, params, ins, widths, out)
 
 
@@ -474,9 +490,61 @@ def test_operator_closures_match_eval_operator_on_a_grid():
                     for a in words:
                         for b in (0, 1, 2, 3, 4, 5, 7, 8, 9, 15):
                             ins = [a, b][:len(widths)]
-                            assert operator_fn(params, widths)(ins) == \
+                            second = b if len(widths) > 1 else 0
+                            assert operator_fn(params, widths)(a, second) == \
                                 eval_operator(fn, params, ins, widths, out), \
                                 (fn, widths, out, ins)
+
+
+@pytest.mark.parametrize("fn", ["id", "neg", "not", "shl", "shr", "const"])
+def test_one_input_operators_run_as_the_oracle(fn):
+    # A one-input Operator reads its missing second word as 0.
+    params = {"fn": fn, "value": 0x1f3, "out": 6}
+    net = mknet("op1",
+                [Component("op", Kind.OPERATOR, {**params, "inputs": [8]})],
+                [Link("la", 8, None, ("op", 0)),
+                 Link("lz", 6, ("op", 0), None)],
+                [Port("a", "in", 8, "la"), Port("z", "out", 6, "lz")])
+    words = [0, 1, 5, 63, 64, 200, 255]
+    rep = sim(net, {"a": words})
+    assert [v for v, _ in rep.results["z"]] == [
+        eval_operator(fn, params, [a], [8], 6) for a in words]
+    assert rep.completion == "drained"
+
+
+def test_three_input_join_concatenates_low_bits_first():
+    net = mknet("j3",
+                [Component("j", Kind.JOIN, {"inputs": [3, 5, 2]})],
+                [Link("la", 3, None, ("j", 0)),
+                 Link("lb", 5, None, ("j", 1)),
+                 Link("lc", 2, None, ("j", 2)),
+                 Link("lz", 10, ("j", 0), None)],
+                [Port("a", "in", 3, "la"), Port("b", "in", 5, "lb"),
+                 Port("c", "in", 2, "lc"), Port("z", "out", 10, "lz")])
+    stimulus = {"a": [7, 0, 5], "b": [31, 1, 17], "c": [3, 2, 0]}
+    rep = sim(net, stimulus)
+    assert [v for v, _ in rep.results["z"]] == [
+        a | (b << 3) | (c << 8) for a, b, c in zip(*stimulus.values())]
+    assert rep.completion == "drained"
+
+
+def test_three_output_fork_masks_each_output_to_its_width():
+    net = mknet("f3",
+                [Component("f", Kind.FORK,
+                           {"input": 8, "outputs": [8, 4, 2]})],
+                [Link("la", 8, None, ("f", 0)),
+                 Link("l0", 8, ("f", 0), None),
+                 Link("l1", 4, ("f", 1), None),
+                 Link("l2", 2, ("f", 2), None)],
+                [Port("a", "in", 8, "la"), Port("z0", "out", 8, "l0"),
+                 Port("z1", "out", 4, "l1"), Port("z2", "out", 2, "l2")])
+    words = [0xff, 0x5a, 0x03]
+    rep = sim(net, {"a": words})
+    for port, width in (("z0", 8), ("z1", 4), ("z2", 2)):
+        assert rep.results[port] == [
+            (v & ((1 << width) - 1), 100 * (i + 1))
+            for i, v in enumerate(words)]
+    assert rep.completion == "drained"
 
 
 def test_frontend_emits_only_table_functions():
@@ -485,7 +553,7 @@ def test_frontend_emits_only_table_functions():
 
 @pytest.mark.parametrize("fn", OPERATOR_FNS)
 def test_every_table_function_resolves(fn):
-    assert operator_fn({"fn": fn, "out": 8}, [8, 8])([7, 3]) == \
+    assert operator_fn({"fn": fn, "out": 8}, [8, 8])(7, 3) == \
         eval_operator(fn, {}, [7, 3], [8, 8], 8)
 
 

@@ -19,8 +19,8 @@ from elastika.buffering import apply, policy_pac
 from elastika.frontend import compile as compile_module
 from elastika.frontend import parse
 from elastika.ir import Link
-from elastika.sim import (Lowered, SimConfig, SimError, occupancy_csv,
-                          parse_stimulus, run, to_json)
+from elastika.sim import (DelayTable, Lowered, SimConfig, SimError, engine,
+                          occupancy_csv, parse_stimulus, run, to_json)
 from elastika.sim.engine import Lowered as EngineLowered
 
 DATA = Path(__file__).parent / "data"
@@ -111,6 +111,45 @@ def test_run_cell_builds_one_flow_graph_per_sync_cell(graph_builds, policy):
     run_cell(spec, policy, "sync", 2000)
     assert graph_builds["init"] - planner.get("init", 0) == 1
     assert graph_builds["comb"] == graph_builds["comb_search"] == 1
+
+
+@pytest.fixture()
+def chains(monkeypatch) -> list:
+    """The delay tables ``engine._longest_chain`` is called with while the
+    test runs."""
+    calls = []
+    longest_chain = engine._longest_chain
+
+    def counted(g, delays):
+        calls.append(delays)
+        return longest_chain(g, delays)
+    monkeypatch.setattr(engine, "_longest_chain", counted)
+    return calls
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_run_cell_measures_one_critical_path_per_sync_cell(chains, policy):
+    run_cell(benchmark("elgcd"), policy, "sync", 2000)
+    assert len(chains) == 1
+
+
+def test_a_lowered_remeasures_the_critical_path_for_a_new_table(chains,
+                                                                elgcd_net):
+    shared = Lowered(apply(elgcd_net, policy_pac(elgcd_net, mode="sync")))
+    base = DelayTable()
+    slow = DelayTable(operator={"default": 5000, "const": 100, "id": 100})
+
+    def path(delays) -> int:
+        return run(shared, SimConfig(mode="sync", clock=2000,
+                                     delays=delays)).critical_path
+    paths = [path(d) for d in (base, DelayTable(), slow, slow, base)]
+    assert len(chains) == 3
+    assert paths == [paths[0]] * 2 + [paths[2]] * 2 + [paths[0]]
+    assert paths[2] > paths[0]
+    # A table changed in place after its run is measured again.
+    base.operator["default"] = 5000
+    assert path(base) == paths[2]
+    assert len(chains) == 4
 
 
 def test_buffer_storage_is_not_sized_by_capacity(elgcd_net):
