@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .ir import FlowGraph, Kind, walk
+from .netlist import dot_escape
 
 
 @dataclass(frozen=True)
@@ -140,11 +141,11 @@ def build(g: FlowGraph) -> DependencyGraph:
 def to_dot(dg: DependencyGraph) -> str:
     out = ["digraph deps {", "  rankdir=LR;"]
     for n in dg.nodes:
-        out.append(f'  "{n}";')
+        out.append(f'  "{dot_escape(n)}";')
     style = {"WAR": "solid", "RAW": "dashed", "PAC": "bold"}
     for e in dg.edges:
         label = e.kind if not e.tag else f"{e.kind}/{e.tag}"
-        out.append(f'  "{e.u}" -> "{e.v}" '
+        out.append(f'  "{dot_escape(e.u)}" -> "{dot_escape(e.v)}" '
                    f'[label="{label}" style={style[e.kind]}];')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -225,9 +225,9 @@ def _param_problems(comp: Component) -> list[tuple[str, str]]:
         if p["select"] < 0 or p["select"] > p["input"]:
             out.append(("width", "steer select field outside input word"))
         for val, target in p["table"].items():
-            if not (0 <= int(target) < n_out):
+            if type(target) is not int or not 0 <= target < n_out:
                 out.append(("bad-params", f"steer table entry {val} targets "
-                                          f"missing output {target}"))
+                                          f"missing output {target!r}"))
     if k is Kind.MERGE and n_in < 2:
         out.append(("arity", "merge needs at least 2 inputs"))
     if k is Kind.OPERATOR and n_in < 1:
@@ -235,21 +235,21 @@ def _param_problems(comp: Component) -> list[tuple[str, str]]:
     if k is Kind.OPERATOR and p["fn"] not in OPERATOR_FNS:
         out.append(("bad-params", f"unknown operator function {p['fn']!r}"))
     # Optional params read by the simulator, the bound and the planners.
-    if k in (Kind.OPERATOR, Kind.INITIAL) and not isinstance(
-            p.get("value", 0), int):
+    # A number must be an int itself, not a bool or a float.
+    if k in (Kind.OPERATOR, Kind.INITIAL) and type(p.get("value", 0)) is not int:
         out.append(("bad-params", f"{k.value} value must be an integer"))
-    if k is Kind.VARIABLE and not isinstance(p.get("init", 0), int):
+    if k is Kind.VARIABLE and type(p.get("init", 0)) is not int:
         out.append(("bad-params", "variable init must be an integer"))
     if k is Kind.OPERATOR and not isinstance(p.get("delay_class", ""), str):
         out.append(("bad-params", "operator delay_class must be a string"))
-    if k is Kind.MERGE and not isinstance(p.get("loop", 0), int):
+    if k is Kind.MERGE and type(p.get("loop", 0)) is not int:
         out.append(("bad-params", "merge loop must be an input port number"))
     if k is Kind.FORK and not isinstance(p.get("channel", ""), str):
         out.append(("bad-params", "fork channel must be a string"))
     if k is Kind.VARIABLE and p["reads"] < 1:
         out.append(("arity", "variable needs at least 1 read port"))
     cap = p.get("capacity", 1)
-    if k is Kind.BUFFER and not (isinstance(cap, int) and cap >= 1):
+    if k is Kind.BUFFER and not (type(cap) is int and cap >= 1):
         out.append(("bad-params", "buffer capacity must be an integer >= 1"))
     return out
 

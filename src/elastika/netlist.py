@@ -169,11 +169,16 @@ def _sort_keys(value, depth: int = 1):
     return value
 
 
+def _not_int(field: str, value) -> None:
+    raise NetlistError(f"{field} {json.dumps(value)} is not an integer")
+
+
 def loads(text: str) -> Network:
     """The net of a netlist text, built in one pass over what ``json.loads``
     returns: kinds looked up by value, endpoints parsed in place and params
     taken as decoded, with their dicts put in sorted key order.  Malformed
-    input raises NetlistError."""
+    input raises NetlistError, as does a width or endpoint port that is no
+    JSON integer (a fraction, a string, a boolean), rather than truncate it."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -194,25 +199,28 @@ def loads(text: str) -> Network:
                 raise NetlistError(f"duplicate component id {cid}")
             comps[cid] = comp
         for l in obj["links"]:
-            lid, width, src = l["id"], int(l["width"]), l["from"]
+            lid, width, src, dst = str(l["id"]), l["width"], l["from"], l["to"]
+            if type(width) is not int:
+                _not_int(f"link {lid} width", width)
             try:
                 if src is not None:
-                    src = (str(src["comp"]), int(src["port"]))
-            except (KeyError, TypeError) as exc:
-                raise NetlistError(f"malformed endpoint in {lid}: {exc}") from None
-            dst = l["to"]
-            try:
+                    src = (str(src["comp"]), src["port"])
+                    if type(src[1]) is not int:
+                        _not_int(f"link {lid} from port", src[1])
                 if dst is not None:
-                    dst = (str(dst["comp"]), int(dst["port"]))
+                    dst = (str(dst["comp"]), dst["port"])
+                    if type(dst[1]) is not int:
+                        _not_int(f"link {lid} to port", dst[1])
             except (KeyError, TypeError) as exc:
                 raise NetlistError(f"malformed endpoint in {lid}: {exc}") from None
-            ln = Link(str(lid), width, src, dst)
-            if ln.id in links:
-                raise NetlistError(f"duplicate link id {ln.id}")
-            links[ln.id] = ln
+            if lid in links:
+                raise NetlistError(f"duplicate link id {lid}")
+            links[lid] = Link(lid, width, src, dst)
         for p in obj["ports"]:
-            port = Port(str(p["name"]), str(p["dir"]), int(p["width"]),
+            port = Port(str(p["name"]), str(p["dir"]), p["width"],
                         str(p["link"]))
+            if type(port.width) is not int:
+                _not_int(f"port {port.name} width", port.width)
             if port.name in ports:
                 raise NetlistError(f"duplicate port name {port.name}")
             ports[port.name] = port
@@ -229,30 +237,39 @@ _DOT_SHAPE = {
 }
 
 
+def dot_escape(text) -> str:
+    """``text`` for a double-quoted DOT string, each backslash and double
+    quote in it escaped, so that the quotes around it stay balanced."""
+    return str(text).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(net: Network, highlight: Optional[set[str]] = None) -> str:
     """Graphviz text for the network; ``highlight`` marks link ids in red."""
     highlight = highlight or set()
-    out = [f'digraph "{net.name}" {{', "  rankdir=LR;", "  node [fontsize=10];"]
+    esc = dot_escape
+    out = [f'digraph "{esc(net.name)}" {{', "  rankdir=LR;",
+           "  node [fontsize=10];"]
     for c in sorted(net.components.values(), key=lambda c: c.id):
-        label = c.id
+        label = esc(c.id)
         if c.kind is Kind.OPERATOR:
-            label = f"{c.id}\\n{c.params.get('fn', '?')}"
+            label += f"\\n{esc(c.params.get('fn', '?'))}"
         out.append(
-            f'  "{c.id}" [shape={_DOT_SHAPE[c.kind]} label="{label}"];')
+            f'  "{esc(c.id)}" [shape={_DOT_SHAPE[c.kind]} label="{label}"];')
     for p in sorted(net.ports.values(), key=lambda p: p.name):
-        out.append(f'  "port:{p.name}" [shape=plaintext label="{p.name}"];')
+        out.append(f'  "port:{esc(p.name)}" [shape=plaintext '
+                   f'label="{esc(p.name)}"];')
     for ln in sorted(net.links.values(), key=lambda ln: ln.id):
-        src = f'"{ln.src[0]}"' if ln.src else None
-        dst = f'"{ln.dst[0]}"' if ln.dst else None
+        src = f'"{esc(ln.src[0])}"' if ln.src else None
+        dst = f'"{esc(ln.dst[0])}"' if ln.dst else None
         if src is None or dst is None:
             for p in net.ports.values():
                 if p.link == ln.id:
-                    tag = f'"port:{p.name}"'
+                    tag = f'"port:{esc(p.name)}"'
                     src = src or tag
                     dst = dst or tag
         if src is None or dst is None:
             continue
-        attrs = [f'label="{ln.id}:{ln.width}"']
+        attrs = [f'label="{esc(ln.id)}:{ln.width}"']
         if ln.id in highlight:
             attrs.append("color=red penwidth=2")
         out.append(f"  {src} -> {dst} [{' '.join(attrs)}];")

@@ -45,10 +45,19 @@ that event's phase and key; one sentinel event past the horizon ends
 it.  Handlers are specialised at lowering: a Buffer keeps its head token
 in its own variables and queues the consumer's offer directly when the
 consumer's key sorts after its own (see ``_buffer``), and an Operator or
-a Join of one or two inputs reads its input slots directly.  The net's
-half of lowering refuses a component with more input or output ports
-than the net has links before it builds any slot list, a link to a port
-the component lacks, and a link to a port another link already binds.
+a Join of one or two inputs reads its input slots directly.
+
+Only fully wired nets are lowered, as every elastic channel is one
+handshake between one producer and one consumer: every link has both
+ends, each a component port or an environment port; every input and
+output slot is bound by exactly one link; and every component has at
+least one input and one output.  ``Lowered.wiring`` refuses any other
+net with a ``SimError`` naming the link, or the key and port, so no
+handler has a missing far end to guard against.  It refuses a component
+with more input or output ports than the net has links, or with no
+input or no output, before it builds any slot list; then a link to a
+port the component lacks, a link to a port another link already binds
+and a link with a missing end; and last a slot no link binds.
 
 ``run`` pauses the cyclic collector for the whole run, lowering included
 (see ``_collector_paused``).
@@ -169,7 +178,8 @@ def _operator_fn(comp: Component) -> Callable[[int, int], int]:
 class _Wiring(NamedTuple):
     """``Lowered.wiring``: keys in sorted order and their numbers, the
     environment keys' port names, the Initials' keys, port counts and
-    slot bases per key, and the far end of every input and output slot."""
+    slot bases per key, and the far end (key, port) of every input and
+    output slot."""
     names: list[str]
     ids: dict[str, int]
     env: dict[str, str]
@@ -179,16 +189,16 @@ class _Wiring(NamedTuple):
     in_base: list[int]
     out_base: list[int]
     in_src: list[tuple[int, int]]
-    out_dst: list[tuple[int, int, bool]]
+    out_dst: list[tuple[int, int]]
 
 
 class Lowered:
     """The half of lowering that depends only on the net, shared by every
     run of it.
 
-    ``wiring`` numbers the keys, counts each key's ports (refusing a huge
-    count first), lays out the slot bases and wires every slot to the far
-    end of its link, refusing a link to a missing or already bound port.
+    ``wiring`` numbers the keys, counts each key's ports, lays out the
+    slot bases and wires every slot to the far end of its link, refusing
+    a net that is not fully wired (see the module docstring).
     ``graph`` is the net's ``FlowGraph``, whose ``comb_search`` a clocked
     run reads.  Both are built on first use, and a refusal is raised again
     on every use.  Like ``FlowGraph``, a Lowered is a snapshot: build a new
@@ -247,29 +257,26 @@ class Lowered:
             if max(a, b) > len(net.links):
                 raise SimError(f"{cid} has {a} input and {b} output ports, "
                                f"but the net has {len(net.links)} links")
+            if min(a, b) < 1:
+                raise SimError(f"{cid} has {a} input and {b} output ports, "
+                               f"but needs at least one of each")
             if comp.kind is Kind.INITIAL:
                 initials.append(k)
         in_base = [0, *itertools.accumulate(n_in)]
         out_base = [0, *itertools.accumulate(n_out)]
-        # Input slot: the producer (key, port) to acknowledge (key -1:
-        # none).  Output slot: the consumer (key, port) to offer to (key
-        # -1: none) with whether an offer from the slot stands.  Without
-        # a link, firing offers nothing; on a link with no consumer, the
-        # offer stands forever.
-        in_src = [(-1, 0)] * in_base[-1]
-        out_dst = [(-1, 0, False)] * out_base[-1]
+        # Input slot: the producer (key, port) to acknowledge.  Output
+        # slot: the consumer (key, port) to offer to.  None until bound.
+        in_src: list = [None] * in_base[-1]
+        out_dst: list = [None] * out_base[-1]
         # The link bound to each input and output slot so far.
         in_link: dict[int, str] = {}
         out_link: dict[int, str] = {}
         for lid, ln in net.links.items():
-            src, dst = ln.src, ln.dst
-            if src is None:
-                src = link_in.get(lid)
-            if dst is None:
-                dst = link_out.get(lid)
+            src = ln.src or link_in.get(lid)
+            dst = ln.dst or link_out.get(lid)
             if src is not None:
-                sk, sp = ids[src[0]], src[1]
-                if not 0 <= sp < n_out[sk]:
+                sk, sp = ids.get(src[0]), src[1]
+                if sk is None or not 0 <= sp < n_out[sk]:
                     raise SimError(f"link {lid} leaves {src[0]}, which has "
                                    f"no output {sp}")
                 other = out_link.setdefault(out_base[sk] + sp, lid)
@@ -277,19 +284,27 @@ class Lowered:
                     raise SimError(f"link {lid} leaves {src[0]} output {sp}, "
                                    f"which link {other} already binds")
             if dst is not None:
-                dk, dp = ids[dst[0]], dst[1]
-                if not 0 <= dp < n_in[dk]:
+                dk, dp = ids.get(dst[0]), dst[1]
+                if dk is None or not 0 <= dp < n_in[dk]:
                     raise SimError(f"link {lid} enters {dst[0]}, which has "
                                    f"no input {dp}")
                 other = in_link.setdefault(in_base[dk] + dp, lid)
                 if other != lid:
                     raise SimError(f"link {lid} enters {dst[0]} input {dp}, "
                                    f"which link {other} already binds")
-                if src is not None:
-                    in_src[in_base[dk] + dp] = (sk, sp)
-            if src is not None:
-                out_dst[out_base[sk] + sp] = (
-                    (-1, 0, True) if dst is None else (dk, dp, True))
+            if src is None or dst is None:
+                raise SimError(f"link {lid} has no "
+                               f"{'producer' if src is None else 'consumer'}")
+            in_src[in_base[dk] + dp] = (sk, sp)
+            out_dst[out_base[sk] + sp] = (dk, dp)
+        # Last, a slot that no link binds, named by its key and port.
+        for slots, base, side in ((in_src, in_base, "input"),
+                                  (out_dst, out_base, "output")):
+            if None in slots:
+                slot = slots.index(None)
+                k = bisect_right(base, slot) - 1
+                raise SimError(f"{names[k]} {side} {slot - base[k]} "
+                               f"is bound by no link")
         return _Wiring(names, ids, env, sorted(initials), n_in, n_out,
                        in_base, out_base, in_src, out_dst)
 
@@ -388,10 +403,9 @@ class Simulation:
             if values:
                 times.append(0)
                 slot = self.out_base[self.ids[f"$in.{name}"]]
-                k, port, stands = self.out_dst[slot]
-                out_standing[slot] = stands
-                if k >= 0:
-                    heappush(heap, (0, k, port, _OFFER, values[0]))
+                out_standing[slot] = True
+                k, port = self.out_dst[slot]
+                heappush(heap, (0, k, port, _OFFER, values[0]))
         for k in self._initials:
             heappush(heap, (0, k, 0, _FIRE, None))
 
@@ -443,20 +457,20 @@ class Simulation:
 # -- per-kind handlers ----------------------------------------------------
 #
 # Each builder takes one key whose slots are already wired (port counts as
-# in ir.port_counts) and returns its (offer, acknowledge, fire) handlers,
-# closed over its slots, the far ends of its links, its parameters and its
-# resolved delay.  Every handler is called as (port, payload, t), keeps
-# its own slots and returns one event it causes, or None; it pushes any
-# further events itself:
+# in ir.port_counts; every slot has a far end, see the module docstring)
+# and returns its (offer, acknowledge, fire) handlers, closed over its
+# slots, the far ends of its links, its parameters and its resolved
+# delay.  Every handler is called as (port, payload, t), keeps its own
+# slots and returns one event it causes, or None; it pushes any further
+# events itself:
 #
 # * an offer handler gets the offered value; it stores it in the input
 #   slot unless it takes the value at once;
 # * taking an input empties its slot and causes the producer's
-#   acknowledge (t, key, port, _ACK, None), if there is a producer;
+#   acknowledge (t, key, port, _ACK, None);
 # * an acknowledge handler clears its output slot;
-# * emitting marks the output slot standing (not on an output with no
-#   link) and causes (t, key, port, _OFFER, value) at the consumer, if
-#   there is one.
+# * emitting marks the output slot standing and causes
+#   (t, key, port, _OFFER, value) at the consumer.
 #
 # A handler that causes several events returns the earliest, which is
 # most often the heap's next event, so that heappushpop hands it straight
@@ -470,16 +484,14 @@ def _stimulus(sim: Simulation, k: int, name: str):
     accepted = sim.accepted
     accepted[name] = 0
     out_standing = sim.out_standing
-    dk, dp, stands = sim.out_dst[slot]
+    dk, dp = sim.out_dst[slot]
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
-        out_standing[slot] = False
         taken = accepted[name] = accepted[name] + 1
-        if taken < len(values):
+        if taken < len(values):   # the next value's offer stands at once
             times.append(t)
-            out_standing[slot] = stands
-            if dk >= 0:
-                return (t, dk, dp, _OFFER, values[taken])
+            return (t, dk, dp, _OFFER, values[taken])
+        out_standing[slot] = False
         return None
     return on_ack
 
@@ -494,11 +506,9 @@ def _sink(sim: Simulation, k: int, name: str):
         """Record the result and acknowledge it; once the port reached the
         cap, queue the acknowledge and return a stop event."""
         got.append((value, t))
-        ack = (t, sk, sp, _ACK, None) if sk >= 0 else None
         if len(got) < cap:
-            return ack
-        if ack is not None:
-            heappush(heap, ack)
+            return (t, sk, sp, _ACK, None)
+        heappush(heap, (t, sk, sp, _ACK, None))
         return (t, _STOP, 0, _ACK, None)
     return on_offer
 
@@ -514,43 +524,38 @@ def _combinational(sim: Simulation, k: int, n: int, delay: int,
     heap = sim.heap
     in_val, out_standing = sim.in_val, sim.out_standing
     # The producers to acknowledge, the smallest key first: it is returned.
-    srcs = sorted(src for src in sim.in_src[ib:end] if src[0] >= 0)
-    fk, fp = srcs[0] if srcs else (-1, 0)
-    rest = srcs[1:]
+    (fk, fp), *rest = sorted(sim.in_src[ib:end])
     cleared = [None] * n
-    dk, dp, stands = sim.out_dst[ob]
+    dk, dp = sim.out_dst[ob]
 
     if n == 1:
         def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
             in_val[ib] = value
-            out_standing[ob] = stands
-            return (t + delay, dk, dp, _OFFER, compute(value, 0)) \
-                if dk >= 0 else None
+            out_standing[ob] = True
+            return (t + delay, dk, dp, _OFFER, compute(value, 0))
     elif n == 2:
         def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
             in_val[ib + port] = value
             a, b = in_val[ib], in_val[ib + 1]
             if a is None or b is None:
                 return None
-            out_standing[ob] = stands
-            return (t + delay, dk, dp, _OFFER, compute(a, b)) \
-                if dk >= 0 else None
+            out_standing[ob] = True
+            return (t + delay, dk, dp, _OFFER, compute(a, b))
     else:
         def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
             in_val[ib + port] = value
             vals = in_val[ib:end]
             if None in vals:
                 return None
-            out_standing[ob] = stands
-            return (t + delay, dk, dp, _OFFER, compute(vals)) \
-                if dk >= 0 else None
+            out_standing[ob] = True
+            return (t + delay, dk, dp, _OFFER, compute(vals))
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         out_standing[ob] = False
         in_val[ib:end] = cleared
         for sk, sp in rest:
             heappush(heap, (t, sk, sp, _ACK, None))
-        return (t, fk, fp, _ACK, None) if fk >= 0 else None
+        return (t, fk, fp, _ACK, None)
     return on_offer, on_ack, None
 
 
@@ -576,13 +581,10 @@ def _fork(sim: Simulation, k: int, comp: Component):
     heap = sim.heap
     in_val, out_standing = sim.in_val, sim.out_standing
     sk, sp = sim.in_src[ib]
-    dsts = sim.out_dst[ob:ob + n]
-    standing = [stands for _, _, stands in dsts]   # each output's, once fired
+    standing = [True] * n   # every output, once fired
     # The consumers to offer to, the smallest key first: it is returned.
-    offers = sorted((dk, dp, m) for (dk, dp, _), m in zip(dsts, masks)
-                    if dk >= 0)
-    first = offers[0] if offers else None
-    rest = offers[1:]
+    (fk, fp, fm), *rest = sorted(
+        (dk, dp, m) for (dk, dp), m in zip(sim.out_dst[ob:ob + n], masks))
     pending = 0   # outputs not yet taken
 
     def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
@@ -593,10 +595,7 @@ def _fork(sim: Simulation, k: int, comp: Component):
         t += delay
         for dk, dp, m in rest:
             heappush(heap, (t, dk, dp, _OFFER, value & m))
-        if first is None:
-            return None
-        dk, dp, m = first
-        return (t, dk, dp, _OFFER, value & m)
+        return (t, fk, fp, _OFFER, value & fm)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal pending
@@ -605,7 +604,7 @@ def _fork(sim: Simulation, k: int, comp: Component):
         if pending:
             return None
         in_val[ib] = None
-        return (t, sk, sp, _ACK, None) if sk >= 0 else None
+        return (t, sk, sp, _ACK, None)
     return on_offer, on_ack, None
 
 
@@ -615,15 +614,15 @@ def _steer(sim: Simulation, k: int, comp: Component):
     name = sim.names[k]
     sel_w = p["select"]
     sel_mask = _mask(sel_w)
-    routes = {}   # select value -> (output slot, consumer, stands)
+    routes = {}   # select value -> (output slot, consumer key, port)
     for sel, target in p["table"].items():
-        if not 0 <= int(target) < p["outputs"]:
+        if type(target) is not int or not 0 <= target < p["outputs"]:
             raise SimError(f"{name}: steer table entry {sel} targets "
-                           f"missing output {target}")
+                           f"missing output {target!r}")
         # A select value matches the entry written as its decimal digits;
         # no value matches any other spelling.
         if isinstance(sel, str) and sel.isdecimal() and str(int(sel)) == sel:
-            slot = ob + int(target)
+            slot = ob + target
             routes[int(sel)] = (slot, *sim.out_dst[slot])
     delay = sim.cfg.delays.steer
     in_val, out_standing = sim.in_val, sim.out_standing
@@ -635,16 +634,14 @@ def _steer(sim: Simulation, k: int, comp: Component):
         route = routes.get(sel)
         if route is None:
             raise SteerMiss(f"{name}: select value {sel} has no route")
-        slot, dk, dp, stands = route
-        out_standing[slot] = stands
-        if dk >= 0:
-            return (t + delay, dk, dp, _OFFER, value >> sel_w)
-        return None
+        slot, dk, dp = route
+        out_standing[slot] = True
+        return (t + delay, dk, dp, _OFFER, value >> sel_w)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         out_standing[ob + port] = False
         in_val[ib] = None
-        return (t, sk, sp, _ACK, None) if sk >= 0 else None
+        return (t, sk, sp, _ACK, None)
     return on_offer, on_ack, None
 
 
@@ -657,7 +654,7 @@ def _initial(sim: Simulation, k: int, comp: Component):
     name, fired = sim.names[k], sim.seeds
     in_val, out_standing = sim.in_val, sim.out_standing
     sk, sp = sim.in_src[ib]
-    dk, dp, wired = sim.out_dst[ob]
+    dk, dp = sim.out_dst[ob]
     seeded = False
     # True while the standing offer was relayed from the input; the seed
     # offer consumes no input when it is taken.
@@ -665,13 +662,13 @@ def _initial(sim: Simulation, k: int, comp: Component):
 
     def relay(t: int) -> Optional[tuple]:
         nonlocal relaying
-        if not seeded or out_standing[ob] or not wired:
+        if not seeded or out_standing[ob]:
             return None
         v = in_val[ib]
         if v is None:
             return None
         relaying = out_standing[ob] = True
-        return (t + delay, dk, dp, _OFFER, v) if dk >= 0 else None
+        return (t + delay, dk, dp, _OFFER, v)
 
     def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
         in_val[ib] = value
@@ -685,14 +682,14 @@ def _initial(sim: Simulation, k: int, comp: Component):
         # The relayed input is taken, so there is nothing left to relay.
         relaying = False
         in_val[ib] = None
-        return (t, sk, sp, _ACK, None) if sk >= 0 else None
+        return (t, sk, sp, _ACK, None)
 
     def on_fire(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal seeded
         seeded = True
         fired.append(name)
-        out_standing[ob] = wired
-        return (t + delay, dk, dp, _OFFER, seed) if dk >= 0 else None
+        out_standing[ob] = True
+        return (t + delay, dk, dp, _OFFER, seed)
     return on_offer, on_ack, on_fire
 
 
@@ -721,7 +718,7 @@ def _variable(sim: Simulation, k: int, comp: Component):
         out_standing[ob + port] = False
         in_val[ib + port] = None
         sk, sp = srcs[port]
-        return (t, sk, sp, _ACK, None) if sk >= 0 else None
+        return (t, sk, sp, _ACK, None)
 
     def on_fire(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal store
@@ -730,9 +727,9 @@ def _variable(sim: Simulation, k: int, comp: Component):
         else:
             store = payload
             value = 0
-        dk, dp, stands = dsts[port]
-        out_standing[ob + port] = stands
-        return (t, dk, dp, _OFFER, value) if dk >= 0 else None
+        dk, dp = dsts[port]
+        out_standing[ob + port] = True
+        return (t, dk, dp, _OFFER, value)
     return on_offer, on_ack, on_fire
 
 
@@ -743,7 +740,7 @@ def _merge(sim: Simulation, k: int, comp: Component):
     heap = sim.heap
     in_val, out_standing = sim.in_val, sim.out_standing
     srcs = sim.in_src[ib:sim.in_base[k + 1]]
-    dk, dp, stands = sim.out_dst[ob]
+    dk, dp = sim.out_dst[ob]
     # Inputs wait only while another is granted, so an offer that finds
     # no grant finds the queue empty and the output free.
     queue: list[tuple[int, int]] = []   # waiting (arrival time, port)
@@ -756,29 +753,22 @@ def _merge(sim: Simulation, k: int, comp: Component):
             queue.append((t, port))
             return None
         grant = port
-        out_standing[ob] = stands
-        return (t + delay, dk, dp, _OFFER, value) if dk >= 0 else None
+        out_standing[ob] = True
+        return (t + delay, dk, dp, _OFFER, value)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal grant
-        out_standing[ob] = False
         in_val[ib + grant] = None
         sk, sp = srcs[grant]
-        ack = (t, sk, sp, _ACK, None) if sk >= 0 else None
-        if not queue:
+        if queue:   # the next grant's offer keeps the output standing
+            chosen = min(queue)
+            queue.remove(chosen)
+            grant = chosen[1]
+            heappush(heap, (t + delay, dk, dp, _OFFER, in_val[ib + grant]))
+        else:
             grant = None
-            return ack
-        chosen = min(queue)
-        queue.remove(chosen)
-        grant = chosen[1]
-        out_standing[ob] = stands
-        if dk < 0:
-            return ack
-        offer = (t + delay, dk, dp, _OFFER, in_val[ib + grant])
-        if ack is None:
-            return offer
-        heappush(heap, offer)
-        return ack
+            out_standing[ob] = False
+        return (t, sk, sp, _ACK, None)
     return on_offer, on_ack, None
 
 
@@ -792,8 +782,8 @@ def _buffer(sim: Simulation, k: int, comp: Component):
     level change is logged when the run records the occupancy series.
     Wrap-up reports the levels with positive time.
 
-    When the consumer's key sorts after this Buffer's (``dk > k``, so the
-    output is linked), the head's offer is queued at once, at its due
+    When the consumer's key sorts after this Buffer's (``dk > k``), the
+    head's offer is queued at once, at its due
     time, and the output marked standing then; otherwise a firing (due,
     k, 0, _FIRE) is queued and pushes the offer when it is popped.
     Folding cannot change the pop order: every event that pops before the
@@ -811,7 +801,7 @@ def _buffer(sim: Simulation, k: int, comp: Component):
     heap = sim.heap
     in_val, out_standing = sim.in_val, sim.out_standing
     sk, sp = sim.in_src[ib]
-    dk, dp, stands = sim.out_dst[ob]
+    dk, dp = sim.out_dst[ob]
     fold = dk > k
     head = None
     behind: deque = deque()   # (value, arrival time) behind the head
@@ -843,18 +833,14 @@ def _buffer(sim: Simulation, k: int, comp: Component):
         if level > top:
             peak[name] = top = level
             spent.append(0)
-        ack = (t, sk, sp, _ACK, None) if sk >= 0 else None
         if level > 1:
             behind.append((value, t))
-            return ack
-        head = value   # the output was free: offer it
-        out_standing[ob] = fold
-        nxt = ((t + delay, dk, dp, _OFFER, value) if fold
-               else (t + delay, k, 0, _FIRE, None))
-        if ack is None:
-            return nxt
-        heappush(heap, nxt)
-        return ack
+        else:
+            head = value   # the output was free: offer it
+            out_standing[ob] = fold
+            heappush(heap, (t + delay, dk, dp, _OFFER, value) if fold
+                     else (t + delay, k, 0, _FIRE, None))
+        return (t, sk, sp, _ACK, None)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal level, since, head
@@ -866,14 +852,11 @@ def _buffer(sim: Simulation, k: int, comp: Component):
         value = in_val[ib]
         if value is not None:    # take the waiting offer: back to the peak
             in_val[ib] = None
-            ack = (t, sk, sp, _ACK, None) if sk >= 0 else None
             level += 1
             if log:
                 log((t, name, level))
             behind.append((value, t))
-        elif level:
-            ack = None
-        else:
+        elif not level:
             out_standing[ob] = False
             return None
         head, due = behind.popleft()
@@ -883,17 +866,17 @@ def _buffer(sim: Simulation, k: int, comp: Component):
         out_standing[ob] = fold
         nxt = ((due, dk, dp, _OFFER, head) if fold
                else (due, k, 0, _FIRE, None))
-        if ack is None:
+        if value is None:
             return nxt
         heappush(heap, nxt)
-        return ack
+        return (t, sk, sp, _ACK, None)
 
     if fold:
         return on_offer, on_ack, None
 
     def on_fire(port: int, payload, t: int) -> Optional[tuple]:
-        out_standing[ob] = stands
-        return (t, dk, dp, _OFFER, head) if dk >= 0 else None
+        out_standing[ob] = True
+        return (t, dk, dp, _OFFER, head)
     return on_offer, on_ack, on_fire
 
 
@@ -935,17 +918,14 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
             continue
         k = bisect_right(in_base, slot) - 1
         holders.add(k)
-        src = in_src[slot][0]
-        if src >= 0 and not names[k].startswith("$out."):
-            edge(names[src], names[k])
+        edge(names[in_src[slot][0]], names[k])
     for k in holders:
         comp = net.components.get(names[k])
         if comp is None or comp.kind not in (Kind.JOIN, Kind.OPERATOR):
             continue
         for slot in range(in_base[k], in_base[k + 1]):
-            src = in_src[slot][0]
-            if in_val[slot] is None and src >= 0:
-                edge(names[k], names[src])
+            if in_val[slot] is None:
+                edge(names[k], names[in_src[slot][0]])
 
     def waits_on(node: str) -> list[tuple[str, str]]:
         return [(n, n) for n in sorted(edges.get(node, ()))]

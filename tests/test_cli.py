@@ -176,6 +176,21 @@ def test_undecodable_netlist_exit_2(tmp_path, elgcd_netlist, capsys, how,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["32.5", '"32"', "true"])
+def test_sim_refuses_a_link_width_that_is_no_integer_exit_2(
+        tmp_path, elgcd_netlist, capsys, value):
+    # int() made each of them 32 (true, 1), and the net ran.
+    obj = json.loads(elgcd_netlist.read_text())
+    link = next(ln for ln in obj["links"] if ln["width"] == 32)
+    link["width"] = json.loads(value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["sim", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: link {link['id']} width {value} is not an integer\n")
+
+
 def test_width_above_the_source_cap_exit_2(tmp_path, capsys):
     # Every 32 of smul rewritten as 2**40 passed validate, and `sim
     # --stimulus` then died building 1 << 2**40 with a MemoryError.
@@ -505,6 +520,20 @@ PARAM_EDITS = {
                            lambda c: c["params"].update(init="abc")),
     "buffer-capacity-fraction": ("buffer",
                                  lambda c: c["params"].update(capacity=1.5)),
+    # A bool or a fraction was read as an int and passed.
+    "steer-target-fraction": (
+        "steer", lambda c: c["params"]["table"].update({"1": 0.9})),
+    "steer-target-bool": (
+        "steer", lambda c: c["params"]["table"].update({"1": True})),
+    "buffer-capacity-bool": ("buffer",
+                             lambda c: c["params"].update(capacity=True)),
+    "operator-value-bool": ("operator",
+                            lambda c: c["params"].update(value=True)),
+    "initial-value-bool": ("initial",
+                           lambda c: c["params"].update(value=False)),
+    "merge-loop-bool": ("merge", lambda c: c["params"].update(loop=True)),
+    "variable-init-bool": ("variable",
+                           lambda c: c["params"].update(init=True)),
 }
 
 

@@ -181,6 +181,33 @@ def test_validate_flags_steer_table_out_of_range():
     assert "bad-params" in codes
 
 
+@pytest.mark.parametrize("target", [0.9, 0.0, "0", True, None, [0]],
+                         ids=repr)
+def test_validate_refuses_a_steer_target_that_is_no_int(target):
+    # Each was read as int(target); 0.9, "0" and true passed and routed.
+    net = _shipped_net("elgcd", False).copy()
+    net.components["m.b.2.b.steer"].params["table"]["1"] = target
+    assert validate(net) == [Diagnostic(
+        "bad-params", "m.b.2.b.steer",
+        f"steer table entry 1 targets missing output {target!r}")]
+
+
+@pytest.mark.parametrize("kind, key, message", [
+    (Kind.OPERATOR, "value", "operator value must be an integer"),
+    (Kind.INITIAL, "value", "initial value must be an integer"),
+    (Kind.VARIABLE, "init", "variable init must be an integer"),
+    (Kind.MERGE, "loop", "merge loop must be an input port number"),
+    (Kind.BUFFER, "capacity", "buffer capacity must be an integer >= 1"),
+])
+def test_validate_refuses_a_bool_for_an_int_param(kind, key, message):
+    # isinstance(True, int) holds, so true passed as 1.
+    net = _shipped_net("elgcd", kind is Kind.BUFFER).copy()
+    comp = next(c for _, c in sorted(net.components.items())
+                if c.kind is kind)
+    comp.params[key] = True
+    assert validate(net) == [Diagnostic("bad-params", comp.id, message)]
+
+
 def test_validate_flags_fork_output_wider_than_input():
     net = build_ring()
     net.components["f"].params["outputs"] = [8, 16]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import build_ring, digraph_to_net
-from elastika import netlist
+from elastika import depgraph, netlist
 from elastika.bench import POLICIES, benchmark, benchmark_names
 from elastika.buffering import apply
 from elastika.frontend import compile as compile_module
@@ -126,8 +126,53 @@ def test_loads_rejects_a_non_finite_number(where, value):
         link["width"] = value
     else:
         link["from"]["port"] = value
+    field = "width" if where == "width" else "from port"
     with pytest.raises(netlist.NetlistError,
-                       match="^malformed netlist: cannot convert float"):
+                       match=f"^link {link['id']} {field} "
+                             f"{re.escape(json.dumps(value))} is not an "
+                             f"integer$"):
+        netlist.loads(json.dumps(obj))
+
+
+def link_width(obj, value) -> str:
+    """Sets a link width to ``value``; returns the field as the refusal
+    names it.  So do the three below."""
+    ln = obj["links"][0]
+    ln["width"] = value
+    return f"link {ln['id']} width"
+
+
+def from_port(obj, value) -> str:
+    ln = next(ln for ln in obj["links"] if ln["from"])
+    ln["from"]["port"] = value
+    return f"link {ln['id']} from port"
+
+
+def to_port(obj, value) -> str:
+    ln = next(ln for ln in obj["links"] if ln["to"])
+    ln["to"]["port"] = value
+    return f"link {ln['id']} to port"
+
+
+def port_width(obj, value) -> str:
+    port = obj["ports"][0]
+    port["width"] = value
+    return f"port {port['name']} width"
+
+
+@pytest.mark.parametrize("value", [8.5, 0.7, 32.25, 8.0, "8", True, False,
+                                   None, [8]], ids=repr)
+@pytest.mark.parametrize("edit", [link_width, from_port, to_port, port_width],
+                         ids=lambda edit: edit.__name__)
+def test_loads_refuses_a_number_that_is_not_an_integer(edit, value):
+    # Each of these was truncated by int() (8.5 to 8, "8" to 8, true to 1),
+    # so the net that validate checked and dumps wrote back was another.
+    obj = json.loads(netlist.dumps(compiled("elgcd")))
+    field = edit(obj, value)
+    with pytest.raises(netlist.NetlistError,
+                       match=f"^{re.escape(field)} "
+                             f"{re.escape(json.dumps(value))} is not an "
+                             f"integer$"):
         netlist.loads(json.dumps(obj))
 
 
@@ -191,6 +236,43 @@ def test_to_dot_highlight_marks_links():
     marked = netlist.to_dot(net, highlight={"lm"})
     assert "color=red" not in plain
     assert "color=red" in marked
+
+
+# A double-quoted DOT string: any character but a quote or a backslash,
+# or a backslash and the character it escapes.
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def dot_strings(dot: str) -> list[str]:
+    """The quoted strings of ``dot``, unescaped; fails on a line whose
+    quotes do not pair up."""
+    out = []
+    for line in dot.splitlines():
+        assert '"' not in DOT_STRING.sub("", line), line
+        out += [re.sub(r"\\(.)", r"\1", m) for m in DOT_STRING.findall(line)]
+    return out
+
+
+def test_dot_writers_escape_quotes_and_backslashes():
+    # validate accepts these ids, and both writers put them between
+    # quotes unescaped: `"a"b"` and a trailing backslash broke the text.
+    odd = {"b": 'a"b', "s": "s\\", "lb": 'l\\"b', "spill": 'sp"ill'}
+    net = build_ring()
+    net.name = 'q"x'
+    text = netlist.dumps(net)
+    for old, new in odd.items():
+        text = text.replace(json.dumps(old), json.dumps(new))
+    net = netlist.loads(text)
+    assert validate(net) == []
+    strings = dot_strings(netlist.to_dot(net, highlight={odd["lb"]}))
+    assert strings[0] == 'q"x'
+    for new in odd.values():
+        assert any(new in got for got in strings), new
+    deps = depgraph.DependencyGraph(
+        nodes=['a"b', "c\\"],
+        edges=[depgraph.DepEdge("PAC", "ch", 'a"b', "c\\")])
+    assert dot_strings(depgraph.to_dot(deps)) == [
+        'a"b', "c\\", 'a"b', "c\\", "PAC"]
 
 
 @given(small_graphs())

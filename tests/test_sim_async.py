@@ -11,7 +11,8 @@ from conftest import (RING_LAP_PS, build_ring, ring_arrival_gaps, ring_delays,
                       two_chains)
 from elastika.buffering import apply, policy_pac
 from elastika.frontend.syntax import _BIN_FN
-from elastika.ir import OPERATOR_FNS, Component, Kind, Link, Network, Port
+from elastika.ir import (OPERATOR_FNS, Component, Kind, Link, Network, Port,
+                         validate)
 from elastika.sim import (ConfigError, DelayTable, SimConfig, SimError,
                           Simulation, SteerMiss, critical_path,
                           format_stimulus, parse_stimulus, read_config, run)
@@ -129,6 +130,14 @@ def test_wiring_to_missing_ports_is_rejected():
     chain.links["lb"] = Link("lb", 8, None, ("op", 1))
     with pytest.raises(SimError, match="enters op, which has no input 1"):
         sim(chain, {"a": [1]})
+
+
+@pytest.mark.parametrize("target", [0.9, "1", True], ids=repr)
+def test_steer_target_that_is_no_int_is_rejected(target):
+    # Each was read as int(target) and routed the select value 0.
+    with pytest.raises(SimError, match=re.escape(
+            f"s: steer table entry 0 targets missing output {target!r}")):
+        sim(steer_net({"0": target, "1": 1}), {"a": [7 << 1]})
 
 
 @pytest.mark.parametrize("mode", ["async", "sync"])
@@ -258,18 +267,17 @@ def test_ring_occupancy_histogram_accounts_all_time():
     assert sum(hist.values()) >= 50_000
 
 
-def test_buffer_with_an_unconsumed_output_still_holds_its_token():
-    # Its offer stands forever on a link nothing consumes, so the run ends
-    # with the token in the Buffer: stimulus exhausted, not drained.
+def test_buffer_with_an_unconsumed_output_is_refused():
+    # A link that nothing consumes is no handshake, so the net is not
+    # lowered, as ir.validate does not accept it either.
     net = mknet("b",
                 [Component("b", Kind.BUFFER, {"width": 8, "capacity": 1})],
                 [Link("la", 8, None, ("b", 0)),
                  Link("lo", 8, ("b", 0), None)],
                 [Port("a", "in", 8, "la")])
-    rep = sim(net, {"a": [1]})
-    assert rep.completion == "stimulus-exhausted"
-    assert rep.occupancy_time == {"b": {1: 100}}
-    assert rep.tokens_in == 1 and not rep.deadlock
+    assert validate(net)
+    with pytest.raises(SimError, match="^link lo has no consumer$"):
+        sim(net, {"a": [1]})
 
 
 def test_critical_path_of_ring():
