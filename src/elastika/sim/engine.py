@@ -31,10 +31,10 @@ exactly as the strings would; every key owns a run of flat input and
 output slots, and every slot knows the key and port at the far end of
 its link.  A Lowered is a snapshot, as a ``FlowGraph`` is: build a new
 one after the net is mutated.  Each Simulation adds the per-run half:
-the slot state (an input slot's standing value, whether an output
-slot's offer stands), and an offer, acknowledge and fire handler per key
-with its parameters, delay and far ends resolved (an Operator's
-function too).
+each input slot's standing value (no output slot keeps a flag; only
+deadlock diagnosis asks which offers stand, on a quiesced net), and an
+offer, acknowledge and fire handler per key with its parameters, delay
+and far ends resolved (an Operator's function too).
 
 A handler returns one of the events it causes (taking an input causes
 the producer's acknowledge, firing the consumer's offer) and pushes any
@@ -43,9 +43,10 @@ others itself.  The run loop hands the returned event to
 (and skips the heap when it is the smallest), and calls the handler of
 that event's phase and key; one sentinel event past the horizon ends
 it.  Handlers are specialised at lowering: a Buffer keeps its head token
-in its own variables and queues the consumer's offer directly when the
-consumer's key sorts after its own (see ``_buffer``), and an Operator or
-a Join of one or two inputs reads its input slots directly.
+in its own variables, queues the consumer's offer directly when the
+consumer's key sorts after its own, and at capacity 1 keeps no queue at
+all (see ``_buffer``); an Operator or a Join of one or two inputs reads
+its input slots directly.
 
 Only fully wired nets are lowered, as every elastic channel is one
 handshake between one producer and one consumer: every link has both
@@ -346,10 +347,8 @@ class Simulation:
         built on the shared wiring ``w``."""
         (self.names, self.ids, env, self._initials, self.n_in, self.n_out,
          self.in_base, self.out_base, self.in_src, self.out_dst) = w
-        # The standing value of each input slot (None when empty), and
-        # whether an offer stands on each output slot.
+        # The standing value of each input slot (None when empty).
         self.in_val: list[Optional[int]] = [None] * w.in_base[-1]
-        self.out_standing = [False] * w.out_base[-1]
         ids = w.ids
         self.on_offer = on_offer = [None] * len(w.names)
         self.on_ack = on_ack = [None] * len(w.names)
@@ -397,14 +396,12 @@ class Simulation:
         return self._finish(bool(heap))
 
     def _setup(self) -> None:
-        heap, out_standing = self.heap, self.out_standing
+        heap = self.heap
         for name, times in self.offer_times.items():
             values = self.cfg.stimulus.get(name, [])
             if values:
                 times.append(0)
-                slot = self.out_base[self.ids[f"$in.{name}"]]
-                out_standing[slot] = True
-                k, port = self.out_dst[slot]
+                k, port = self.out_dst[self.out_base[self.ids[f"$in.{name}"]]]
                 heappush(heap, (0, k, port, _OFFER, values[0]))
         for k in self._initials:
             heappush(heap, (0, k, 0, _FIRE, None))
@@ -435,9 +432,9 @@ class Simulation:
         report.tokens_out = sum(len(got) for got in self.results.values())
         report.seeded = len(self.seeds)
         report.occupancy_series = self.occupancy_series
-        report.occupancy_max = dict(self.occupancy_max)
         end = max(self.now, report.elapsed)
         held = [tail(end) for tail in self._tails]   # tokens in each Buffer
+        report.occupancy_max = self.occupancy_max
         report.occupancy_time = self.occupancy_time
         if truncated:
             report.completion = "horizon"
@@ -468,9 +465,8 @@ class Simulation:
 #   slot unless it takes the value at once;
 # * taking an input empties its slot and causes the producer's
 #   acknowledge (t, key, port, _ACK, None);
-# * an acknowledge handler clears its output slot;
-# * emitting marks the output slot standing and causes
-#   (t, key, port, _OFFER, value) at the consumer.
+# * emitting causes (t, key, port, _OFFER, value) at the consumer, and
+#   the offer stands until the consumer's acknowledge arrives.
 #
 # A handler that causes several events returns the earliest, which is
 # most often the heap's next event, so that heappushpop hands it straight
@@ -478,20 +474,17 @@ class Simulation:
 # and stops at a key below 0: the sentinel, or a sink's stop event.
 
 def _stimulus(sim: Simulation, k: int, name: str):
-    slot = sim.out_base[k]
     values = sim.cfg.stimulus.get(name, [])
     times = sim.offer_times[name] = []
     accepted = sim.accepted
     accepted[name] = 0
-    out_standing = sim.out_standing
-    dk, dp = sim.out_dst[slot]
+    dk, dp = sim.out_dst[sim.out_base[k]]
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         taken = accepted[name] = accepted[name] + 1
         if taken < len(values):   # the next value's offer stands at once
             times.append(t)
             return (t, dk, dp, _OFFER, values[taken])
-        out_standing[slot] = False
         return None
     return on_ack
 
@@ -522,7 +515,7 @@ def _combinational(sim: Simulation, k: int, n: int, delay: int,
     ib, ob = sim.in_base[k], sim.out_base[k]
     end = ib + n
     heap = sim.heap
-    in_val, out_standing = sim.in_val, sim.out_standing
+    in_val = sim.in_val
     # The producers to acknowledge, the smallest key first: it is returned.
     (fk, fp), *rest = sorted(sim.in_src[ib:end])
     cleared = [None] * n
@@ -531,15 +524,18 @@ def _combinational(sim: Simulation, k: int, n: int, delay: int,
     if n == 1:
         def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
             in_val[ib] = value
-            out_standing[ob] = True
             return (t + delay, dk, dp, _OFFER, compute(value, 0))
-    elif n == 2:
+
+        def on_ack(port: int, payload, t: int) -> Optional[tuple]:
+            in_val[ib] = None
+            return (t, fk, fp, _ACK, None)
+        return on_offer, on_ack, None
+    if n == 2:
         def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
             in_val[ib + port] = value
             a, b = in_val[ib], in_val[ib + 1]
             if a is None or b is None:
                 return None
-            out_standing[ob] = True
             return (t + delay, dk, dp, _OFFER, compute(a, b))
     else:
         def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
@@ -547,11 +543,9 @@ def _combinational(sim: Simulation, k: int, n: int, delay: int,
             vals = in_val[ib:end]
             if None in vals:
                 return None
-            out_standing[ob] = True
             return (t + delay, dk, dp, _OFFER, compute(vals))
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
-        out_standing[ob] = False
         in_val[ib:end] = cleared
         for sk, sp in rest:
             heappush(heap, (t, sk, sp, _ACK, None))
@@ -579,9 +573,8 @@ def _fork(sim: Simulation, k: int, comp: Component):
     ib, ob = sim.in_base[k], sim.out_base[k]
     delay = sim.cfg.delays.fork
     heap = sim.heap
-    in_val, out_standing = sim.in_val, sim.out_standing
+    in_val = sim.in_val
     sk, sp = sim.in_src[ib]
-    standing = [True] * n   # every output, once fired
     # The consumers to offer to, the smallest key first: it is returned.
     (fk, fp, fm), *rest = sorted(
         (dk, dp, m) for (dk, dp), m in zip(sim.out_dst[ob:ob + n], masks))
@@ -591,7 +584,6 @@ def _fork(sim: Simulation, k: int, comp: Component):
         nonlocal pending
         in_val[ib] = value
         pending = n
-        out_standing[ob:ob + n] = standing
         t += delay
         for dk, dp, m in rest:
             heappush(heap, (t, dk, dp, _OFFER, value & m))
@@ -599,7 +591,6 @@ def _fork(sim: Simulation, k: int, comp: Component):
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         nonlocal pending
-        out_standing[ob + port] = False
         pending -= 1
         if pending:
             return None
@@ -614,7 +605,7 @@ def _steer(sim: Simulation, k: int, comp: Component):
     name = sim.names[k]
     sel_w = p["select"]
     sel_mask = _mask(sel_w)
-    routes = {}   # select value -> (output slot, consumer key, port)
+    routes = {}   # select value -> (consumer key, port)
     for sel, target in p["table"].items():
         if type(target) is not int or not 0 <= target < p["outputs"]:
             raise SimError(f"{name}: steer table entry {sel} targets "
@@ -622,10 +613,9 @@ def _steer(sim: Simulation, k: int, comp: Component):
         # A select value matches the entry written as its decimal digits;
         # no value matches any other spelling.
         if isinstance(sel, str) and sel.isdecimal() and str(int(sel)) == sel:
-            slot = ob + target
-            routes[int(sel)] = (slot, *sim.out_dst[slot])
+            routes[int(sel)] = sim.out_dst[ob + target]
     delay = sim.cfg.delays.steer
-    in_val, out_standing = sim.in_val, sim.out_standing
+    in_val = sim.in_val
     sk, sp = sim.in_src[ib]
 
     def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
@@ -634,12 +624,10 @@ def _steer(sim: Simulation, k: int, comp: Component):
         route = routes.get(sel)
         if route is None:
             raise SteerMiss(f"{name}: select value {sel} has no route")
-        slot, dk, dp = route
-        out_standing[slot] = True
+        dk, dp = route
         return (t + delay, dk, dp, _OFFER, value >> sel_w)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
-        out_standing[ob + port] = False
         in_val[ib] = None
         return (t, sk, sp, _ACK, None)
     return on_offer, on_ack, None
@@ -652,22 +640,24 @@ def _initial(sim: Simulation, k: int, comp: Component):
     seed = p.get("value", 0) & _mask(p.get("width", 0))
     delay = sim.cfg.delays.initial
     name, fired = sim.names[k], sim.seeds
-    in_val, out_standing = sim.in_val, sim.out_standing
+    in_val = sim.in_val
     sk, sp = sim.in_src[ib]
     dk, dp = sim.out_dst[ob]
-    seeded = False
+    # Whether an offer stands on the output.  The output is held for the
+    # seed from the start, so nothing is relayed before the seed is taken.
+    standing = True
     # True while the standing offer was relayed from the input; the seed
     # offer consumes no input when it is taken.
     relaying = False
 
     def relay(t: int) -> Optional[tuple]:
-        nonlocal relaying
-        if not seeded or out_standing[ob]:
+        nonlocal relaying, standing
+        if standing:
             return None
         v = in_val[ib]
         if v is None:
             return None
-        relaying = out_standing[ob] = True
+        relaying = standing = True
         return (t + delay, dk, dp, _OFFER, v)
 
     def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
@@ -675,8 +665,8 @@ def _initial(sim: Simulation, k: int, comp: Component):
         return relay(t)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
-        nonlocal relaying
-        out_standing[ob] = False
+        nonlocal relaying, standing
+        standing = False
         if not relaying:
             return relay(t)
         # The relayed input is taken, so there is nothing left to relay.
@@ -685,10 +675,7 @@ def _initial(sim: Simulation, k: int, comp: Component):
         return (t, sk, sp, _ACK, None)
 
     def on_fire(port: int, payload, t: int) -> Optional[tuple]:
-        nonlocal seeded
-        seeded = True
         fired.append(name)
-        out_standing[ob] = True
         return (t + delay, dk, dp, _OFFER, seed)
     return on_offer, on_ack, on_fire
 
@@ -703,7 +690,7 @@ def _variable(sim: Simulation, k: int, comp: Component):
     ib, ob = sim.in_base[k], sim.out_base[k]
     mask = _mask(p["width"])
     write, read = sim.cfg.delays.variable_write, sim.cfg.delays.variable_read
-    in_val, out_standing = sim.in_val, sim.out_standing
+    in_val = sim.in_val
     srcs = sim.in_src[ib:ib + n]
     dsts = sim.out_dst[ob:ob + n]
     store = p.get("init", 0)
@@ -715,7 +702,6 @@ def _variable(sim: Simulation, k: int, comp: Component):
         return (t + write, k, 0, _FIRE, value)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
-        out_standing[ob + port] = False
         in_val[ib + port] = None
         sk, sp = srcs[port]
         return (t, sk, sp, _ACK, None)
@@ -728,7 +714,6 @@ def _variable(sim: Simulation, k: int, comp: Component):
             store = payload
             value = 0
         dk, dp = dsts[port]
-        out_standing[ob + port] = True
         return (t, dk, dp, _OFFER, value)
     return on_offer, on_ack, on_fire
 
@@ -738,7 +723,7 @@ def _merge(sim: Simulation, k: int, comp: Component):
     ib, ob = sim.in_base[k], sim.out_base[k]
     delay = sim.cfg.delays.merge
     heap = sim.heap
-    in_val, out_standing = sim.in_val, sim.out_standing
+    in_val = sim.in_val
     srcs = sim.in_src[ib:sim.in_base[k + 1]]
     dk, dp = sim.out_dst[ob]
     # Inputs wait only while another is granted, so an offer that finds
@@ -753,7 +738,6 @@ def _merge(sim: Simulation, k: int, comp: Component):
             queue.append((t, port))
             return None
         grant = port
-        out_standing[ob] = True
         return (t + delay, dk, dp, _OFFER, value)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
@@ -767,115 +751,129 @@ def _merge(sim: Simulation, k: int, comp: Component):
             heappush(heap, (t + delay, dk, dp, _OFFER, in_val[ib + grant]))
         else:
             grant = None
-            out_standing[ob] = False
         return (t, sk, sp, _ACK, None)
     return on_offer, on_ack, None
 
 
 def _buffer(sim: Simulation, k: int, comp: Component):
-    """Takes while below capacity.  The head token's value is kept in the
-    handler and the tokens behind it queue in a deque, which capacity 1
-    leaves empty.  Where a token becomes the head, its offer is scheduled
-    one buffer delay after it arrived, or at once if that is past.  The
-    time spent at each level is added up as the run goes, in a list
-    indexed by level that grows as new levels are reached, and every
-    level change is logged when the run records the occupancy series.
-    Wrap-up reports the levels with positive time.
+    """Takes while below capacity.  The head token's value rides on its
+    offer, or on the firing that pushes it; at capacity 2 or more the
+    tokens behind the head queue in a deque.  Capacity 1 gets its own
+    pair of handlers without the deque, whose acknowledge passes a
+    waiting offer to its offer handler.  A new head's offer is due one
+    buffer delay after it arrived, or at once if that is past.  Time at
+    each level is summed in a list indexed by level, each level change is
+    logged when the run records the occupancy series, and wrap-up reports
+    the peak level and the levels with positive time.
 
     When the consumer's key sorts after this Buffer's (``dk > k``), the
-    head's offer is queued at once, at its due
-    time, and the output marked standing then; otherwise a firing (due,
-    k, 0, _FIRE) is queued and pushes the offer when it is popped.
+    head's offer is queued at once, at its due time; otherwise a firing
+    (due, k, 0, _FIRE) is queued and pushes the offer when it is popped.
     Folding cannot change the pop order: every event that pops before the
     firing would is smaller than the firing, and so smaller than the
     offer, whose key sorts after the firing's at the same time; and once
     the firing would have popped, the queue holds the same events either
-    way.  Nothing reads this output's standing flag before then but
-    deadlock diagnosis, which runs only on a quiesced net.  A Buffer
-    draining into a `$out.*` sink, or into any consumer whose key sorts
-    first, keeps the firing."""
+    way."""
     ib, ob = sim.in_base[k], sim.out_base[k]
     name = sim.names[k]
     cap = comp.params["capacity"]
     delay = sim.cfg.delays.buffer
     heap = sim.heap
-    in_val, out_standing = sim.in_val, sim.out_standing
+    in_val = sim.in_val
     sk, sp = sim.in_src[ib]
     dk, dp = sim.out_dst[ob]
     fold = dk > k
-    head = None
-    behind: deque = deque()   # (value, arrival time) behind the head
+    # Where a new head goes: its offer, or the firing that carries it.
+    to_k, to_p, to_phase = (dk, dp, _OFFER) if fold else (k, 0, _FIRE)
     # Logs a level change, when the run records the occupancy series.
     log = sim.occupancy_series.append if sim.cfg.record_occupancy else None
-    peak = sim.occupancy_max
-    peak[name] = top = 0
-    occupancy = sim.occupancy_time
-    spent = [0]   # time at each level up to top
-    level = since = 0   # level counts the head and the tokens behind it
+    peak, occupancy = sim.occupancy_max, sim.occupancy_time
+    spent = [0, 0]   # time at each level up to top + 1; top is the peak
+    level = since = top = 0   # level counts the head and the tokens behind it
 
     def tail(end: int) -> int:
         """Closes the occupancy at ``end``; returns the tokens held."""
         spent[level] += end - since
-        occupancy[name] = {lvl: s for lvl, s in enumerate(spent) if s}
+        peak[name] = top
+        occupancy[name] = dict(itertools.compress(enumerate(spent), spent))
         return level
     sim._tails.append(tail)
 
-    def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
-        nonlocal level, since, top, head
-        if level >= cap:
-            in_val[ib] = value   # stands until a slot frees
-            return None
-        spent[level] += t - since
-        since = t
-        level += 1
-        if log:
-            log((t, name, level))
-        if level > top:
-            peak[name] = top = level
-            spent.append(0)
-        if level > 1:
-            behind.append((value, t))
-        else:
-            head = value   # the output was free: offer it
-            out_standing[ob] = fold
-            heappush(heap, (t + delay, dk, dp, _OFFER, value) if fold
-                     else (t + delay, k, 0, _FIRE, None))
-        return (t, sk, sp, _ACK, None)
+    if cap == 1:
+        def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
+            nonlocal level, since, top
+            if level:
+                in_val[ib] = value   # stands until the head is taken
+                return None
+            spent[0] += t - since
+            since = t
+            level = top = 1
+            if log:
+                log((t, name, 1))
+            heappush(heap, (t + delay, to_k, to_p, to_phase, value))
+            return (t, sk, sp, _ACK, None)
 
-    def on_ack(port: int, payload, t: int) -> Optional[tuple]:
-        nonlocal level, since, head
-        spent[level] += t - since
-        since = t
-        level -= 1
-        if log:
-            log((t, name, level))
-        value = in_val[ib]
-        if value is not None:    # take the waiting offer: back to the peak
-            in_val[ib] = None
+        def on_ack(port: int, payload, t: int) -> Optional[tuple]:
+            nonlocal level, since
+            spent[1] += t - since
+            since = t
+            level = 0
+            if log:
+                log((t, name, 0))
+            value = in_val[ib]
+            if value is None:
+                return None
+            in_val[ib] = None   # take the waiting offer
+            return on_offer(port, value, t)
+    else:
+        behind: deque = deque()   # (value, arrival time) behind the head
+
+        def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
+            nonlocal level, since, top
+            if level >= cap:
+                in_val[ib] = value   # stands until a slot frees
+                return None
+            spent[level] += t - since
+            since = t
             level += 1
             if log:
                 log((t, name, level))
-            behind.append((value, t))
-        elif not level:
-            out_standing[ob] = False
-            return None
-        head, due = behind.popleft()
-        due += delay
-        if due < t:
-            due = t
-        out_standing[ob] = fold
-        nxt = ((due, dk, dp, _OFFER, head) if fold
-               else (due, k, 0, _FIRE, None))
-        if value is None:
-            return nxt
-        heappush(heap, nxt)
-        return (t, sk, sp, _ACK, None)
+            if level > top:
+                top = level
+                spent.append(0)
+            if level > 1:
+                behind.append((value, t))
+            else:   # the output was free: offer it
+                heappush(heap, (t + delay, to_k, to_p, to_phase, value))
+            return (t, sk, sp, _ACK, None)
+
+        def on_ack(port: int, payload, t: int) -> Optional[tuple]:
+            nonlocal level, since
+            spent[level] += t - since
+            since = t
+            level -= 1
+            if log:
+                log((t, name, level))
+            value = in_val[ib]
+            if value is not None:   # take the waiting offer: back to the peak
+                in_val[ib] = None
+                level += 1
+                if log:
+                    log((t, name, level))
+                behind.append((value, t))
+            elif not level:
+                return None
+            head, due = behind.popleft()
+            nxt = (max(due + delay, t), to_k, to_p, to_phase, head)
+            if value is None:
+                return nxt
+            heappush(heap, nxt)
+            return (t, sk, sp, _ACK, None)
 
     if fold:
         return on_offer, on_ack, None
 
-    def on_fire(port: int, payload, t: int) -> Optional[tuple]:
-        out_standing[ob] = True
+    def on_fire(port: int, head: int, t: int) -> Optional[tuple]:
         return (t, dk, dp, _OFFER, head)
     return on_offer, on_ack, on_fire
 
@@ -901,7 +899,10 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
     holding some inputs while missing others waits on the producers of
     the missing ones.  A cycle means no firing can ever be enabled; a
     blocked chain that only ends at the exhausted environment is normal
-    starvation, not deadlock.
+    starvation, not deadlock.  No output keeps a standing flag: with no
+    event queued, an offer stands exactly while its value waits in the
+    consumer's input slot, and the unacknowledged outputs of each
+    component on the cycle are read from there.
     """
     net, names = sim.net, sim.names
     in_val, in_src, in_base = sim.in_val, sim.in_src, sim.in_base
@@ -944,8 +945,9 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
         ib, ob = sim.in_base[k], sim.out_base[k]
         held = [i - ib for i in range(ib, ib + sim.n_in[k])
                 if sim.in_val[i] is not None]
-        out = [i - ob for i in range(ob, ob + sim.n_out[k])
-               if sim.out_standing[i]]
+        dsts = sim.out_dst[ob:ob + sim.n_out[k]]
+        out = [p for p, (dk, dp) in enumerate(dsts)
+               if in_val[in_base[dk] + dp] is not None]
         lines.append(f"{node} ({kind}): holding inputs {held}, "
                      f"unacknowledged outputs {out}")
     return True, lines

@@ -548,6 +548,46 @@ def test_malformed_params_exit_2(elgcd_buffered, edit, command, capsys):
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def pac_netlists():
+    """The shipped benchmarks compiled and buffered by ``pac``."""
+    out = {}
+    for name in bench.benchmark_names():
+        net = bench.benchmark(name).compiled()
+        out[name] = netlist.dumps(apply(net, bench.POLICIES["pac"](net)))
+    return out
+
+
+# Each kind's width params; a list param is edited at its first entry.
+WIDTH_PARAMS = [("join", "inputs"), ("fork", "input"), ("fork", "outputs"),
+                ("steer", "input"), ("steer", "select"), ("merge", "width"),
+                ("variable", "width"), ("operator", "inputs"),
+                ("operator", "out"), ("initial", "width"), ("buffer", "width")]
+
+
+@pytest.mark.parametrize("name", ["elgcd", "poly", "smul"])
+@pytest.mark.parametrize("spelling", [float, bool])
+@pytest.mark.parametrize("kind, param", WIDTH_PARAMS)
+def test_width_param_that_is_no_int_exit_2(tmp_path, pac_netlists, name,
+                                           kind, param, spelling, capsys):
+    # A whole float passes the link width comparison (32.0 == 32), and so
+    # does a bool on a port of width 0 or 1; only a type test refuses them.
+    def edit(comp):
+        params = comp["params"]
+        if isinstance(params[param], list):
+            params[param][0] = spelling(params[param][0])
+        else:
+            params[param] = spelling(params[param])
+    path = tmp_path / "net.json"
+    path.write_text(pac_netlists[name])
+    _edit_first(path, kind, edit)
+    for command in LOADING_COMMANDS:
+        code, err = _run_loader(command, path, capsys)
+        assert code == 2
+        assert "bad-params " in err
+        assert "Traceback" not in err
+
+
 def test_sim_refuses_a_text_init_read_before_any_write(tmp_path, capsys):
     # x is sent before it is received, so the first result is its init.
     src = tmp_path / "t.csp"

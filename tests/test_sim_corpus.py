@@ -20,6 +20,8 @@ buffer levels.
 from __future__ import annotations
 
 import hashlib
+import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,10 @@ from elastika.buffering import apply
 from elastika.frontend import compile as compile_module
 from elastika.frontend import parse
 from elastika.sim import SimConfig, occupancy_csv, parse_stimulus, run, to_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import gen  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 # Cases whose run ends in deadlock rather than with the stimulus exhausted.
@@ -156,3 +162,21 @@ def test_recording_occupancy_changes_no_report_byte(program):
         assert to_json(plain) == to_json(recorded)
         assert plain.occupancy_series == []
         assert bool(recorded.occupancy_series) == (net is not compiled)
+
+
+GENERATED_UNBUFFERED = (
+    "1551aee3d16f78d839e706be67059be9d340ee30dbc66464eeb8242c7d7469f0")
+
+
+def test_generated_unbuffered_deadlock_reports():
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for k in range(24):
+        prog = gen.generate(rng.randrange(1 << 32), gen.SLOTS[k % 4], 4)
+        report = run(compile_module(parse(prog.text)), SimConfig(
+            stimulus={p: list(v) for p, v in prog.stimulus.items()}))
+        assert report.completion == "deadlock"
+        assert any("unacknowledged outputs []" not in line
+                   for line in report.diagnosis[1:])
+        digest.update(to_json(report).encode())
+    assert digest.hexdigest() == GENERATED_UNBUFFERED
