@@ -214,10 +214,8 @@ def _param_problems(comp: Component) -> list[tuple[str, str]]:
     # A width must be an int itself, not a whole float or a bool, which
     # the link width comparison in validate lets pass.
     for side, widths in (("input", ins), ("output", outs)):
-        for i, w in enumerate(widths):
-            if type(w) is not int:
-                out.append(("bad-params", f"{side} {i} width {w!r} "
-                                          f"is not an integer"))
+        out += [("bad-params", f"{side} {i} width {w!r} is not an integer")
+                for i, w in enumerate(widths) if type(w) is not int]
     if k is Kind.STEER and type(p["select"]) is not int:
         out.append(("bad-params", "steer select width must be an integer"))
     if k is Kind.JOIN and n_in < 2:

@@ -42,11 +42,11 @@ others itself.  The run loop hands the returned event to
 ``heappushpop``, which queues it and pops the next event in one call
 (and skips the heap when it is the smallest), and calls the handler of
 that event's phase and key; one sentinel event past the horizon ends
-it.  Handlers are specialised at lowering: a Buffer keeps its head token
-in its own variables, queues the consumer's offer directly when the
-consumer's key sorts after its own, and at capacity 1 keeps no queue at
-all (see ``_buffer``); an Operator or a Join of one or two inputs reads
-its input slots directly.
+it.  Handlers are specialised at lowering: a Buffer carries its head
+token's value on the offer or firing that forwards it, queues the
+consumer's offer directly when the consumer's key sorts after its own,
+and at capacity 1 keeps no queue at all (see ``_buffer``); an Operator
+or a Join of one or two inputs reads its input slots directly.
 
 Only fully wired nets are lowered, as every elastic channel is one
 handshake between one producer and one consumer: every link has both
@@ -643,21 +643,16 @@ def _initial(sim: Simulation, k: int, comp: Component):
     in_val = sim.in_val
     sk, sp = sim.in_src[ib]
     dk, dp = sim.out_dst[ob]
-    # Whether an offer stands on the output.  The output is held for the
-    # seed from the start, so nothing is relayed before the seed is taken.
-    standing = True
-    # True while the standing offer was relayed from the input; the seed
-    # offer consumes no input when it is taken.
-    relaying = False
+    # What the output offers until it is taken: the seed from the start,
+    # so nothing is relayed before the seed is taken, then relayed inputs.
+    offering: Optional[str] = "seed"
 
     def relay(t: int) -> Optional[tuple]:
-        nonlocal relaying, standing
-        if standing:
-            return None
+        nonlocal offering
         v = in_val[ib]
-        if v is None:
+        if offering or v is None:
             return None
-        relaying = standing = True
+        offering = "input"
         return (t + delay, dk, dp, _OFFER, v)
 
     def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
@@ -665,13 +660,11 @@ def _initial(sim: Simulation, k: int, comp: Component):
         return relay(t)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
-        nonlocal relaying, standing
-        standing = False
-        if not relaying:
+        nonlocal offering
+        taken, offering = offering, None
+        if taken == "seed":   # the seed consumes no input
             return relay(t)
-        # The relayed input is taken, so there is nothing left to relay.
-        relaying = False
-        in_val[ib] = None
+        in_val[ib] = None   # the relayed input is taken
         return (t, sk, sp, _ACK, None)
 
     def on_fire(port: int, payload, t: int) -> Optional[tuple]:
@@ -759,12 +752,13 @@ def _buffer(sim: Simulation, k: int, comp: Component):
     """Takes while below capacity.  The head token's value rides on its
     offer, or on the firing that pushes it; at capacity 2 or more the
     tokens behind the head queue in a deque.  Capacity 1 gets its own
-    pair of handlers without the deque, whose acknowledge passes a
-    waiting offer to its offer handler.  A new head's offer is due one
-    buffer delay after it arrived, or at once if that is past.  Time at
-    each level is summed in a list indexed by level, each level change is
-    logged when the run records the occupancy series, and wrap-up reports
-    the peak level and the levels with positive time.
+    pair of handlers, with no deque and no level tests beyond whether the
+    head is held.  Either acknowledge hands a waiting offer to its offer
+    handler.  A new head's offer is due one buffer delay after it
+    arrived, or at once if that is past.  Time at each level is summed in
+    a list indexed by level, each level change is logged when the run
+    records the occupancy series, and wrap-up reports the peak level and
+    the levels with positive time.
 
     When the consumer's key sorts after this Buffer's (``dk > k``), the
     head's offer is queued at once, at its due time; otherwise a firing
@@ -854,21 +848,17 @@ def _buffer(sim: Simulation, k: int, comp: Component):
             level -= 1
             if log:
                 log((t, name, level))
+            nxt = None
+            if level:   # the next token becomes the head
+                head, due = behind.popleft()
+                nxt = (max(due + delay, t), to_k, to_p, to_phase, head)
             value = in_val[ib]
-            if value is not None:   # take the waiting offer: back to the peak
-                in_val[ib] = None
-                level += 1
-                if log:
-                    log((t, name, level))
-                behind.append((value, t))
-            elif not level:
-                return None
-            head, due = behind.popleft()
-            nxt = (max(due + delay, t), to_k, to_p, to_phase, head)
             if value is None:
                 return nxt
-            heappush(heap, nxt)
-            return (t, sk, sp, _ACK, None)
+            in_val[ib] = None   # take the waiting offer
+            if nxt:
+                heappush(heap, nxt)
+            return on_offer(port, value, t)
 
     if fold:
         return on_offer, on_ack, None

@@ -584,7 +584,7 @@ def test_width_param_that_is_no_int_exit_2(tmp_path, pac_netlists, name,
     for command in LOADING_COMMANDS:
         code, err = _run_loader(command, path, capsys)
         assert code == 2
-        assert "bad-params " in err
+        assert err.startswith("error: bad-params ")
         assert "Traceback" not in err
 
 
