@@ -203,6 +203,11 @@ class Diagnostic:
         return f"{self.code}: {self.subject}: {self.message}"
 
 
+# The param that counts a kind's ports, where no list's length does.
+_COUNT_PARAMS = {Kind.MERGE: "inputs", Kind.STEER: "outputs",
+                 Kind.VARIABLE: "reads"}
+
+
 def _param_problems(comp: Component) -> list[tuple[str, str]]:
     """(code, message) for each per-kind parameter problem of ``comp``.
     Params too malformed to check raise KeyError, TypeError, ValueError or
@@ -218,6 +223,10 @@ def _param_problems(comp: Component) -> list[tuple[str, str]]:
                 for i, w in enumerate(widths) if type(w) is not int]
     if k is Kind.STEER and type(p["select"]) is not int:
         out.append(("bad-params", "steer select width must be an integer"))
+    # So must a port count, which a bool passes as 0 or 1 ports.
+    count = _COUNT_PARAMS.get(k)
+    if count is not None and type(p[count]) is not int:
+        out.append(("bad-params", f"{k.value} {count} must be an integer"))
     if k is Kind.JOIN and n_in < 2:
         out.append(("arity", "join needs at least 2 inputs"))
     if k is Kind.FORK:

@@ -48,6 +48,25 @@ consumer's offer directly when the consumer's key sorts after its own,
 and at capacity 1 keeps no queue at all (see ``_buffer``); an Operator
 or a Join of one or two inputs reads its input slots directly.
 
+A handler calls the handler of an event it causes directly, through the
+``on_ack``/``on_offer``/``on_fire`` tables, instead of returning it,
+when the event is due at the handler's own time and sorts before the
+event being handled and before anything the handler queued.  The rule
+is static, read from the keys and the delay table, never from the
+queue: an acknowledge to a smaller key, and, where the delay is zero
+(every combinational delay in clocked mode), an offer to a smaller key
+or a Variable's firing, which sorts before the offer that causes it.
+A Merge's acknowledge at zero delay must also sort before the next
+grant's offer, which it queues first.  The event being handled
+sorted before every queued event, so the direct event does too, and
+the queue would have handed it straight back: handlers run in the
+same order, on the same events, as if it had been queued.  A Buffer's
+firing offers to a smaller key at its own time, so it calls too; an
+Initial's seed, the stimuli and the sinks never do.  Such calls nest,
+one or two frames per key, along ever smaller keys; ``Lowered.direct``
+caps each chain on a large net (``_DIRECT_DEPTH``).  ``Simulation.seq``
+counts only the events queued.
+
 Only fully wired nets are lowered, as every elastic channel is one
 handshake between one producer and one consumer: every link has both
 ends, each a component port or an environment port; every input and
@@ -61,7 +80,9 @@ port the component lacks, a link to a port another link already binds
 and a link with a missing end; and last a slot no link binds.
 
 ``run`` pauses the cyclic collector for the whole run, lowering included
-(see ``_collector_paused``).
+(see ``_collector_paused``).  The handlers reach each other through the
+tables, a reference cycle that ``Simulation.run`` breaks as it ends, and
+a refused lowering as it raises, by emptying them.
 """
 from __future__ import annotations
 
@@ -88,6 +109,9 @@ _ACK, _FIRE, _OFFER = 0, 1, 2
 # horizon; a sink at its cap returns a stop event at the current time,
 # which sorts before every queued event, the sentinel included.
 _END, _STOP = -1, -2
+# The most keys one chain of direct calls may pass through (see
+# ``Lowered.direct``); each key adds at most two frames to the stack.
+_DIRECT_DEPTH = 100
 
 
 class SimError(Exception):
@@ -309,6 +333,35 @@ class Lowered:
         return _Wiring(names, ids, env, sorted(initials), n_in, n_out,
                        in_base, out_base, in_src, out_dst)
 
+    @cached_property
+    def direct(self) -> list[bool]:
+        """Whether each key's handlers may call a handler directly.  A
+        direct call goes to a smaller key, or from a Variable's offer to
+        its own firing, so a chain of them visits ever smaller keys, and
+        on a net of at most ``_DIRECT_DEPTH`` keys none can be longer.  On
+        a larger net a key may call directly only while the longest chain
+        from it, through the smaller keys at the far ends of its links,
+        stays within ``_DIRECT_DEPTH`` keys."""
+        w = self.wiring
+        n = len(w.names)
+        if n <= _DIRECT_DEPTH:
+            return [True] * n
+        in_src, out_dst, in_base, out_base = (w.in_src, w.out_dst,
+                                              w.in_base, w.out_base)
+        direct = [False] * n
+        depth = [1] * n   # keys on the longest chain from each key
+        for k in range(n):
+            d = 0
+            for j, _ in in_src[in_base[k]:in_base[k + 1]]:
+                if j < k and depth[j] > d:
+                    d = depth[j]
+            for j, _ in out_dst[out_base[k]:out_base[k + 1]]:
+                if j < k and depth[j] > d:
+                    d = depth[j]
+            if d < _DIRECT_DEPTH:
+                direct[k], depth[k] = True, d + 1
+        return direct
+
 
 def _lowered(net: Network | Lowered) -> Lowered:
     return net if isinstance(net, Lowered) else Lowered(net)
@@ -338,7 +391,13 @@ class Simulation:
         self.occupancy_max: dict[str, int] = {}
         self.occupancy_time: dict[str, dict[int, int]] = {}
         self._tails: list[Callable[[int], int]] = []
-        self._lower(low.wiring)
+        w = low.wiring
+        self.direct = low.direct   # per key: may its handlers call directly
+        try:
+            self._lower(w)
+        except BaseException:   # a refused component, say
+            self._drop_handlers()
+            raise
 
     # -- lowering ---------------------------------------------------------
 
@@ -364,6 +423,13 @@ class Simulation:
             on_offer[k], on_ack[k], on_fire[k] = _HANDLERS[comp.kind](
                 self, k, comp)
 
+    def _drop_handlers(self) -> None:
+        """Empties the handler tables.  The handlers reach each other
+        through them, the one reference cycle a Simulation makes, so
+        reference counting frees the closures once they are empty."""
+        for table in (self.on_ack, self.on_fire, self.on_offer):
+            table.clear()
+
     # -- run loop ---------------------------------------------------------
 
     def run(self) -> SimReport:
@@ -386,6 +452,7 @@ class Simulation:
                 t = te
                 nxt = handlers[phase][key](port, payload, t)
         finally:
+            self._drop_handlers()
             self.now = t
             # Events pushed: the events popped (the current one too when a
             # handler raised) and those still queued, less the sentinel
@@ -472,6 +539,13 @@ class Simulation:
 # most often the heap's next event, so that heappushpop hands it straight
 # back.  The run loop queues the returned event as it pops the next one,
 # and stops at a key below 0: the sentinel, or a sink's stop event.
+#
+# Where the module docstring's rule holds, a handler returns what the
+# handler of the caused event returns, called through ``acks``,
+# ``offers`` or ``fires``: each is the run's handler table where the rule
+# can hold, and None where it cannot.  Where the far end varies (a
+# Variable's port, a Steer's route, a Merge's grant), the handler also
+# compares its key with the far end's.
 
 def _stimulus(sim: Simulation, k: int, name: str):
     values = sim.cfg.stimulus.get(name, [])
@@ -520,14 +594,21 @@ def _combinational(sim: Simulation, k: int, n: int, delay: int,
     (fk, fp), *rest = sorted(sim.in_src[ib:end])
     cleared = [None] * n
     dk, dp = sim.out_dst[ob]
+    direct = sim.direct[k]
+    acks = sim.on_ack if direct and fk < k else None
+    offers = sim.on_offer if direct and dk < k and not delay else None
 
     if n == 1:
         def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
             in_val[ib] = value
+            if offers:
+                return offers[dk](dp, compute(value, 0), t)
             return (t + delay, dk, dp, _OFFER, compute(value, 0))
 
         def on_ack(port: int, payload, t: int) -> Optional[tuple]:
             in_val[ib] = None
+            if acks:
+                return acks[fk](fp, None, t)
             return (t, fk, fp, _ACK, None)
         return on_offer, on_ack, None
     if n == 2:
@@ -536,6 +617,8 @@ def _combinational(sim: Simulation, k: int, n: int, delay: int,
             a, b = in_val[ib], in_val[ib + 1]
             if a is None or b is None:
                 return None
+            if offers:
+                return offers[dk](dp, compute(a, b), t)
             return (t + delay, dk, dp, _OFFER, compute(a, b))
     else:
         def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
@@ -543,12 +626,16 @@ def _combinational(sim: Simulation, k: int, n: int, delay: int,
             vals = in_val[ib:end]
             if None in vals:
                 return None
+            if offers:
+                return offers[dk](dp, compute(vals), t)
             return (t + delay, dk, dp, _OFFER, compute(vals))
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         in_val[ib:end] = cleared
         for sk, sp in rest:
             heappush(heap, (t, sk, sp, _ACK, None))
+        if acks:
+            return acks[fk](fp, None, t)
         return (t, fk, fp, _ACK, None)
     return on_offer, on_ack, None
 
@@ -578,6 +665,9 @@ def _fork(sim: Simulation, k: int, comp: Component):
     # The consumers to offer to, the smallest key first: it is returned.
     (fk, fp, fm), *rest = sorted(
         (dk, dp, m) for (dk, dp), m in zip(sim.out_dst[ob:ob + n], masks))
+    direct = sim.direct[k]
+    acks = sim.on_ack if direct and sk < k else None
+    offers = sim.on_offer if direct and fk < k and not delay else None
     pending = 0   # outputs not yet taken
 
     def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
@@ -587,6 +677,8 @@ def _fork(sim: Simulation, k: int, comp: Component):
         t += delay
         for dk, dp, m in rest:
             heappush(heap, (t, dk, dp, _OFFER, value & m))
+        if offers:
+            return offers[fk](fp, value & fm, t)
         return (t, fk, fp, _OFFER, value & fm)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
@@ -595,6 +687,8 @@ def _fork(sim: Simulation, k: int, comp: Component):
         if pending:
             return None
         in_val[ib] = None
+        if acks:
+            return acks[sk](sp, None, t)
         return (t, sk, sp, _ACK, None)
     return on_offer, on_ack, None
 
@@ -617,6 +711,8 @@ def _steer(sim: Simulation, k: int, comp: Component):
     delay = sim.cfg.delays.steer
     in_val = sim.in_val
     sk, sp = sim.in_src[ib]
+    acks = sim.on_ack if sim.direct[k] and sk < k else None
+    offers = sim.on_offer if sim.direct[k] and not delay else None
 
     def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
         in_val[ib] = value
@@ -625,10 +721,14 @@ def _steer(sim: Simulation, k: int, comp: Component):
         if route is None:
             raise SteerMiss(f"{name}: select value {sel} has no route")
         dk, dp = route
+        if offers and dk < k:
+            return offers[dk](dp, value >> sel_w, t)
         return (t + delay, dk, dp, _OFFER, value >> sel_w)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         in_val[ib] = None
+        if acks:
+            return acks[sk](sp, None, t)
         return (t, sk, sp, _ACK, None)
     return on_offer, on_ack, None
 
@@ -643,6 +743,9 @@ def _initial(sim: Simulation, k: int, comp: Component):
     in_val = sim.in_val
     sk, sp = sim.in_src[ib]
     dk, dp = sim.out_dst[ob]
+    direct = sim.direct[k]
+    acks = sim.on_ack if direct and sk < k else None
+    offers = sim.on_offer if direct and dk < k and not delay else None
     # What the output offers until it is taken: the seed from the start,
     # so nothing is relayed before the seed is taken, then relayed inputs.
     offering: Optional[str] = "seed"
@@ -653,6 +756,8 @@ def _initial(sim: Simulation, k: int, comp: Component):
         if offering or v is None:
             return None
         offering = "input"
+        if offers:
+            return offers[dk](dp, v, t)
         return (t + delay, dk, dp, _OFFER, v)
 
     def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
@@ -665,6 +770,8 @@ def _initial(sim: Simulation, k: int, comp: Component):
         if taken == "seed":   # the seed consumes no input
             return relay(t)
         in_val[ib] = None   # the relayed input is taken
+        if acks:
+            return acks[sk](sp, None, t)
         return (t, sk, sp, _ACK, None)
 
     def on_fire(port: int, payload, t: int) -> Optional[tuple]:
@@ -686,17 +793,28 @@ def _variable(sim: Simulation, k: int, comp: Component):
     in_val = sim.in_val
     srcs = sim.in_src[ib:ib + n]
     dsts = sim.out_dst[ob:ob + n]
+    direct = sim.direct[k]
+    acks, offers = (sim.on_ack, sim.on_offer) if direct else (None, None)
+    # A firing sorts before the offer that causes it at the same time.
+    reads = sim.on_fire if direct and not read else None
+    writes = sim.on_fire if direct and not write else None
     store = p.get("init", 0)
 
     def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
         in_val[ib + port] = value
         if port:
+            if reads:
+                return reads[k](port, None, t)
             return (t + read, k, port, _FIRE, None)
+        if writes:
+            return writes[k](0, value, t)
         return (t + write, k, 0, _FIRE, value)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
         in_val[ib + port] = None
         sk, sp = srcs[port]
+        if acks and sk < k:
+            return acks[sk](sp, None, t)
         return (t, sk, sp, _ACK, None)
 
     def on_fire(port: int, payload, t: int) -> Optional[tuple]:
@@ -707,6 +825,8 @@ def _variable(sim: Simulation, k: int, comp: Component):
             store = payload
             value = 0
         dk, dp = dsts[port]
+        if offers and dk < k:
+            return offers[dk](dp, value, t)
         return (t, dk, dp, _OFFER, value)
     return on_offer, on_ack, on_fire
 
@@ -719,6 +839,12 @@ def _merge(sim: Simulation, k: int, comp: Component):
     in_val = sim.in_val
     srcs = sim.in_src[ib:sim.in_base[k + 1]]
     dk, dp = sim.out_dst[ob]
+    direct = sim.direct[k]
+    offers = sim.on_offer if direct and dk < k and not delay else None
+    acks = sim.on_ack if direct else None
+    # An acknowledge called at once must also sort before the next grant's
+    # offer, queued first at the same time when the delay is zero.
+    below = k if delay else min(k, dk)
     # Inputs wait only while another is granted, so an offer that finds
     # no grant finds the queue empty and the output free.
     queue: list[tuple[int, int]] = []   # waiting (arrival time, port)
@@ -731,6 +857,8 @@ def _merge(sim: Simulation, k: int, comp: Component):
             queue.append((t, port))
             return None
         grant = port
+        if offers:
+            return offers[dk](dp, value, t)
         return (t + delay, dk, dp, _OFFER, value)
 
     def on_ack(port: int, payload, t: int) -> Optional[tuple]:
@@ -744,6 +872,8 @@ def _merge(sim: Simulation, k: int, comp: Component):
             heappush(heap, (t + delay, dk, dp, _OFFER, in_val[ib + grant]))
         else:
             grant = None
+        if acks and sk < below:
+            return acks[sk](sp, None, t)
         return (t, sk, sp, _ACK, None)
     return on_offer, on_ack, None
 
@@ -777,6 +907,8 @@ def _buffer(sim: Simulation, k: int, comp: Component):
     sk, sp = sim.in_src[ib]
     dk, dp = sim.out_dst[ob]
     fold = dk > k
+    # Whatever an offer queues goes to this key or a larger one.
+    acks = sim.on_ack if sim.direct[k] and sk < k else None
     # Where a new head goes: its offer, or the firing that carries it.
     to_k, to_p, to_phase = (dk, dp, _OFFER) if fold else (k, 0, _FIRE)
     # Logs a level change, when the run records the occupancy series.
@@ -805,6 +937,8 @@ def _buffer(sim: Simulation, k: int, comp: Component):
             if log:
                 log((t, name, 1))
             heappush(heap, (t + delay, to_k, to_p, to_phase, value))
+            if acks:
+                return acks[sk](sp, None, t)
             return (t, sk, sp, _ACK, None)
 
         def on_ack(port: int, payload, t: int) -> Optional[tuple]:
@@ -839,6 +973,8 @@ def _buffer(sim: Simulation, k: int, comp: Component):
                 behind.append((value, t))
             else:   # the output was free: offer it
                 heappush(heap, (t + delay, to_k, to_p, to_phase, value))
+            if acks:
+                return acks[sk](sp, None, t)
             return (t, sk, sp, _ACK, None)
 
         def on_ack(port: int, payload, t: int) -> Optional[tuple]:
@@ -863,7 +999,11 @@ def _buffer(sim: Simulation, k: int, comp: Component):
     if fold:
         return on_offer, on_ack, None
 
+    offers = sim.on_offer if sim.direct[k] and dk < k else None
+
     def on_fire(port: int, head: int, t: int) -> Optional[tuple]:
+        if offers:
+            return offers[dk](dp, head, t)
         return (t, dk, dp, _OFFER, head)
     return on_offer, on_ack, on_fire
 
@@ -973,9 +1113,11 @@ def _longest_chain(g: FlowGraph, delays) -> int:
 @contextmanager
 def _collector_paused():
     """Keeps CPython's cyclic collector off for one run, and on again
-    afterwards only if it was on before.  A run creates no reference
-    cycles, so reference counting frees all it allocates; the collector
-    would only walk the lowering's closures and cells while they live."""
+    afterwards only if it was on before.  The only reference cycles a run
+    creates run through its handler tables, which ``Simulation.run``
+    empties as it ends, so reference counting frees all it allocates; the
+    collector would only walk the lowering's closures and cells while
+    they live."""
     enabled = gc.isenabled()
     gc.disable()
     try:

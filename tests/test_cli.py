@@ -558,11 +558,14 @@ def pac_netlists():
     return out
 
 
-# Each kind's width params; a list param is edited at its first entry.
+# Each kind's width params, then the port counts that are no list's
+# length; a list param is edited at its first entry.
 WIDTH_PARAMS = [("join", "inputs"), ("fork", "input"), ("fork", "outputs"),
                 ("steer", "input"), ("steer", "select"), ("merge", "width"),
                 ("variable", "width"), ("operator", "inputs"),
-                ("operator", "out"), ("initial", "width"), ("buffer", "width")]
+                ("operator", "out"), ("initial", "width"), ("buffer", "width"),
+                ("variable", "reads"), ("merge", "inputs"),
+                ("steer", "outputs")]
 
 
 @pytest.mark.parametrize("name", ["elgcd", "poly", "smul"])
@@ -571,7 +574,8 @@ WIDTH_PARAMS = [("join", "inputs"), ("fork", "input"), ("fork", "outputs"),
 def test_width_param_that_is_no_int_exit_2(tmp_path, pac_netlists, name,
                                            kind, param, spelling, capsys):
     # A whole float passes the link width comparison (32.0 == 32), and so
-    # does a bool on a port of width 0 or 1; only a type test refuses them.
+    # does a bool on a port of width 0 or 1; a bool port count is 0 or 1
+    # ports.  Only a type test refuses them.
     def edit(comp):
         params = comp["params"]
         if isinstance(params[param], list):
