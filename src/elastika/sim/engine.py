@@ -29,12 +29,15 @@ shares: component ids and the environment keys `$in.<port>` and
 `$out.<port>` are numbered in sorted string order, so int keys tie
 exactly as the strings would; every key owns a run of flat input and
 output slots, and every slot knows the key and port at the far end of
-its link.  A Lowered is a snapshot, as a ``FlowGraph`` is: build a new
-one after the net is mutated.  Each Simulation adds the per-run half:
-each input slot's standing value (no output slot keeps a flag; only
-deadlock diagnosis asks which offers stand, on a quiesced net), and an
-offer, acknowledge and fire handler per key with its parameters, delay
-and far ends resolved (an Operator's function too).
+its link.  A clocked run's cycle check and critical path are one
+search of the combinational graph on those slots
+(``Lowered.critical_path``).  A Lowered is a snapshot, as a
+``FlowGraph`` is: build a new one after the net is mutated.  Each
+Simulation adds the per-run half: each input slot's standing value (no
+output slot keeps a flag; only deadlock diagnosis asks which offers
+stand, on a quiesced net), and an offer, acknowledge and fire handler
+per key with its parameters, delay and far ends resolved (an
+Operator's function too).
 
 A handler returns one of the events it causes (taking an input causes
 the producer's acknowledge, firing the consumer's offer) and pushes any
@@ -97,8 +100,8 @@ from functools import cached_property
 from heapq import heappop, heappush, heappushpop
 from typing import Callable, NamedTuple, Optional
 
-from ..ir import (OPERATOR_FNS, Component, FlowGraph, Kind, Network,
-                  back_edges, port_counts)
+from ..ir import (_PORT_COUNTS, OPERATOR_FNS, Component, FlowGraph, Kind,
+                  Network, back_edges)
 from .config import SimConfig
 from .report import SimReport
 
@@ -224,31 +227,93 @@ class Lowered:
     ``wiring`` numbers the keys, counts each key's ports, lays out the
     slot bases and wires every slot to the far end of its link, refusing
     a net that is not fully wired (see the module docstring).
-    ``graph`` is the net's ``FlowGraph``, whose ``comb_search`` a clocked
-    run reads.  Both are built on first use, and a refusal is raised again
-    on every use.  Like ``FlowGraph``, a Lowered is a snapshot: build a new
-    one after the net is mutated.  Nothing in it changes during a run.
-    ``critical_path`` keeps the last delay table it was given and its
-    answer, so runs of one delay table measure the path once.
+    ``critical_path`` gives a clocked run its cycle check and critical
+    path from one search of the combinational graph on the wired input
+    slots (``_slots``); it keeps a cycle verdict, and the last delay
+    table it was given with its answer, so runs of one delay table
+    measure the path once.  ``graph``, the net's ``FlowGraph``, is built
+    only to name a cycle, or for a net that ``wiring`` refuses.  Views
+    are built on first use, and a refusal is raised again on every use.
+    Like ``FlowGraph``, a Lowered is a snapshot: build a new one after
+    the net is mutated.  Nothing in it changes during a run.
     """
 
     def __init__(self, net: Network) -> None:
         self.net = net
         self._crit: Optional[tuple] = None   # (delays, critical path)
+        self._cyclic = False   # a search found a combinational cycle
 
     @cached_property
     def graph(self) -> FlowGraph:
         return FlowGraph(self.net)
 
     def critical_path(self, delays) -> int:
+        """The longest combinational chain under ``delays``, as
+        ``sim.critical_path`` measures it.  A combinational cycle raises
+        ``CombinationalCycle``, named by ``graph.comb_search``, before any
+        error of the delay table.  On a net that ``wiring`` refuses, the
+        cycle check and the path are those of ``graph``."""
+        if self._cyclic:
+            raise CombinationalCycle(self.graph.comb_search[1])
         if self._crit is None or self._crit[0] != delays:
             # A copy, so a later change to the caller's table is noticed.
             kept = replace(delays, operator=dict(delays.operator))
-            self._crit = kept, _longest_chain(self.graph, delays)
+            self._crit = kept, self._measure(delays)
         return self._crit[1]
+
+    def _measure(self, delays) -> int:
+        try:
+            succ = self._slots
+        except Exception:   # a refused net, or params it cannot read
+            cycle = self.graph.comb_search[1]
+            if cycle is not None:
+                raise CombinationalCycle(cycle) from None
+            return _longest_chain(self.graph, delays)
+        w, failed = self.wiring, None
+        try:
+            delay = _per_slot([0 if c is None else delays.component_delay(c)
+                               for c in map(self.net.components.get, w.names)],
+                              w.n_in)
+        except KeyError as exc:   # an operator table with no "default"
+            delay, failed = [0] * len(succ), exc
+        crit = _slot_chain(succ, delay)
+        if crit is None:
+            self._cyclic = True
+            raise CombinationalCycle(self.graph.comb_search[1])
+        if failed is not None:
+            raise failed
+        return crit
+
+    @cached_property
+    def _slots(self) -> list[tuple[int, ...]]:
+        """The combinational graph on the wired input slots: the input
+        slots each slot's key relays it onto.  A Buffer or an ``$out`` key
+        relays nothing, a Variable each input to the output of its port,
+        any other key each input to every output; an output leads to its
+        consumer's input slot."""
+        w, comps = self.wiring, self.net.components
+        in_base, out_base = w.in_base, w.out_base
+        consumer = [in_base[k] + p for k, p in w.out_dst]
+        relay: list = [()] * len(w.names)
+        variables = []
+        for k, comp in enumerate(map(comps.get, w.names)):
+            if comp is None or comp.kind is Kind.BUFFER:
+                continue
+            relay[k] = outs = tuple(consumer[out_base[k]:out_base[k + 1]])
+            if comp.kind is Kind.VARIABLE:
+                variables.append((k, outs))
+        succ = _per_slot(relay, w.n_in)
+        for k, outs in variables:
+            succ[in_base[k]:in_base[k + 1]] = [(c,) for c in outs]
+        return succ
 
     @cached_property
     def wiring(self) -> _Wiring:
+        """The keys, port counts, slot bases and far ends (``_Wiring``),
+        or a ``SimError`` for a net that is not fully wired, raised in
+        the order the module docstring gives.  Port counts are read from
+        ``ir._PORT_COUNTS``, and a slot keeps the id of the link that
+        binds it, so a second link to it is named with the first."""
         net = self.net
         # Environment keys, and the environment end of each port's link.
         env: dict[str, str] = {}
@@ -275,14 +340,15 @@ class Lowered:
             else:
                 n_in[ids[key]] = 1
         initials = []
+        n_links = len(net.links)
         for cid, comp in net.components.items():
             k = ids[cid]
             # Refused before anything is built per port: each needs a link.
-            a, b = n_in[k], n_out[k] = port_counts(comp)
-            if max(a, b) > len(net.links):
+            a, b = n_in[k], n_out[k] = _PORT_COUNTS[comp.kind](comp.params)
+            if a > n_links or b > n_links:
                 raise SimError(f"{cid} has {a} input and {b} output ports, "
-                               f"but the net has {len(net.links)} links")
-            if min(a, b) < 1:
+                               f"but the net has {n_links} links")
+            if a < 1 or b < 1:
                 raise SimError(f"{cid} has {a} input and {b} output ports, "
                                f"but needs at least one of each")
             if comp.kind is Kind.INITIAL:
@@ -294,8 +360,8 @@ class Lowered:
         in_src: list = [None] * in_base[-1]
         out_dst: list = [None] * out_base[-1]
         # The link bound to each input and output slot so far.
-        in_link: dict[int, str] = {}
-        out_link: dict[int, str] = {}
+        in_link: list = [None] * in_base[-1]
+        out_link: list = [None] * out_base[-1]
         for lid, ln in net.links.items():
             src = ln.src or link_in.get(lid)
             dst = ln.dst or link_out.get(lid)
@@ -304,24 +370,26 @@ class Lowered:
                 if sk is None or not 0 <= sp < n_out[sk]:
                     raise SimError(f"link {lid} leaves {src[0]}, which has "
                                    f"no output {sp}")
-                other = out_link.setdefault(out_base[sk] + sp, lid)
-                if other != lid:
+                o = out_base[sk] + sp
+                if out_link[o] is not None:
                     raise SimError(f"link {lid} leaves {src[0]} output {sp}, "
-                                   f"which link {other} already binds")
+                                   f"which link {out_link[o]} already binds")
+                out_link[o] = lid
             if dst is not None:
                 dk, dp = ids.get(dst[0]), dst[1]
                 if dk is None or not 0 <= dp < n_in[dk]:
                     raise SimError(f"link {lid} enters {dst[0]}, which has "
                                    f"no input {dp}")
-                other = in_link.setdefault(in_base[dk] + dp, lid)
-                if other != lid:
+                i = in_base[dk] + dp
+                if in_link[i] is not None:
                     raise SimError(f"link {lid} enters {dst[0]} input {dp}, "
-                                   f"which link {other} already binds")
+                                   f"which link {in_link[i]} already binds")
+                in_link[i] = lid
             if src is None or dst is None:
                 raise SimError(f"link {lid} has no "
                                f"{'producer' if src is None else 'consumer'}")
-            in_src[in_base[dk] + dp] = (sk, sp)
-            out_dst[out_base[sk] + sp] = (dk, dp)
+            in_src[i] = (sk, sp)
+            out_dst[o] = (dk, dp)
         # Last, a slot that no link binds, named by its key and port.
         for slots, base, side in ((in_src, in_base, "input"),
                                   (out_dst, out_base, "output")):
@@ -1110,6 +1178,45 @@ def _longest_chain(g: FlowGraph, delays) -> int:
     return max(chain.values(), default=0)
 
 
+def _per_slot(per_key: list, n_in: list[int]) -> list:
+    """A per-key list spread over the keys' input slots."""
+    return list(itertools.chain.from_iterable(
+        map(itertools.repeat, per_key, n_in)))
+
+
+def _slot_chain(succ: list, delay: list[int]) -> Optional[int]:
+    """critical_path on ``Lowered._slots``: one iterative depth-first
+    search over the input slots, each slot's chain its own ``delay`` plus
+    the longest chain it is relayed onto; None when the search closes a
+    cycle."""
+    grey = object()   # the mark of a slot on the search path
+    chain: list = [None] * len(succ)
+    for root, nxts in enumerate(succ):
+        if chain[root] is not None:
+            continue
+        chain[root] = grey
+        path, stack = [root], [iter(nxts)]
+        while stack:
+            for s in stack[-1]:
+                c = chain[s]
+                if c is None:
+                    chain[s] = grey
+                    path.append(s)
+                    stack.append(iter(succ[s]))
+                    break
+                if c is grey:
+                    return None
+            else:
+                stack.pop()
+                s = path.pop()
+                best = 0
+                for c in succ[s]:
+                    if chain[c] > best:
+                        best = chain[c]
+                chain[s] = best + delay[s]
+    return max(chain, default=0)
+
+
 @contextmanager
 def _collector_paused():
     """Keeps CPython's cyclic collector off for one run, and on again
@@ -1133,16 +1240,16 @@ def run(net: Network | Lowered, cfg: SimConfig) -> SimReport:
 
     A sync run refuses a combinational cycle before any ``ConfigError``,
     then measures the critical path (once per Lowered and delay table),
-    then runs on the zeroed delay table.  The cycle check and the critical
-    path both read ``comb_search`` of the Lowered's ``FlowGraph``.  The search pairs only bound ports, so a huge
-    port count is left for ``Simulation`` to refuse."""
+    then runs on the zeroed delay table.  ``Lowered.critical_path`` does
+    both checks in one search of the wired input slots, and builds a
+    ``FlowGraph`` only to name a cycle.  On a net that ``wiring``
+    refuses, it checks the ``FlowGraph`` instead, so a cycle is still
+    named first; the search pairs only bound ports, so a huge port count
+    is left for ``Simulation`` to refuse."""
     low = _lowered(net)
     with _collector_paused():
         if cfg.mode != "sync":
             return Simulation(low, cfg).run()
-        cycle = low.graph.comb_search[1]
-        if cycle is not None:
-            raise CombinationalCycle(cycle)
         crit = low.critical_path(cfg.delays)
         inner = replace(cfg, delays=cfg.delays.zeroed(buffer_delay=cfg.clock))
         report = Simulation(low, inner).run()

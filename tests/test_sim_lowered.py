@@ -103,27 +103,29 @@ def test_run_cell_lowers_the_buffered_net_once(monkeypatch, policy, mode):
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
-def test_run_cell_builds_one_flow_graph_per_sync_cell(graph_builds, policy):
+def test_run_cell_builds_no_flow_graph_for_a_sync_cell(graph_builds,
+                                                       policy):
+    # The clocked checks search the Lowered's wired input slots.
     spec = benchmark("elgcd")
     POLICIES[policy](spec._net)   # the planner's own graphs, counted apart
     planner = dict(graph_builds)
     graph_builds.clear()
     run_cell(spec, policy, "sync", 2000)
-    assert graph_builds["init"] - planner.get("init", 0) == 1
-    assert graph_builds["comb"] == graph_builds["comb_search"] == 1
+    assert graph_builds["init"] == planner.get("init", 0)
+    assert graph_builds["comb"] == graph_builds["comb_search"] == 0
 
 
 @pytest.fixture()
 def chains(monkeypatch) -> list:
-    """The delay tables ``engine._longest_chain`` is called with while the
-    test runs."""
+    """The per-slot delay lists ``engine._slot_chain``, the search behind
+    the clocked checks, is called with while the test runs."""
     calls = []
-    longest_chain = engine._longest_chain
+    slot_chain = engine._slot_chain
 
-    def counted(g, delays):
-        calls.append(delays)
-        return longest_chain(g, delays)
-    monkeypatch.setattr(engine, "_longest_chain", counted)
+    def counted(succ, delay):
+        calls.append(delay)
+        return slot_chain(succ, delay)
+    monkeypatch.setattr(engine, "_slot_chain", counted)
     return calls
 
 

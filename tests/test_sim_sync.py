@@ -2,7 +2,9 @@
 clock-quantised timing, and the overclocking report."""
 from __future__ import annotations
 
+import functools
 import gc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,8 +15,14 @@ from elastika import ir
 from elastika.bench import POLICIES, benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac, policy_simple
 from elastika.ir import Component, Kind, Link, Network, Port
+from elastika.frontend import compile as compile_module
+from elastika.frontend import parse
 from elastika.sim import (CombinationalCycle, ConfigError, DelayTable,
-                          SimConfig, SteerMiss, critical_path, run)
+                          Lowered, SimConfig, SimError, SteerMiss,
+                          critical_path, run)
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def mknet(name, comps, links, ports):
@@ -116,11 +124,15 @@ def test_sync_gcd_computes_the_same_values(elgcd_net):
     assert not rep.deadlock
 
 
-def test_run_sync_builds_the_combinational_graph_once(graph_builds, ring_net):
-    run(ring_net, SimConfig(mode="sync", clock=2000,
-                            delays=ring_delays(), stimulus={"go": []},
-                            max_time=10_000))
-    assert graph_builds == {"init": 1, "comb": 1, "comb_search": 1}
+def test_run_sync_builds_no_flow_graph_on_a_wired_acyclic_net(graph_builds,
+                                                              ring_net):
+    # The cycle check and the critical path search the wired input slots;
+    # a FlowGraph is built only to name a cycle.
+    rep = run(ring_net, SimConfig(mode="sync", clock=2000,
+                                  delays=ring_delays(), stimulus={"go": []},
+                                  max_time=10_000))
+    assert rep.critical_path == 4500
+    assert graph_builds == {}
 
 
 def test_run_sync_searches_comb_once_on_a_cyclic_net(graph_builds, elgcd_net):
@@ -250,19 +262,23 @@ def test_static_checks_match_the_link_id_graph(graph, buffered):
     g = ir.FlowGraph(net)
     succ = g.comb
     loop = ir.combinational_cycle(g)
-    # Clock 0 is refused only once the cycle check has passed.
-    cfg = SimConfig(mode="sync", clock=0, delays=STAGE_DELAYS)
+    # Clock 0 is refused only once the cycle check has passed; a valid
+    # clock runs, and reports the critical path.
+    refused = SimConfig(mode="sync", clock=0, delays=STAGE_DELAYS)
+    clocked = SimConfig(mode="sync", clock=2000, delays=STAGE_DELAYS)
     if loop is not None:
-        with pytest.raises(CombinationalCycle) as err:
-            run(net, cfg)
-        assert err.value.cycle == loop
-        assert str(err.value) == ("combinational cycle through links: "
-                                  + " -> ".join(loop))
+        for cfg in (refused, clocked):
+            with pytest.raises(CombinationalCycle) as err:
+                run(net, cfg)
+            assert err.value.cycle == loop
+            assert str(err.value) == ("combinational cycle through links: "
+                                      + " -> ".join(loop))
     else:
         with pytest.raises(ConfigError):
-            run(net, cfg)
-        assert critical_path(net, STAGE_DELAYS) == dag_chain(
-            net, succ, STAGE_DELAYS)
+            run(net, refused)
+        chain = dag_chain(net, succ, STAGE_DELAYS)
+        assert critical_path(net, STAGE_DELAYS) == chain
+        assert run(net, clocked).critical_path == chain
 
 
 def test_cycle_is_named_before_any_config_error(elgcd_net):
@@ -271,3 +287,84 @@ def test_cycle_is_named_before_any_config_error(elgcd_net):
         run(elgcd_net, SimConfig(mode="sync", clock=0, max_time=0,
                                  stimulus={"nowhere": [1]}))
     assert err.value.cycle == loop
+
+
+def no_consumer(net: Network) -> None:
+    lid, ln = sorted(net.links.items())[0]
+    net.links[lid] = Link(lid, ln.width, ln.src, None)
+
+
+def bound_twice(net: Network) -> None:
+    ln = next(ln for _, ln in sorted(net.links.items())
+              if ln.src is not None and ln.dst is not None)
+    net.links["extra"] = Link("extra", ln.width, ln.src, ln.dst)
+
+
+def no_join_inputs(net: Network) -> None:
+    join = min(c.id for c in net.components.values() if c.kind is Kind.JOIN)
+    del net.components[join].params["inputs"]
+
+
+@pytest.mark.parametrize("edit", [no_consumer, bound_twice, no_join_inputs])
+def test_cycle_is_named_before_the_wiring_is_refused(elgcd_net, edit):
+    # Wiring refuses the net, or cannot read its params, so the FlowGraph
+    # names the cycle, as it does for a fully wired net.
+    net = elgcd_net.copy()
+    edit(net)
+    with pytest.raises((SimError, KeyError)):
+        Lowered(net).wiring
+    loop = ir.combinational_cycle(ir.FlowGraph(net))
+    assert loop is not None
+    with pytest.raises(CombinationalCycle) as err:
+        run(net, SimConfig(mode="sync", clock=0, stimulus={"nowhere": [1]}))
+    assert err.value.cycle == loop
+
+
+def test_cycle_is_named_before_the_delay_table_is_read(elgcd_net):
+    # An operator table with no "default" entry cannot price an Operator.
+    loop = ir.combinational_cycle(ir.FlowGraph(elgcd_net))
+    with pytest.raises(CombinationalCycle) as err:
+        run(elgcd_net, SimConfig(mode="sync", clock=2000,
+                                 delays=DelayTable(operator={})))
+    assert err.value.cycle == loop
+
+
+# A table that differs from the default in kind and operator-class delays.
+SKEWED_DELAYS = DelayTable(join=30, fork=70, steer=250, merge=10, initial=0,
+                           buffer=900, variable_write=1200, variable_read=40,
+                           operator={"default": 700, "const": 5, "id": 60,
+                                     "add": 1500, "mul": 4000})
+
+
+# The shipped nets and the generated programs gen00-gen23 and
+# wide0-wide3, each unbuffered and under each policy planned for clocked
+# timing.
+PROGRAMS = [f"gen{k:02}" for k in range(24)] + [f"wide{k}" for k in range(4)]
+CLOCKED_PLANS = ("unbuffered", *sorted(POLICIES))
+
+
+@functools.lru_cache(maxsize=None)
+def compiled(name: str) -> Network:
+    if name in PROGRAMS:
+        return compile_module(parse((DATA / f"{name}.csp").read_text()))
+    return benchmark(name).compiled()
+
+
+@pytest.mark.parametrize("plan", CLOCKED_PLANS)
+@pytest.mark.parametrize("name", [*benchmark_names(), *PROGRAMS])
+def test_clocked_checks_match_the_flow_graph(name, plan):
+    # A Lowered decides the cycle check and measures the critical path on
+    # its wired input slots; the FlowGraph's search and sim.critical_path
+    # are the reference.
+    net = compiled(name)
+    if plan != "unbuffered":
+        net = apply(net, POLICIES[plan](net, mode="sync"))
+    loop = ir.combinational_cycle(ir.FlowGraph(net))
+    low = Lowered(net)
+    for delays in (DelayTable(), SKEWED_DELAYS):
+        if loop is not None:
+            with pytest.raises(CombinationalCycle) as err:
+                low.critical_path(delays)
+            assert err.value.cycle == loop
+        else:
+            assert low.critical_path(delays) == critical_path(net, delays)
