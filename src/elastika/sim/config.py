@@ -54,7 +54,8 @@ class DelayTable:
                 raise ConfigError(f"delay.operator.{cls} must be >= 0")
 
     def operator_delay(self, delay_class: str) -> int:
-        return self.operator.get(delay_class, self.operator["default"])
+        ops = self.operator
+        return ops[delay_class] if delay_class in ops else ops["default"]
 
     def component_delay(self, comp: Component) -> int:
         """Firing delay of one component.  Variables are asymmetric; this

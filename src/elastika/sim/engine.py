@@ -30,14 +30,13 @@ shares: component ids and the environment keys `$in.<port>` and
 exactly as the strings would; every key owns a run of flat input and
 output slots, and every slot knows the key and port at the far end of
 its link.  A clocked run's cycle check and critical path are one
-search of the combinational graph on those slots
-(``Lowered.critical_path``).  A Lowered is a snapshot, as a
-``FlowGraph`` is: build a new one after the net is mutated.  Each
-Simulation adds the per-run half: each input slot's standing value (no
-output slot keeps a flag; only deadlock diagnosis asks which offers
-stand, on a quiesced net), and an offer, acknowledge and fire handler
-per key with its parameters, delay and far ends resolved (an
-Operator's function too).
+search of the combinational graph on the input slots, the simulator's
+only such search (``Lowered.critical_path``).  A Lowered is a snapshot:
+build a new one after the net is mutated.  Each Simulation adds the
+per-run half: each input slot's standing value (no output slot keeps a
+flag; only deadlock diagnosis asks which offers stand, on a quiesced
+net), and an offer, acknowledge and fire handler per key with its
+parameters, delay and far ends resolved (an Operator's function too).
 
 A handler returns one of the events it causes (taking an input causes
 the producer's acknowledge, firing the consumer's offer) and pushes any
@@ -100,8 +99,8 @@ from functools import cached_property
 from heapq import heappop, heappush, heappushpop
 from typing import Callable, NamedTuple, Optional
 
-from ..ir import (_PORT_COUNTS, OPERATOR_FNS, Component, FlowGraph, Kind,
-                  Network, back_edges)
+from ..ir import (_PORT_COUNTS, OPERATOR_FNS, Component, Kind, Network,
+                  back_edges)
 from .config import SimConfig
 from .report import SimReport
 
@@ -206,8 +205,8 @@ def _operator_fn(comp: Component) -> Callable[[int, int], int]:
 class _Wiring(NamedTuple):
     """``Lowered.wiring``: keys in sorted order and their numbers, the
     environment keys' port names, the Initials' keys, port counts and
-    slot bases per key, and the far end (key, port) of every input and
-    output slot."""
+    slot bases per key, the far end (key, port) of every input and output
+    slot, and the id of the link that binds each input slot."""
     names: list[str]
     ids: dict[str, int]
     env: dict[str, str]
@@ -218,6 +217,7 @@ class _Wiring(NamedTuple):
     out_base: list[int]
     in_src: list[tuple[int, int]]
     out_dst: list[tuple[int, int]]
+    in_link: list[str]
 
 
 class Lowered:
@@ -229,32 +229,25 @@ class Lowered:
     a net that is not fully wired (see the module docstring).
     ``critical_path`` gives a clocked run its cycle check and critical
     path from one search of the combinational graph on the wired input
-    slots (``_slots``); it keeps a cycle verdict, and the last delay
+    slots (``_slots``); it keeps the cycle it named, and the last delay
     table it was given with its answer, so runs of one delay table
-    measure the path once.  ``graph``, the net's ``FlowGraph``, is built
-    only to name a cycle, or for a net that ``wiring`` refuses.  Views
-    are built on first use, and a refusal is raised again on every use.
-    Like ``FlowGraph``, a Lowered is a snapshot: build a new one after
-    the net is mutated.  Nothing in it changes during a run.
+    measure the path once.  Views are built on first use, and a refusal
+    is raised again on every use.  A Lowered is a snapshot: build a new
+    one after the net is mutated.  Nothing in it changes during a run.
     """
 
     def __init__(self, net: Network) -> None:
         self.net = net
         self._crit: Optional[tuple] = None   # (delays, critical path)
-        self._cyclic = False   # a search found a combinational cycle
-
-    @cached_property
-    def graph(self) -> FlowGraph:
-        return FlowGraph(self.net)
+        self._cycle: Optional[list[str]] = None   # the cycle a search named
 
     def critical_path(self, delays) -> int:
-        """The longest combinational chain under ``delays``, as
-        ``sim.critical_path`` measures it.  A combinational cycle raises
-        ``CombinationalCycle``, named by ``graph.comb_search``, before any
-        error of the delay table.  On a net that ``wiring`` refuses, the
-        cycle check and the path are those of ``graph``."""
-        if self._cyclic:
-            raise CombinationalCycle(self.graph.comb_search[1])
+        """The longest combinational chain under ``delays``, searched in
+        slot order.  A combinational cycle raises ``CombinationalCycle``
+        before any error of the delay table, named by a second search in
+        link-id order: the cycle ``ir.combinational_cycle`` names."""
+        if self._cycle is not None:
+            raise CombinationalCycle(self._cycle)
         if self._crit is None or self._crit[0] != delays:
             # A copy, so a later change to the caller's table is noticed.
             kept = replace(delays, operator=dict(delays.operator))
@@ -262,27 +255,35 @@ class Lowered:
         return self._crit[1]
 
     def _measure(self, delays) -> int:
+        succ, failed = self._slots, None
         try:
-            succ = self._slots
-        except Exception:   # a refused net, or params it cannot read
-            cycle = self.graph.comb_search[1]
-            if cycle is not None:
-                raise CombinationalCycle(cycle) from None
-            return _longest_chain(self.graph, delays)
-        w, failed = self.wiring, None
-        try:
-            delay = _per_slot([0 if c is None else delays.component_delay(c)
-                               for c in map(self.net.components.get, w.names)],
-                              w.n_in)
+            delay = self._slot_delays(delays)
         except KeyError as exc:   # an operator table with no "default"
             delay, failed = [0] * len(succ), exc
-        crit = _slot_chain(succ, delay)
-        if crit is None:
-            self._cyclic = True
-            raise CombinationalCycle(self.graph.comb_search[1])
+        crit, cycle = _slot_chain(succ, range(len(succ)), delay)
+        if cycle is not None:
+            cycle = _slot_chain(*self._by_link, delay)[1]
+            self._cycle = [self.wiring.in_link[s] for s in cycle]
+            raise CombinationalCycle(self._cycle)
         if failed is not None:
             raise failed
         return crit
+
+    def _slot_delays(self, delays) -> list[int]:
+        """Each input slot's delay under ``delays``: its key's
+        ``component_delay``, 0 for an environment key."""
+        w = self.wiring
+        return _per_slot([0 if c is None else delays.component_delay(c)
+                          for c in map(self.net.components.get, w.names)],
+                         w.n_in)
+
+    @cached_property
+    def _by_link(self) -> tuple[list, list[int]]:
+        """``_slots`` in link-id order: each slot's successors, and all
+        slots as roots, ordered by the id of the link binding each."""
+        key = self.wiring.in_link.__getitem__
+        return ([sorted(nxts, key=key) for nxts in self._slots],
+                sorted(range(len(self._slots)), key=key))
 
     @cached_property
     def _slots(self) -> list[tuple[int, ...]]:
@@ -399,7 +400,7 @@ class Lowered:
                 raise SimError(f"{names[k]} {side} {slot - base[k]} "
                                f"is bound by no link")
         return _Wiring(names, ids, env, sorted(initials), n_in, n_out,
-                       in_base, out_base, in_src, out_dst)
+                       in_base, out_base, in_src, out_dst, in_link)
 
     @cached_property
     def direct(self) -> list[bool]:
@@ -473,7 +474,7 @@ class Simulation:
         """The per-run half: the run's slot state and a handler per key,
         built on the shared wiring ``w``."""
         (self.names, self.ids, env, self._initials, self.n_in, self.n_out,
-         self.in_base, self.out_base, self.in_src, self.out_dst) = w
+         self.in_base, self.out_base, self.in_src, self.out_dst, _) = w
         # The standing value of each input slot (None when empty).
         self.in_val: list[Optional[int]] = [None] * w.in_base[-1]
         ids = w.ids
@@ -1154,28 +1155,13 @@ def detect_deadlock(sim: Simulation) -> tuple[bool, list[str]]:
 def critical_path(net: Network, delays) -> int:
     """Longest combinational component-delay chain between storage points.
 
-    Read from the post-order of ``FlowGraph.comb_search``; on a cyclic net
-    an edge back into the search path adds nothing.
+    One search of the wired input slots in link-id order, the order
+    ``ir.combinational_cycle`` searches in; on a cyclic net a slot still
+    on the search path adds nothing.  A net that is not fully wired is
+    refused as ``Lowered.wiring`` refuses it.
     """
-    return _longest_chain(FlowGraph(net), delays)
-
-
-def _longest_chain(g: FlowGraph, delays) -> int:
-    """critical_path of ``g``'s net: a successor that the search left
-    before this link adds its chain, one it left later closed a cycle back
-    into the path and adds nothing."""
-    net, succ = g.net, g.comb
-    chain: dict[str, int] = {}
-    for lid in g.comb_search[0]:
-        best = 0
-        for nxt in succ[lid]:
-            c = chain.get(nxt, 0)
-            if c > best:
-                best = c
-        dst = net.links[lid].dst
-        chain[lid] = best + (0 if dst is None else
-                             delays.component_delay(net.components[dst[0]]))
-    return max(chain.values(), default=0)
+    low = Lowered(net)
+    return _slot_chain(*low._by_link, low._slot_delays(delays))[0]
 
 
 def _per_slot(per_key: list, n_in: list[int]) -> list:
@@ -1184,18 +1170,23 @@ def _per_slot(per_key: list, n_in: list[int]) -> list:
         map(itertools.repeat, per_key, n_in)))
 
 
-def _slot_chain(succ: list, delay: list[int]) -> Optional[int]:
-    """critical_path on ``Lowered._slots``: one iterative depth-first
-    search over the input slots, each slot's chain its own ``delay`` plus
-    the longest chain it is relayed onto; None when the search closes a
-    cycle."""
-    grey = object()   # the mark of a slot on the search path
+def _slot_chain(succ: list, roots, delay: list[int]
+                ) -> tuple[int, Optional[list[int]]]:
+    """The search behind the clocked checks, on ``Lowered._slots``: one
+    iterative depth-first search from each of ``roots`` in turn, each
+    slot's chain its own ``delay`` plus the longest chain it is relayed
+    onto.  Gives the longest chain and the first cycle the search closes,
+    as slots from after the one it closed into and ending with it, or
+    None.  A slot still on the search path adds nothing."""
+    # The mark of a slot on the search path; it is below every chain.
+    grey = float("-inf")
     chain: list = [None] * len(succ)
-    for root, nxts in enumerate(succ):
+    cycle = None
+    for root in roots:
         if chain[root] is not None:
             continue
         chain[root] = grey
-        path, stack = [root], [iter(nxts)]
+        path, stack = [root], [iter(succ[root])]
         while stack:
             for s in stack[-1]:
                 c = chain[s]
@@ -1204,8 +1195,8 @@ def _slot_chain(succ: list, delay: list[int]) -> Optional[int]:
                     path.append(s)
                     stack.append(iter(succ[s]))
                     break
-                if c is grey:
-                    return None
+                if c is grey and cycle is None:
+                    cycle = path[path.index(s) + 1:] + [s]
             else:
                 stack.pop()
                 s = path.pop()
@@ -1214,7 +1205,7 @@ def _slot_chain(succ: list, delay: list[int]) -> Optional[int]:
                     if chain[c] > best:
                         best = chain[c]
                 chain[s] = best + delay[s]
-    return max(chain, default=0)
+    return max(chain, default=0), cycle
 
 
 @contextmanager
@@ -1240,17 +1231,21 @@ def run(net: Network | Lowered, cfg: SimConfig) -> SimReport:
 
     A sync run refuses a combinational cycle before any ``ConfigError``,
     then measures the critical path (once per Lowered and delay table),
-    then runs on the zeroed delay table.  ``Lowered.critical_path`` does
-    both checks in one search of the wired input slots, and builds a
-    ``FlowGraph`` only to name a cycle.  On a net that ``wiring``
-    refuses, it checks the ``FlowGraph`` instead, so a cycle is still
-    named first; the search pairs only bound ports, so a huge port count
-    is left for ``Simulation`` to refuse."""
+    then runs on the zeroed delay table; ``Lowered.critical_path`` does
+    both checks in one search of the wired input slots.  A net that
+    ``wiring`` refuses, or a delay table that cannot price the net, is
+    refused as an async run refuses it: any ``ConfigError`` first."""
     low = _lowered(net)
     with _collector_paused():
         if cfg.mode != "sync":
             return Simulation(low, cfg).run()
-        crit = low.critical_path(cfg.delays)
+        try:
+            crit = low.critical_path(cfg.delays)
+        except CombinationalCycle:
+            raise
+        except Exception:   # refused as an async run refuses it
+            cfg.validate(low.net)
+            raise
         inner = replace(cfg, delays=cfg.delays.zeroed(buffer_delay=cfg.clock))
         report = Simulation(low, inner).run()
     report.critical_path = crit

@@ -117,14 +117,14 @@ def test_run_cell_builds_no_flow_graph_for_a_sync_cell(graph_builds,
 
 @pytest.fixture()
 def chains(monkeypatch) -> list:
-    """The per-slot delay lists ``engine._slot_chain``, the search behind
-    the clocked checks, is called with while the test runs."""
+    """The per-slot delay lists ``engine._slot_chain``, the one search
+    behind the clocked checks, is called with while the test runs."""
     calls = []
     slot_chain = engine._slot_chain
 
-    def counted(succ, delay):
+    def counted(succ, roots, delay):
         calls.append(delay)
-        return slot_chain(succ, delay)
+        return slot_chain(succ, roots, delay)
     monkeypatch.setattr(engine, "_slot_chain", counted)
     return calls
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import gc
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -50,8 +52,35 @@ def test_unbuffered_loop_is_rejected_statically():
                 [Link("li", 8, ("init", 0), ("op", 0)),
                  Link("lo", 8, ("op", 0), ("init", 0))],
                 [])
-    with pytest.raises(CombinationalCycle):
+    with pytest.raises(CombinationalCycle) as err:
         run(net, SimConfig(mode="sync", clock=1000))
+    # Named by a search from link "li", as the FlowGraph's search in
+    # link-id order names it, though slot order (keys "init" then "op")
+    # starts from "lo".
+    assert err.value.cycle == ir.combinational_cycle(ir.FlowGraph(net))
+    assert err.value.cycle == ["lo", "li"]
+
+
+def test_cycle_is_named_through_a_fork_in_link_id_order():
+    # Two cycles through Fork "f": slot order takes its outputs by
+    # consumer key ("x" on link "b" first) and would name b -> d -> c;
+    # link-id order takes link "a" first, as the FlowGraph's search does.
+    op = {"fn": "id", "inputs": [8], "out": 8}
+    net = mknet("forked",
+                [Component("f", Kind.FORK, {"input": 8, "outputs": [8, 8]}),
+                 Component("m", Kind.MERGE, {"width": 8, "inputs": 2}),
+                 Component("x", Kind.OPERATOR, op),
+                 Component("y", Kind.OPERATOR, op)],
+                [Link("c", 8, ("m", 0), ("f", 0)),
+                 Link("b", 8, ("f", 0), ("x", 0)),
+                 Link("a", 8, ("f", 1), ("y", 0)),
+                 Link("d", 8, ("x", 0), ("m", 0)),
+                 Link("e", 8, ("y", 0), ("m", 1))],
+                [])
+    with pytest.raises(CombinationalCycle) as err:
+        run(net, SimConfig(mode="sync", clock=1000))
+    assert err.value.cycle == ir.combinational_cycle(ir.FlowGraph(net))
+    assert err.value.cycle == ["e", "c", "a"]
 
 
 def test_unbuffered_compile_is_rejected_statically(elgcd_net):
@@ -135,13 +164,17 @@ def test_run_sync_builds_no_flow_graph_on_a_wired_acyclic_net(graph_builds,
     assert graph_builds == {}
 
 
-def test_run_sync_searches_comb_once_on_a_cyclic_net(graph_builds, elgcd_net):
-    # The unbuffered net has a combinational cycle: the search that finds
-    # it also names it for the error.
+def test_run_sync_names_a_cycle_without_a_flow_graph(graph_builds, elgcd_net):
+    # The unbuffered net has a combinational cycle: the slot search finds
+    # it, and a second one in link-id order names it as the FlowGraph's
+    # search does.
     with pytest.raises(CombinationalCycle) as err:
         run(elgcd_net, SimConfig(mode="sync", clock=2000))
-    assert graph_builds == {"init": 1, "comb": 1, "comb_search": 1}
-    assert str(err.value).startswith("combinational cycle through links: ")
+    assert graph_builds == {}
+    loop = ir.combinational_cycle(ir.FlowGraph(elgcd_net))
+    assert err.value.cycle == loop
+    assert str(err.value) == ("combinational cycle through links: "
+                              + " -> ".join(loop))
 
 
 @pytest.mark.parametrize("mode", ["async", "sync"])
@@ -305,19 +338,44 @@ def no_join_inputs(net: Network) -> None:
     del net.components[join].params["inputs"]
 
 
+def refusal(net: Network, cfg: SimConfig) -> tuple[type, str]:
+    with pytest.raises(Exception) as err:
+        run(net, cfg)
+    return err.type, str(err.value)
+
+
 @pytest.mark.parametrize("edit", [no_consumer, bound_twice, no_join_inputs])
-def test_cycle_is_named_before_the_wiring_is_refused(elgcd_net, edit):
-    # Wiring refuses the net, or cannot read its params, so the FlowGraph
-    # names the cycle, as it does for a fully wired net.
+def test_sync_refuses_an_unwired_net_as_async_does(elgcd_net, edit):
+    # Wiring refuses the net, or cannot read its params, so no cycle can
+    # be searched for: a clocked run raises what an unclocked run raises,
+    # a config error first.
     net = elgcd_net.copy()
     edit(net)
     with pytest.raises((SimError, KeyError)):
         Lowered(net).wiring
-    loop = ir.combinational_cycle(ir.FlowGraph(net))
-    assert loop is not None
-    with pytest.raises(CombinationalCycle) as err:
-        run(net, SimConfig(mode="sync", clock=0, stimulus={"nowhere": [1]}))
-    assert err.value.cycle == loop
+    assert ir.combinational_cycle(ir.FlowGraph(net)) is not None
+    for stimulus in ({}, {"nowhere": [1]}):
+        unclocked = refusal(net, SimConfig(stimulus=stimulus))
+        assert unclocked[0] is not CombinationalCycle
+        assert unclocked == refusal(net, SimConfig(mode="sync", clock=2000,
+                                                   stimulus=stimulus))
+
+
+@pytest.mark.parametrize("operator", [
+    {"id": 100},   # elgcd's Operators have other classes
+    {"const": 100, "gt": 300, "ne": 300, "sub": 800}])   # every class
+def test_acyclic_net_with_no_default_operator_delay_is_refused(elgcd_net,
+                                                               operator):
+    # The cycle check passes, so the table is refused as an async run
+    # refuses it.
+    net = apply(elgcd_net, policy_pac(elgcd_net))
+    delays = DelayTable(operator=operator)
+    for mode in ("async", "sync"):
+        with pytest.raises(ConfigError, match="^operator delay table needs "
+                                              "a 'default' entry$"):
+            run(net, SimConfig(mode=mode, clock=2000, delays=delays))
+    # A class the table has is priced without its "default".
+    assert delays.operator_delay(sorted(operator)[0]) == 100
 
 
 def test_cycle_is_named_before_the_delay_table_is_read(elgcd_net):
@@ -340,6 +398,7 @@ SKEWED_DELAYS = DelayTable(join=30, fork=70, steer=250, merge=10, initial=0,
 # wide0-wide3, each unbuffered and under each policy planned for clocked
 # timing.
 PROGRAMS = [f"gen{k:02}" for k in range(24)] + [f"wide{k}" for k in range(4)]
+CLOCKED_NETS = [*benchmark_names(), *PROGRAMS]
 CLOCKED_PLANS = ("unbuffered", *sorted(POLICIES))
 
 
@@ -350,16 +409,22 @@ def compiled(name: str) -> Network:
     return benchmark(name).compiled()
 
 
+def clocked_net(name: str, plan: str) -> Network:
+    net = compiled(name)
+    if plan == "unbuffered":
+        return net
+    return apply(net, POLICIES[plan](net, mode="sync"))
+
+
 @pytest.mark.parametrize("plan", CLOCKED_PLANS)
-@pytest.mark.parametrize("name", [*benchmark_names(), *PROGRAMS])
+@pytest.mark.parametrize("name", CLOCKED_NETS)
 def test_clocked_checks_match_the_flow_graph(name, plan):
     # A Lowered decides the cycle check and measures the critical path on
-    # its wired input slots; the FlowGraph's search and sim.critical_path
-    # are the reference.
-    net = compiled(name)
-    if plan != "unbuffered":
-        net = apply(net, POLICIES[plan](net, mode="sync"))
-    loop = ir.combinational_cycle(ir.FlowGraph(net))
+    # its wired input slots; the FlowGraph's cycle and a plain recursion
+    # over its combinational graph are the reference.
+    net = clocked_net(name, plan)
+    g = ir.FlowGraph(net)
+    loop = ir.combinational_cycle(g)
     low = Lowered(net)
     for delays in (DelayTable(), SKEWED_DELAYS):
         if loop is not None:
@@ -367,4 +432,29 @@ def test_clocked_checks_match_the_flow_graph(name, plan):
                 low.critical_path(delays)
             assert err.value.cycle == loop
         else:
-            assert low.critical_path(delays) == critical_path(net, delays)
+            assert low.critical_path(delays) == dag_chain(net, g.comb, delays)
+
+
+# One sha256 over the 248 cases of test_clocked_checks_match_the_flow_graph
+# (each net under each table): sim.critical_path, then the Lowered's
+# critical path or the cycle it names.  Computed when sim.critical_path
+# was still read from FlowGraph.comb_search's post-order, so the figures
+# of that search, cyclic nets included, are held to.
+CLOCKED_FIGURES_SHA256 = (
+    "ae0635eaf54480cac2d4d82730ce07cf954edeffa22551d11ecd46f0b5541ac4")
+
+
+def test_clocked_figures_match_the_flow_graph_search():
+    digest = hashlib.sha256()
+    for name in CLOCKED_NETS:
+        for plan in CLOCKED_PLANS:
+            net = clocked_net(name, plan)
+            low = Lowered(net)
+            for table, delays in enumerate((DelayTable(), SKEWED_DELAYS)):
+                try:
+                    figure = low.critical_path(delays)
+                except CombinationalCycle as err:
+                    figure = err.cycle
+                line = [name, plan, table, critical_path(net, delays), figure]
+                digest.update(f"{json.dumps(line)}\n".encode())
+    assert digest.hexdigest() == CLOCKED_FIGURES_SHA256
