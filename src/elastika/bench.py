@@ -47,6 +47,7 @@ class EquivalenceError(Exception):
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
+    """A shipped program, its datasets and its software reference."""
     name: str
     source: Path
     datasets: tuple[dict[str, list[int]], ...]
@@ -69,6 +70,7 @@ class BenchmarkSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One policy and protocol of a sweep: cost and measured timing."""
     policy: str
     mode: str
     clock: int          # 0 for the unclocked protocol

@@ -38,6 +38,7 @@ class UnresolvedSite(IrError):
 
 @dataclass(frozen=True)
 class BufferPlan:
+    """The links one policy buffers, each with the reasons it gives."""
     policy: str  # "simple" | "loop" | "pac"
     mode: str    # "async" | "sync"
     links: tuple[str, ...]

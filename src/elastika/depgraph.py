@@ -33,6 +33,7 @@ from .netlist import dot_escape
 
 @dataclass(frozen=True)
 class DepEdge:
+    """One ordering constraint between two sites of a variable or channel."""
     kind: str     # "WAR" | "RAW" | "PAC"
     subject: str  # variable component id, or channel/port name
     u: str        # source node: the side that is read / consumed first

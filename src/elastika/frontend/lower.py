@@ -29,15 +29,17 @@ class LowerError(Exception):
 
 # A value reference is either the output port that will drive a new link or
 # an existing link waiting for its consumer (channel data enters this way).
-@dataclass
+@dataclass(eq=False)
 class _Src:
+    """Output port ``port`` of ``comp``, not yet wired."""
     comp: str
     port: int
     width: int
 
 
-@dataclass
+@dataclass(eq=False)
 class _Pending:
+    """A link already made, waiting for its consumer."""
     link: Link
     width: int
 
@@ -326,7 +328,7 @@ class _Lowerer:
 
     def _lower_expr_rec(self, e: S.Expr, provider, epath: str, nops: list
                         ) -> ValueRef:
-        w = self.widths[id(e)]
+        w = self.widths[e]
         if isinstance(e, S.Num):
             cid = self._op_id(epath, nops)
             self.b.comp(cid, Kind.OPERATOR, fn="const", value=e.value,

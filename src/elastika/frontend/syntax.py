@@ -50,8 +50,9 @@ _TOKEN = re.compile(
     r"|(?P<punct>\|\||:=|\.\.|==|!=|<=|>=|<<|>>|[(){}\[\];:?!<>+\-*&|^~,])")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Token:
+    """One lexeme with the position of its first character."""
     type: str  # 'ident' | 'num' | 'kw' | punct literal | 'eof'
     value: Union[str, int]
     line: int
@@ -91,34 +92,39 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Pos:
+    """A 1-based line and column in the source text."""
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Num:
+    """An integer literal."""
     value: int
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Name:
+    """A variable, channel or port read in an expression."""
     ident: str
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class BinOp:
+    """A binary operator; ``op`` is its Operator function name."""
     op: str
     a: "Expr"
     b: "Expr"
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class UnOp:
+    """A unary operator: ``neg`` or ``not``."""
     op: str
     a: "Expr"
     pos: Pos
@@ -127,67 +133,77 @@ class UnOp:
 Expr = Union[Num, Name, BinOp, UnOp]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Skip:
+    """The statement that does nothing."""
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Assign:
+    """``var := expr``."""
     var: str
     expr: Expr
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Send:
+    """``chan ! expr``."""
     chan: str
     expr: Expr
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Receive:
+    """``chan ? var``."""
     chan: str
     var: str
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Seq:
+    """Statements run one after another."""
     parts: tuple
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Par:
+    """Statements run in parallel."""
     branches: tuple
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class LoopStmt:
+    """The top-level body, repeated forever."""
     body: "Stmt"
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class WhileStmt:
+    """``while cond { body }``."""
     cond: Expr
     body: "Stmt"
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class IfStmt:
+    """``if cond { then } else { els }``."""
     cond: Expr
     then: "Stmt"
     els: "Stmt"
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class CaseStmt:
+    """``case sel of { ... }``, with generated arms unrolled."""
     sel: Expr
     arms: tuple  # of (value, Stmt)
     pos: Pos
@@ -197,22 +213,24 @@ Stmt = Union[Skip, Assign, Send, Receive, Seq, Par, LoopStmt, WhileStmt,
              IfStmt, CaseStmt]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class PortDecl:
+    """One module port; an array port declares one per element."""
     name: str
     dir: str
     width: int
 
 
-@dataclass
+@dataclass(eq=False)
 class SourceModule:
+    """A parsed module; ``parse`` fills the checker's fields."""
     name: str
     ports: list[PortDecl]
     vars: dict[str, int]   # name -> width
     chans: dict[str, int]  # name -> width
     body: Stmt
     # Filled by the checker:
-    widths: dict[int, int] = field(default_factory=dict)  # id(expr) -> width
+    widths: dict[Expr, int] = field(default_factory=dict)  # node -> width
     reads: dict[str, int] = field(default_factory=dict)   # var -> read sites
     writes: dict[str, int] = field(default_factory=dict)  # var -> write sites
 
@@ -538,7 +556,7 @@ class _Checker:
     def __init__(self, mod: SourceModule):
         self.mod = mod
         self.ports = {p.name: p for p in mod.ports}
-        self.widths: dict[int, int] = {}
+        self.widths: dict[Expr, int] = {}
         # site counts: name -> number of sites
         self.var_writes: dict[str, int] = dict.fromkeys(mod.vars, 0)
         self.var_reads: dict[str, int] = dict.fromkeys(mod.vars, 0)
@@ -697,7 +715,7 @@ class _Checker:
 
     def expr_width(self, e: Expr, context: Optional[int]) -> int:
         w = self._width_of(e, context)
-        self.widths[id(e)] = w
+        self.widths[e] = w
         return w
 
     def _width_of(self, e: Expr, context: Optional[int]) -> int:

@@ -58,6 +58,7 @@ class DoubleBuffer(IrError):
 
 @dataclass
 class Component:
+    """One node of the net: its kind and the params that size its ports."""
     id: str
     kind: Kind
     params: dict = field(default_factory=dict)
@@ -128,6 +129,7 @@ def port_counts(comp: Component) -> tuple[int, int]:
 
 @dataclass
 class Link:
+    """A wire from an output port to an input port."""
     id: str
     width: int
     src: Optional[tuple[str, int]]  # (component id, output port index); None = environment
@@ -136,6 +138,7 @@ class Link:
 
 @dataclass
 class Port:
+    """A port of the net, bound to the link it feeds or drains."""
     name: str
     dir: str  # "in" | "out"
     width: int
@@ -156,6 +159,7 @@ def _copy_value(value):
 
 @dataclass
 class Network:
+    """An elastic net: components, links and ports, each by id."""
     name: str
     components: dict[str, Component] = field(default_factory=dict)
     links: dict[str, Link] = field(default_factory=dict)
@@ -195,6 +199,7 @@ class Network:
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """One problem ``validate`` found, with a stable code."""
     code: str
     subject: str
     message: str

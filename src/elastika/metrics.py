@@ -86,6 +86,7 @@ class CycleRate:
 
 @dataclass(frozen=True)
 class CostReport:
+    """Area and, when asked for, power of one net."""
     comp_count: int
     mem_units: int
     cell_area: int

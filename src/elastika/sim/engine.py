@@ -1231,8 +1231,9 @@ def run(net: Network | Lowered, cfg: SimConfig) -> SimReport:
 
     A sync run refuses a combinational cycle before any ``ConfigError``,
     then measures the critical path (once per Lowered and delay table),
-    then runs on the zeroed delay table; ``Lowered.critical_path`` does
-    both checks in one search of the wired input slots.  A net that
+    refuses a delay table that an async run would refuse, then runs on
+    the zeroed delay table; ``Lowered.critical_path`` does the cycle check
+    and the measurement in one search of the wired input slots.  A net that
     ``wiring`` refuses, or a delay table that cannot price the net, is
     refused as an async run refuses it: any ``ConfigError`` first."""
     low = _lowered(net)
@@ -1246,6 +1247,8 @@ def run(net: Network | Lowered, cfg: SimConfig) -> SimReport:
         except Exception:   # refused as an async run refuses it
             cfg.validate(low.net)
             raise
+        # The inner run validates only the zeroed table.
+        cfg.delays.validate()
         inner = replace(cfg, delays=cfg.delays.zeroed(buffer_delay=cfg.clock))
         report = Simulation(low, inner).run()
     report.critical_path = crit

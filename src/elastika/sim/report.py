@@ -13,6 +13,7 @@ from typing import Optional
 
 @dataclass
 class SimReport:
+    """What one simulation run produced and how it ended."""
     mode: str
     # Per output port, the produced (value, timestamp) pairs in order.
     results: dict[str, list[tuple[int, int]]] = field(default_factory=dict)

@@ -383,6 +383,16 @@ def test_sim_rejects_arbiter_delay_key(tmp_path, elgcd_buffered, capsys):
     assert "unknown delay key 'arbiter'" in capsys.readouterr().err
 
 
+def test_sync_sim_rejects_negative_delay(tmp_path, elgcd_buffered, capsys):
+    cfg = tmp_path / "delays.cfg"
+    cfg.write_text("delay.fork = -5000\n")
+    out = tmp_path / "report.json"
+    assert main(["sim", str(elgcd_buffered), "--mode", "sync", "--clock",
+                 "2000", "--delays", str(cfg), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: delay.fork must be >= 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, message", [
     ("--horizon", "horizon must be positive"),
     ("--max-results", "max-results must be positive")])

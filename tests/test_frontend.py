@@ -1,6 +1,9 @@
 """Parser, static checker and lowering of the source language."""
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import pkgutil
 import sys
 import time
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import elastika
 from elastika import frontend
 from elastika.frontend import (FrontendError, LowerError, ParConflict,
                                SyntaxError, UndeclaredName, compile, parse)
@@ -326,7 +330,10 @@ def test_each_generated_arm_has_its_own_literal_widths():
     # The literal 1 in `j == 1` compares with 0, 1, 2, 3 in turn; each arm
     # lowers with the widths it was checked with (one node was shared by
     # all four arms, so every arm got the last arm's width of 2).
-    net = compile(parse(SHARED_LITERAL))
+    mod = parse(SHARED_LITERAL)
+    case = mod.body.body.parts[1]
+    assert [mod.widths[arm.cond.b] for _, arm in case.arms] == [1, 1, 2, 2]
+    net = compile(mod)
     assert validate(net) == []
     eqs = sorted((c.id, c.params["inputs"]) for c in net.components.values()
                  if c.kind is Kind.OPERATOR and c.params["fn"] == "eq")
@@ -335,6 +342,78 @@ def test_each_generated_arm_has_its_own_literal_widths():
     report = run(apply(net, plan),
                  SimConfig(stimulus=parse_stimulus("i: 0 1 2 3 1")))
     assert [v for v, _ in report.results["z"]] == [9, 7, 9, 9, 7]
+
+
+EXPR_NODES = (S.Num, S.Name, S.BinOp, S.UnOp)
+DATA = Path(__file__).parent / "data"
+
+
+def expr_nodes(node) -> list:
+    """Every expression node under ``node``, each node object once."""
+    found, stack = [], [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend(item)
+        elif dataclasses.is_dataclass(item):
+            if isinstance(item, EXPR_NODES):
+                found.append(item)
+            stack.extend(getattr(item, f.name)
+                         for f in dataclasses.fields(item))
+    return found
+
+
+SOURCES = [*(benchmark(name).source for name in benchmark_names()),
+           *sorted(DATA.glob("*.csp"))]
+
+
+@pytest.mark.parametrize("text", [SHARED_LITERAL,
+                                  *(p.read_text() for p in SOURCES)],
+                         ids=["SHARED_LITERAL", *(p.stem for p in SOURCES)])
+def test_every_expression_node_has_one_width_of_its_own(text):
+    # The checker keys widths by node, and the lowering reads them back the
+    # same way, so each node of each unrolled arm needs an entry of its own.
+    mod = parse(text)
+    nodes = expr_nodes(mod.body)
+    assert len({id(node) for node in nodes}) == len(nodes)
+    assert len(mod.widths) == len(nodes)
+    assert all(node in mod.widths for node in nodes)
+
+
+def package_dataclasses() -> list[type]:
+    """Every dataclass that a module of the package defines."""
+    found = []
+    for info in pkgutil.walk_packages(elastika.__path__, "elastika."):
+        module = importlib.import_module(info.name)
+        found.extend(obj for obj in vars(module).values()
+                     if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                     and obj.__module__ == info.name)
+    return found
+
+
+def test_every_dataclass_has_a_docstring():
+    # Without one, dataclasses builds __doc__ from the signature at import.
+    classes = package_dataclasses()
+    assert {"Network", "DelayTable", "SimReport"} <= {
+        c.__name__ for c in classes}
+    assert [c.__qualname__ for c in classes
+            if c.__doc__.startswith(c.__name__ + "(")] == []
+
+
+def test_frontend_records_compare_by_identity():
+    # No node is compared by value; the checker keys widths by node.  So
+    # dataclasses generates no __eq__, __hash__ or frozen __setattr__.
+    records = [c for c in package_dataclasses()
+               if c.__module__.startswith("elastika.frontend.")]
+    assert sorted(c.__name__ for c in records) == sorted([
+        "Token", "Pos", "Num", "Name", "BinOp", "UnOp", "Skip", "Assign",
+        "Send", "Receive", "Seq", "Par", "LoopStmt", "WhileStmt", "IfStmt",
+        "CaseStmt", "PortDecl", "SourceModule", "_Src", "_Pending"])
+    for cls in records:
+        assert not cls.__dataclass_params__.frozen, cls
+        assert cls.__eq__ is object.__eq__, cls
+        assert cls.__hash__ is object.__hash__, cls
+        assert cls.__setattr__ is object.__setattr__, cls
 
 
 def test_inner_generator_variable_shadows_the_outer():

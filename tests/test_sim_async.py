@@ -354,8 +354,12 @@ def test_config_rejects_oversized_stimulus_value():
 
 
 def test_config_rejects_negative_delay():
-    with pytest.raises(ConfigError):
-        sim(id_chain(), {"a": [1]}, delays=DelayTable(join=-1))
+    # A clocked run simulates on a zeroed table, so it checks the caller's.
+    for mode, clock in (("async", 0), ("sync", 2000)):
+        with pytest.raises(ConfigError, match=r"^delay\.join must be >= 0$"):
+            run(id_chain(), SimConfig(mode=mode, clock=clock,
+                                      stimulus={"a": [1]},
+                                      delays=DelayTable(join=-1)))
 
 
 def test_operator_table_needs_default():
