@@ -184,18 +184,6 @@ class Network:
     def buffer_count(self) -> int:
         return sum(1 for c in self.components.values() if c.kind is Kind.BUFFER)
 
-    def link_into(self, comp_id: str, port: int) -> Optional[Link]:
-        for ln in self.links.values():
-            if ln.dst == (comp_id, port):
-                return ln
-        return None
-
-    def link_out_of(self, comp_id: str, port: int) -> Optional[Link]:
-        for ln in self.links.values():
-            if ln.src == (comp_id, port):
-                return ln
-        return None
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -257,8 +245,16 @@ def _param_problems(comp: Component) -> list[tuple[str, str]]:
         out.append(("bad-params", f"unknown operator function {p['fn']!r}"))
     # Optional params read by the simulator, the bound and the planners.
     # A number must be an int itself, not a bool or a float.
-    if k in (Kind.OPERATOR, Kind.INITIAL) and type(p.get("value", 0)) is not int:
-        out.append(("bad-params", f"{k.value} value must be an integer"))
+    if k in (Kind.OPERATOR, Kind.INITIAL):
+        value = p.get("value", 0)
+        if type(value) is not int:
+            out.append(("bad-params", f"{k.value} value must be an integer"))
+        # The value is offered on the output port, so it must fit there:
+        # the simulator would offer it masked, another word than the net's.
+        elif type(outs[0]) is int and (value < 0
+                                       or value.bit_length() > outs[0]):
+            out.append(("bad-params", f"{k.value} value does not fit its "
+                                      f"{outs[0]}-bit output"))
     if k is Kind.VARIABLE and type(p.get("init", 0)) is not int:
         out.append(("bad-params", "variable init must be an integer"))
     if k is Kind.OPERATOR and not isinstance(p.get("delay_class", ""), str):
@@ -481,10 +477,9 @@ class FlowGraph:
 
     ``into[(cid, port)]`` is the link feeding that input and
     ``out_of[(cid, port)]`` the link leaving that output; on a doubly bound
-    port the first link in table order wins, as with
-    ``Network.link_into``/``link_out_of``.  The graph is a snapshot: build
-    a new one after the net is mutated.  The views are shared by every
-    reader, so a caller that edits one copies it first.
+    port the first link in table order wins.  The graph is a snapshot:
+    build a new one after the net is mutated.  The views are shared by
+    every reader, so a caller that edits one copies it first.
     """
 
     def __init__(self, net: Network) -> None:
@@ -511,18 +506,17 @@ class FlowGraph:
         return self._successors(through_buffers=False)
 
     @cached_property
-    def comb_search(self) -> tuple[list[str], Optional[list[str]]]:
-        """One search of ``comb`` from each link in sorted id order: its
-        post-order, and the first cycle it closes or None.  The cycle runs
-        from after the link the search closed into and ends with it."""
+    def comb_search(self) -> Optional[list[str]]:
+        """The first cycle that a search of ``comb`` from each link in
+        sorted id order closes, or None.  The cycle runs from after the
+        link the search closed into and ends with it."""
         succ = self.comb
-        order: list[str] = []
-        cycle = None
-        for path, _, target in back_edges(
-                sorted(succ), lambda lid: zip(succ[lid], succ[lid]), order):
-            if cycle is None:
-                cycle = path[path.index(target) + 1:] + [target]
-        return order, cycle
+        found = next(back_edges(
+            sorted(succ), lambda lid: zip(succ[lid], succ[lid])), None)
+        if found is None:
+            return None
+        path, _, target = found
+        return path[path.index(target) + 1:] + [target]
 
     def _successors(self, through_buffers: bool) -> dict[str, list[str]]:
         """Link id -> sorted ids of the links each component relays it onto,
@@ -710,4 +704,4 @@ def walk(succ: dict[str, list[str]], starts: Iterable[str],
 def combinational_cycle(graph: FlowGraph) -> Optional[list[str]]:
     """One buffer-free combinational cycle as a link list, or None: the
     first that ``graph.comb_search`` closes."""
-    return graph.comb_search[1]
+    return graph.comb_search

@@ -30,13 +30,14 @@ shares: component ids and the environment keys `$in.<port>` and
 exactly as the strings would; every key owns a run of flat input and
 output slots, and every slot knows the key and port at the far end of
 its link.  A clocked run's cycle check and critical path are one
-search of the combinational graph on the input slots, the simulator's
-only such search (``Lowered.critical_path``).  A Lowered is a snapshot:
-build a new one after the net is mutated.  Each Simulation adds the
-per-run half: each input slot's standing value (no output slot keeps a
-flag; only deadlock diagnosis asks which offers stand, on a quiesced
-net), and an offer, acknowledge and fire handler per key with its
-parameters, delay and far ends resolved (an Operator's function too).
+``ir.back_edges`` search of the combinational graph on the input slots
+(``Lowered.critical_path``), and the public ``critical_path`` is the
+same search in link-id order.  A Lowered is a snapshot: build a new one
+after the net is mutated.  Each Simulation adds the per-run half: each
+input slot's standing value (no output slot keeps a flag; only deadlock
+diagnosis asks which offers stand, on a quiesced net), and an offer,
+acknowledge and fire handler per key with its parameters, delay and far
+ends resolved (an Operator's function too).
 
 A handler returns one of the events it causes (taking an input causes
 the producer's acknowledge, firing the consumer's offer) and pushes any
@@ -97,7 +98,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from functools import cached_property
 from heapq import heappop, heappush, heappushpop
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from ..ir import (_PORT_COUNTS, OPERATOR_FNS, Component, Kind, Network,
                   back_edges)
@@ -260,10 +261,11 @@ class Lowered:
             delay = self._slot_delays(delays)
         except KeyError as exc:   # an operator table with no "default"
             delay, failed = [0] * len(succ), exc
-        crit, cycle = _slot_chain(succ, range(len(succ)), delay)
+        crit, cycle = _slot_chain(succ, delay)
         if cycle is not None:
-            cycle = _slot_chain(*self._by_link, delay)[1]
-            self._cycle = [self.wiring.in_link[s] for s in cycle]
+            in_link = self.wiring.in_link
+            cycle = _slot_chain(succ, delay, in_link.__getitem__)[1]
+            self._cycle = [in_link[s] for s in cycle]
             raise CombinationalCycle(self._cycle)
         if failed is not None:
             raise failed
@@ -276,14 +278,6 @@ class Lowered:
         return _per_slot([0 if c is None else delays.component_delay(c)
                           for c in map(self.net.components.get, w.names)],
                          w.n_in)
-
-    @cached_property
-    def _by_link(self) -> tuple[list, list[int]]:
-        """``_slots`` in link-id order: each slot's successors, and all
-        slots as roots, ordered by the id of the link binding each."""
-        key = self.wiring.in_link.__getitem__
-        return ([sorted(nxts, key=key) for nxts in self._slots],
-                sorted(range(len(self._slots)), key=key))
 
     @cached_property
     def _slots(self) -> list[tuple[int, ...]]:
@@ -1161,7 +1155,8 @@ def critical_path(net: Network, delays) -> int:
     refused as ``Lowered.wiring`` refuses it.
     """
     low = Lowered(net)
-    return _slot_chain(*low._by_link, low._slot_delays(delays))[0]
+    return _slot_chain(low._slots, low._slot_delays(delays),
+                       low.wiring.in_link.__getitem__)[0]
 
 
 def _per_slot(per_key: list, n_in: list[int]) -> list:
@@ -1170,41 +1165,33 @@ def _per_slot(per_key: list, n_in: list[int]) -> list:
         map(itertools.repeat, per_key, n_in)))
 
 
-def _slot_chain(succ: list, roots, delay: list[int]
+def _slot_chain(succ: list, delay: list[int], key: Optional[Callable] = None
                 ) -> tuple[int, Optional[list[int]]]:
     """The search behind the clocked checks, on ``Lowered._slots``: one
-    iterative depth-first search from each of ``roots`` in turn, each
-    slot's chain its own ``delay`` plus the longest chain it is relayed
-    onto.  Gives the longest chain and the first cycle the search closes,
-    as slots from after the one it closed into and ending with it, or
-    None.  A slot still on the search path adds nothing."""
-    # The mark of a slot on the search path; it is below every chain.
-    grey = float("-inf")
-    chain: list = [None] * len(succ)
+    ``ir.back_edges`` search from every slot, in slot order, or with the
+    roots and each slot's successors ordered by ``key``.  Each slot's chain
+    is its own ``delay`` plus the longest chain it is relayed onto, folded
+    over the search's post-order, so a successor still on the search path
+    when the slot is left adds nothing.  Gives the longest chain and the
+    first cycle the search closes, as slots from after the one it closed
+    into and ending with it, or None."""
+    roots = sorted(range(len(succ)), key=key)
+
+    def children(s: int) -> Iterable[tuple[int, int]]:
+        nxts = succ[s] if key is None else sorted(succ[s], key=key)
+        return zip(nxts, nxts)
+    order: list[int] = []
     cycle = None
-    for root in roots:
-        if chain[root] is not None:
-            continue
-        chain[root] = grey
-        path, stack = [root], [iter(succ[root])]
-        while stack:
-            for s in stack[-1]:
-                c = chain[s]
-                if c is None:
-                    chain[s] = grey
-                    path.append(s)
-                    stack.append(iter(succ[s]))
-                    break
-                if c is grey and cycle is None:
-                    cycle = path[path.index(s) + 1:] + [s]
-            else:
-                stack.pop()
-                s = path.pop()
-                best = 0
-                for c in succ[s]:
-                    if chain[c] > best:
-                        best = chain[c]
-                chain[s] = best + delay[s]
+    for path, _, target in back_edges(roots, children, order):
+        if cycle is None:
+            cycle = path[path.index(target) + 1:] + [target]
+    chain = [0] * len(succ)   # a slot not yet left reads 0
+    for s in order:
+        best = 0
+        for c in succ[s]:
+            if chain[c] > best:
+                best = chain[c]
+        chain[s] = best + delay[s]
     return max(chain, default=0), cycle
 
 

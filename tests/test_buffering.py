@@ -144,7 +144,7 @@ def test_pac_retime_moves_join_marks_to_join_output(elgcd_net):
         if dst is None or elgcd_net.components[dst[0]].kind is not Kind.JOIN:
             continue
         moved += 1
-        out = elgcd_net.link_out_of(dst[0], 0)
+        out = g.out_of[(dst[0], 0)]
         assert any("retimed past" in r for r in planned[out.id])
     assert moved, "the benchmark has marks landing on joins"
 
@@ -179,11 +179,12 @@ def test_pac_leaves_its_graph_views_unchanged(bench, request, monkeypatch):
 
 def test_pac_plans_around_initials(elgcd_net):
     plan = policy_pac(elgcd_net, "async")
+    g = FlowGraph(elgcd_net)
     for cid, comp in elgcd_net.components.items():
         if comp.kind is not Kind.INITIAL:
             continue
-        assert elgcd_net.link_into(cid, 0).id in plan.links
-        assert elgcd_net.link_out_of(cid, 0).id in plan.links
+        assert g.into[(cid, 0)].id in plan.links
+        assert g.out_of[(cid, 0)].id in plan.links
 
 
 @pytest.mark.parametrize("name", [*BENCHES, *CORPUS])

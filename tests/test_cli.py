@@ -602,6 +602,23 @@ def test_width_param_that_is_no_int_exit_2(tmp_path, pac_netlists, name,
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [-1, 2, 2**40])
+def test_constant_that_does_not_fit_its_port_exit_2(tmp_path, pac_netlists,
+                                                     value, capsys):
+    # At -1 the 1-bit write-site tag passed validate, and `sim` ran to the
+    # horizon without a result: masked to 1, the tag sent site 0's write
+    # done to site 1.
+    obj = json.loads(pac_netlists["elgcd"])
+    [tag] = [c for c in obj["components"] if c["id"] == "m.b.0.tag"]
+    tag["params"]["value"] = value
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(obj))
+    for command in LOADING_COMMANDS:
+        assert _run_loader(command, path, capsys) == (
+            2, "error: bad-params m.b.0.tag: operator value does not fit "
+               "its 1-bit output\n")
+
+
 def test_sim_refuses_a_text_init_read_before_any_write(tmp_path, capsys):
     # x is sent before it is received, so the first result is its init.
     src = tmp_path / "t.csp"

@@ -208,6 +208,22 @@ def test_validate_refuses_a_bool_for_an_int_param(kind, key, message):
     assert validate(net) == [Diagnostic("bad-params", comp.id, message)]
 
 
+@pytest.mark.parametrize("value", [-1, 2, 2**40, 2**600])
+@pytest.mark.parametrize("cid, width", [("m.b.0.tag", 1), ("m.i", 0)])
+def test_validate_refuses_a_value_that_does_not_fit_its_output(cid, width,
+                                                               value):
+    # The simulator offered the value masked to the port, so -1 on the
+    # 1-bit write-site tag sent site 0's write done to site 1.
+    net = _shipped_net("elgcd", False).copy()
+    comp = net.components[cid]
+    comp.params["value"] = value
+    assert validate(net) == [Diagnostic(
+        "bad-params", cid,
+        f"{comp.kind.value} value does not fit its {width}-bit output")]
+    comp.params["value"] = (1 << width) - 1
+    assert validate(net) == []
+
+
 def test_validate_flags_fork_output_wider_than_input():
     net = build_ring()
     net.components["f"].params["outputs"] = [8, 16]
@@ -605,17 +621,21 @@ def test_endpoints_agree_with_linear_scan(bench, request):
     for net in (compiled, apply(compiled, policy_pac(compiled, "sync")),
                 apply(compiled, policy_simple(compiled))):
         g = FlowGraph(net)
+
+        def scan(side: str, end: tuple):
+            return next((ln for ln in net.links.values()
+                         if getattr(ln, side) == end), None)
         for cid, comp in net.components.items():
             for port in range(len(comp.input_widths()) + 1):
-                assert g.into.get((cid, port)) is net.link_into(cid, port)
+                assert g.into.get((cid, port)) is scan("dst", (cid, port))
             for port in range(len(comp.output_widths()) + 1):
-                assert g.out_of.get((cid, port)) is net.link_out_of(cid,
-                                                                    port)
+                assert g.out_of.get((cid, port)) is scan("src", (cid, port))
 
 
 def test_link_lookups():
     net = build_ring()
-    assert net.link_into("m", 0).id == "lb"
-    assert net.link_out_of("s", 1).id == "lout"
-    assert net.link_into("init", 0).id == "lgo"
+    g = FlowGraph(net)
+    assert g.into[("m", 0)].id == "lb"
+    assert g.out_of[("s", 1)].id == "lout"
+    assert g.into[("init", 0)].id == "lgo"
     assert net.buffer_count() == 1

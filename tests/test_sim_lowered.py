@@ -122,9 +122,9 @@ def chains(monkeypatch) -> list:
     calls = []
     slot_chain = engine._slot_chain
 
-    def counted(succ, roots, delay):
+    def counted(succ, delay, key=None):
         calls.append(delay)
-        return slot_chain(succ, roots, delay)
+        return slot_chain(succ, delay, key)
     monkeypatch.setattr(engine, "_slot_chain", counted)
     return calls
 
