@@ -1,7 +1,8 @@
 """Benchmark harness: shipped programs, software references, policy sweeps.
 
 Each benchmark pairs a source program with two stimulus datasets and a
-plain-software reference.  A sweep runs every (policy, mode, clock) cell,
+plain-software reference.  A sweep plans, splices and costs each policy
+once, runs every (mode, clock) cell of it on that one buffered net,
 checks the simulated outputs against the reference per dataset, and
 collects one comparison row per cell: buffer counts, reduction against
 the everything-buffered baseline, measured throughput, per-dataset
@@ -63,7 +64,7 @@ class BenchmarkSpec:
     @cached_property
     def _net(self) -> Network:
         """One compiled net per spec instance, kept for the instance's
-        life and shared read-only by every run_cell on it: the planners
+        life and shared read-only by every cell run on it: the planners
         only read it, and apply copies it."""
         return self.compiled()
 
@@ -159,67 +160,73 @@ def _steady_rate(rep: SimReport, port: str) -> float:
 def run_cell(spec: BenchmarkSpec, policy: str, mode: str, clock: int,
              delays: DelayTable | None = None,
              params: PowerParams | None = None) -> SweepRow:
-    """One sweep cell: plan, buffer, simulate both datasets, verify, cost.
-    Both runs share one Lowered of the buffered net, which lives only as
-    long as the cell."""
+    """One sweep cell: plan, buffer, simulate both datasets, verify, cost."""
+    return _policy_rows(spec, policy, [(mode, clock)], delays, params)[0]
+
+
+def _policy_rows(spec: BenchmarkSpec, policy: str,
+                 cells: list[tuple[str, int]], delays: DelayTable | None,
+                 params: PowerParams | None) -> list[SweepRow]:
+    """One policy's (mode, clock) cells, in the order given.  The policy is
+    planned, spliced, lowered and costed once; every run of every cell
+    shares that one Lowered, which lives only as long as this call."""
     delays = delays if delays is not None else DelayTable()
     params = params if params is not None else PowerParams()
     net = spec._net
-    plan = POLICIES[policy](net, mode=mode)
+    plan = POLICIES[policy](net)
     buffered = apply(net, plan)
     lowered = Lowered(buffered)
-    reports: list[SimReport] = []
-    out_port = ""
-    for idx, dataset in enumerate(spec.datasets, start=1):
-        cfg = SimConfig(mode=mode, clock=clock if mode == "sync" else 0,
-                        delays=delays, stimulus={k: list(v)
-                                                 for k, v in dataset.items()})
-        rep = run(lowered, cfg)
-        expected = spec.reference(dataset)
-        for port in sorted(expected):
-            out_port = port
-            got = [v for v, _ in rep.results.get(port, [])]
-            if rep.deadlock:
-                raise EquivalenceError(spec.name, policy, mode, clock, idx,
-                                       "deadlocked: "
-                                       + "; ".join(rep.diagnosis[:1]))
-            if got != expected[port]:
-                raise EquivalenceError(
-                    spec.name, policy, mode, clock, idx,
-                    f"port {port}: got {got}, want {expected[port]}")
-        reports.append(rep)
     cost = power(buffered, params)
-    nlinks = len(net.links)
-    lat = [r.latencies[0] / 1000.0 if r.latencies else 0.0 for r in reports]
-    return SweepRow(
-        policy=policy, mode=mode, clock=clock if mode == "sync" else 0,
-        buffers=len(plan),
-        reduction=100.0 * (nlinks - len(plan)) / nlinks,
-        throughput=_steady_rate(reports[0], out_port) * 1000.0,
-        latency1=lat[0], latency2=lat[1],
-        dynamic=cost.dynamic_power, leakage=cost.leakage_power)
+    reduction = 100.0 * (len(net.links) - len(plan)) / len(net.links)
+    rows = []
+    for mode, clock in cells:
+        ticks = clock if mode == "sync" else 0
+        reports: list[SimReport] = []
+        out_port = ""
+        for idx, dataset in enumerate(spec.datasets, start=1):
+            cfg = SimConfig(mode=mode, clock=ticks, delays=delays,
+                            stimulus={k: list(v) for k, v in dataset.items()})
+            rep = run(lowered, cfg)
+            expected = spec.reference(dataset)
+            for port in sorted(expected):
+                out_port = port
+                got = [v for v, _ in rep.results.get(port, [])]
+                if rep.deadlock:
+                    raise EquivalenceError(spec.name, policy, mode, clock, idx,
+                                           "deadlocked: "
+                                           + "; ".join(rep.diagnosis[:1]))
+                if got != expected[port]:
+                    raise EquivalenceError(
+                        spec.name, policy, mode, clock, idx,
+                        f"port {port}: got {got}, want {expected[port]}")
+            reports.append(rep)
+        lat = [r.latencies[0] / 1000.0 if r.latencies else 0.0
+               for r in reports]
+        rows.append(SweepRow(
+            policy=policy, mode=mode, clock=ticks, buffers=len(plan),
+            reduction=reduction,
+            throughput=_steady_rate(reports[0], out_port) * 1000.0,
+            latency1=lat[0], latency2=lat[1],
+            dynamic=cost.dynamic_power, leakage=cost.leakage_power))
+    return rows
 
 
 def sweep(spec: BenchmarkSpec, delays: DelayTable | None = None,
           params: PowerParams | None = None) -> list[SweepRow]:
-    """All cells of one benchmark, one after another, in row order.
+    """All cells of one benchmark, each policy planned once for all of its
+    cells.
 
-    Rows come sorted by (mode, clock, policy); the first failing cell in
-    that order aborts the sweep.
+    Policies run one after another, each over its cells in (mode, clock)
+    order, and the first failing cell in that order aborts the sweep.
+    Rows come sorted by (mode, clock, policy).
     """
-    cells = []
-    for mode in spec.modes:
-        clocks = spec.clocks if mode == "sync" else (0,)
-        for clock in clocks:
-            for policy in spec.policies:
-                cells.append((policy, mode, clock))
-
-    def key(cell: tuple[str, str, int]):
-        policy, mode, clock = cell
-        return (mode, clock, _POLICY_ORDER.get(policy, 99))
-
-    return [run_cell(spec, p, m, c, delays, params)
-            for p, m, c in sorted(cells, key=key)]
+    cells = sorted((mode, clock) for mode in spec.modes
+                   for clock in (spec.clocks if mode == "sync" else (0,)))
+    policies = sorted(spec.policies, key=lambda p: _POLICY_ORDER.get(p, 99))
+    rows = [row for policy in policies
+            for row in _policy_rows(spec, policy, cells, delays, params)]
+    # A stable sort, so each cell's rows stay in policy order.
+    return sorted(rows, key=lambda r: (r.mode, r.clock))
 
 
 def format_table(rows: list[SweepRow]) -> str:

@@ -10,25 +10,27 @@ Three policies produce a BufferPlan over a compiled (buffer-free) network:
   consumer is a Join onto the Join's output and adds the links around each
   Initial (top-level nets have no external go).
 
-A plan depends only on the net and the policy; ``mode`` only labels it, as
-a Join waits for its late input under either timing mode.
+A plan depends only on the net and the policy, as a Join waits for its
+late input under either timing mode.
 
-All policies finish with the same two completion passes.  Coverage plans
-the closing link of any cycle that has no planned buffer at all.  The
-liveness pass then raises every cycle to at least two planned links: a
-circulating token frees its buffer slot only once the token has been
-accepted somewhere downstream, so a ring with a single buffer wedges after
-one lap.  Both passes are deterministic fixpoints over ``FlowGraph.flow``:
-coverage runs one ``ir.back_edges`` search of the unplanned links per
-round, and liveness one ``ir.walk`` from a planned link back to itself
-that does not pass another planned link.
+All policies finish with the same two completion passes over
+``FlowGraph.flow``.  Coverage plans the closing link of any cycle that has
+no planned buffer at all, one ``ir.back_edges`` search of the unplanned
+links per link it plans.  Liveness then raises every cycle to at least two
+planned links: a circulating token frees its buffer slot only once the
+token has been accepted somewhere downstream, so a ring with a single
+buffer wedges after one lap.  In one round, in id order, it walks
+(``ir.walk``) each planned link L back to itself past no other planned
+link until no such chain is left.  One round is enough: coverage leaves a
+planned link on every cycle and liveness only adds more, so a cycle left
+with L as its one planned link would have been found at L.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import depgraph as dg
-from .ir import (FlowGraph, IrError, Kind, Network, back_edges, port_counts,
+from .ir import (FlowGraph, IrError, Kind, Network, back_edges,
                  splice_buffer_in_place, walk)
 
 
@@ -40,7 +42,6 @@ class UnresolvedSite(IrError):
 class BufferPlan:
     """The links one policy buffers, each with the reasons it gives."""
     policy: str  # "simple" | "loop" | "pac"
-    mode: str    # "async" | "sync"
     links: tuple[str, ...]
     provenance: dict  # link id -> tuple of reasons
 
@@ -48,54 +49,48 @@ class BufferPlan:
         return len(self.links)
 
 
-def _mkplan(policy: str, mode: str, planned: dict[str, list[str]]) -> BufferPlan:
+def _mkplan(policy: str, planned: dict[str, list[str]]) -> BufferPlan:
     links = tuple(sorted(planned))
     prov = {lid: tuple(planned[lid]) for lid in links}
-    return BufferPlan(policy, mode, links, prov)
+    return BufferPlan(policy, links, prov)
 
+
+# Each policy takes an unused ``mode`` so callers that still pass one work.
 
 def policy_simple(net: Network, mode: str = "async") -> BufferPlan:
     planned = {lid: ["all links"] for lid in sorted(net.links)}
-    return _mkplan("simple", mode, planned)
+    return _mkplan("simple", planned)
 
 
 def policy_loop(net: Network, mode: str = "async") -> BufferPlan:
     g = FlowGraph(net)
     planned: dict[str, list[str]] = {}
-
-    def note(lid: str, why: str) -> None:
-        planned.setdefault(lid, []).append(why)
+    # Component id -> (side, link id) per bound port, inputs first, each
+    # side in port order.
+    bound: dict[str, list[tuple[str, str]]] = {}
+    for side, ends in (("into", g.into), ("out of", g.out_of)):
+        for (cid, _), ln in sorted(ends.items(), key=lambda e: e[0][1]):
+            bound.setdefault(cid, []).append((side, ln.id))
 
     def around(head_id: str, why: str) -> None:
-        n_in, n_out = port_counts(net.components[head_id])
-        for side, ends, n in (("into", g.into, n_in),
-                              ("out of", g.out_of, n_out)):
-            for port in range(n):
-                ln = ends.get((head_id, port))
-                if ln is not None:
-                    note(ln.id, f"{side} {head_id}: {why}")
+        for side, lid in bound[head_id]:
+            planned.setdefault(lid, []).append(f"{side} {head_id}: {why}")
 
     for lid in g.back_edges:
-        head = net.links[lid].dst
-        if head is None:
-            note(lid, f"back edge {lid}")
-            continue
-        around(head[0], f"head of back edge {lid}")
+        around(net.links[lid].dst[0], f"head of back edge {lid}")
     # DFS can anchor a back edge anywhere on its cycle, so the links where a
     # loop actually carries its token between iterations may stay unplanned.
     # Buffering around every carry point keeps one iteration's completion
     # handshakes from wedging against the next iteration's activation.
     for lid in sorted(g.loop_carry):
-        head = net.links[lid].dst
-        if head is not None:
-            around(head[0], f"loop carry {lid}")
+        around(net.links[lid].dst[0], f"loop carry {lid}")
     _complete(g, planned)
-    return _mkplan("loop", mode, planned)
+    return _mkplan("loop", planned)
 
 
 def policy_pac(net: Network, mode: str = "async") -> BufferPlan:
     g = FlowGraph(net)
-    return _mkplan("pac", mode, pac_retime(g, pac_mark(g, dg.build(g))))
+    return _mkplan("pac", pac_retime(g, pac_mark(g, dg.build(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +204,17 @@ def _complete(g: FlowGraph, planned: dict[str, list[str]]) -> None:
     # Liveness: while a cycle holds lid as its only planned link, plan the
     # least link of the unplanned chain that a walk finds from lid's
     # successors back to lid.
-    changed = True
-    while changed:
-        changed = False
-        for lid in sorted(planned):
-            while True:
-                reach = walk(succ, succ[lid], blocked=planned, stop=lid)
-                path = []
-                cur = reach.get(lid)
-                while cur is not None:
-                    path.append(cur)
-                    cur = reach[cur]
-                if not path:
-                    break
-                pick = min(path)
-                planned.setdefault(pick, []).append(f"liveness of {lid}")
-                changed = True
+    for lid in sorted(planned):
+        while True:
+            reach = walk(succ, succ[lid], blocked=planned, stop=lid)
+            path = []
+            cur = reach.get(lid)
+            while cur is not None:
+                path.append(cur)
+                cur = reach[cur]
+            if not path:
+                break
+            planned.setdefault(min(path), []).append(f"liveness of {lid}")
 
 
 def _unplanned_cycle_edge(succ: dict[str, list[str]],

@@ -91,6 +91,52 @@ def test_sweep_surfaces_first_failing_cell():
     assert err.value.cell[:4] == ("elgcd", "simple", "async", 0)
 
 
+def test_sweep_stops_at_the_first_failing_cell_in_policy_order(monkeypatch):
+    # loop fails under async and simple under sync.  Row order would meet
+    # loop/async first; a sweep runs each policy's cells in turn, so it
+    # stops at simple/sync.
+    from elastika import bench
+    spec = dataclasses.replace(benchmark("elgcd"))
+    by_size = {len(bench.POLICIES[p](spec._net)): p for p in spec.policies}
+    run = bench.run
+
+    def flaky(lowered, cfg):
+        rep = run(lowered, cfg)
+        cell = (by_size[lowered.net.buffer_count()], cfg.mode)
+        if cell in {("loop", "async"), ("simple", "sync")}:
+            rep.results.clear()
+        return rep
+    monkeypatch.setattr(bench, "run", flaky)
+    with pytest.raises(EquivalenceError) as err:
+        sweep(spec)
+    assert err.value.cell[:4] == ("elgcd", "simple", "sync", 2000)
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_sweep_plans_each_policy_once(name, monkeypatch):
+    # A plan depends only on the net and the policy, so every (mode,
+    # clock) cell of a policy shares one plan, splice, Lowered and cost.
+    from elastika import bench
+    spec = dataclasses.replace(benchmark(name))
+    plans, runs, lowered = [], [], []
+    for policy, plan in list(bench.POLICIES.items()):
+        def counted(net, *args, policy=policy, plan=plan, **kwargs):
+            plans.append(policy)
+            return plan(net, *args, **kwargs)
+        monkeypatch.setitem(bench.POLICIES, policy, counted)
+    run = bench.run
+
+    def counted_run(net, cfg):
+        runs.append(cfg.mode)
+        lowered.append(net)
+        return run(net, cfg)
+    monkeypatch.setattr(bench, "run", counted_run)
+    rows = sweep(spec)
+    assert sorted(plans) == sorted(spec.policies)
+    assert len(runs) == len(rows) * len(spec.datasets)
+    assert len({id(net) for net in lowered}) == len(spec.policies)
+
+
 def test_format_table_shape():
     spec = benchmark("elgcd")
     row = run_cell(spec, "pac", "async", 0)

@@ -1,21 +1,23 @@
 """Buffer insertion policies: plan shapes, orderings, liveness, splicing."""
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import networkx as nx
 import pytest
 
 from elastika import depgraph as dg
-from elastika import ir, netlist
+from elastika import buffering, ir, netlist
 from elastika.bench import benchmark
 from elastika.buffering import (BufferPlan, apply, pac_mark, pac_retime,
                                 policy_loop, policy_pac, policy_simple)
 from elastika.frontend import compile as compile_module
 from elastika.frontend import parse
-from elastika.ir import (DoubleBuffer, FlowGraph, Kind, Network,
-                         combinational_cycle, splice_buffer_in_place,
-                         validate)
+from elastika.ir import (Component, DoubleBuffer, FlowGraph, Kind, Link,
+                         Network, Port, combinational_cycle,
+                         splice_buffer_in_place, validate)
+from elastika.sim import SimConfig, run
 
 BENCHES = ["elgcd", "poly", "smul"]
 CORPUS = ["wide0", "wide1", "wide2", "wide3"]
@@ -54,7 +56,6 @@ def test_plans_are_subsets_with_provenance(bench, mode, request):
     net = net_for(request, bench)
     for policy in (policy_simple, policy_loop, policy_pac):
         plan = policy(net, mode)
-        assert plan.mode == mode
         assert set(plan.links) <= set(net.links)
         assert plan.links == tuple(sorted(plan.links))
         for lid in plan.links:
@@ -191,32 +192,39 @@ def test_pac_plans_around_initials(elgcd_net):
 @pytest.mark.parametrize("policy", [policy_simple, policy_loop, policy_pac])
 def test_plans_do_not_depend_on_mode(name, policy):
     # A Join waits for its late input under either timing mode, so no
-    # policy pads paths for the clock: mode is only the plan's label.
+    # policy pads paths for the clock, and a plan carries no mode.  The
+    # policies still accept an unused ``mode``.
     if name in BENCHES:
         net = benchmark(name).compiled()
     else:
         net = compile_module(parse((DATA / f"{name}.csp").read_text()))
-    plan_async, plan_sync = policy(net, "async"), policy(net, "sync")
-    assert (plan_async.mode, plan_sync.mode) == ("async", "sync")
-    assert plan_sync.links == plan_async.links
-    assert plan_sync.provenance == plan_async.provenance
+    plan = policy(net)
+    assert policy(net, "sync") == policy(net, mode="async") == plan
+    assert "mode" not in {f.name for f in dataclasses.fields(BufferPlan)}
 
 
 @pytest.mark.parametrize("policy", [policy_loop, policy_pac])
 @pytest.mark.parametrize("mode", MODES)
 def test_planners_ignore_unbound_ports(policy, mode, elgcd_net, monkeypatch):
     # An unvalidated net may declare far more ports than it binds.  The
-    # planners pair only the ports that links bind, so a Merge declaring
-    # 2**40 inputs plans as the net does, and no walk over its declared
-    # ports (port_counts raises here, instead of allocating) takes place.
+    # planners pair only the ports that links bind, so a loop-head Merge
+    # declaring 2**40 inputs plans as the net does, and no walk over its
+    # declared ports takes place: port_counts raises here, wherever it
+    # was imported, instead of counting.
+    g = FlowGraph(elgcd_net)
+    heads = {elgcd_net.links[lid].dst[0]
+             for lid in [*g.back_edges, *g.loop_carry]}
+    head = min(cid for cid in heads
+               if elgcd_net.components[cid].kind is Kind.MERGE)
+    assert head == "m.b.2.merge"
     huge = netlist.loads(netlist.dumps(elgcd_net))
-    merge = next(c for c in huge.components.values() if c.kind is Kind.MERGE)
-    merge.params["inputs"] = 2 ** 40
+    huge.components[head].params["inputs"] = 2 ** 40
     expected = policy(elgcd_net, mode)
 
     def refuse(comp):
         raise AssertionError(f"walked the declared ports of {comp.id}")
-    monkeypatch.setattr(ir, "port_counts", refuse)
+    for module in (ir, buffering):
+        monkeypatch.setattr(module, "port_counts", refuse, raising=False)
     assert policy(huge, mode) == expected
 
 
@@ -305,5 +313,45 @@ def test_buffered_nets_have_no_storage_free_cycles(bench, policy, request):
 
 
 def test_plan_len_protocol():
-    plan = BufferPlan("simple", "async", ("a", "b"), {"a": ("x",), "b": ("y",)})
+    plan = BufferPlan("simple", ("a", "b"), {"a": ("x",), "b": ("y",)})
     assert len(plan) == 2
+
+
+# ---------------------------------------------------------------------------
+# Branches the shipped nets do not reach
+
+# A `while` whose body is `skip`: no dependency edge marks a link on its
+# cycle, so under pac only the coverage pass plans one there.
+STUCK_LOOP = ("module t(in a: 1; out z: 1) "
+              "{ var x: 1; x := a; while x == 1 { skip }; z ! x }")
+
+
+def test_coverage_plans_a_cycle_nothing_else_marks():
+    net = compile_module(parse(STUCK_LOOP))
+    plan = policy_pac(net)
+    assert [lid for lid in plan.links
+            if "coverage" in plan.provenance[lid]] == ["w0010"]
+    assert plan.provenance["w0010"] == ("coverage",)
+    for policy in (policy_simple, policy_loop, policy_pac):
+        buffered = apply(net, policy(net))
+        assert combinational_cycle(FlowGraph(buffered)) is None
+        for mode, clock in (("async", 0), ("sync", 2000)):
+            report = run(buffered, SimConfig(mode=mode, clock=clock,
+                                             stimulus={"a": [0, 0, 0]}))
+            assert [v for v, _ in report.results["z"]] == [0, 0, 0]
+
+
+def test_pac_marks_after_an_operator_producer():
+    # a -> `id` Operator -> z: the PAC edge of port z has an Operator
+    # producer, so the link after it is marked.
+    op = Component("op", Kind.OPERATOR, {"fn": "id", "inputs": [8], "out": 8})
+    net = Network("idop", {"op": op},
+                  {"l0": Link("l0", 8, None, ("op", 0)),
+                   "l1": Link("l1", 8, ("op", 0), None)},
+                  {"a": Port("a", "in", 8, "l0"),
+                   "z": Port("z", "out", 8, "l1")})
+    assert validate(net) == []
+    plan = policy_pac(net)
+    assert plan.links == ("l1",)
+    assert plan.provenance == {
+        "l1": ("PAC a after consumer; PAC z after producer",)}

@@ -687,7 +687,7 @@ def no_cells(*args, **kwargs):
 @pytest.mark.parametrize("modes", [["sync"], ["async", "sync"]])
 def test_sweep_checks_clocks_before_any_cell(tmp_path, monkeypatch, capsys,
                                              clock, modes):
-    monkeypatch.setattr(bench, "run_cell", no_cells)
+    monkeypatch.setattr(bench, "_policy_rows", no_cells)
     out = tmp_path / "x.csv"
     assert main(["sweep", "elgcd", "poly", "--modes", *modes,
                  "--clocks", "2000", clock, "-o", str(out)]) == 2
@@ -696,7 +696,7 @@ def test_sweep_checks_clocks_before_any_cell(tmp_path, monkeypatch, capsys,
 
 
 def test_sweep_checks_output_before_any_cell(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(bench, "run_cell", no_cells)
+    monkeypatch.setattr(bench, "_policy_rows", no_cells)
     bad = tmp_path / "absent" / "x.csv"
     assert main(["sweep", "elgcd", "-o", str(bad)]) == 2
     err = capsys.readouterr().err
@@ -710,18 +710,21 @@ def test_sweep_checks_output_before_any_cell(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_unknown_second_benchmark_runs_no_cell(monkeypatch, capsys):
-    monkeypatch.setattr(bench, "run_cell", no_cells)
+    monkeypatch.setattr(bench, "_policy_rows", no_cells)
     assert main(["sweep", "elgcd", "fibonacci"]) == 2
     assert "unknown benchmark" in capsys.readouterr().err
 
 
 def test_sweep_async_only_ignores_clocks(monkeypatch, capsys):
-    cells, run_cell = [], bench.run_cell
-    monkeypatch.setattr(bench, "run_cell", lambda spec, *a: cells.append(a)
-                        or run_cell(spec, *a))
+    runs, run = [], bench.run
+    monkeypatch.setattr(bench, "run", lambda net, cfg: runs.append(
+        (cfg.mode, cfg.clock)) or run(net, cfg))
     assert main(["sweep", "elgcd", "--modes", "async", "--clocks", "0"]) == 0
-    assert [cell[:3] for cell in cells] == [
-        ("simple", "async", 0), ("loop", "async", 0), ("pac", "async", 0)]
+    assert runs == [("async", 0)] * 6   # 3 policies x 2 datasets
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split(",")[:3] for row in rows] == [
+        ["simple", "async", "0"], ["loop", "async", "0"],
+        ["pac", "async", "0"]]
 
 
 def test_sweep_failing_later_keeps_the_output_file(tmp_path, monkeypatch,
@@ -912,7 +915,7 @@ def test_undecodable_input_file_exit_2(tmp_path, elgcd_source, elgcd_netlist,
                                        role):
     # The first six roles printed a UnicodeDecodeError traceback, exit 1;
     # the message names the file, as a command may read three.
-    monkeypatch.setattr(bench, "run_cell", no_cells)
+    monkeypatch.setattr(bench, "_policy_rows", no_cells)
     config = tmp_path / "cfg.txt"
     config.write_text("delay.join = 100\n")
     files = {"source": elgcd_source, "netlist": elgcd_netlist,
@@ -939,7 +942,7 @@ def test_config_key_outside_delay_and_power_exit_2(tmp_path, elgcd_buffered,
                                                    monkeypatch, capsys,
                                                    command, key):
     # Each was ignored: exit 0, and the run used the default table.
-    monkeypatch.setattr(bench, "run_cell", no_cells)
+    monkeypatch.setattr(bench, "_policy_rows", no_cells)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"delay.join = 100\n{key} = 3\n")
     argv = {"report": ["report", str(elgcd_buffered), "--config"],

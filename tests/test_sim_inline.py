@@ -156,3 +156,31 @@ def test_refused_lowering_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def fork_into_merge() -> Network:
+    """x -> Fork b -> both inputs of Merge c -> Buffer a -> z.  The keys
+    order a < b < c, so the Merge's consumer sorts below the Merge and its
+    two inputs arrive at once."""
+    comps = [Component("a", Kind.BUFFER, {"width": 8, "capacity": 1}),
+             Component("b", Kind.FORK, {"input": 8, "outputs": [8, 8]}),
+             Component("c", Kind.MERGE, {"width": 8, "inputs": 2})]
+    links = [Link("lx", 8, None, ("b", 0)), Link("l0", 8, ("b", 0), ("c", 0)),
+             Link("l1", 8, ("b", 1), ("c", 1)),
+             Link("lc", 8, ("c", 0), ("a", 0)), Link("lz", 8, ("a", 0), None)]
+    return Network("forkmerge", {c.id: c for c in comps},
+                   {ln.id: ln for ln in links},
+                   {"x": Port("x", "in", 8, "lx"),
+                    "z": Port("z", "out", 8, "lz")})
+
+
+def test_merge_acknowledge_sorts_before_the_next_grant(monkeypatch):
+    # Clocked, the Merge has zero delay: the acknowledge it calls at once
+    # must sort below the offer of the grant it queues next, not just
+    # below the Merge's own key.
+    net = fork_into_merge()
+    cfg = SimConfig(mode="sync", clock=1000, stimulus={"x": [1, 2, 3]})
+    report = run(net, cfg)
+    assert report.completion == "drained"
+    assert [v for v, _ in report.results["z"]] == [1, 1, 2, 2, 3, 3]
+    assert_same_calls(monkeypatch, net, cfg)
