@@ -88,11 +88,12 @@ def channels(g: FlowGraph) -> list[Channel]:
     internal: list[Channel] = []
     for cid in sorted(net.components):
         comp = net.components[cid]
-        if comp.kind is Kind.FORK and "channel" in comp.params:
+        chan = comp.param("channel") if comp.kind is Kind.FORK else None
+        if chan is not None:
             data = g.out_of.get((cid, 0))
             if data is None or data.dst is None:
                 continue
-            internal.append(Channel(comp.params["channel"], data.id,
+            internal.append(Channel(chan, data.id,
                                     cid, data.dst[0], cid, data.dst[0]))
     internal.sort(key=lambda ch: (ch.name, ch.producer))
     return out + internal

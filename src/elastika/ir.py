@@ -9,10 +9,12 @@ link to a named channel of the environment.
 from __future__ import annotations
 
 import copy
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Container, Iterable, Iterator, Optional
+from typing import (Callable, Container, Iterable, Iterator, NamedTuple,
+                    Optional)
 
 
 class Kind(str, Enum):
@@ -70,51 +72,58 @@ class Component:
         widths = _INPUT_WIDTHS.get(self.kind)
         if widths is None:
             raise IrError(f"unhandled kind {self.kind}")
-        return widths(self.params)
+        return widths(self)
 
     def output_widths(self) -> list[int]:
         widths = _OUTPUT_WIDTHS.get(self.kind)
         if widths is None:
             raise IrError(f"unhandled kind {self.kind}")
-        return widths(self.params)
+        return widths(self)
+
+    def param(self, name: str):
+        """The param ``name``, or the default its kind declares in
+        ``PARAMS`` (None for an optional param with no default)."""
+        return self.params.get(name, PARAMS[self.kind][name].default)
 
 
-# Port widths per kind, as functions of the component's params; dict
-# dispatch keeps the enum member lookups out of these hot calls.
-_INPUT_WIDTHS: dict[Kind, Callable[[dict], list[int]]] = {
-    Kind.JOIN: lambda p: list(p["inputs"]),
-    Kind.FORK: lambda p: [p["input"]],
-    Kind.STEER: lambda p: [p["input"]],
-    Kind.MERGE: lambda p: [p["width"]] * p["inputs"],
-    Kind.VARIABLE: lambda p: [p["width"]] + [0] * p["reads"],
-    Kind.OPERATOR: lambda p: list(p["inputs"]),
-    Kind.INITIAL: lambda p: [p.get("width", 0)],
-    Kind.BUFFER: lambda p: [p["width"]],
+# Port widths per kind, as functions of the component; dict dispatch keeps
+# the enum member lookups out of these hot calls.
+_INPUT_WIDTHS: dict[Kind, Callable[[Component], list[int]]] = {
+    Kind.JOIN: lambda c: list(c.params["inputs"]),
+    Kind.FORK: lambda c: [c.params["input"]],
+    Kind.STEER: lambda c: [c.params["input"]],
+    Kind.MERGE: lambda c: [c.params["width"]] * c.params["inputs"],
+    Kind.VARIABLE: lambda c: [c.params["width"]] + [0] * c.params["reads"],
+    Kind.OPERATOR: lambda c: list(c.params["inputs"]),
+    Kind.INITIAL: lambda c: [c.param("width")],
+    Kind.BUFFER: lambda c: [c.params["width"]],
 }
 
-_OUTPUT_WIDTHS: dict[Kind, Callable[[dict], list[int]]] = {
-    Kind.JOIN: lambda p: [sum(p["inputs"])],
-    Kind.FORK: lambda p: list(p["outputs"]),
-    Kind.STEER: lambda p: [p["input"] - p["select"]] * p["outputs"],
-    Kind.MERGE: lambda p: [p["width"]],
-    Kind.VARIABLE: lambda p: [0] + [p["width"]] * p["reads"],
-    Kind.OPERATOR: lambda p: [p["out"]],
-    Kind.INITIAL: lambda p: [p.get("width", 0)],
-    Kind.BUFFER: lambda p: [p["width"]],
+_OUTPUT_WIDTHS: dict[Kind, Callable[[Component], list[int]]] = {
+    Kind.JOIN: lambda c: [sum(c.params["inputs"])],
+    Kind.FORK: lambda c: list(c.params["outputs"]),
+    Kind.STEER: lambda c: ([c.params["input"] - c.params["select"]]
+                           * c.params["outputs"]),
+    Kind.MERGE: lambda c: [c.params["width"]],
+    Kind.VARIABLE: lambda c: [0] + [c.params["width"]] * c.params["reads"],
+    Kind.OPERATOR: lambda c: [c.params["out"]],
+    Kind.INITIAL: lambda c: [c.param("width")],
+    Kind.BUFFER: lambda c: [c.params["width"]],
 }
 
 # Port counts per kind: the lengths of the width lists above, read straight
 # from the params so that no list is built (a list repeated a negative
 # number of times is empty).
-_PORT_COUNTS: dict[Kind, Callable[[dict], tuple[int, int]]] = {
-    Kind.JOIN: lambda p: (len(p["inputs"]), 1),
-    Kind.FORK: lambda p: (1, len(p["outputs"])),
-    Kind.STEER: lambda p: (1, max(p["outputs"], 0)),
-    Kind.MERGE: lambda p: (max(p["inputs"], 0), 1),
-    Kind.VARIABLE: lambda p: (1 + max(p["reads"], 0), 1 + max(p["reads"], 0)),
-    Kind.OPERATOR: lambda p: (len(p["inputs"]), 1),
-    Kind.INITIAL: lambda p: (1, 1),
-    Kind.BUFFER: lambda p: (1, 1),
+_PORT_COUNTS: dict[Kind, Callable[[Component], tuple[int, int]]] = {
+    Kind.JOIN: lambda c: (len(c.params["inputs"]), 1),
+    Kind.FORK: lambda c: (1, len(c.params["outputs"])),
+    Kind.STEER: lambda c: (1, max(c.params["outputs"], 0)),
+    Kind.MERGE: lambda c: (max(c.params["inputs"], 0), 1),
+    Kind.VARIABLE: lambda c: (1 + max(c.params["reads"], 0),
+                              1 + max(c.params["reads"], 0)),
+    Kind.OPERATOR: lambda c: (len(c.params["inputs"]), 1),
+    Kind.INITIAL: lambda c: (1, 1),
+    Kind.BUFFER: lambda c: (1, 1),
 }
 
 
@@ -124,7 +133,7 @@ def port_counts(comp: Component) -> tuple[int, int]:
     counts = _PORT_COUNTS.get(comp.kind)
     if counts is None:
         raise IrError(f"unhandled kind {comp.kind}")
-    return counts(comp.params)
+    return counts(comp)
 
 
 @dataclass
@@ -196,79 +205,126 @@ class Diagnostic:
         return f"{self.code}: {self.subject}: {self.message}"
 
 
-# The param that counts a kind's ports, where no list's length does.
-_COUNT_PARAMS = {Kind.MERGE: "inputs", Kind.STEER: "outputs",
-                 Kind.VARIABLE: "reads"}
+# ---------------------------------------------------------------------------
+# Component params, declared once per kind in ``PARAMS``.  ``validate``
+# checks every component against it before anything else reads its params,
+# ``sim.Lowered`` does so for a net nobody validated, and every reader takes
+# an absent param's default from it through ``Component.param``.
+
+REQUIRED = object()   # the default of a param that must be present
 
 
-def _param_problems(comp: Component) -> list[tuple[str, str]]:
-    """(code, message) for each per-kind parameter problem of ``comp``.
-    Params too malformed to check raise KeyError, TypeError, ValueError or
-    AttributeError, which ``validate`` reports as one bad-params."""
-    out: list[tuple[str, str]] = []
-    ins, outs = comp.input_widths(), comp.output_widths()
-    n_in, n_out = len(ins), len(outs)
-    k, p = comp.kind, comp.params
-    # A width must be an int itself, not a whole float or a bool, which
-    # the link width comparison in validate lets pass.
-    for side, widths in (("input", ins), ("output", outs)):
-        out += [("bad-params", f"{side} {i} width {w!r} is not an integer")
-                for i, w in enumerate(widths) if type(w) is not int]
-    if k is Kind.STEER and type(p["select"]) is not int:
-        out.append(("bad-params", "steer select width must be an integer"))
-    # So must a port count, which a bool passes as 0 or 1 ports.
-    count = _COUNT_PARAMS.get(k)
-    if count is not None and type(p[count]) is not int:
-        out.append(("bad-params", f"{k.value} {count} must be an integer"))
-    if k is Kind.JOIN and n_in < 2:
-        out.append(("arity", "join needs at least 2 inputs"))
-    if k is Kind.FORK:
-        if n_out < 2:
-            out.append(("arity", "fork needs at least 2 outputs"))
-        for i, w in enumerate(p["outputs"]):
-            if w > p["input"]:
-                out.append(("width", f"fork output {i} wider than input"))
-    if k is Kind.STEER:
-        if n_out < 2:
-            out.append(("arity", "steer needs at least 2 outputs"))
-        if p["select"] < 0 or p["select"] > p["input"]:
-            out.append(("width", "steer select field outside input word"))
-        for val, target in p["table"].items():
-            if type(target) is not int or not 0 <= target < n_out:
-                out.append(("bad-params", f"steer table entry {val} targets "
-                                          f"missing output {target!r}"))
-    if k is Kind.MERGE and n_in < 2:
-        out.append(("arity", "merge needs at least 2 inputs"))
-    if k is Kind.OPERATOR and n_in < 1:
-        out.append(("arity", "operator needs at least 1 input"))
-    if k is Kind.OPERATOR and p["fn"] not in OPERATOR_FNS:
-        out.append(("bad-params", f"unknown operator function {p['fn']!r}"))
-    # Optional params read by the simulator, the bound and the planners.
-    # A number must be an int itself, not a bool or a float.
-    if k in (Kind.OPERATOR, Kind.INITIAL):
-        value = p.get("value", 0)
-        if type(value) is not int:
-            out.append(("bad-params", f"{k.value} value must be an integer"))
-        # The value is offered on the output port, so it must fit there:
-        # the simulator would offer it masked, another word than the net's.
-        elif type(outs[0]) is int and (value < 0
-                                       or value.bit_length() > outs[0]):
-            out.append(("bad-params", f"{k.value} value does not fit its "
-                                      f"{outs[0]}-bit output"))
-    if k is Kind.VARIABLE and type(p.get("init", 0)) is not int:
-        out.append(("bad-params", "variable init must be an integer"))
-    if k is Kind.OPERATOR and not isinstance(p.get("delay_class", ""), str):
-        out.append(("bad-params", "operator delay_class must be a string"))
-    if k is Kind.MERGE and type(p.get("loop", 0)) is not int:
-        out.append(("bad-params", "merge loop must be an input port number"))
-    if k is Kind.FORK and not isinstance(p.get("channel", ""), str):
-        out.append(("bad-params", "fork channel must be a string"))
-    if k is Kind.VARIABLE and p["reads"] < 1:
-        out.append(("arity", "variable needs at least 1 read port"))
-    cap = p.get("capacity", 1)
-    if k is Kind.BUFFER and not (type(cap) is int and cap >= 1):
-        out.append(("bad-params", "buffer capacity must be an integer >= 1"))
-    return out
+class Param(NamedTuple):
+    """One param type: its wording in README, a test of a value, the
+    message for a value that fails it, and the default.  The test is
+    called as (value, component) and may read the params declared before
+    its own; the message as (value, component, name)."""
+    text: str
+    ok: Callable[[object, Component], bool]
+    why: Callable[[object, Component, str], str]
+    default: object = REQUIRED
+
+    def optional(self, default=None) -> "Param":
+        """This type with a default; None means that absence means unset."""
+        return self._replace(default=default)
+
+
+def _nat(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _must(text: str, ok: Callable[[object, Component], bool]) -> Param:
+    """A type whose one message says that a value must be ``text``."""
+    return Param(text, ok, lambda v, comp, name:
+                 f"{comp.kind.value} {name} must be {text}")
+
+
+def _word(width: str) -> Param:
+    """An int offered as it is on the output whose width is the param
+    ``width``, so it must fit there."""
+    def why(v, comp: Component, name: str) -> str:
+        if type(v) is not int:
+            return f"{comp.kind.value} {name} must be an integer"
+        return (f"{comp.kind.value} {name} does not fit its "
+                f"{comp.param(width)}-bit output")
+    return Param(f"an integer 0 .. 2^`{width}` - 1",
+                 lambda v, comp: type(v) is int and v >= 0
+                 and v.bit_length() <= comp.param(width), why)
+
+
+# A Steer routes a select value by the key written as its decimal digits;
+# no select field is wider than MAX_WIDTH bits, so no key has more digits.
+_DECIMAL = re.compile(f"0|[1-9][0-9]{{0,{len(str(1 << MAX_WIDTH)) - 1}}}")
+
+
+def _routes_ok(v, comp: Component) -> bool:
+    n_out = port_counts(comp)[1]
+    return type(v) is dict and all(
+        type(key) is str and _DECIMAL.fullmatch(key) is not None
+        and type(t) is int and 0 <= t < n_out for key, t in v.items())
+
+
+def _routes_why(v, comp: Component, name: str) -> str:
+    if type(v) is not dict or not all(
+            type(key) is str and _DECIMAL.fullmatch(key) for key in v):
+        return f"{comp.kind.value} {name} must be {ROUTES.text}"
+    n_out = port_counts(comp)[1]
+    return next(f"steer table entry {key} targets missing output {t!r}"
+                for key, t in v.items() if not (_nat(t) and t < n_out))
+
+
+NAT = _must("an integer >= 0", lambda v, comp: type(v) is int and v >= 0)
+POSITIVE = _must("an integer >= 1", lambda v, comp: type(v) is int and v >= 1)
+WIDTHS = _must("a list of integers >= 0",
+               lambda v, comp: type(v) is list and all(map(_nat, v)))
+STRING = _must("a string", lambda v, comp: type(v) is str)
+INPUT_PORT = _must("an input port number", lambda v, comp:
+                   type(v) is int and 0 <= v < port_counts(comp)[0])
+FUNCTION = Param("one of `ir.OPERATOR_FNS`",
+                 lambda v, comp: type(v) is str and v in OPERATOR_FNS,
+                 lambda v, comp, name: f"unknown operator function {v!r}")
+ROUTES = Param("a map from decimal strings to output ports", _routes_ok,
+               _routes_why)
+
+PARAMS: dict[Kind, dict[str, Param]] = {
+    Kind.JOIN: {"inputs": WIDTHS, "channel": STRING.optional()},
+    Kind.FORK: {"input": NAT, "outputs": WIDTHS, "channel": STRING.optional()},
+    Kind.STEER: {"input": NAT, "select": NAT, "outputs": NAT, "table": ROUTES},
+    Kind.MERGE: {"width": NAT, "inputs": NAT, "loop": INPUT_PORT.optional()},
+    Kind.VARIABLE: {"width": NAT, "reads": NAT,
+                    "init": _word("width").optional(0)},
+    Kind.OPERATOR: {"fn": FUNCTION, "inputs": WIDTHS, "out": NAT,
+                    "value": _word("out").optional(0),
+                    "delay_class": STRING.optional("default")},
+    Kind.INITIAL: {"width": NAT.optional(0),
+                   "value": _word("width").optional(0)},
+    Kind.BUFFER: {"width": NAT, "capacity": POSITIVE.optional(1)},
+}
+
+
+def param_problem(comp: Component) -> Optional[str]:
+    """The first way ``comp``'s params break its kind's ``PARAMS``, in
+    table order, or None: a required param missing, or a param present
+    with a value of another type."""
+    params = comp.params
+    if type(params) is not dict:
+        return f"{comp.kind.value} params must be a map"
+    for name, (_, ok, why, default) in PARAMS[comp.kind].items():
+        if name in params:
+            v = params[name]
+            if not ok(v, comp):
+                return why(v, comp, name)
+        elif default is REQUIRED:
+            return f"{comp.kind.value} {name} is missing"
+    return None
+
+
+# The fewest ports each kind works with: (side, count, wording), side 0
+# for inputs and 1 for outputs.
+_ARITY = {Kind.JOIN: (0, 2, "2 inputs"), Kind.FORK: (1, 2, "2 outputs"),
+          Kind.STEER: (1, 2, "2 outputs"), Kind.MERGE: (0, 2, "2 inputs"),
+          Kind.OPERATOR: (0, 1, "1 input"),
+          Kind.VARIABLE: (0, 2, "1 read port")}
 
 
 def validate(net: Network) -> list[Diagnostic]:
@@ -278,32 +334,37 @@ def validate(net: Network) -> list[Diagnostic]:
     def err(code: str, subject: str, msg: str) -> None:
         diags.append(Diagnostic(code, subject, msg))
 
-    # Kind-level parameter sanity first; port bookkeeping assumes it.  The
-    # ports of a component reported here cannot be counted, so its links'
-    # endpoints on it are skipped below rather than reported as missing.
+    # Each component's params against its table first; port bookkeeping
+    # assumes them.  The links of a component reported here are skipped
+    # below rather than reported as leading to a missing component.
     comps_ok: dict[str, Component] = {}
-    unchecked: set[str] = set()
     for cid, comp in net.components.items():
         if cid != comp.id:
             err("id-mismatch", cid, "component table key differs from component id")
-        try:
-            # Every port needs a link of its own, so a port count above the
-            # net's link count cannot be valid; it is checked before any
-            # width list of that length is built.
-            n_in, n_out = port_counts(comp)
-            if max(n_in, n_out) > len(net.links):
-                err("connectivity", cid,
-                    f"{n_in} input and {n_out} output ports, but the net "
-                    f"has {len(net.links)} links")
-                unchecked.add(cid)
-                continue
-            problems = _param_problems(comp)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            err("bad-params", cid, f"missing or malformed params for {comp.kind.value}: {exc}")
-            unchecked.add(cid)
+        problem = param_problem(comp)
+        if problem is not None:
+            err("bad-params", cid, problem)
             continue
-        for code, msg in problems:
-            err(code, cid, msg)
+        # Every port needs a link of its own, so a port count above the
+        # net's link count cannot be valid; it is checked before any width
+        # list of that length is built.
+        n_in, n_out = port_counts(comp)
+        if max(n_in, n_out) > len(net.links):
+            err("connectivity", cid,
+                f"{n_in} input and {n_out} output ports, but the net "
+                f"has {len(net.links)} links")
+            continue
+        # Then the checks that relate params or ports to each other.
+        k, p = comp.kind, comp.params
+        arity = _ARITY.get(k)
+        if arity is not None and (n_in, n_out)[arity[0]] < arity[1]:
+            err("arity", cid, f"{k.value} needs at least {arity[2]}")
+        if k is Kind.FORK:
+            for i, w in enumerate(p["outputs"]):
+                if w > p["input"]:
+                    err("width", cid, f"fork output {i} wider than input")
+        if k is Kind.STEER and p["select"] > p["input"]:
+            err("width", cid, "steer select field outside input word")
         comps_ok[cid] = comp
 
     # Link endpoint resolution and per-port occupancy.
@@ -321,10 +382,10 @@ def validate(net: Network) -> list[Diagnostic]:
                 continue
             cid, pidx = ep
             comp = comps_ok.get(cid)
-            if comp is None:
-                if cid in unchecked:
-                    continue
-                err("dangling", lid, f"{side} references missing component {cid}")
+            if comp is None:   # missing, or its params reported above
+                if cid not in net.components:
+                    err("dangling", lid,
+                        f"{side} references missing component {cid}")
                 continue
             widths = comp.output_widths() if side == "src" else comp.input_widths()
             if not (0 <= pidx < len(widths)):
@@ -580,19 +641,11 @@ class FlowGraph:
         its body-done feedback this way).  Every other link belongs to a
         single pass.
         """
-        out: set[str] = set()
-        for cid, comp in self.net.components.items():
-            port = None
-            if comp.kind is Kind.INITIAL:
-                port = 0
-            elif comp.kind is Kind.MERGE and "loop" in comp.params:
-                port = int(comp.params["loop"])
-            if port is None:
-                continue
-            ln = self.into.get((cid, port))
-            if ln is not None:
-                out.add(ln.id)
-        return out
+        carry = {cid: 0 if comp.kind is Kind.INITIAL else comp.param("loop")
+                 for cid, comp in self.net.components.items()
+                 if comp.kind in (Kind.INITIAL, Kind.MERGE)}
+        return {ln.id for (cid, port), ln in self.into.items()
+                if carry.get(cid) == port}
 
     @cached_property
     def write_sites(self) -> dict[str, list[tuple[str, Optional[str], str]]]:

@@ -98,9 +98,9 @@ def _mem_units(net: Network) -> int:
     total = 0
     for comp in net.components.values():
         if comp.kind is Kind.VARIABLE:
-            total += int(comp.params["width"])
+            total += comp.params["width"]
         elif comp.kind is Kind.BUFFER:
-            total += int(comp.params["width"]) * int(comp.params["capacity"])
+            total += comp.params["width"] * comp.param("capacity")
     return total
 
 
@@ -132,14 +132,14 @@ def power(net: Network, params: PowerParams,
         weight = base.comp_count
         for comp in net.components.values():
             if comp.kind is Kind.VARIABLE:
-                weight += int(comp.params["width"])
+                weight += comp.params["width"]
             elif comp.kind is Kind.BUFFER:
                 held = activity.occupancy_time.get(comp.id, {})
                 span = sum(held.values())
                 mean = (sum(level * t for level, t in held.items()) / span
                         if span else 0.0)
-                cap = int(comp.params["capacity"])
-                weight += int(comp.params["width"]) * cap * (mean / cap)
+                cap = comp.param("capacity")
+                weight += comp.params["width"] * cap * (mean / cap)
     else:
         weight = float(activity)
     dynamic = (params.activity * params.frequency * params.capacitance

@@ -244,7 +244,8 @@ def dot_escape(text) -> str:
 
 
 def to_dot(net: Network, highlight: Optional[set[str]] = None) -> str:
-    """Graphviz text for the network; ``highlight`` marks link ids in red."""
+    """Graphviz text for a validated network; ``highlight`` marks link ids
+    in red."""
     highlight = highlight or set()
     esc = dot_escape
     out = [f'digraph "{esc(net.name)}" {{', "  rankdir=LR;",
@@ -252,7 +253,7 @@ def to_dot(net: Network, highlight: Optional[set[str]] = None) -> str:
     for c in sorted(net.components.values(), key=lambda c: c.id):
         label = esc(c.id)
         if c.kind is Kind.OPERATOR:
-            label += f"\\n{esc(c.params.get('fn', '?'))}"
+            label += f"\\n{esc(c.params['fn'])}"
         out.append(
             f'  "{esc(c.id)}" [shape={_DOT_SHAPE[c.kind]} label="{label}"];')
     for p in sorted(net.ports.values(), key=lambda p: p.name):

@@ -87,8 +87,7 @@ _KIND_DELAYS: dict[Kind, Callable[[DelayTable, Component], int]] = {
     Kind.INITIAL: lambda t, c: t.initial,
     Kind.BUFFER: lambda t, c: t.buffer,
     Kind.VARIABLE: lambda t, c: t.variable_write,
-    Kind.OPERATOR: lambda t, c: t.operator_delay(
-        c.params.get("delay_class", "default")),
+    Kind.OPERATOR: lambda t, c: t.operator_delay(c.param("delay_class")),
 }
 
 

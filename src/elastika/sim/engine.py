@@ -76,11 +76,13 @@ ends, each a component port or an environment port; every input and
 output slot is bound by exactly one link; and every component has at
 least one input and one output.  ``Lowered.wiring`` refuses any other
 net with a ``SimError`` naming the link, or the key and port, so no
-handler has a missing far end to guard against.  It refuses a component
-with more input or output ports than the net has links, or with no
-input or no output, before it builds any slot list; then a link to a
-port the component lacks, a link to a port another link already binds
-and a link with a missing end; and last a slot no link binds.
+handler has a missing far end to guard against.  Once per Lowered, it
+refuses a component whose params fail ``ir.PARAMS``, with the message
+``validate`` gives, or with more input or output ports than the net has
+links, or with no input or no output, before it builds any slot list;
+then a link to a port the component lacks, a link to a port another
+link already binds and a link with a missing end; and last a slot no
+link binds.  No handler checks a param again.
 
 ``run`` pauses the cyclic collector for the whole run, lowering included
 (see ``_collector_paused``).  The handlers reach each other through the
@@ -100,8 +102,8 @@ from functools import cached_property
 from heapq import heappop, heappush, heappushpop
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from ..ir import (_PORT_COUNTS, OPERATOR_FNS, Component, Kind, Network,
-                  back_edges)
+from ..ir import (_PORT_COUNTS, Component, Kind, Network, back_edges,
+                  param_problem)
 from .config import SimConfig
 from .report import SimReport
 
@@ -172,19 +174,12 @@ def _operator_fn(comp: Component) -> Callable[[int, int], int]:
     once at lowering: unsigned word arithmetic modulo the output width.
     A one-input Operator is called with b = 0, and one with more inputs
     reads only its first two.  A shift by at least the width it shifts
-    within gives 0.  A ``fn`` outside ``ir.OPERATOR_FNS``, or an output
-    width that is no int >= 0, raises SimError; ``validate`` refuses
-    both."""
+    within gives 0."""
     params, in_widths = comp.params, comp.params["inputs"]
-    fn, out_width = params.get("fn"), params.get("out")
-    if fn not in OPERATOR_FNS:
-        raise SimError(f"{comp.id}: unknown operator function {fn!r}")
-    if not isinstance(out_width, int) or out_width < 0:
-        raise SimError(f"{comp.id}: operator output width {out_width!r} "
-                       f"is not an integer >= 0")
+    fn, out_width = params["fn"], params["out"]
     m = _mask(out_width)
     if fn == "const":
-        value = params.get("value", 0)
+        value = comp.param("value")
         return lambda a, b: value & m
     if fn == "id":
         return lambda a, b: a & m
@@ -306,7 +301,8 @@ class Lowered:
     def wiring(self) -> _Wiring:
         """The keys, port counts, slot bases and far ends (``_Wiring``),
         or a ``SimError`` for a net that is not fully wired, raised in
-        the order the module docstring gives.  Port counts are read from
+        the order the module docstring gives.  Params are checked with
+        ``ir.param_problem`` and port counts read from
         ``ir._PORT_COUNTS``, and a slot keeps the id of the link that
         binds it, so a second link to it is named with the first."""
         net = self.net
@@ -338,8 +334,11 @@ class Lowered:
         n_links = len(net.links)
         for cid, comp in net.components.items():
             k = ids[cid]
+            problem = param_problem(comp)
+            if problem is not None:
+                raise SimError(f"{cid}: {problem}")
             # Refused before anything is built per port: each needs a link.
-            a, b = n_in[k], n_out[k] = _PORT_COUNTS[comp.kind](comp.params)
+            a, b = n_in[k], n_out[k] = _PORT_COUNTS[comp.kind](comp)
             if a > n_links or b > n_links:
                 raise SimError(f"{cid} has {a} input and {b} output ports, "
                                f"but the net has {n_links} links")
@@ -458,7 +457,7 @@ class Simulation:
         self.direct = low.direct   # per key: may its handlers call directly
         try:
             self._lower(w)
-        except BaseException:   # a refused component, say
+        except BaseException:   # an interrupt, say
             self._drop_handlers()
             raise
 
@@ -583,11 +582,11 @@ class Simulation:
 
 # -- per-kind handlers ----------------------------------------------------
 #
-# Each builder takes one key whose slots are already wired (port counts as
-# in ir.port_counts; every slot has a far end, see the module docstring)
-# and returns its (offer, acknowledge, fire) handlers, closed over its
-# slots, the far ends of its links, its parameters and its resolved
-# delay.  Every handler is called as (port, payload, t), keeps its own
+# Each builder takes one key whose params fit ir.PARAMS and whose slots
+# are already wired (port counts as in ir.port_counts; every slot has a
+# far end, see the module docstring) and returns its (offer, acknowledge,
+# fire) handlers, closed over its slots, the far ends of its links, its
+# parameters and its resolved delay.  Every handler is called as (port, payload, t), keeps its own
 # slots and returns one event it causes, or None; it pushes any further
 # events itself:
 #
@@ -710,9 +709,8 @@ def _join(sim: Simulation, k: int, comp: Component):
 
 
 def _operator(sim: Simulation, k: int, comp: Component):
-    p = comp.params
-    delay = sim.cfg.delays.operator_delay(p.get("delay_class", "default"))
-    n, f = len(p["inputs"]), _operator_fn(comp)
+    delay = sim.cfg.delays.operator_delay(comp.param("delay_class"))
+    n, f = len(comp.params["inputs"]), _operator_fn(comp)
     return _combinational(sim, k, n, delay,
                           f if n <= 2 else lambda vals: f(vals[0], vals[1]))
 
@@ -762,15 +760,9 @@ def _steer(sim: Simulation, k: int, comp: Component):
     name = sim.names[k]
     sel_w = p["select"]
     sel_mask = _mask(sel_w)
-    routes = {}   # select value -> (consumer key, port)
-    for sel, target in p["table"].items():
-        if type(target) is not int or not 0 <= target < p["outputs"]:
-            raise SimError(f"{name}: steer table entry {sel} targets "
-                           f"missing output {target!r}")
-        # A select value matches the entry written as its decimal digits;
-        # no value matches any other spelling.
-        if isinstance(sel, str) and sel.isdecimal() and str(int(sel)) == sel:
-            routes[int(sel)] = sim.out_dst[ob + target]
+    # Select value -> (consumer key, port); each key is a value's digits.
+    routes = {int(sel): sim.out_dst[ob + target]
+              for sel, target in p["table"].items()}
     delay = sim.cfg.delays.steer
     in_val = sim.in_val
     sk, sp = sim.in_src[ib]
@@ -799,8 +791,7 @@ def _steer(sim: Simulation, k: int, comp: Component):
 def _initial(sim: Simulation, k: int, comp: Component):
     """Offers its seed once at start, then relays its input like a wire."""
     ib, ob = sim.in_base[k], sim.out_base[k]
-    p = comp.params
-    seed = p.get("value", 0) & _mask(p.get("width", 0))
+    seed = comp.param("value")
     delay = sim.cfg.delays.initial
     name, fired = sim.names[k], sim.seeds
     in_val = sim.in_val
@@ -861,7 +852,7 @@ def _variable(sim: Simulation, k: int, comp: Component):
     # A firing sorts before the offer that causes it at the same time.
     reads = sim.on_fire if direct and not read else None
     writes = sim.on_fire if direct and not write else None
-    store = p.get("init", 0)
+    store = comp.param("init")
 
     def on_offer(port: int, value: int, t: int) -> Optional[tuple]:
         in_val[ib + port] = value
@@ -963,7 +954,7 @@ def _buffer(sim: Simulation, k: int, comp: Component):
     way."""
     ib, ob = sim.in_base[k], sim.out_base[k]
     name = sim.names[k]
-    cap = comp.params["capacity"]
+    cap = comp.param("capacity")
     delay = sim.cfg.delays.buffer
     heap = sim.heap
     in_val = sim.in_val

@@ -22,9 +22,10 @@ from elastika import bench, cli, netlist
 from elastika.buffering import apply
 from elastika.cli import main
 from elastika.frontend.syntax import MAX_NESTING
-from elastika.ir import Network, validate
+from elastika.ir import PARAMS, Kind, Network, validate
 from elastika.metrics import PowerParams, analytic_throughput, power
-from elastika.sim import DelayTable, SimConfig, run
+from elastika.sim import (DelayTable, Lowered, SimConfig, SimError,
+                          format_stimulus, run)
 from test_netlist import undecodable
 
 
@@ -641,6 +642,91 @@ def test_report_refuses_a_fractional_buffer_capacity(elgcd_buffered, capsys):
     assert err.endswith(": buffer capacity must be an integer >= 1\n")
 
 
+@pytest.mark.parametrize("name", ["elgcd", "poly", "smul"])
+def test_a_buffer_without_capacity_holds_one_token(tmp_path, pac_netlists,
+                                                   name, capsys):
+    # validate gave the Buffer a capacity of 1, and sim and report then
+    # ended in a KeyError traceback.
+    stim = tmp_path / "stim.txt"
+    stim.write_text(format_stimulus(bench.benchmark(name).datasets[0]))
+    outputs = []
+    for capacity in (True, False):
+        obj = json.loads(pac_netlists[name])
+        for comp in obj["components"]:
+            if comp["kind"] == "buffer":
+                assert comp["params"].pop("capacity") == 1
+                if capacity:
+                    comp["params"]["capacity"] = 1
+        path = tmp_path / f"net{capacity}.json"
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["sim", str(path), "--stimulus", str(stim)]) == 0
+        assert main(["report", str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+# Each ill-typed value a param is tried with, and absence.
+_ABSENT = object()
+BAD_VALUES = [True, 1.0, 0.5, "x", -1, 2**600, [0], {"x": 0.5}, None,
+              _ABSENT]
+
+
+def test_every_param_refuses_what_validate_refuses(tmp_path, pac_netlists,
+                                                   capsys):
+    # Every kind appears in the pac-buffered nets.  Each declared param of
+    # the first component of each kind, present or not, takes each value.
+    # A value validate refuses, the engine refuses with validate's message;
+    # on a value it accepts, no command exits 2 on a param.
+    runs = 0
+    for name, text in pac_netlists.items():
+        obj = json.loads(text)
+        first = {}
+        for comp in obj["components"]:
+            first.setdefault(comp["kind"], comp)
+        assert set(first) == {kind.value for kind in Kind}
+        stim = tmp_path / "stim.txt"
+        stim.write_text(format_stimulus(bench.benchmark(name).datasets[0]))
+        for kind, comp in first.items():
+            params = comp["params"]
+            for param in PARAMS[Kind(kind)]:
+                kept = params.get(param, _ABSENT)
+                for value in BAD_VALUES:
+                    params.pop(param, None)
+                    if value is not _ABSENT:
+                        params[param] = value
+                    edited = json.dumps(obj)
+                    net = netlist.loads(edited)
+                    diags = validate(net)
+                    case = (name, comp["id"], param, value)
+                    if diags:
+                        bad = [f"{d.subject}: {d.message}" for d in diags
+                               if d.subject == comp["id"]
+                               and d.code == "bad-params"]
+                        if bad:
+                            with pytest.raises(SimError) as refused:
+                                Lowered(net).wiring
+                            assert str(refused.value) == bad[0], case
+                        continue
+                    path = tmp_path / "net.json"
+                    path.write_text(edited)
+                    codes = []
+                    for argv in (["sim", "--stimulus", str(stim),
+                                  "--horizon", str(10**8)],
+                                 ["report"], ["buffer", "--policy", "pac"]):
+                        capsys.readouterr()
+                        codes.append(main([argv[0], str(path), *argv[1:]]))
+                        err = capsys.readouterr().err
+                        runs += 1
+                    # A buffered net cannot be buffered again.
+                    assert codes[:2] in ([0, 0], [3, 0]), case
+                    assert codes[2] == 2 and "already" in err, case
+                params.pop(param, None)
+                if kept is not _ABSENT:
+                    params[param] = kept
+    assert runs
+
+
 @pytest.mark.parametrize("command", LOADING_COMMANDS,
                          ids=lambda c: c[0])
 def test_arbiter_kind_is_refused(elgcd_netlist, command, capsys):
@@ -852,7 +938,7 @@ def test_report_runs_without_networkx(tmp_path, elgcd_netlist):
 
 @pytest.mark.parametrize("fn, message", [
     ("pow", "unknown operator function 'pow'"),
-    (None, "missing or malformed params for operator: 'fn'")],
+    (None, "operator fn is missing")],
     ids=["pow", "missing"])
 def test_unknown_operator_is_refused_by_every_command(tmp_path, capsys, fn,
                                                       message):
@@ -884,8 +970,7 @@ def test_a_component_with_bad_params_leaves_its_links_unreported(tmp_path,
     path.write_text(netlist.dumps(net))
     assert main(["sim", str(path)]) == 2
     assert capsys.readouterr().err == (
-        "error: bad-params odd: missing or malformed params for operator: "
-        "'fn'\n")
+        "error: bad-params odd: operator fn is missing\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import functools
+import json
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -13,10 +15,12 @@ from elastika.bench import benchmark, benchmark_names
 from elastika.buffering import apply, policy_pac, policy_simple
 from elastika.frontend import compile as compile_module
 from elastika.frontend import parse
-from elastika.ir import (MAX_WIDTH, Component, Diagnostic, DoubleBuffer,
-                         IrError, Kind, FlowGraph, Link, Network, Port,
-                         UnknownLink, back_edges, combinational_cycle,
-                         port_counts, splice_buffer_in_place, validate, walk)
+from elastika.ir import (MAX_WIDTH, PARAMS, REQUIRED, Component, Diagnostic,
+                         DoubleBuffer, IrError, Kind, FlowGraph, Link,
+                         Network, Port, UnknownLink, back_edges,
+                         combinational_cycle, param_problem, port_counts,
+                         splice_buffer_in_place, validate, walk)
+from elastika.sim import Lowered, SimError
 
 
 def small_graphs():
@@ -52,7 +56,7 @@ def test_every_kind_has_port_widths_and_a_delay():
     from elastika.sim.config import _KIND_DELAYS
     from elastika.sim.engine import _HANDLERS
     for table in (_INPUT_WIDTHS, _OUTPUT_WIDTHS, _PORT_COUNTS, _KIND_DELAYS,
-                  _HANDLERS, _DOT_SHAPE):
+                  _HANDLERS, _DOT_SHAPE, PARAMS):
         assert set(table) == set(Kind)
 
 
@@ -192,6 +196,22 @@ def test_validate_refuses_a_steer_target_that_is_no_int(target):
         f"steer table entry 1 targets missing output {target!r}")]
 
 
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1.0", "\u0661",
+                                 "1" * 156])
+def test_validate_refuses_a_steer_key_that_is_no_select_value(key):
+    # Each is a select value's digits in no spelling the simulator reads;
+    # a key of 5,000 digits passed, and int() of it ended `sim` with a
+    # ValueError.
+    net = _shipped_net("elgcd", False).copy()
+    net.components["m.b.2.b.steer"].params["table"][key] = 0
+    message = ("steer table must be a map from decimal strings to output "
+               "ports")
+    assert validate(net) == [Diagnostic("bad-params", "m.b.2.b.steer",
+                                        message)]
+    with pytest.raises(SimError, match=f"^m.b.2.b.steer: {message}$"):
+        Lowered(net).wiring
+
+
 @pytest.mark.parametrize("kind, key, message", [
     (Kind.OPERATOR, "value", "operator value must be an integer"),
     (Kind.INITIAL, "value", "initial value must be an integer"),
@@ -208,20 +228,69 @@ def test_validate_refuses_a_bool_for_an_int_param(kind, key, message):
     assert validate(net) == [Diagnostic("bad-params", comp.id, message)]
 
 
-@pytest.mark.parametrize("value", [-1, 2, 2**40, 2**600])
-@pytest.mark.parametrize("cid, width", [("m.b.0.tag", 1), ("m.i", 0)])
+@pytest.mark.parametrize("cid, width, value", [
+    *((cid, width, value) for cid, width in [("m.b.0.tag", 1), ("m.i", 0)]
+      for value in [-1, 2, 2**40, 2**600]),
+    *(("var.x", 32, value) for value in [-1, 2**40, 2**600])])
 def test_validate_refuses_a_value_that_does_not_fit_its_output(cid, width,
                                                                value):
     # The simulator offered the value masked to the port, so -1 on the
-    # 1-bit write-site tag sent site 0's write done to site 1.
+    # 1-bit write-site tag sent site 0's write done to site 1; it read a
+    # Variable's init masked too.
     net = _shipped_net("elgcd", False).copy()
     comp = net.components[cid]
-    comp.params["value"] = value
+    key = "init" if comp.kind is Kind.VARIABLE else "value"
+    comp.params[key] = value
     assert validate(net) == [Diagnostic(
         "bad-params", cid,
-        f"{comp.kind.value} value does not fit its {width}-bit output")]
-    comp.params["value"] = (1 << width) - 1
+        f"{comp.kind.value} {key} does not fit its {width}-bit output")]
+    comp.params[key] = (1 << width) - 1
     assert validate(net) == []
+
+
+@pytest.mark.parametrize("loop", [-1, 2, 5])
+def test_validate_refuses_a_merge_loop_that_is_no_input_port(loop):
+    # It passed, and the loop policy planned 31 links on poly instead of
+    # 34, a plan that deadlocks.
+    net = _shipped_net("poly", False).copy()
+    net.components["m.b.3.merge"].params["loop"] = loop
+    message = "merge loop must be an input port number"
+    assert validate(net) == [Diagnostic("bad-params", "m.b.3.merge", message)]
+    with pytest.raises(SimError, match=f"^m.b.3.merge: {message}$"):
+        Lowered(net).wiring
+
+
+_DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("source", [
+    *(benchmark(name).source for name in benchmark_names()),
+    *sorted(_DATA.glob("*.csp"))], ids=lambda path: path.stem)
+def test_params_declare_what_the_compiler_emits(source):
+    net = compile_module(parse(source.read_text()))
+    for comp in net.components.values():
+        declared = PARAMS[comp.kind]
+        assert set(comp.params) <= set(declared), comp.id
+        assert {name for name, p in declared.items()
+                if p.default is REQUIRED} <= set(comp.params), comp.id
+        assert param_problem(comp) is None, comp.id
+
+
+def render_params() -> str:
+    """README's list of each kind's params, from ``PARAMS``."""
+    lines = []
+    for kind, params in PARAMS.items():
+        lines.append(f"* {kind.value.capitalize()}\n")
+        for name, p in params.items():
+            how = ("required" if p.default is REQUIRED else "optional"
+                   if p.default is None else f"default {json.dumps(p.default)}")
+            lines.append(f"  - `{name}` ({how}): {p.text}\n")
+    return "".join(lines)
+
+
+def test_readme_lists_the_params_of_every_kind():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert f"\n\n{render_params()}\n" in readme
 
 
 def test_validate_flags_fork_output_wider_than_input():

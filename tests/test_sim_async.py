@@ -13,8 +13,8 @@ from elastika.buffering import apply, policy_pac
 from elastika.frontend.syntax import _BIN_FN
 from elastika.ir import (OPERATOR_FNS, Component, Kind, Link, Network, Port,
                          validate)
-from elastika.sim import (ConfigError, DelayTable, SimConfig, SimError,
-                          Simulation, SteerMiss, critical_path,
+from elastika.sim import (ConfigError, DelayTable, Lowered, SimConfig,
+                          SimError, Simulation, SteerMiss, critical_path,
                           format_stimulus, parse_stimulus, read_config, run)
 from elastika.sim.engine import _operator_fn
 
@@ -511,7 +511,7 @@ def test_operator_closures_match_eval_operator_on_a_grid():
 @pytest.mark.parametrize("fn", ["id", "neg", "not", "shl", "shr", "const"])
 def test_one_input_operators_run_as_the_oracle(fn):
     # A one-input Operator reads its missing second word as 0.
-    params = {"fn": fn, "value": 0x1f3, "out": 6}
+    params = {"fn": fn, "value": 0x33, "out": 6}
     net = mknet("op1",
                 [Component("op", Kind.OPERATOR, {**params, "inputs": [8]})],
                 [Link("la", 8, None, ("op", 0)),
@@ -571,8 +571,10 @@ def test_every_table_function_resolves(fn):
 
 @pytest.mark.parametrize("fn", ["pow", "ADD", "1", True, [1], None])
 def test_function_outside_the_table_raises_sim_error(fn):
+    net = id_chain()
+    net.components["op"].params["fn"] = fn
     with pytest.raises(SimError, match="^op: unknown operator function "):
-        operator_fn({"fn": fn, "out": 8}, [8])
+        Lowered(net).wiring
 
 
 def test_unknown_operator_is_refused_at_lowering():
@@ -582,8 +584,8 @@ def test_unknown_operator_is_refused_at_lowering():
         with pytest.raises(SimError,
                            match="^odd: unknown operator function 'pow'$"):
             sim(two_chains("pow"), stimulus)
-    cases = {"fn": "^odd: unknown operator function None$",
-             "out": "^odd: operator output width None is not an integer"}
+    cases = {"fn": "^odd: operator fn is missing$",
+             "out": "^odd: operator out is missing$"}
     for param, message in cases.items():
         broken = two_chains("id")
         del broken.components["odd"].params[param]
@@ -591,7 +593,8 @@ def test_unknown_operator_is_refused_at_lowering():
             Simulation(broken, SimConfig(stimulus={"a": [1]}))
     broken = two_chains("id")
     broken.components["odd"].params["out"] = -1
-    with pytest.raises(SimError, match="^odd: operator output width -1 is"):
+    with pytest.raises(SimError,
+                       match="^odd: operator out must be an integer >= 0$"):
         Simulation(broken, SimConfig(stimulus={"a": [1]}))
     # A const with no value outputs 0, as validate assumes.
     rep = sim(two_chains("const"), {"a": [1], "b": [5]})
