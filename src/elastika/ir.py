@@ -9,7 +9,9 @@ link to a named channel of the environment.
 from __future__ import annotations
 
 import copy
+import itertools
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -208,7 +210,7 @@ class Diagnostic:
 # ---------------------------------------------------------------------------
 # Component params, declared once per kind in ``PARAMS``.  ``validate``
 # checks every component against it before anything else reads its params,
-# ``sim.Lowered`` does so for a net nobody validated, and every reader takes
+# ``wiring`` does so for a net nobody validated, and every reader takes
 # an absent param's default from it through ``Component.param``.
 
 REQUIRED = object()   # the default of a param that must be present
@@ -303,13 +305,18 @@ PARAMS: dict[Kind, dict[str, Param]] = {
 
 
 def param_problem(comp: Component) -> Optional[str]:
-    """The first way ``comp``'s params break its kind's ``PARAMS``, in
-    table order, or None: a required param missing, or a param present
-    with a value of another type."""
+    """The first way ``comp``'s params break its kind's ``PARAMS``, or
+    None: a param the table does not declare, then in table order a
+    required param missing, or a param present with a value of another
+    type."""
     params = comp.params
     if type(params) is not dict:
         return f"{comp.kind.value} params must be a map"
-    for name, (_, ok, why, default) in PARAMS[comp.kind].items():
+    table = PARAMS[comp.kind]
+    if not params.keys() <= table.keys():
+        name = next(name for name in params if name not in table)
+        return f"{comp.kind.value} has no param {name!r}"
+    for name, (_, ok, why, default) in table.items():
         if name in params:
             v = params[name]
             if not ok(v, comp):
@@ -327,16 +334,153 @@ _ARITY = {Kind.JOIN: (0, 2, "2 inputs"), Kind.FORK: (1, 2, "2 outputs"),
           Kind.VARIABLE: (0, 2, "1 read port")}
 
 
+class NotWired(IrError):
+    """``wiring``'s refusal: its text, and the ``validate`` code and
+    subject it is reported under."""
+
+    def __init__(self, code: str, subject: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+        self.subject = subject
+
+
+class Wiring(NamedTuple):
+    """``wiring``: keys in sorted order and their numbers, the
+    environment keys' port names, port counts and slot bases per key, the
+    far end (key, port) of every input and output slot, and the id of the
+    link that binds each input slot."""
+    names: list[str]
+    ids: dict[str, int]
+    env: dict[str, str]
+    n_in: list[int]
+    n_out: list[int]
+    in_base: list[int]
+    out_base: list[int]
+    in_src: list[tuple[int, int]]
+    out_dst: list[tuple[int, int]]
+    in_link: list[str]
+
+
+def wiring(net: Network) -> Wiring:
+    """The fully-wired rule as one binding pass: component ids and the
+    environment keys `$in.<port>` and `$out.<port>` are numbered in
+    sorted order, each key owns a run of input and output slots, and each
+    slot is bound to the (key, port) at the far end of its link.
+
+    Raises ``NotWired`` for the first problem, under the ``validate``
+    code given: a port dir other than in or out (bad-params); a component
+    failing ``PARAMS`` (bad-params), with more ports than the net has
+    links (connectivity) or with no input or no output (arity), before
+    any slot list is built; then per link a port its component lacks
+    (dangling), a port another link already binds (connectivity) or a
+    missing end (dangling); last a slot no link binds (connectivity).
+    The subject is the port, the component, the link or the slot's key."""
+    # Environment keys, and the environment end of each port's link.
+    env: dict[str, str] = {}
+    link_in: dict[str, tuple[str, int]] = {}
+    link_out: dict[str, tuple[str, int]] = {}
+    for name in sorted(net.ports):
+        port = net.ports[name]
+        if port.dir == "in":
+            key = f"$in.{name}"
+            link_in[port.link] = (key, 0)
+        elif port.dir == "out":
+            key = f"$out.{name}"
+            link_out[port.link] = (key, 0)
+        else:
+            raise NotWired("bad-params", name,
+                           f"port {name} dir {port.dir!r} not in/out")
+        env[key] = name
+
+    names = sorted([*net.components, *env])
+    ids = {name: k for k, name in enumerate(names)}
+    # Port counts per key.  Each key's slots follow those of the key
+    # before it, so in_base[k + 1] is where key k's inputs end.
+    n_in, n_out = [0] * len(names), [0] * len(names)
+    for key in env:
+        if key.startswith("$in."):
+            n_out[ids[key]] = 1
+        else:
+            n_in[ids[key]] = 1
+    n_links = len(net.links)
+    for cid, comp in net.components.items():
+        k = ids[cid]
+        problem = param_problem(comp)
+        if problem is not None:
+            raise NotWired("bad-params", cid, f"{cid}: {problem}")
+        # Refused before anything is built per port: each needs a link.
+        a, b = n_in[k], n_out[k] = _PORT_COUNTS[comp.kind](comp)
+        if a > n_links or b > n_links:
+            raise NotWired("connectivity", cid,
+                           f"{cid} has {a} input and {b} output ports, "
+                           f"but the net has {n_links} links")
+        if a < 1 or b < 1:
+            raise NotWired("arity", cid,
+                           f"{cid} has {a} input and {b} output ports, "
+                           f"but needs at least one of each")
+    in_base = [0, *itertools.accumulate(n_in)]
+    out_base = [0, *itertools.accumulate(n_out)]
+    # Input slot: the producer (key, port) to acknowledge.  Output
+    # slot: the consumer (key, port) to offer to.  None until bound.
+    in_src: list = [None] * in_base[-1]
+    out_dst: list = [None] * out_base[-1]
+    # The link bound to each input and output slot so far.
+    in_link: list = [None] * in_base[-1]
+    out_link: list = [None] * out_base[-1]
+    for lid, ln in net.links.items():
+        src = ln.src or link_in.get(lid)
+        dst = ln.dst or link_out.get(lid)
+        if src is not None:
+            sk, sp = ids.get(src[0]), src[1]
+            if sk is None or not 0 <= sp < n_out[sk]:
+                raise NotWired("dangling", lid, f"link {lid} leaves {src[0]}, "
+                               f"which has no output {sp}")
+            o = out_base[sk] + sp
+            if out_link[o] is not None:
+                raise NotWired("connectivity", lid,
+                               f"link {lid} leaves {src[0]} output {sp}, "
+                               f"which link {out_link[o]} already binds")
+            out_link[o] = lid
+        if dst is not None:
+            dk, dp = ids.get(dst[0]), dst[1]
+            if dk is None or not 0 <= dp < n_in[dk]:
+                raise NotWired("dangling", lid, f"link {lid} enters {dst[0]}, "
+                               f"which has no input {dp}")
+            i = in_base[dk] + dp
+            if in_link[i] is not None:
+                raise NotWired("connectivity", lid,
+                               f"link {lid} enters {dst[0]} input {dp}, "
+                               f"which link {in_link[i]} already binds")
+            in_link[i] = lid
+        if src is None or dst is None:
+            raise NotWired("dangling", lid, f"link {lid} has no "
+                           f"{'producer' if src is None else 'consumer'}")
+        in_src[i] = (sk, sp)
+        out_dst[o] = (dk, dp)
+    # Last, a slot that no link binds, named by its key and port.
+    for slots, base, side in ((in_src, in_base, "input"),
+                              (out_dst, out_base, "output")):
+        if None in slots:
+            slot = slots.index(None)
+            k = bisect_right(base, slot) - 1
+            raise NotWired("connectivity", names[k], f"{names[k]} {side} "
+                           f"{slot - base[k]} is bound by no link")
+    return Wiring(names, ids, env, n_in, n_out, in_base, out_base, in_src,
+                  out_dst, in_link)
+
+
 def validate(net: Network) -> list[Diagnostic]:
-    """Structural checks. Returns an empty list for a well-formed network."""
+    """Structural checks. Returns an empty list for a well-formed network:
+    every problem of ids, params, arity, widths and adjacent Buffers,
+    then ``wiring``'s refusal, its text the message."""
     diags: list[Diagnostic] = []
 
     def err(code: str, subject: str, msg: str) -> None:
         diags.append(Diagnostic(code, subject, msg))
 
-    # Each component's params against its table first; port bookkeeping
-    # assumes them.  The links of a component reported here are skipped
-    # below rather than reported as leading to a missing component.
+    # Each component's params against its table first; port widths
+    # assume them, so the links of a component reported here are not
+    # checked below.
     comps_ok: dict[str, Component] = {}
     for cid, comp in net.components.items():
         if cid != comp.id:
@@ -367,9 +511,6 @@ def validate(net: Network) -> list[Diagnostic]:
             err("width", cid, "steer select field outside input word")
         comps_ok[cid] = comp
 
-    # Link endpoint resolution and per-port occupancy.
-    in_bound: dict[tuple[str, int], list[str]] = {}
-    out_bound: dict[tuple[str, int], list[str]] = {}
     for lid, ln in net.links.items():
         if lid != ln.id:
             err("id-mismatch", lid, "link table key differs from link id")
@@ -382,20 +523,12 @@ def validate(net: Network) -> list[Diagnostic]:
                 continue
             cid, pidx = ep
             comp = comps_ok.get(cid)
-            if comp is None:   # missing, or its params reported above
-                if cid not in net.components:
-                    err("dangling", lid,
-                        f"{side} references missing component {cid}")
+            if comp is None:   # missing or refused: ``wiring``'s to report
                 continue
             widths = comp.output_widths() if side == "src" else comp.input_widths()
-            if not (0 <= pidx < len(widths)):
-                err("dangling", lid, f"{side} port {pidx} out of range for {cid}")
-                continue
-            if widths[pidx] != ln.width:
+            if 0 <= pidx < len(widths) and widths[pidx] != ln.width:
                 err("width", lid,
                     f"link width {ln.width} != {side} port width {widths[pidx]} on {cid}")
-            table = out_bound if side == "src" else in_bound
-            table.setdefault((cid, pidx), []).append(lid)
         if ln.src is not None and ln.dst is not None:
             sc = comps_ok.get(ln.src[0])
             dc = comps_ok.get(ln.dst[0])
@@ -403,52 +536,24 @@ def validate(net: Network) -> list[Diagnostic]:
                 if sc.kind is Kind.BUFFER and dc.kind is Kind.BUFFER:
                     err("double-buffer", lid, "two buffers adjacent on one link position")
 
-    for cid, comp in comps_ok.items():
-        n_in, n_out = port_counts(comp)
-        for pidx in range(n_in):
-            n = len(in_bound.get((cid, pidx), []))
-            if n != 1:
-                err("connectivity", cid, f"input port {pidx} bound by {n} links (need 1)")
-        for pidx in range(n_out):
-            n = len(out_bound.get((cid, pidx), []))
-            if n != 1:
-                err("connectivity", cid, f"output port {pidx} bound by {n} links (need 1)")
-
-    # External ports claim every dangling endpoint exactly once.
-    claimed_src: dict[str, str] = {}
-    claimed_dst: dict[str, str] = {}
     for name, port in net.ports.items():
         if name != port.name:
             err("id-mismatch", name, "port table key differs from port name")
         if port.dir not in ("in", "out"):
-            err("bad-params", name, f"port dir {port.dir!r} not in/out")
+            err("bad-params", name, f"port {name} dir {port.dir!r} not in/out")
             continue
         ln = net.links.get(port.link)
-        if ln is None:
-            err("dangling", name, f"port references missing link {port.link}")
-            continue
-        if ln.width != port.width:
+        if ln is not None and ln.width != port.width:
             err("width", name, f"port width {port.width} != link width {ln.width}")
-        if port.dir == "in":
-            if ln.src is not None:
-                err("connectivity", name, "input port bound to a driven link")
-            elif port.link in claimed_src:
-                err("connectivity", name, f"link {port.link} claimed by two input ports")
-            else:
-                claimed_src[port.link] = name
-        else:
-            if ln.dst is not None:
-                err("connectivity", name, "output port bound to a consumed link")
-            elif port.link in claimed_dst:
-                err("connectivity", name, f"link {port.link} claimed by two output ports")
-            else:
-                claimed_dst[port.link] = name
-    for lid, ln in net.links.items():
-        if ln.src is None and lid not in claimed_src:
-            err("dangling", lid, "undriven link not claimed by any input port")
-        if ln.dst is None and lid not in claimed_dst:
-            err("dangling", lid, "unconsumed link not claimed by any output port")
 
+    # A component refused above would be refused again by ``wiring``.
+    if len(comps_ok) == len(net.components):
+        try:
+            wiring(net)
+        except NotWired as exc:
+            refusal = Diagnostic(exc.code, exc.subject, str(exc))
+            if refusal not in diags:   # a port dir, reported above
+                diags.append(refusal)
     return diags
 
 

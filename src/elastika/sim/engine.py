@@ -25,14 +25,14 @@ which events were pushed.  All times are integer picoseconds.
 
 Lowering turns a net into int-indexed tables in two halves.  The half
 that depends only on the net is a ``Lowered``, which every run given it
-shares: component ids and the environment keys `$in.<port>` and
-`$out.<port>` are numbered in sorted string order, so int keys tie
-exactly as the strings would; every key owns a run of flat input and
-output slots, and every slot knows the key and port at the far end of
-its link.  A clocked run's cycle check and critical path are one
-``ir.back_edges`` search of the combinational graph on the input slots
-(``Lowered.critical_path``), and the public ``critical_path`` is the
-same search in link-id order.  A Lowered is a snapshot: build a new one
+shares.  Its ``wiring`` is ``ir.wiring``: component ids and the
+environment keys `$in.<port>` and `$out.<port>` are numbered in sorted
+string order, so int keys tie exactly as the strings would; every key
+owns a run of flat input and output slots, and every slot knows the key
+and port at the far end of its link.  A clocked run's cycle check and
+critical path are one ``ir.back_edges`` search of the combinational
+graph on the input slots (``Lowered.critical_path``), and the public
+``critical_path`` is the same search in link-id order.  A Lowered is a snapshot: build a new one
 after the net is mutated.  Each Simulation adds the per-run half: each
 input slot's standing value (no output slot keeps a flag; only deadlock
 diagnosis asks which offers stand, on a quiesced net), and an offer,
@@ -71,18 +71,16 @@ caps each chain on a large net (``_DIRECT_DEPTH``).  ``Simulation.seq``
 counts only the events queued.
 
 Only fully wired nets are lowered, as every elastic channel is one
-handshake between one producer and one consumer: every link has both
-ends, each a component port or an environment port; every input and
-output slot is bound by exactly one link; and every component has at
-least one input and one output.  ``Lowered.wiring`` refuses any other
-net with a ``SimError`` naming the link, or the key and port, so no
-handler has a missing far end to guard against.  Once per Lowered, it
-refuses a component whose params fail ``ir.PARAMS``, with the message
-``validate`` gives, or with more input or output ports than the net has
-links, or with no input or no output, before it builds any slot list;
-then a link to a port the component lacks, a link to a port another
-link already binds and a link with a missing end; and last a slot no
-link binds.  No handler checks a param again.
+handshake between one producer and one consumer: every port's dir is in
+or out; every link has both ends, each a component port or an
+environment port; every input and output slot is bound by exactly one
+link; and every component has at least one input and one output.
+``ir.wiring`` refuses any other net, in the order its docstring gives,
+and ``Lowered.wiring`` raises that refusal as a ``SimError`` with the
+same text, the message ``validate`` reports it with, so no handler has
+a missing far end to guard against.  The params of every component are
+checked there, once per Lowered, and no handler checks a param
+again.
 
 ``run`` pauses the cyclic collector for the whole run, lowering included
 (see ``_collector_paused``).  The handlers reach each other through the
@@ -100,10 +98,10 @@ from contextlib import contextmanager
 from dataclasses import replace
 from functools import cached_property
 from heapq import heappop, heappush, heappushpop
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Optional
 
-from ..ir import (_PORT_COUNTS, Component, Kind, Network, back_edges,
-                  param_problem)
+from ..ir import (Component, Kind, Network, NotWired, Wiring, back_edges,
+                  wiring)
 from .config import SimConfig
 from .report import SimReport
 
@@ -198,31 +196,13 @@ def _operator_fn(comp: Component) -> Callable[[int, int], int]:
     return lambda a, b: 0 if b >= in_widths[0] else (a >> b) & m   # shr
 
 
-class _Wiring(NamedTuple):
-    """``Lowered.wiring``: keys in sorted order and their numbers, the
-    environment keys' port names, the Initials' keys, port counts and
-    slot bases per key, the far end (key, port) of every input and output
-    slot, and the id of the link that binds each input slot."""
-    names: list[str]
-    ids: dict[str, int]
-    env: dict[str, str]
-    initials: list[int]
-    n_in: list[int]
-    n_out: list[int]
-    in_base: list[int]
-    out_base: list[int]
-    in_src: list[tuple[int, int]]
-    out_dst: list[tuple[int, int]]
-    in_link: list[str]
-
-
 class Lowered:
     """The half of lowering that depends only on the net, shared by every
     run of it.
 
-    ``wiring`` numbers the keys, counts each key's ports, lays out the
-    slot bases and wires every slot to the far end of its link, refusing
-    a net that is not fully wired (see the module docstring).
+    ``wiring`` is ``ir.wiring``: the keys, port counts, slot bases and
+    the far end of every slot, or a ``SimError`` for a net that is not
+    fully wired (see the module docstring).
     ``critical_path`` gives a clocked run its cycle check and critical
     path from one search of the combinational graph on the wired input
     slots (``_slots``); it keeps the cycle it named, and the last delay
@@ -298,102 +278,14 @@ class Lowered:
         return succ
 
     @cached_property
-    def wiring(self) -> _Wiring:
-        """The keys, port counts, slot bases and far ends (``_Wiring``),
-        or a ``SimError`` for a net that is not fully wired, raised in
-        the order the module docstring gives.  Params are checked with
-        ``ir.param_problem`` and port counts read from
-        ``ir._PORT_COUNTS``, and a slot keeps the id of the link that
-        binds it, so a second link to it is named with the first."""
-        net = self.net
-        # Environment keys, and the environment end of each port's link.
-        env: dict[str, str] = {}
-        link_in: dict[str, tuple[str, int]] = {}
-        link_out: dict[str, tuple[str, int]] = {}
-        for name in sorted(net.ports):
-            port = net.ports[name]
-            if port.dir == "in":
-                key = f"$in.{name}"
-                link_in[port.link] = (key, 0)
-            else:
-                key = f"$out.{name}"
-                link_out[port.link] = (key, 0)
-            env[key] = name
-
-        names = sorted([*net.components, *env])
-        ids = {name: k for k, name in enumerate(names)}
-        # Port counts per key.  Each key's slots follow those of the key
-        # before it, so in_base[k + 1] is where key k's inputs end.
-        n_in, n_out = [0] * len(names), [0] * len(names)
-        for key in env:
-            if key.startswith("$in."):
-                n_out[ids[key]] = 1
-            else:
-                n_in[ids[key]] = 1
-        initials = []
-        n_links = len(net.links)
-        for cid, comp in net.components.items():
-            k = ids[cid]
-            problem = param_problem(comp)
-            if problem is not None:
-                raise SimError(f"{cid}: {problem}")
-            # Refused before anything is built per port: each needs a link.
-            a, b = n_in[k], n_out[k] = _PORT_COUNTS[comp.kind](comp)
-            if a > n_links or b > n_links:
-                raise SimError(f"{cid} has {a} input and {b} output ports, "
-                               f"but the net has {n_links} links")
-            if a < 1 or b < 1:
-                raise SimError(f"{cid} has {a} input and {b} output ports, "
-                               f"but needs at least one of each")
-            if comp.kind is Kind.INITIAL:
-                initials.append(k)
-        in_base = [0, *itertools.accumulate(n_in)]
-        out_base = [0, *itertools.accumulate(n_out)]
-        # Input slot: the producer (key, port) to acknowledge.  Output
-        # slot: the consumer (key, port) to offer to.  None until bound.
-        in_src: list = [None] * in_base[-1]
-        out_dst: list = [None] * out_base[-1]
-        # The link bound to each input and output slot so far.
-        in_link: list = [None] * in_base[-1]
-        out_link: list = [None] * out_base[-1]
-        for lid, ln in net.links.items():
-            src = ln.src or link_in.get(lid)
-            dst = ln.dst or link_out.get(lid)
-            if src is not None:
-                sk, sp = ids.get(src[0]), src[1]
-                if sk is None or not 0 <= sp < n_out[sk]:
-                    raise SimError(f"link {lid} leaves {src[0]}, which has "
-                                   f"no output {sp}")
-                o = out_base[sk] + sp
-                if out_link[o] is not None:
-                    raise SimError(f"link {lid} leaves {src[0]} output {sp}, "
-                                   f"which link {out_link[o]} already binds")
-                out_link[o] = lid
-            if dst is not None:
-                dk, dp = ids.get(dst[0]), dst[1]
-                if dk is None or not 0 <= dp < n_in[dk]:
-                    raise SimError(f"link {lid} enters {dst[0]}, which has "
-                                   f"no input {dp}")
-                i = in_base[dk] + dp
-                if in_link[i] is not None:
-                    raise SimError(f"link {lid} enters {dst[0]} input {dp}, "
-                                   f"which link {in_link[i]} already binds")
-                in_link[i] = lid
-            if src is None or dst is None:
-                raise SimError(f"link {lid} has no "
-                               f"{'producer' if src is None else 'consumer'}")
-            in_src[i] = (sk, sp)
-            out_dst[o] = (dk, dp)
-        # Last, a slot that no link binds, named by its key and port.
-        for slots, base, side in ((in_src, in_base, "input"),
-                                  (out_dst, out_base, "output")):
-            if None in slots:
-                slot = slots.index(None)
-                k = bisect_right(base, slot) - 1
-                raise SimError(f"{names[k]} {side} {slot - base[k]} "
-                               f"is bound by no link")
-        return _Wiring(names, ids, env, sorted(initials), n_in, n_out,
-                       in_base, out_base, in_src, out_dst, in_link)
+    def wiring(self) -> Wiring:
+        """``ir.wiring`` of the net: the keys, port counts, slot bases and
+        far ends, or its refusal raised again as a ``SimError`` with the
+        same text."""
+        try:
+            return wiring(self.net)
+        except NotWired as exc:
+            raise SimError(str(exc)) from None
 
     @cached_property
     def direct(self) -> list[bool]:
@@ -463,11 +355,11 @@ class Simulation:
 
     # -- lowering ---------------------------------------------------------
 
-    def _lower(self, w: _Wiring) -> None:
+    def _lower(self, w: Wiring) -> None:
         """The per-run half: the run's slot state and a handler per key,
-        built on the shared wiring ``w``."""
-        (self.names, self.ids, env, self._initials, self.n_in, self.n_out,
-         self.in_base, self.out_base, self.in_src, self.out_dst, _) = w
+        built on the shared wiring ``w``, and the Initials' keys."""
+        (self.names, self.ids, env, self.n_in, self.n_out, self.in_base,
+         self.out_base, self.in_src, self.out_dst, _) = w
         # The standing value of each input slot (None when empty).
         self.in_val: list[Optional[int]] = [None] * w.in_base[-1]
         ids = w.ids
@@ -480,10 +372,13 @@ class Simulation:
                 on_ack[k] = _stimulus(self, k, name)
             else:
                 on_offer[k] = _sink(self, k, name)
+        self._initials = initials = []
         for cid, comp in self.net.components.items():
             k = ids[cid]
             on_offer[k], on_ack[k], on_fire[k] = _HANDLERS[comp.kind](
                 self, k, comp)
+            if comp.kind is Kind.INITIAL:
+                initials.append(k)
 
     def _drop_handlers(self) -> None:
         """Empties the handler tables.  The handlers reach each other

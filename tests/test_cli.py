@@ -620,6 +620,30 @@ def test_constant_that_does_not_fit_its_port_exit_2(tmp_path, pac_netlists,
                "its 1-bit output\n")
 
 
+# A near miss of a param each kind declares, which it does not.
+UNDECLARED = {"join": "input", "fork": "output", "steer": "tabel",
+              "merge": "loops", "variable": "read", "operator": "func",
+              "initial": "val", "buffer": "capcity"}
+
+
+@pytest.mark.parametrize("name", ["elgcd", "poly", "smul"])
+@pytest.mark.parametrize("kind", [kind.value for kind in Kind])
+def test_undeclared_param_exit_2(tmp_path, pac_netlists, name, kind, capsys):
+    # "capcity": 2 on a Buffer validated, and `sim` ran that Buffer at
+    # capacity 1.
+    key = UNDECLARED[kind]
+    assert key not in PARAMS[Kind(kind)]
+    obj = json.loads(pac_netlists[name])
+    comp = next(c for c in obj["components"] if c["kind"] == kind)
+    comp["params"][key] = 2
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(obj))
+    for command in LOADING_COMMANDS:
+        assert _run_loader(command, path, capsys) == (
+            2, f"error: bad-params {comp['id']}: {kind} has no param "
+               f"{key!r}\n")
+
+
 def test_sim_refuses_a_text_init_read_before_any_write(tmp_path, capsys):
     # x is sent before it is received, so the first result is its init.
     src = tmp_path / "t.csp"

@@ -1,14 +1,16 @@
 """The simulator lowers only fully wired nets, and agrees with ``validate``.
 
-``Lowered.wiring`` accepts a net only when every link has a producer and
-a consumer (a component port or an environment port), every component
-input and output slot is bound by exactly one link, and every component
-has at least one input and one output.  Each refusal is a ``SimError``
-naming the link, or the key and port.  The nets here are the shipped
-benchmarks, unbuffered and buffered under each policy, and mutants of
-each that break one part of the rule: ``validate`` must refuse every
-net the engine refuses, and the engine must lower every net
-``validate`` accepts.
+``ir.wiring`` accepts a net only when every port's dir is in or out,
+every link has a producer and a consumer (a component port or an
+environment port), every component input and output slot is bound by
+exactly one link, and every component has at least one input and one
+output.  ``Lowered.wiring`` raises each refusal as a ``SimError`` naming
+the port, the link, or the key and port, and ``validate`` reports it
+with the same text.  The nets here are the shipped benchmarks,
+unbuffered and buffered under each policy, and mutants of each that
+break one part of the rule: ``validate`` must refuse every net the
+engine refuses, with the engine's message, and the engine must lower
+every net ``validate`` accepts.
 """
 from __future__ import annotations
 
@@ -76,29 +78,29 @@ def mutants(net: Network) -> dict[str, Network]:
     return out
 
 
-def lowers(net: Network) -> bool:
+def refusal(net: Network) -> str | None:
+    """The text of the ``SimError`` ``Lowered.wiring`` refuses ``net``
+    with, or None when it lowers."""
     try:
         Lowered(net).wiring
-    except SimError:
-        return False
-    return True
+    except SimError as exc:
+        return str(exc)
+    return None
 
 
 @pytest.mark.parametrize("plan", PLANS)
 @pytest.mark.parametrize("name", benchmark_names())
 def test_wiring_and_validate_agree_on_shipped_nets(name, plan):
     net = planned(name, plan)
-    assert validate(net) == [] and lowers(net)
+    assert validate(net) == [] and refusal(net) is None
     cases = mutants(net)
     assert len(cases) >= 10
     for label, m in cases.items():
-        diags, lowered = validate(m), lowers(m)
-        if not diags:
-            assert lowered, f"{label}: validate accepts, wiring refuses"
-        if not lowered:
-            assert diags, f"{label}: wiring refuses, validate accepts"
-        # Each mutant breaks the rule, so the engine refuses it.
-        assert not lowered, label
+        diags, refused = validate(m), refusal(m)
+        # Each mutant breaks the rule, so the engine refuses it, and
+        # validate reports the engine's message.
+        assert refused is not None, label
+        assert refused in [d.message for d in diags], label
 
 
 def chain() -> Network:
@@ -144,6 +146,10 @@ def join_of_no_inputs(net):
     net.ports["y"] = Port("y", "out", 0, "lj")
 
 
+def port_of_no_direction(net):
+    net.ports["z"].dir = "sideways"
+
+
 def fork_of_no_outputs(net):
     net.components["f"] = Component("f", Kind.FORK,
                                     {"input": 8, "outputs": []})
@@ -163,6 +169,7 @@ REFUSALS = {
                        "least one of each",
     fork_of_no_outputs: "f has 1 input and 0 output ports, but needs at "
                         "least one of each",
+    port_of_no_direction: "port z dir 'sideways' not in/out",
 }
 
 
@@ -172,6 +179,6 @@ def test_a_net_not_fully_wired_is_refused(edit, mode):
     net = chain()
     assert validate(net) == []
     edit(net)
-    assert validate(net)
+    assert REFUSALS[edit] in [d.message for d in validate(net)]
     with pytest.raises(SimError, match=f"^{re.escape(REFUSALS[edit])}$"):
         run(net, SimConfig(mode=mode, clock=2000 if mode == "sync" else 0))
